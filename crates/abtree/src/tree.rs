@@ -276,6 +276,13 @@ impl AbTree {
         self.exec.is_batched()
     }
 
+    /// Whether serialized work (the fallback path or a holder of the
+    /// fallback lock) is in progress on this tree right now — see
+    /// [`threepath_core::ExecCtx::serialized_active`].
+    pub fn serialized_active(&self) -> bool {
+        self.exec.serialized_active()
+    }
+
     /// The underlying HTM runtime.
     pub fn runtime(&self) -> &Arc<HtmRuntime> {
         self.exec.runtime()

@@ -252,6 +252,13 @@ impl Bst {
         self.exec.is_batched()
     }
 
+    /// Whether serialized work (the fallback path or a holder of the
+    /// fallback lock) is in progress on this tree right now — see
+    /// [`threepath_core::ExecCtx::serialized_active`].
+    pub fn serialized_active(&self) -> bool {
+        self.exec.serialized_active()
+    }
+
     /// Swaps the execution strategy at runtime while operations are in
     /// flight. Only valid on a tree built with
     /// [`BstConfig::adaptive`], and only between TLE and 3-path.

@@ -930,6 +930,17 @@ impl ExecCtx {
         }
     }
 
+    /// Whether serialized work is in progress right now: an operation on
+    /// the fallback path (`F` active) or a holder of the TLE lock — read in
+    /// that order, two plain loads. A fast-path transaction of a blended
+    /// (adaptive or batched) context started at this instant would abort
+    /// on its subscription, so a front-end uses this to decide between
+    /// attempting one and queueing behind the holder. Momentary by nature.
+    pub fn serialized_active(&self) -> bool {
+        let rt = &*self.rt;
+        self.f.is_active(rt) || self.lock.is_held(rt)
+    }
+
     /// One bounded attempt to observe the serialized machinery quiet: the
     /// fallback indicator `F` inactive and the TLE lock free, read in that
     /// order within one pass. Used by the snapshot cut (see
@@ -939,9 +950,8 @@ impl ExecCtx {
     /// observation instant. Returns whether quiet was observed within
     /// `spins` probes.
     pub(crate) fn observe_quiet(&self, spins: u32) -> bool {
-        let rt = &*self.rt;
         for i in 0..spins {
-            if !self.f.is_active(rt) && !self.lock.is_held(rt) {
+            if !self.serialized_active() {
                 return true;
             }
             if i % 64 == 63 {

@@ -141,9 +141,9 @@ pub struct PathStats {
     /// while flat-combining: it held a shard's fallback lock for its own
     /// batch and drained further queued batches before releasing.
     combined_ops: u64,
-    /// Single-operation submissions the serving front-end executed
-    /// directly — the shard's combiner claim was free and its queue empty,
-    /// so the op skipped the enqueue/drain machinery entirely.
+    /// Submissions the serving front-end executed directly, every group
+    /// of them — each shard was free (queue empty, no combiner at work,
+    /// no serialized section), so nothing touched a queue.
     batch_bypasses: u64,
     /// Write-ahead-log records this thread appended (durability layer;
     /// zero on volatile maps). One record per executed update plan.
@@ -362,13 +362,13 @@ impl PathStats {
         self.combined_ops
     }
 
-    /// Records a single-operation submission executed directly, bypassing
-    /// the serving front-end's queue (claim free, queue empty).
+    /// Records a submission executed directly, bypassing the serving
+    /// front-end's queues (every shard it touched was free).
     pub fn record_batch_bypass(&mut self) {
         self.batch_bypasses += 1;
     }
 
-    /// Single-operation submissions that bypassed the serving queue.
+    /// Submissions that bypassed the serving front-end's queues.
     pub fn batch_bypasses(&self) -> u64 {
         self.batch_bypasses
     }

@@ -33,6 +33,7 @@ pub struct TxThread {
     read_set: ReadSet,
     write_set: WriteSet,
     locked_buf: Vec<(u32, u64)>,
+    sorted_buf: Vec<u32>,
 }
 
 impl TxThread {
@@ -103,6 +104,7 @@ impl HtmRuntime {
             read_set: ReadSet::with_capacity(self.cfg.read_capacity_lines),
             write_set: WriteSet::with_capacity(self.cfg.write_capacity_lines),
             locked_buf: Vec::with_capacity(16),
+            sorted_buf: Vec::with_capacity(16),
         }
     }
 
@@ -140,7 +142,7 @@ impl HtmRuntime {
             write_set: &mut th.write_set,
         };
         let val = f(&mut tx)?;
-        tx.commit(&mut th.locked_buf)?;
+        tx.commit(&mut th.locked_buf, &mut th.sorted_buf)?;
         Ok(val)
     }
 

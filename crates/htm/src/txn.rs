@@ -129,8 +129,13 @@ impl<'a> Txn<'a> {
         Ok(())
     }
 
-    /// Commit protocol. `locked_buf` is scratch reused across attempts.
-    pub(crate) fn commit(&mut self, locked_buf: &mut Vec<(u32, u64)>) -> Result<(), Abort> {
+    /// Commit protocol. `locked_buf` and `sorted` are scratch reused
+    /// across attempts.
+    pub(crate) fn commit(
+        &mut self,
+        locked_buf: &mut Vec<(u32, u64)>,
+        sorted: &mut Vec<u32>,
+    ) -> Result<(), Abort> {
         if self.doomed {
             return Err(Abort::new(AbortCode::Spurious));
         }
@@ -142,9 +147,8 @@ impl<'a> Txn<'a> {
         // Phase 1: lock written lines in sorted order.
         locked_buf.clear();
         let mut lines_buf = std::mem::take(locked_buf);
-        let mut sorted = Vec::new();
-        self.write_set.sorted_lines(&mut sorted);
-        for &li in &sorted {
+        self.write_set.sorted_lines(sorted);
+        for &li in sorted.iter() {
             let line = self.rt.line(li);
             let mut ok = false;
             for _ in 0..self.rt.config().lock_spin_limit {

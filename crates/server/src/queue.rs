@@ -8,8 +8,8 @@
 //! different clients interleave in the queue.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use threepath_core::BatchOp;
 
@@ -23,28 +23,29 @@ pub(crate) enum Request {
     Range(u64, u64),
 }
 
-const PENDING: u8 = 0;
-const DONE: u8 = 1;
+/// The answer to a [`Request`], of the matching kind.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Reply {
+    /// One reply per operation of the group, in group order.
+    Ops(Vec<Option<u64>>),
+    /// The sub-scan's pairs in ascending key order.
+    Range(Vec<(u64, u64)>),
+}
 
-/// A submitted request plus its reply slot. The combiner publishes with a
-/// release store to `state`; the submitter's acquire load then makes the
-/// reply vectors visible — each slot is written exactly once, after which
-/// only the submitter touches it.
+/// A submitted request plus its reply slot, written exactly once by
+/// whoever executes the request; the `OnceLock` is both the slot and the
+/// release/acquire hand-off to the waiting submitter.
 #[derive(Debug)]
 pub(crate) struct Pending {
     pub(crate) req: Request,
-    state: AtomicU8,
-    replies: Mutex<Vec<Option<u64>>>,
-    range_out: Mutex<Vec<(u64, u64)>>,
+    reply: OnceLock<Reply>,
 }
 
 impl Pending {
     pub(crate) fn new(req: Request) -> Arc<Self> {
         Arc::new(Pending {
             req,
-            state: AtomicU8::new(PENDING),
-            replies: Mutex::new(Vec::new()),
-            range_out: Mutex::new(Vec::new()),
+            reply: OnceLock::new(),
         })
     }
 
@@ -58,46 +59,48 @@ impl Pending {
 
     /// Whether the reply has been published.
     pub(crate) fn is_done(&self) -> bool {
-        self.state.load(Ordering::Acquire) != PENDING
+        self.reply.get().is_some()
     }
 
-    /// Publishes a group's replies (one per operation, in group order).
-    pub(crate) fn publish(&self, replies: Vec<Option<u64>>) {
-        debug_assert!(!self.is_done(), "reply published twice");
-        debug_assert_eq!(replies.len(), self.op_count());
-        *self.replies.lock().unwrap() = replies;
-        self.state.store(DONE, Ordering::Release);
-    }
-
-    /// Publishes a sub-scan reply.
-    pub(crate) fn publish_range(&self, out: Vec<(u64, u64)>) {
-        debug_assert!(!self.is_done(), "reply published twice");
-        *self.range_out.lock().unwrap() = out;
-        self.state.store(DONE, Ordering::Release);
+    /// Publishes the reply.
+    pub(crate) fn publish(&self, reply: Reply) {
+        let fresh = self.reply.set(reply).is_ok();
+        debug_assert!(fresh, "reply published twice");
     }
 
     /// The group's replies (call only after [`Self::is_done`]).
-    pub(crate) fn take_replies(&self) -> Vec<Option<u64>> {
-        debug_assert!(self.is_done(), "reply taken before publication");
-        std::mem::take(&mut self.replies.lock().unwrap())
+    pub(crate) fn replies(&self) -> &[Option<u64>] {
+        match self.reply.get() {
+            Some(Reply::Ops(r)) => r,
+            other => unreachable!("group answered with {other:?}"),
+        }
     }
 
-    /// The sub-scan reply (call only after [`Self::is_done`]).
-    pub(crate) fn take_range_reply(&self) -> Vec<(u64, u64)> {
-        debug_assert!(self.is_done(), "reply taken before publication");
-        std::mem::take(&mut self.range_out.lock().unwrap())
+    /// The sub-scan's pairs (call only after [`Self::is_done`]).
+    pub(crate) fn range_reply(&self) -> &[(u64, u64)] {
+        match self.reply.get() {
+            Some(Reply::Range(r)) => r,
+            other => unreachable!("sub-scan answered with {other:?}"),
+        }
     }
 }
 
-/// One shard's submission queue plus its combiner claim flag. The mutex
-/// guards only push/pop (never held across tree operations); `combiner`
-/// elects the one thread currently allowed to drain and execute, so
-/// plans commit in queue order. `closed` lives under the same mutex so
-/// that once [`ShardQueue::close`] returns, no further push can ever
-/// land: everything the shutdown drain finds is everything there is.
+/// One shard's submission queue plus its combiner claim flag, aligned to
+/// two cache lines (adjacent-line prefetch, like
+/// `threepath_htm::CachePadded`) so one shard's claim traffic never
+/// invalidates its neighbour's. The mutex guards only push/pop (never
+/// held across tree operations); `combiner` elects the one thread
+/// currently allowed to drain the queue. `closed` lives under the same
+/// mutex so that once [`ShardQueue::close`] returns, no further push can
+/// ever land: everything the shutdown drain finds is everything there is.
+/// `queued` mirrors the queue's length (release-stored under the mutex,
+/// acquire-loaded by [`ShardQueue::is_empty`]) so the submit path's "is
+/// anyone waiting?" probe writes nothing.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub(crate) struct ShardQueue {
     q: Mutex<Inner>,
+    queued: AtomicUsize,
     combiner: AtomicBool,
 }
 
@@ -108,16 +111,26 @@ struct Inner {
 }
 
 impl ShardQueue {
+    /// Runs `f` on the queue under its mutex, then republishes the
+    /// length — the one place `queued` is written.
+    fn locked<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+        let mut inner = self.q.lock().unwrap();
+        let r = f(&mut inner);
+        self.queued.store(inner.q.len(), Ordering::Release);
+        r
+    }
+
     /// Enqueues a request at the tail. Returns `false` (leaving the
     /// request unqueued) once the queue has been closed for shutdown.
     #[must_use]
     pub(crate) fn push(&self, p: Arc<Pending>) -> bool {
-        let mut inner = self.q.lock().unwrap();
-        if inner.closed {
-            return false;
-        }
-        inner.q.push_back(p);
-        true
+        self.locked(|inner| {
+            if inner.closed {
+                return false;
+            }
+            inner.q.push_back(p);
+            true
+        })
     }
 
     /// Closes the queue: every subsequent [`ShardQueue::push`] fails.
@@ -132,13 +145,10 @@ impl ShardQueue {
     /// never split). When a sub-scan heads the queue, returns that
     /// sub-scan by itself. `None` when the queue is empty.
     pub(crate) fn pop_run(&self, cap: usize) -> Option<Vec<Arc<Pending>>> {
-        let mut inner = self.q.lock().unwrap();
-        let q = &mut inner.q;
-        let head = q.front()?;
-        if matches!(head.req, Request::Range(..)) {
-            return Some(vec![q.pop_front().unwrap()]);
-        }
-        Some(Self::drain_ops(q, cap))
+        self.locked(|inner| match inner.q.front()?.req {
+            Request::Range(..) => Some(vec![inner.q.pop_front().unwrap()]),
+            Request::Ops(_) => Some(Self::drain_ops(&mut inner.q, cap)),
+        })
     }
 
     /// Pops the next run of operation groups only — the flat-combining
@@ -146,12 +156,10 @@ impl ShardQueue {
     /// batch's serialized section. `None` when the queue is empty or a
     /// sub-scan heads it.
     pub(crate) fn pop_op_run(&self, cap: usize) -> Option<Vec<Arc<Pending>>> {
-        let mut inner = self.q.lock().unwrap();
-        let q = &mut inner.q;
-        match q.front() {
-            Some(p) if matches!(p.req, Request::Ops(_)) => Some(Self::drain_ops(q, cap)),
-            _ => None,
-        }
+        self.locked(|inner| match inner.q.front()?.req {
+            Request::Range(..) => None,
+            Request::Ops(_) => Some(Self::drain_ops(&mut inner.q, cap)),
+        })
     }
 
     fn drain_ops(q: &mut VecDeque<Arc<Pending>>, cap: usize) -> Vec<Arc<Pending>> {
@@ -177,11 +185,18 @@ impl ShardQueue {
     }
 
     /// Whether the queue currently holds no requests. A momentary answer
-    /// — callers that act on `true` must hold the combiner claim so no
-    /// drain runs behind their back (pushes may still land; they simply
-    /// wait for the next combiner, exactly as if they arrived later).
+    /// (a push that has not yet stored the new length reads as absent):
+    /// good for the submit path's lane decision, and exact for the
+    /// shutdown drain, which asks only after [`ShardQueue::close`] while
+    /// holding the combiner claim.
     pub(crate) fn is_empty(&self) -> bool {
-        self.q.lock().unwrap().q.is_empty()
+        self.queued.load(Ordering::Acquire) == 0
+    }
+
+    /// Whether nobody is waiting on this shard: no queued request and no
+    /// combiner at work. Two loads, no write to the shared line.
+    pub(crate) fn is_idle(&self) -> bool {
+        !self.combiner.load(Ordering::Relaxed) && self.is_empty()
     }
 
     /// Tries to become this shard's combiner.
@@ -211,14 +226,14 @@ mod tests {
     fn replies_publish_once_and_read_back() {
         let p = ops_group(&[1, 2]);
         assert!(!p.is_done());
-        p.publish(vec![Some(7), None]);
+        p.publish(Reply::Ops(vec![Some(7), None]));
         assert!(p.is_done());
-        assert_eq!(p.take_replies(), vec![Some(7), None]);
+        assert_eq!(p.replies(), [Some(7), None]);
 
         let p = Pending::new(Request::Range(0, 10));
-        p.publish_range(vec![(1, 2)]);
+        p.publish(Reply::Range(vec![(1, 2)]));
         assert!(p.is_done());
-        assert_eq!(p.take_range_reply(), vec![(1, 2)]);
+        assert_eq!(p.range_reply(), [(1, 2)]);
     }
 
     #[test]
@@ -273,9 +288,15 @@ mod tests {
     #[test]
     fn combiner_claim_is_exclusive() {
         let q = ShardQueue::default();
+        assert!(q.is_idle());
         assert!(q.try_claim());
         assert!(!q.try_claim());
+        assert!(!q.is_idle(), "a combiner at work makes the shard busy");
         q.release();
         assert!(q.try_claim());
+        q.release();
+        assert!(q.push(ops_group(&[1])));
+        assert!(!q.is_idle(), "a waiting request makes the shard busy");
+        assert!(std::mem::align_of::<ShardQueue>() >= 128, "one shard per line pair");
     }
 }

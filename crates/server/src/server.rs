@@ -3,12 +3,19 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 
-use threepath_core::{BatchOp, PathStats};
-use threepath_sharded::{merge_sorted_runs, PersistError, ShardedHandle, ShardedMap};
+use threepath_core::{BatchApply, BatchOp, PathStats};
+use threepath_sharded::{merge_sorted_slices, PersistError, ShardedHandle, ShardedMap};
 
-use crate::queue::{Pending, Request, ShardQueue};
+use crate::queue::{Pending, Reply, Request, ShardQueue};
+
+/// A client's "a submission of mine is executing" flag, alone on its
+/// cache lines: its owner writes it twice per submission and nobody else
+/// reads it until [`KvServer::shutdown`].
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct InFlight(AtomicBool);
 
 /// Tuning for a [`KvServer`].
 #[derive(Debug, Clone)]
@@ -83,6 +90,9 @@ pub struct KvServer {
     queues: Vec<ShardQueue>,
     cfg: ServerConfig,
     stopping: AtomicBool,
+    /// The in-flight flag of every live client (see
+    /// [`ServerClient::try_submit`] and [`KvServer::shutdown`]).
+    in_flight: Mutex<Vec<Weak<InFlight>>>,
 }
 
 impl KvServer {
@@ -102,6 +112,7 @@ impl KvServer {
             queues,
             cfg,
             stopping: AtomicBool::new(false),
+            in_flight: Mutex::new(Vec::new()),
         })
     }
 
@@ -113,12 +124,13 @@ impl KvServer {
 
     /// Graceful shutdown: rejects all new submissions, drains every
     /// shard's queue through the combiner (publishing the backlog's
-    /// replies), then flushes and fsyncs every shard's write-ahead log
-    /// when the map is persistent. After this returns, the on-disk state
-    /// reflects every acknowledged update and the map is quiescent —
-    /// safe to drop, or to hand to [`ShardedMap::recover`] in a new
-    /// process. Idempotent; concurrent in-flight submissions either
-    /// complete normally or observe [`SubmitError::ShuttingDown`].
+    /// replies), waits for every submission still executing, then flushes
+    /// and fsyncs every shard's write-ahead log when the map is
+    /// persistent. After this returns, the on-disk state reflects every
+    /// acknowledged update and the map is quiescent — safe to drop, or to
+    /// hand to [`ShardedMap::recover`] in a new process. Idempotent;
+    /// concurrent in-flight submissions either complete normally or
+    /// observe [`SubmitError::ShuttingDown`].
     pub fn shutdown(&self) -> Result<(), PersistError> {
         self.stopping.store(true, Ordering::SeqCst);
         for q in &self.queues {
@@ -132,7 +144,7 @@ impl KvServer {
         for shard in 0..self.queues.len() {
             loop {
                 if self.queues[shard].try_claim() {
-                    combine_shard(self, &mut h, shard);
+                    combine_shard(self, &mut h, &mut PathStats::new(), shard);
                     let empty = self.queues[shard].is_empty();
                     self.queues[shard].release();
                     if empty {
@@ -144,6 +156,17 @@ impl KvServer {
             }
         }
         drop(h);
+        // An empty queue does not mean an idle shard: direct groups run
+        // without the claim (and may carry queued runs they popped under
+        // the fallback lock). A submission raises its client's flag
+        // *before* reading `stopping`, so one that got past that read is
+        // visible here until its last reply is out.
+        let flags = self.in_flight.lock().expect("no panic under the registry lock");
+        for flag in flags.iter().filter_map(Weak::upgrade) {
+            while flag.0.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
         self.map.sync_persist()
     }
 
@@ -178,10 +201,18 @@ impl KvServer {
 
     /// Registers the calling thread and returns a submission handle.
     pub fn client(self: &Arc<Self>) -> ServerClient {
+        let in_flight = Arc::new(InFlight::default());
+        let mut flags = self.in_flight.lock().expect("no panic under the registry lock");
+        flags.retain(|f| f.strong_count() > 0);
+        flags.push(Arc::downgrade(&in_flight));
+        drop(flags);
         ServerClient {
             h: self.map.handle(),
             srv: Arc::clone(self),
             local: PathStats::new(),
+            in_flight,
+            #[cfg(test)]
+            stall: None,
         }
     }
 }
@@ -203,9 +234,16 @@ impl fmt::Debug for KvServer {
 pub struct ServerClient {
     srv: Arc<KvServer>,
     h: ShardedHandle,
-    /// Front-end-local counters (the queue-bypass lane) merged into
-    /// [`Self::stats`] alongside the tree-level statistics.
+    /// Front-end-local counters (queue bypasses, hook-combined plans)
+    /// merged into [`Self::stats`] alongside the tree-level statistics.
     local: PathStats,
+    /// Raised for the length of every submission; registered with the
+    /// server so [`KvServer::shutdown`] can wait it out.
+    in_flight: Arc<InFlight>,
+    /// Test seam: runs on the direct lane, between the lane decision and
+    /// the group.
+    #[cfg(test)]
+    stall: Option<Box<dyn FnMut() + Send>>,
 }
 
 impl ServerClient {
@@ -215,14 +253,15 @@ impl ServerClient {
     }
 
     /// Submits a batch of operations (may straddle shards), blocking
-    /// until every reply is published. Replies come back in submission
-    /// order, each the same `Option<u64>` the direct operation would
-    /// return. The batch is compiled into one *group* per shard; a group
-    /// is enqueued and applied atomically — all of its operations land in
-    /// a single plan (one transaction or one serialized section), in
-    /// submission order. Groups on different shards may interleave with
-    /// other clients' work (each key lives in exactly one shard, so
-    /// per-key semantics are unaffected).
+    /// until every reply is in. Replies come back in submission order,
+    /// each the same `Option<u64>` the direct operation would return. The
+    /// batch is compiled into one *group* per shard; a group is applied
+    /// atomically — all of its operations land in a single plan (one
+    /// transaction or one serialized section), in submission order —
+    /// either directly by this client or, when its shard is busy, by
+    /// whoever combines that shard's queue. Groups on different shards
+    /// may interleave with other clients' work (each key lives in exactly
+    /// one shard, so per-key semantics are unaffected).
     ///
     /// # Panics
     ///
@@ -242,44 +281,14 @@ impl ServerClient {
         if n == 0 {
             return Ok(Vec::new());
         }
+        // Raise the flag, *then* read `stopping` (both `SeqCst`): either
+        // we see shutdown and leave, or shutdown sees the flag and waits
+        // for this submission's last reply — so every update accepted
+        // here is applied (and logged) before shutdown's final fsync.
+        self.in_flight.0.store(true, Ordering::SeqCst);
         if self.srv.is_shutting_down() {
+            self.in_flight.0.store(false, Ordering::Release);
             return Err(SubmitError::ShuttingDown);
-        }
-        // Single-operation bypass: a one-op submission whose shard queue
-        // is empty and whose combiner claim is free gains nothing from
-        // coalescing — there is nothing to coalesce *with* — so execute
-        // it directly on the tree and skip the enqueue/drive machinery
-        // (and its allocation and yield traffic) entirely. The claim is
-        // held across the operation so no combiner drains behind our
-        // back; a group pushed meanwhile simply waits for the next
-        // combiner, as if it had arrived a moment later. A lone point
-        // operation is atomic by itself, so per-group atomicity — the
-        // queue's reason to exist — is vacuous here.
-        if let [op] = ops.as_slice() {
-            let op = *op;
-            let shard = self.srv.map.shard_of(op.key());
-            let q = &self.srv.queues[shard];
-            if q.try_claim() {
-                // Re-check shutdown while holding the claim: the claim
-                // blocks the shutdown drain of this shard, so an update
-                // executed past this check is applied (and logged)
-                // before shutdown's final fsync barrier.
-                if self.srv.is_shutting_down() {
-                    q.release();
-                    return Err(SubmitError::ShuttingDown);
-                }
-                if q.is_empty() {
-                    let r = match op {
-                        BatchOp::Insert(k, v) => self.h.insert(k, v),
-                        BatchOp::Remove(k) => self.h.remove(k),
-                        BatchOp::Get(k) => self.h.get(k),
-                    };
-                    self.srv.queues[shard].release();
-                    self.local.record_batch_bypass();
-                    return Ok(vec![r]);
-                }
-                q.release();
-            }
         }
         // Compile the batch: one group per shard, remembering each op's
         // position so replies reassemble in submission order.
@@ -294,49 +303,78 @@ impl ServerClient {
                 None => groups.push((shard, vec![i], vec![op])),
             }
         }
-        let mut pends = Vec::with_capacity(groups.len());
-        let mut positions = Vec::with_capacity(groups.len());
+        // A WAL-backed shard serializes updaters on its log mutex anyway,
+        // and groups that queue together share one log record; measured,
+        // running them directly only loses that (README), so persistent
+        // maps keep the queue as their front door.
+        let direct = !self.srv.map.is_persistent();
+        let mut out = vec![None; n];
+        let mut pends = Vec::new();
+        let mut positions = Vec::new();
         let mut rejected = false;
         for (shard, at, plan) in groups {
+            let srv = &*self.srv;
+            let q = &srv.queues[shard];
+            // The lane rule (crate docs). A *free* shard — nobody queued,
+            // no combiner at work, no serialized section in progress —
+            // runs the group right here, concurrently with other clients'
+            // direct groups; only a group that finds the shard *busy*
+            // becomes a waiter and hands its work to the queue.
+            if direct && q.is_idle() && !srv.map.shard_busy(shard) {
+                #[cfg(test)]
+                if let Some(stall) = &mut self.stall {
+                    stall();
+                }
+                let lane = &mut self.local;
+                let (replies, _path) = self
+                    .h
+                    .shard_batch_with(shard, &plan, |apply| drain_rounds(srv, shard, apply, lane));
+                for (&i, r) in at.iter().zip(replies) {
+                    out[i] = r;
+                }
+                continue;
+            }
             let p = Pending::new(Request::Ops(plan));
-            if self.srv.queues[shard].push(Arc::clone(&p)) {
-                pends.push((shard, p));
-                positions.push(at);
-            } else {
-                // Shutdown closed this queue between our entry check and
-                // the push. Groups already enqueued will still be
-                // drained and applied; wait for them (their replies are
-                // discarded with the error — applied-but-unacknowledged,
-                // like a crash immediately after the log append).
+            if !q.push(Arc::clone(&p)) {
+                // Shutdown closed this queue after our entry check.
+                // Groups already run, or enqueued and awaited below, stay
+                // applied; their replies are discarded with the error —
+                // applied-but-unacknowledged, like a crash right after
+                // the log append.
                 rejected = true;
                 break;
             }
+            pends.push((shard, p));
+            positions.push(at);
         }
         self.drive(&pends);
+        self.in_flight.0.store(false, Ordering::Release);
         if rejected {
             return Err(SubmitError::ShuttingDown);
         }
-        let mut out = vec![None; n];
+        if pends.is_empty() {
+            self.local.record_batch_bypass(); // never touched a queue
+        }
         for (at, (_, p)) in positions.iter().zip(&pends) {
-            for (&i, r) in at.iter().zip(p.take_replies()) {
+            for (&i, &r) in at.iter().zip(p.replies()) {
                 out[i] = r;
             }
         }
         Ok(out)
     }
 
-    /// Inserts or updates `key` through the submission queue, returning
+    /// Inserts or updates `key` as a one-operation submission, returning
     /// the previous value.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
         self.submit(vec![BatchOp::Insert(key, value)]).pop().unwrap()
     }
 
-    /// Removes `key` through the submission queue, returning its value.
+    /// Removes `key` as a one-operation submission, returning its value.
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         self.submit(vec![BatchOp::Remove(key)]).pop().unwrap()
     }
 
-    /// Looks up `key` through the submission queue.
+    /// Looks up `key` as a one-operation submission.
     pub fn get(&mut self, key: u64) -> Option<u64> {
         self.submit(vec![BatchOp::Get(key)]).pop().unwrap()
     }
@@ -369,21 +407,17 @@ impl ServerClient {
             pends.push((shard, p));
         }
         self.drive(&pends);
-        let runs: Vec<Vec<(u64, u64)>> = pends
-            .iter()
-            .map(|(_, p)| p.take_range_reply())
-            .filter(|r| !r.is_empty())
-            .collect();
+        let runs: Vec<&[(u64, u64)]> = pends.iter().map(|(_, p)| p.range_reply()).collect();
         if self.srv.map.router().preserves_order() {
-            runs.into_iter().flatten().collect()
+            runs.concat()
         } else {
-            merge_sorted_runs(runs)
+            merge_sorted_slices(&runs)
         }
     }
 
     /// Merged path statistics across every shard this client has combined
     /// on (includes work it executed for other clients), plus this
-    /// client's front-end counters (queue bypasses).
+    /// client's front-end counters (queue bypasses, hook-combined plans).
     pub fn stats(&self) -> PathStats {
         let mut s = self.h.stats();
         s.merge(&self.local);
@@ -410,7 +444,7 @@ impl ServerClient {
                     continue;
                 }
                 if self.srv.queues[*shard].try_claim() {
-                    self.combine(*shard);
+                    combine_shard(&self.srv, &mut self.h, &mut self.local, *shard);
                     self.srv.queues[*shard].release();
                     progressed = true;
                 }
@@ -423,11 +457,6 @@ impl ServerClient {
             }
         }
     }
-
-    /// Drains `shard`'s queue as its combiner.
-    fn combine(&mut self, shard: usize) {
-        combine_shard(&self.srv, &mut self.h, shard);
-    }
 }
 
 /// Drains `shard`'s queue as its combiner: each run of queued point
@@ -436,25 +465,38 @@ impl ServerClient {
 /// the plan escalates to the serialized section); a queued sub-scan runs
 /// on the shard's optimistic scan path. Shared by client `drive` loops
 /// and the [`KvServer::shutdown`] drain (callers hold the shard's
-/// combiner claim).
-fn combine_shard(srv: &KvServer, h: &mut ShardedHandle, shard: usize) {
+/// combiner claim); `lane` is the caller's front-end counters.
+fn combine_shard(srv: &KvServer, h: &mut ShardedHandle, lane: &mut PathStats, shard: usize) {
     while let Some(run) = srv.queues[shard].pop_run(srv.cfg.batch_cap) {
         if let [p] = run.as_slice() {
             if let Request::Range(lo, hi) = &p.req {
-                p.publish_range(h.shard_range_query(shard, *lo, *hi));
+                p.publish(Reply::Range(h.shard_range_query(shard, *lo, *hi)));
                 continue;
             }
         }
-        let plan = plan_of(&run);
-        let (replies, _path) = h.shard_batch_with(shard, &plan, |apply| {
-            for _ in 0..srv.cfg.combine_rounds {
-                let Some(more) = srv.queues[shard].pop_op_run(srv.cfg.batch_cap) else {
-                    break;
-                };
-                publish_replies(&more, apply.apply(&plan_of(&more)));
-            }
+        let (replies, _path) = h.shard_batch_with(shard, &plan_of(&run), |apply| {
+            drain_rounds(srv, shard, apply, lane)
         });
         publish_replies(&run, replies);
+    }
+}
+
+/// The flat-combining hook of every plan the server runs, queued or
+/// direct: entered only when the plan escalated, while this thread holds
+/// the shard's fallback lock, it applies up to `combine_rounds` further
+/// queued runs in the same serialized section — the waiters that found
+/// the shard busy because of this very section. Each such run is a plan
+/// on `lane`'s batch lane that cost no transaction of its own (the tree
+/// counts its operations as `combined_ops` only), so every operation the
+/// server executes is in `batch_ops`.
+fn drain_rounds(srv: &KvServer, shard: usize, apply: &mut dyn BatchApply, lane: &mut PathStats) {
+    for _ in 0..srv.cfg.combine_rounds {
+        let Some(more) = srv.queues[shard].pop_op_run(srv.cfg.batch_cap) else {
+            break;
+        };
+        let replies = apply.apply(&plan_of(&more));
+        lane.record_batch(replies.len() as u64, 0);
+        publish_replies(&more, replies);
     }
 }
 
@@ -480,7 +522,103 @@ fn publish_replies(run: &[Arc<Pending>], replies: Vec<Option<u64>>) {
     let mut it = replies.into_iter();
     for p in run {
         let n = p.op_count();
-        p.publish(it.by_ref().take(n).collect());
+        p.publish(Reply::Ops(it.by_ref().take(n).collect()));
     }
     debug_assert!(it.next().is_none(), "reply count mismatch");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+    use threepath_sharded::{FsyncPolicy, PersistConfig, ShardedConfig};
+
+    /// A direct group on a volatile map holds no combiner claim, so an
+    /// empty queue under shutdown's claim no longer proves the shard idle.
+    /// Park a client mid-group — volatile: lane decided, direct group not
+    /// yet run (the stall seam); persistent: group queued behind a claim
+    /// the test holds — and start `shutdown()`: it must not return before
+    /// the group's replies are out and, on a persistent map, before the
+    /// group is in the log that `recover` then replays.
+    #[test]
+    fn shutdown_waits_for_a_group_in_flight() {
+        for persistent in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "threepath-server-shutdown-{}-{persistent}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = ShardedConfig {
+                shards: 2,
+                key_space: 64,
+                batched: true,
+                persist: persistent.then(|| PersistConfig {
+                    fsync: FsyncPolicy::Never,
+                    ..PersistConfig::new(&dir)
+                }),
+                ..ShardedConfig::default()
+            };
+            let map = Arc::new(ShardedMap::with_config(cfg.clone()).expect("valid config"));
+            let srv = Arc::new(KvServer::new(map, ServerConfig::default()).expect("batched map"));
+            let parked = Arc::new(AtomicBool::new(false));
+            let go = Arc::new(AtomicBool::new(false));
+            let stopped = AtomicBool::new(false);
+            if persistent {
+                assert!(srv.queues[0].try_claim());
+            }
+            std::thread::scope(|s| {
+                let submitter = s.spawn(|| {
+                    let mut c = srv.client();
+                    let (parked, go) = (Arc::clone(&parked), Arc::clone(&go));
+                    c.stall = Some(Box::new(move || {
+                        parked.store(true, Ordering::SeqCst);
+                        while !go.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }));
+                    let ops = (0..4).map(|k| BatchOp::Insert(k, k + 100)).collect();
+                    (c.try_submit(ops), c.stats().batch_bypasses())
+                });
+                while !parked.load(Ordering::SeqCst) && srv.queues[0].is_empty() {
+                    std::thread::yield_now();
+                }
+                let stopper = s.spawn(|| {
+                    let r = srv.shutdown();
+                    stopped.store(true, Ordering::SeqCst);
+                    r
+                });
+                while !srv.is_shutting_down() {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                let early = stopped.load(Ordering::SeqCst);
+                go.store(true, Ordering::SeqCst);
+                if persistent {
+                    srv.queues[0].release();
+                }
+                assert!(
+                    !early,
+                    "shutdown returned with a group in flight (persistent: {persistent})"
+                );
+                stopper.join().unwrap().expect("shutdown");
+                // Shutdown has returned: the group is applied, whether or
+                // not the submitter has got as far as returning.
+                assert_eq!(srv.map().len(), 4);
+                let (r, bypasses) = submitter.join().unwrap();
+                assert_eq!(r, Ok(vec![None; 4]), "accepted before shutdown: acknowledged");
+                assert_eq!(bypasses, u64::from(!persistent), "direct iff volatile");
+            });
+            let mut late = srv.client();
+            assert_eq!(late.try_submit(vec![BatchOp::Get(0)]), Err(SubmitError::ShuttingDown));
+            drop(late);
+            if persistent {
+                let want = srv.map().collect();
+                drop(srv);
+                let (back, _reports) = ShardedMap::recover(&dir, cfg).expect("recover");
+                assert_eq!(back.collect(), want, "the parked group reached the log");
+                drop(back);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }

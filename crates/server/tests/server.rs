@@ -1,7 +1,9 @@
 //! Integration tests for the serving front-end: a property-based oracle
 //! against `BTreeMap`, multi-threaded submitter-vs-combiner stress under
-//! spurious-abort storms on both backends, per-batch atomicity, and the
-//! steady-state transaction-count guarantee for calm batches.
+//! spurious-abort storms on both backends, per-batch atomicity, the
+//! steady-state transaction-count guarantee for calm batches, and the
+//! direct-first lane rule (idle: run direct; busy: enqueue; storm: flat
+//! combining retained).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -295,13 +297,14 @@ fn calm_same_shard_updates_commit_in_k_over_cap_transactions() {
     assert_eq!(srv.map().len(), 32);
 }
 
-/// Single-operation submissions on an idle server skip the queue
-/// entirely: the combiner claim is free and the shard queue empty, so the
-/// op executes directly and only the bypass counter moves — no batch plan
-/// is compiled. Multi-op submissions still travel the queue, and a held
-/// combiner claim disables the bypass.
+/// The lane rule. On an idle server a group of any size runs directly:
+/// the submission records one bypass — which the client does exactly
+/// when it compiled no queue entry — and the queues stay empty. A shard
+/// made busy (here: its combiner claim held by the test hook) turns the
+/// next group into a waiter: it enqueues and completes once the claim is
+/// released.
 #[test]
-fn single_op_submissions_bypass_idle_queues() {
+fn idle_groups_run_direct_busy_groups_enqueue() {
     let srv = server(
         ShardBackend::Bst,
         RouterKind::Range,
@@ -309,23 +312,25 @@ fn single_op_submissions_bypass_idle_queues() {
         0.0,
         8,
     );
+    let shards = srv.map().shard_count();
     let mut c = srv.client();
     assert_eq!(c.insert(7, 70), None);
     assert_eq!(c.get(7), Some(70));
     assert_eq!(c.submit(vec![BatchOp::Remove(7)]), vec![Some(70)]);
+    // Two ops on one shard, then twelve straddling all three shards.
+    assert_eq!(c.submit(vec![BatchOp::Insert(1, 1), BatchOp::Insert(2, 2)]), vec![None; 2]);
+    let wide: Vec<BatchOp> = (0..12u64).map(|i| BatchOp::Insert(i << 13, i)).collect();
+    assert!(wide.iter().map(|op| srv.map().shard_of(op.key())).any(|s| s == shards - 1));
+    assert_eq!(c.submit(wide), vec![None; 12]);
     let stats = c.stats();
-    assert_eq!(stats.batch_bypasses(), 3, "all three one-op submissions bypass");
-    assert_eq!(stats.batches(), 0, "no batch plan was compiled");
+    assert_eq!(stats.batch_bypasses(), 5, "one bypass per submission, whatever its size");
+    assert!((0..shards).all(|s| srv.queue_is_empty_for_test(s)));
+    assert_eq!(stats.batch_ops(), 17, "direct groups still land on the batch lane");
+    assert_eq!(stats.batches(), 7, "one plan per group: 1+1+1+1+3");
 
-    // A two-op submission must not bypass even when idle.
-    c.submit(vec![BatchOp::Insert(1, 1), BatchOp::Insert(2, 2)]);
-    let stats = c.stats();
-    assert_eq!(stats.batch_bypasses(), 3);
-    assert!(stats.batches() >= 1, "multi-op submissions travel the queue");
-
-    // With the combiner claim held by someone else, a one-op submission
-    // falls back to the queue; it completes once the claim is released
-    // (here: a racing thread that combines on the shard's behalf).
+    // With the combiner claim held by someone else the shard is busy:
+    // the group enqueues and completes once the claim is released (here:
+    // the submitter itself then combines).
     let shard = srv.map().shard_of(42);
     assert!(srv.queue_try_claim_for_test(shard));
     std::thread::scope(|s| {
@@ -333,22 +338,149 @@ fn single_op_submissions_bypass_idle_queues() {
             let srv = Arc::clone(&srv);
             s.spawn(move || {
                 let mut c2 = srv.client();
-                let r = c2.insert(42, 420);
+                let r = c2.submit(vec![BatchOp::Insert(42, 420), BatchOp::Insert(43, 430)]);
                 (r, c2.stats().batch_bypasses())
             })
         };
         // Release only once the submitter has visibly enqueued — at that
-        // point it has already declined the bypass, so the assertion
-        // below is deterministic.
+        // point it has already declined the direct lane, so the
+        // assertions below are deterministic.
         while srv.queue_is_empty_for_test(shard) {
             std::thread::yield_now();
         }
         srv.queue_release_for_test(shard);
         let (r, bypasses) = t.join().unwrap();
-        assert_eq!(r, None);
-        assert_eq!(bypasses, 0, "held claim must disable the bypass");
+        assert_eq!(r, vec![None; 2]);
+        assert_eq!(bypasses, 0, "a busy shard must disable the direct lane");
     });
-    assert_eq!(srv.map().len(), 3);
+    assert!(srv.queue_is_empty_for_test(shard), "the waiter drained its own entry");
+    assert_eq!(srv.map().len(), 16);
+}
+
+/// The concurrency the combiner claim used to forbid: two clients'
+/// calm multi-op groups on ONE shard all run directly — every submission
+/// a bypass, nothing enqueued, every operation a fast-path completion.
+/// (Each client works its own half of a pre-built tree, so no group can
+/// lose ten transaction attempts in a row to the other's writes.)
+#[test]
+#[cfg_attr(miri, ignore)]
+fn calm_groups_of_two_clients_share_a_shard_without_queueing() {
+    let map = Arc::new(
+        ShardedMap::with_config(ShardedConfig {
+            shards: 1,
+            strategy: ExecStrategy::ThreePath,
+            key_space: 1 << 12,
+            htm: HtmConfig::reliable(),
+            batched: true,
+            ..ShardedConfig::default()
+        })
+        .expect("valid config"),
+    );
+    let srv = Arc::new(KvServer::new(map, ServerConfig::default()).expect("batched map"));
+    let mut h = srv.map().handle();
+    // Insert in bit-reversed order so the external BST comes out balanced.
+    for i in 0..1024u64 {
+        let k = i.reverse_bits() >> (64 - 10);
+        h.insert(k * 4, 0);
+    }
+    drop(h);
+    let submissions = 300u64;
+    let (bypasses, fast): (u64, u64) = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..2u64)
+            .map(|t| {
+                let srv = Arc::clone(&srv);
+                s.spawn(move || {
+                    let mut c = srv.client();
+                    for r in 0..submissions {
+                        let base = t * 2048 + (r % 60) * 32;
+                        let ops = (0..8u64).map(|i| BatchOp::Insert(base + i * 4, r)).collect();
+                        assert_eq!(c.submit(ops).len(), 8);
+                    }
+                    let st = c.stats();
+                    (st.batch_bypasses(), st.completed(PathKind::Fast))
+                })
+            })
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().unwrap())
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    });
+    assert_eq!(bypasses, 2 * submissions, "every submission ran direct, none enqueued");
+    assert_eq!(fast, 2 * submissions * 8, "every op completed on the fast path");
+    assert_eq!(srv.map().len(), 1024);
+    srv.map().validate().expect("structural validation");
+}
+
+/// Flat combining is retained where it pays: under an 85%-spurious storm
+/// groups escalate to the fallback lock, later groups find the shard busy
+/// and enqueue, and the lock holders' hooks apply them in their own
+/// serialized sections.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn storm_groups_still_ride_the_lock_holders_section() {
+    let map = Arc::new(
+        ShardedMap::with_config(ShardedConfig {
+            shards: 1,
+            strategy: ExecStrategy::ThreePath,
+            key_space: 1 << 10,
+            htm: HtmConfig::default().with_spurious(0.85),
+            batched: true,
+            ..ShardedConfig::default()
+        })
+        .expect("valid config"),
+    );
+    let srv = Arc::new(KvServer::new(map, ServerConfig::default()).expect("batched map"));
+    let stop = AtomicBool::new(false);
+    let (combined, on_lane, submitted, delta): (u64, u64, u64, i128) = std::thread::scope(|s| {
+        let joins: Vec<_> = (0..3u64)
+            .map(|t| {
+                let srv = Arc::clone(&srv);
+                let stop = &stop;
+                s.spawn(move || {
+                    let mut c = srv.client();
+                    let mut delta = 0i128;
+                    let mut r = t;
+                    // At least 400 submissions each; then until some
+                    // client has seen its work combined (bounded).
+                    while r < 3 * 400 || (!stop.load(Ordering::Relaxed) && r < 3 * 40_000) {
+                        let ops: Vec<BatchOp> = (0..8u64)
+                            .map(|i| {
+                                let k = (r * 8 + i) * 7 % 1024;
+                                if (r + i) % 3 == 0 {
+                                    BatchOp::Remove(k)
+                                } else {
+                                    BatchOp::Insert(k, r)
+                                }
+                            })
+                            .collect();
+                        for (op, got) in ops.iter().zip(c.submit(ops.clone())) {
+                            match (op, got) {
+                                (BatchOp::Insert(k, _), None) => delta += *k as i128,
+                                (BatchOp::Remove(k), Some(_)) => delta -= *k as i128,
+                                _ => {}
+                            }
+                        }
+                        if c.stats().combined_ops() > 0 {
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        r += 3;
+                    }
+                    let st = c.stats();
+                    // Submissions r = t, t + 3, … below the final r.
+                    (st.combined_ops(), st.batch_ops(), (r - t) / 3 * 8, delta)
+                })
+            })
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().unwrap())
+            .fold((0, 0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3))
+    });
+    assert!(combined > 0, "no queued group ever rode a lock holder's section");
+    assert_eq!(on_lane, submitted, "every operation, own plan or combined, is on the batch lane");
+    assert_eq!(srv.map().key_sum() as i128, delta, "key-sum oracle");
+    srv.map().validate().expect("structural validation");
 }
 
 /// Construction rejects maps without the batch entry point and degenerate

@@ -59,7 +59,7 @@ mod router;
 mod tree;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveController, ControllerFactory};
-pub use map::{merge_sorted_runs, ShardedConfig, ShardedHandle, ShardedMap};
+pub use map::{merge_sorted_runs, merge_sorted_slices, ShardedConfig, ShardedHandle, ShardedMap};
 pub use router::{ConfigError, HashRouter, RangeRouter, Router, RouterKind};
 pub use tree::{ShardBackend, ShardHandle, ShardTree};
 // The durability layer's public surface, re-exported so callers can

@@ -400,6 +400,16 @@ impl ShardedMap {
         self.shards.iter().all(ShardTree::is_batched)
     }
 
+    /// Whether shard `shard` is executing serialized work right now — an
+    /// operation on its tree's fallback path or a holder of its fallback
+    /// lock — so that a fast-path batch started at this instant would
+    /// abort on its subscription. Two plain loads of words nobody writes
+    /// while the shard is calm; a momentary answer, for a front-end
+    /// choosing between running a batch and queueing it behind the holder.
+    pub fn shard_busy(&self, shard: usize) -> bool {
+        self.shards[shard].serialized_active()
+    }
+
     /// Registers the calling thread and returns an operation handle.
     pub fn handle(self: &Arc<Self>) -> ShardedHandle {
         ShardedHandle {
@@ -813,12 +823,16 @@ impl std::fmt::Debug for ShardedHandle {
 /// public for servers that pipeline per-shard sub-scans
 /// ([`ShardedHandle::shard_range_query`]) and merge the runs themselves.
 pub fn merge_sorted_runs(runs: Vec<Vec<(u64, u64)>>) -> Vec<(u64, u64)> {
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.into_iter().next().expect("len checked == 1"),
-        _ => {}
+    if runs.len() == 1 {
+        return runs.into_iter().next().expect("len checked == 1");
     }
-    let total = runs.iter().map(Vec::len).sum();
+    merge_sorted_slices(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>())
+}
+
+/// [`merge_sorted_runs`] over borrowed runs, for callers that cannot give
+/// the runs up (a server's reply slots are written once and only read).
+pub fn merge_sorted_slices(runs: &[&[(u64, u64)]]) -> Vec<(u64, u64)> {
+    let total = runs.iter().map(|r| r.len()).sum();
     let mut heads = vec![0usize; runs.len()];
     let mut out = Vec::with_capacity(total);
     while out.len() < total {

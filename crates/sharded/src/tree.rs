@@ -123,6 +123,15 @@ impl ShardTree {
         }
     }
 
+    /// Whether serialized work (the fallback path or a holder of the
+    /// fallback lock) is in progress on this tree right now.
+    pub fn serialized_active(&self) -> bool {
+        match self {
+            ShardTree::Bst(t) => t.serialized_active(),
+            ShardTree::AbTree(t) => t.serialized_active(),
+        }
+    }
+
     /// Swaps the execution strategy at runtime (adaptive trees only; see
     /// [`threepath_core::ExecCtx::set_strategy`]).
     pub fn set_strategy(&self, strategy: Strategy) -> Result<(), StrategySwapError> {

@@ -1,11 +1,13 @@
-//! Serving front-end: batched submission through per-shard queues.
+//! Serving front-end: batched submission, direct-first.
 //!
 //! The other examples drive trees *directly* — every thread executes its
 //! own operations, one transaction each. This one stands a `KvServer` in
 //! front of a sharded map: clients compile batches into per-shard groups,
-//! enqueue them, and whichever client claims a shard's combiner role
-//! coalesces queued groups into single-transaction batch plans (and flat-
-//! combines more work while holding the fallback lock).
+//! each applied as one single-transaction batch plan — by the client
+//! itself when the shard is free, otherwise through the shard's queue,
+//! where whichever waiting client claims the combiner role coalesces
+//! queued groups (and a fallback-lock holder flat-combines more work
+//! before releasing).
 //!
 //! Run with: `cargo run --release --example server_kv`
 
@@ -30,7 +32,7 @@ fn main() {
     );
     let srv = Arc::new(KvServer::new(Arc::clone(&map), ServerConfig::default()).expect("batched map"));
 
-    // Single operations work, but pay a queue hop each — the server is
+    // Single operations work (each is a one-op plan) — the server is
     // built for batches.
     let mut c = srv.client();
     assert_eq!(c.insert(7, 70), None);
