@@ -1,6 +1,6 @@
 //! (a,b)-tree nodes and consistent node views.
 
-use threepath_htm::{Abort, TxCell};
+use threepath_htm::{Abort, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxHeader, Snapshot};
 
 /// Maximum node degree (the paper's `b = 16`: a leaf holds up to 16 pairs,
@@ -107,6 +107,14 @@ impl AbNode {
 
     pub(crate) fn ver_cell(&self) -> &TxCell {
         &self.ver
+    }
+
+    /// Read-ahead hint for an optimistic reader about to visit `p`: all
+    /// of the node's cache lines, plus the line-table words its direct
+    /// `ver` and child-edge loads will probe. Never dereferences `p`.
+    #[inline]
+    pub(crate) fn prefetch(rt: &HtmRuntime, p: *const AbNode) {
+        rt.prefetch(p.cast(), std::mem::size_of::<AbNode>());
     }
 
     // Quiescent plain readers (validation / drop / collect).

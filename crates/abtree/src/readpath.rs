@@ -8,8 +8,8 @@
 //! the LLX header: `hdr.info` versions node replacement, `ver` versions
 //! in-place mutation):
 //!
-//! 1. descend with direct loads, recording every `(child cell, pointer)`
-//!    edge followed;
+//! 1. descend, recording every `(child cell, pointer)` edge followed (a
+//!    direct load) and routing on the node's immutable keys (plain loads);
 //! 2. snapshot the leaf's `ver` (retry if odd — a direct-mode TLE
 //!    mutation is mid-flight), read the leaf's `size`/`keys`/`values`
 //!    cells with relaxed loads, acquire-fence, re-read `ver`;
@@ -37,6 +37,25 @@
 //! no special handling: replacement swings the live parent's pointer, so
 //! either the reader's edge re-check fails, or the reader ran entirely
 //! before the swing. Internal nodes are never mutated in place at all.
+//!
+//! **Routing keys are plain loads.** An internal node's `size` and keys
+//! are written only while the node is still private (`AbNode::new_*`),
+//! and the node is published by a release store of a child edge (a
+//! transaction's write-back, `store_direct`, or SCX's `cas_direct`). The
+//! reader reaches it only through a `load_direct` of such an edge, which
+//! is an acquire load followed by an acquire fence, so the initialising
+//! stores happen-before every later load of those cells — a relaxed
+//! `load_plain` returns the one value they ever hold. The epoch pin keeps
+//! the node from being recycled (and so re-initialised) under the reader.
+//! A `load_direct` would add only its line-table seqlock probe (one more
+//! miss per line) and a fence per key. Each key is read once, as
+//! [`leaf_view_optimistic`] already reads leaf contents.
+//!
+//! **Prefetch.** After loading a child edge the descent issues
+//! [`AbNode::prefetch`] for the child — its cache lines and the line-table
+//! words of its direct loads — so those misses overlap rather than being
+//! discovered one dependent load at a time. It is a hint with no effect
+//! on what any load returns.
 //!
 //! Validation only ever fails while an in-place mutation races the
 //! traversal, so retries are bounded in practice; after
@@ -94,11 +113,12 @@ impl Trace {
     }
 }
 
-/// Routing step with direct loads (internal keys/size are immutable).
-fn route_direct(rt: &HtmRuntime, n: &AbNode, key: u64) -> usize {
-    let size = n.size_cell().load_direct(rt) as usize;
+/// Routing step over an internal node, each routing key read at most once
+/// with a plain load (see the module docs for why that suffices).
+fn route(n: &AbNode, key: u64) -> usize {
+    let size = n.size_cell().load_plain() as usize;
     let mut i = 0;
-    while i + 1 < size && key >= n.key_cell(i).load_direct(rt) {
+    while i + 1 < size && key >= n.key_cell(i).load_plain() {
         i += 1;
     }
     i
@@ -169,9 +189,11 @@ pub(crate) fn get_optimistic(
     }
     while !unsafe { &*cur }.leaf {
         let n = unsafe { &*cur };
-        let idx = route_direct(rt, n, key);
-        let cell = n.ptr_cell(idx);
+        let cell = n.ptr_cell(route(n, key));
         let child = cell.load_direct(rt) as *mut AbNode;
+        // Issue all of the child's misses at once instead of discovering
+        // them one dependent load at a time.
+        AbNode::prefetch(rt, child);
         if !trace.push(cell, child as u64) {
             return None;
         }
@@ -215,7 +237,7 @@ pub(crate) fn extreme_optimistic(
     let mut cur = root;
     while !unsafe { &*cur }.leaf {
         let n = unsafe { &*cur };
-        let size = n.size_cell().load_direct(rt) as usize;
+        let size = n.size_cell().load_plain() as usize;
         if size == 0 || size > B {
             return None; // internal arity is invariant; stale node
         }

@@ -8,6 +8,25 @@
 //! the immutable routing keys). Matching pairs are copied out per leaf as
 //! the walk goes; at the end the whole set is re-validated in one pass.
 //!
+//! **Memory layout.** Every copied pair goes into one handle-owned pair
+//! buffer whose capacity survives across scans; a leaf's [`Segment`] is
+//! just its subrange plus `start..end` indices into that buffer, so a calm
+//! scan allocates nothing but its exact-capacity result. A full walk
+//! emits segments in key order (the DFS visits leaves left to right), so
+//! [`ScanState::assemble`] is one slice copy per leaf; a partial rescan
+//! appends the re-walked holes' segments after the retained ones and
+//! sorts the O(leaves) segments, never the pairs.
+//!
+//! **Memory parallelism.** Expanding an internal node reads each routing
+//! key once with a plain load (immutable and published before the edge
+//! that reached the node; the ordering argument is in
+//! `crate::readpath`'s docs) and, for every child overlapping the scanned
+//! subrange, loads the edge and issues [`AbNode::prefetch`] — the child's
+//! cache lines and the line-table words its direct `ver`/edge loads will
+//! probe. The leaves below one parent are therefore fetched together
+//! rather than one dependent miss at a time; the hint changes no value
+//! any load returns.
+//!
 //! The linearizability argument is the point read's, extended across
 //! leaves: each recorded value can never recur once changed (child
 //! pointers are fresh allocations under the reader's epoch pin, `ver` is
@@ -22,11 +41,15 @@
 //! Failed attempts escalate in tiers (`ExecCtx::run_scan` drives them):
 //! full re-scans up to the attempt budget, then one *partial rescan* — the
 //! invalidated entries' subranges are merged into holes
-//! ([`threepath_core::merge_subranges`]), still-valid entries and the
-//! segments outside the holes are retained, only the holes are re-walked,
-//! and the **combined** set (retained + fresh) is re-validated in one
-//! final pass, so the single-instant argument is preserved. Only when even
-//! that fails does the scan escalate to the transactional machinery.
+//! ([`threepath_core::merge_subranges`]), the entries and segments the
+//! holes swallow are dropped, only the holes are re-walked, and the
+//! **combined** set (retained + fresh) is re-validated in one final pass,
+//! so the single-instant argument is preserved. Every entry the holes do
+//! not swallow is retained *whether or not it still holds*: one
+//! invalidated after the holes were computed must stay in the set so the
+//! next pass turns it into a hole — dropping it would leave its segments
+//! certified by nothing. Only when even that fails does the scan escalate
+//! to the transactional machinery.
 
 use threepath_core::{merge_subranges, ScanTally};
 use threepath_htm::{HtmRuntime, TxCell};
@@ -49,32 +72,45 @@ struct TraceEntry {
     hi: u64,
 }
 
-/// Matching pairs copied from one validated leaf, tagged with the leaf's
-/// routed subrange (clipped to the query).
+/// The matching pairs copied from one validated leaf — `pairs[start..end]`
+/// of the scan's pair buffer — tagged with the leaf's routed subrange
+/// (clipped to the query).
 struct Segment {
     lo: u64,
     hi: u64,
-    pairs: Vec<(u64, u64)>,
+    start: usize,
+    end: usize,
 }
 
 /// The accumulated state of one optimistic scan, carried across the
-/// full-attempt and partial-rescan tiers of `ExecCtx::run_scan`.
+/// full-attempt and partial-rescan tiers of `ExecCtx::run_scan`. Lives in
+/// the handle, so every vector's capacity is reused across scans.
 pub(crate) struct ScanState {
     trace: Vec<TraceEntry>,
     segments: Vec<Segment>,
+    /// Every pair copied since `attempt_full` began, in visit order. A
+    /// partial rescan appends; dropped segments' pairs stay as dead space
+    /// until the next scan clears the buffer.
+    pairs: Vec<(u64, u64)>,
     /// Subranges already known invalid at read time (mid-flight leaf
     /// mutations the seqlock refused to read through).
     failed: Vec<(u64, u64)>,
-    /// DFS worklist, drained by every `scan_range` call; lives here so a
-    /// handle-owned scratch state reuses its capacity across scans.
+    /// DFS worklist, drained by every `scan_range` call.
     stack: Vec<(*mut AbNode, u64, u64)>,
+    /// Test seam: runs in `attempt_partial` after the holes are computed
+    /// and before the trace is pruned — the window of the retain race.
+    #[cfg(test)]
+    before_retain: Option<Box<dyn FnMut()>>,
 }
 
 // SAFETY: the recorded pointers are only dereferenced inside
 // `attempt_full`/`attempt_partial`, under the epoch pin of the scan that
 // recorded them (`attempt_full` clears every vector first). Between
 // scans the contents are dead values retained purely for allocation
-// reuse, so moving the scratch to another thread moves inert words.
+// reuse, so moving the scratch to another thread moves inert words. The
+// pair buffer holds plain integers. The test-only `before_retain` hook
+// is installed and run by single-threaded unit tests that never move the
+// state.
 unsafe impl Send for ScanState {}
 
 /// Whether `[lo, hi)` overlaps any of the (sorted, disjoint) `holes`.
@@ -93,8 +129,11 @@ impl ScanState {
         ScanState {
             trace: Vec::new(),
             segments: Vec::new(),
+            pairs: Vec::new(),
             failed: Vec::new(),
             stack: Vec::new(),
+            #[cfg(test)]
+            before_retain: None,
         }
     }
 
@@ -146,50 +185,57 @@ impl ScanState {
                             lo: clo,
                             hi: chi,
                         });
-                        let pairs =
-                            view.items().filter(|&(k, _)| k >= clo && k < chi).collect();
+                        let start = self.pairs.len();
+                        self.pairs
+                            .extend(view.items().filter(|&(k, _)| k >= clo && k < chi));
                         self.segments.push(Segment {
                             lo: clo,
                             hi: chi,
-                            pairs,
+                            start,
+                            end: self.pairs.len(),
                         });
                     }
                     None => self.failed.push((clo, chi)),
                 }
             } else {
-                // Internal keys and size are immutable: the routing-key
-                // subranges below are stable properties of this node.
-                let size = n.size_cell().load_direct(rt) as usize;
+                // Internal keys and size are immutable (plain loads, see
+                // the module docs): the routing-key subranges below are
+                // stable properties of this node.
+                let size = n.size_cell().load_plain() as usize;
                 if size == 0 || size > B {
                     self.failed.push((clo, chi));
                     continue;
                 }
-                // Child i covers [keys[i-1], keys[i]); push overlapping
-                // children in reverse so the leftmost is processed first.
-                for i in (0..size).rev() {
-                    let klo = if i == 0 {
-                        clo
+                // Child i covers [keys[i-1], keys[i]). Load and prefetch
+                // every overlapping child now, then reverse the pushed run
+                // so the leftmost is processed first.
+                let base = self.stack.len();
+                let mut klo = clo;
+                for i in 0..size {
+                    let key = if i + 1 == size {
+                        u64::MAX
                     } else {
-                        n.key_cell(i - 1).load_direct(rt).max(clo)
+                        n.key_cell(i).load_plain()
                     };
-                    let khi = if i == size - 1 {
-                        chi
-                    } else {
-                        n.key_cell(i).load_direct(rt).min(chi)
-                    };
-                    if klo >= khi {
-                        continue;
+                    let khi = key.min(chi);
+                    if klo < khi {
+                        let cell = n.ptr_cell(i);
+                        let child = cell.load_direct(rt) as *mut AbNode;
+                        AbNode::prefetch(rt, child);
+                        self.trace.push(TraceEntry {
+                            cell,
+                            value: child as u64,
+                            lo: klo,
+                            hi: khi,
+                        });
+                        self.stack.push((child, klo, khi));
                     }
-                    let cell = n.ptr_cell(i);
-                    let child = cell.load_direct(rt) as *mut AbNode;
-                    self.trace.push(TraceEntry {
-                        cell,
-                        value: child as u64,
-                        lo: klo,
-                        hi: khi,
-                    });
-                    self.stack.push((child, klo, khi));
+                    if key >= chi {
+                        break;
+                    }
+                    klo = key.max(clo);
                 }
+                self.stack[base..].reverse();
             }
         }
     }
@@ -208,14 +254,17 @@ impl ScanState {
         merge_subranges(holes)
     }
 
-    /// Concatenates the segments into the sorted result.
+    /// Copies the segments' pairs into an exact-capacity result, one
+    /// slice per leaf. The segments must be in key order (a full walk
+    /// emits them so; `attempt_partial` sorts them first); a validated set
+    /// certifies that they are disjoint.
     fn assemble(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self
-            .segments
-            .iter()
-            .flat_map(|s| s.pairs.iter().copied())
-            .collect();
-        out.sort_unstable_by_key(|e| e.0);
+        debug_assert!(self.segments.windows(2).all(|w| w[0].hi <= w[1].lo));
+        let len = self.segments.iter().map(|s| s.end - s.start).sum();
+        let mut out = Vec::with_capacity(len);
+        for s in &self.segments {
+            out.extend_from_slice(&self.pairs[s.start..s.end]);
+        }
         out
     }
 
@@ -234,6 +283,7 @@ impl ScanState {
     ) -> Option<Vec<(u64, u64)>> {
         self.trace.clear();
         self.segments.clear();
+        self.pairs.clear();
         self.failed.clear();
         self.scan_range(rt, entry, lo, hi, tally, stall);
         if self.invalid_subranges(rt).is_empty() {
@@ -257,10 +307,13 @@ impl ScanState {
         stall: &mut dyn FnMut(),
         rounds: u32,
     ) -> Option<Vec<(u64, u64)>> {
-        for _ in 0..rounds {
+        for round in 0..=rounds {
             let mut holes = self.invalid_subranges(rt);
             if holes.is_empty() {
-                return Some(self.assemble());
+                break;
+            }
+            if round == rounds {
+                return None;
             }
             // A dropped segment's *whole* subrange must be re-walked, and
             // across rounds the tree's routing (and so the subranges) may
@@ -282,25 +335,26 @@ impl ScanState {
                 holes = merge_subranges(holes);
             }
             self.failed.clear();
-            // Retain only still-valid entries the holes do not swallow:
-            // an edge that spans a hole but also covers retained segments
-            // stays (it keeps their root-to-leaf coverage) and is simply
-            // re-validated with everything else at the end.
-            self.trace.retain(|e| {
-                // SAFETY: as in `invalid_subranges`.
-                unsafe { &*e.cell }.load_direct(rt) == e.value
-                    && !contained(&holes, e.lo, e.hi)
-            });
+            #[cfg(test)]
+            if let Some(hook) = self.before_retain.as_mut() {
+                hook();
+            }
+            // Drop only what the holes swallow. Every other entry stays,
+            // valid or not: an edge spanning a hole keeps the retained
+            // segments' root-to-leaf coverage, and an entry invalidated
+            // since `holes` was computed must survive to become a hole on
+            // the next pass — dropping it would leave its segments
+            // certified by nothing.
+            self.trace.retain(|e| !contained(&holes, e.lo, e.hi));
             self.segments.retain(|s| !intersects(&holes, s.lo, s.hi));
             for &(hlo, hhi) in &holes {
                 self.scan_range(rt, entry, hlo, hhi, tally, stall);
             }
         }
-        if self.invalid_subranges(rt).is_empty() {
-            Some(self.assemble())
-        } else {
-            None
-        }
+        // The re-walked holes' segments were appended after the retained
+        // ones: order the segments (not the pairs) by key.
+        self.segments.sort_unstable_by_key(|s| s.lo);
+        Some(self.assemble())
     }
 }
 
@@ -426,6 +480,97 @@ mod tests {
             "only the invalidated leaf is re-read"
         );
         assert!(full_leaves >= 2);
+        // SAFETY: test-owned nodes.
+        unsafe { free_two_leaf_tree(t) };
+    }
+
+    /// A multi-cell in-place mutation of `leaf`'s slot `i` value, wrapped
+    /// in the seqlock as `DirectMem` applies one under the TLE lock.
+    fn mutate_in_place(rt: &HtmRuntime, leaf: *mut AbNode, i: usize, value: u64) {
+        // SAFETY: test-owned node.
+        let l = unsafe { &*leaf };
+        let v0 = l.ver_cell().load_direct(rt);
+        l.ver_cell().store_direct(rt, v0 + 1);
+        l.ptr_cell(i).store_direct(rt, value);
+        l.ver_cell().store_direct(rt, v0 + 2);
+    }
+
+    /// ROADMAP item 1a, deterministically: an entry that still held when
+    /// the partial tier computed its holes, but is invalidated before the
+    /// trace is pruned, must survive the pruning and become a hole on the
+    /// next pass. The old `retain` also required the entry to hold, so it
+    /// dropped l2's version word while keeping l2's segment: the final
+    /// pass then certified the stale `(8, 80)`.
+    #[test]
+    fn stale_retained_entry_is_rewalked() {
+        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
+        let t = two_leaf_tree();
+        let (entry, _, l1, l2) = t;
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        let r = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut no_stall());
+        assert!(r.is_some());
+        // l1 changes after the walk: [0, 8) is the partial tier's hole.
+        mutate_in_place(&rt, l1, 0, 11);
+        // l2 lies outside the hole; it changes inside the retain window.
+        let hook_rt = Arc::clone(&rt);
+        let mut fired = false;
+        state.before_retain = Some(Box::new(move || {
+            if !fired {
+                fired = true;
+                mutate_in_place(&hook_rt, l2, 0, 81);
+            }
+        }));
+        let r = state.attempt_partial(&rt, entry, &mut tally, &mut no_stall(), PARTIAL_ROUNDS);
+        assert_eq!(
+            r,
+            Some(vec![(1, 11), (2, 20), (8, 81), (9, 90)]),
+            "a retained entry invalidated before the pruning must be re-walked"
+        );
+        // SAFETY: test-owned nodes.
+        unsafe { free_two_leaf_tree(t) };
+    }
+
+    /// Repairing the *leftmost* leaf appends its fresh segment after the
+    /// retained ones; `assemble` must still emit the tree's content in key
+    /// order, each pair once.
+    #[test]
+    fn leftmost_leaf_rewalk_assembles_in_key_order() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let t = two_leaf_tree();
+        let (entry, _, l1, _) = t;
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        // Two stall calls per leaf: the third is l2's, after l1 was read.
+        let mut calls = 0u32;
+        let r = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {
+            calls += 1;
+            if calls == 3 {
+                mutate_in_place(&rt, l1, 1, 21);
+            }
+        });
+        assert_eq!(r, None, "l1 changed after it was copied");
+        let r = state.attempt_partial(&rt, entry, &mut tally, &mut no_stall(), PARTIAL_ROUNDS);
+        assert_eq!(r, Some(vec![(1, 10), (2, 21), (8, 80), (9, 90)]));
+        // SAFETY: test-owned nodes.
+        unsafe { free_two_leaf_tree(t) };
+    }
+
+    /// The pair buffer is handle scratch: a second scan of the same
+    /// extent reuses its capacity instead of growing it.
+    #[test]
+    fn second_walk_reuses_the_pair_buffer() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let t = two_leaf_tree();
+        let (entry, ..) = t;
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        let first = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut no_stall());
+        let cap = state.pairs.capacity();
+        assert!(cap >= 4);
+        let second = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut no_stall());
+        assert_eq!(first, second);
+        assert_eq!(state.pairs.capacity(), cap, "the buffer grew");
         // SAFETY: test-owned nodes.
         unsafe { free_two_leaf_tree(t) };
     }

@@ -334,7 +334,7 @@ impl AbTree {
             th: self.eng.register_thread(),
             tree: Arc::clone(self),
             stats: PathStats::new(),
-            scan_scratch: std::cell::RefCell::new(scan::ScanState::new()),
+            scan_scratch: std::cell::RefCell::new(Box::new(scan::ScanState::new())),
         }
     }
 
@@ -1147,9 +1147,11 @@ pub struct AbTreeHandle {
     th: ScxThread,
     stats: PathStats,
     /// Reusable optimistic-scan scratch: `attempt_full` clears it at
-    /// every scan, so only the vector capacities survive — short calm
-    /// scans stop paying the allocator for their validation set.
-    scan_scratch: std::cell::RefCell<scan::ScanState>,
+    /// every scan, so only the vector capacities survive — calm scans
+    /// stop paying the allocator for their validation set and pairs.
+    /// Boxed, so growing the scratch does not grow the handle (whose
+    /// size shifts the heap pattern of building a map; see CHANGES.md).
+    scan_scratch: std::cell::RefCell<Box<scan::ScanState>>,
 }
 
 impl AbTreeHandle {

@@ -36,13 +36,24 @@
 //! Lost races escalate in tiers (`ExecCtx::run_scan` drives them): full
 //! re-walks up to the attempt budget, then the partial-rescan tier —
 //! invalidated subranges merge into holes
-//! ([`threepath_core::merge_subranges`]), still-valid entries and the
-//! segments outside the holes are retained, only the holes are re-walked,
-//! and the **combined** set re-validates in one final pass, preserving
-//! the single-instant argument while re-reading only what was lost. Only
-//! when even that fails does the scan leave the optimistic regime — for
-//! the snapshot tier or, last, the transactional machinery (see
-//! `crate::tree::Bst::range_query`).
+//! ([`threepath_core::merge_subranges`]), the entries and segments the
+//! holes swallow are dropped, only the holes are re-walked, and the
+//! **combined** set re-validates in one final pass, preserving the
+//! single-instant argument while re-reading only what was lost. Every
+//! entry the holes do not swallow is retained *whether or not it still
+//! holds*, so one invalidated after the holes were computed becomes a
+//! hole on the next pass instead of silently vanishing with its segments
+//! still in the answer. Only when even that fails does the scan leave the
+//! optimistic regime — for the snapshot tier or, last, the transactional
+//! machinery (see `crate::tree::Bst::range_query`).
+//!
+//! The state has the (a,b)-tree scan's shape (`threepath_abtree`'s
+//! `scan` module): copied pairs go into one handle-owned buffer, each
+//! leaf's segment is its subrange plus `start..end` indices into it, and
+//! the answer is assembled by ordering segments, never pairs. The two
+//! modules differ only in node decoding. There is no prefetch here: a
+//! binary node has two children, so there is no batch of independent
+//! misses to overlap.
 
 use threepath_core::{merge_subranges, ScanTally};
 use threepath_htm::{HtmRuntime, TxCell};
@@ -71,32 +82,45 @@ impl TraceEntry {
     }
 }
 
-/// The pair copied from one leaf (empty when the leaf's key falls outside
-/// the query or is a sentinel), tagged with the leaf's routed subrange.
+/// The pair copied from one leaf — `pairs[start..end]` of the scan's pair
+/// buffer, empty when the leaf's key falls outside the query or is a
+/// sentinel — tagged with the leaf's routed subrange.
 struct Segment {
     lo: u64,
     hi: u64,
-    pair: Option<(u64, u64)>,
+    start: usize,
+    end: usize,
 }
 
 /// The accumulated state of one optimistic scan, carried across the
-/// full-attempt and partial-rescan tiers of `ExecCtx::run_scan`.
+/// full-attempt and partial-rescan tiers of `ExecCtx::run_scan`. Lives in
+/// the handle, so every vector's capacity is reused across scans.
 pub(crate) struct ScanState {
     trace: Vec<TraceEntry>,
     segments: Vec<Segment>,
+    /// Every pair copied since `attempt_full` began, in visit order. A
+    /// partial rescan appends; dropped segments' pairs stay as dead space
+    /// until the next scan clears the buffer.
+    pairs: Vec<(u64, u64)>,
     /// Subranges already known invalid at read time (a leaf's `ver` was
     /// odd: an in-place value write was in flight).
     failed: Vec<(u64, u64)>,
-    /// DFS worklist, drained by every `scan_range` call; lives here so a
-    /// handle-owned scratch state reuses its capacity across scans.
+    /// DFS worklist, drained by every `scan_range` call.
     stack: Vec<(*mut BstNode, u64, u64)>,
+    /// Test seam: runs in `attempt_partial` after the holes are computed
+    /// and before the trace is pruned — the window of the retain race.
+    #[cfg(test)]
+    before_retain: Option<Box<dyn FnMut()>>,
 }
 
 // SAFETY: the recorded pointers are only dereferenced inside
 // `attempt_full`/`attempt_partial`, under the epoch pin of the scan that
 // recorded them (`attempt_full` clears every vector first). Between
 // scans the contents are dead values retained purely for allocation
-// reuse, so moving the scratch to another thread moves inert words.
+// reuse, so moving the scratch to another thread moves inert words. The
+// pair buffer holds plain integers. The test-only `before_retain` hook
+// is installed and run by single-threaded unit tests that never move the
+// state.
 unsafe impl Send for ScanState {}
 
 /// Whether `[lo, hi)` overlaps any of the (sorted, disjoint) `holes`.
@@ -115,8 +139,11 @@ impl ScanState {
         ScanState {
             trace: Vec::new(),
             segments: Vec::new(),
+            pairs: Vec::new(),
             failed: Vec::new(),
             stack: Vec::new(),
+            #[cfg(test)]
+            before_retain: None,
         }
     }
 
@@ -148,6 +175,7 @@ impl ScanState {
             let n = unsafe { &*ptr };
             if n.is_leaf {
                 tally.leaves += 1;
+                let start = self.pairs.len();
                 let in_range = n.key >= clo && n.key < chi && n.key < SENT1;
                 if in_range {
                     let v0 = n.ver.load_direct(rt);
@@ -165,19 +193,16 @@ impl ScanState {
                         lo: clo,
                         hi: chi,
                     });
-                    self.segments.push(Segment {
-                        lo: clo,
-                        hi: chi,
-                        pair: Some((n.key, value)),
-                    });
+                    self.pairs.push((n.key, value));
                 } else {
                     stall();
-                    self.segments.push(Segment {
-                        lo: clo,
-                        hi: chi,
-                        pair: None,
-                    });
                 }
+                self.segments.push(Segment {
+                    lo: clo,
+                    hi: chi,
+                    start,
+                    end: self.pairs.len(),
+                });
             } else {
                 // Left subtree keys < n.key; right >= n.key. Push the
                 // right first so the left is processed first (ascending).
@@ -212,10 +237,17 @@ impl ScanState {
         merge_subranges(holes)
     }
 
-    /// Concatenates the segments into the sorted result.
+    /// Copies the segments' pairs into an exact-capacity result. The
+    /// segments must be in key order (a full walk emits them so;
+    /// `attempt_partial` sorts them first); a validated set certifies that
+    /// they are disjoint.
     fn assemble(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self.segments.iter().filter_map(|s| s.pair).collect();
-        out.sort_unstable_by_key(|e| e.0);
+        debug_assert!(self.segments.windows(2).all(|w| w[0].hi <= w[1].lo));
+        let len = self.segments.iter().map(|s| s.end - s.start).sum();
+        let mut out = Vec::with_capacity(len);
+        for s in &self.segments {
+            out.extend_from_slice(&self.pairs[s.start..s.end]);
+        }
         out
     }
 
@@ -234,6 +266,7 @@ impl ScanState {
     ) -> Option<Vec<(u64, u64)>> {
         self.trace.clear();
         self.segments.clear();
+        self.pairs.clear();
         self.failed.clear();
         self.scan_range(rt, root, lo, hi, tally, stall);
         if self.invalid_subranges(rt).is_empty() {
@@ -256,10 +289,13 @@ impl ScanState {
         stall: &mut dyn FnMut(),
         rounds: u32,
     ) -> Option<Vec<(u64, u64)>> {
-        for _ in 0..rounds {
+        for round in 0..=rounds {
             let mut holes = self.invalid_subranges(rt);
             if holes.is_empty() {
-                return Some(self.assemble());
+                break;
+            }
+            if round == rounds {
+                return None;
             }
             // A dropped segment's *whole* subrange must be re-walked, and
             // across rounds the tree's shape (and so the subranges) may
@@ -281,21 +317,26 @@ impl ScanState {
                 holes = merge_subranges(holes);
             }
             self.failed.clear();
-            // Retain only still-valid entries the holes do not swallow:
-            // an entry that spans a hole but also covers retained
-            // segments stays (it keeps their root-to-leaf coverage) and
-            // is re-validated with everything else at the end.
-            self.trace.retain(|e| e.holds(rt) && !contained(&holes, e.lo, e.hi));
+            #[cfg(test)]
+            if let Some(hook) = self.before_retain.as_mut() {
+                hook();
+            }
+            // Drop only what the holes swallow. Every other entry stays,
+            // valid or not: an entry spanning a hole keeps the retained
+            // segments' root-to-leaf coverage, and an entry invalidated
+            // since `holes` was computed must survive to become a hole on
+            // the next pass — dropping it would leave its segments
+            // certified by nothing.
+            self.trace.retain(|e| !contained(&holes, e.lo, e.hi));
             self.segments.retain(|s| !intersects(&holes, s.lo, s.hi));
             for &(hlo, hhi) in &holes {
                 self.scan_range(rt, root, hlo, hhi, tally, stall);
             }
         }
-        if self.invalid_subranges(rt).is_empty() {
-            Some(self.assemble())
-        } else {
-            None
-        }
+        // The re-walked holes' segments were appended after the retained
+        // ones: order the segments (not the pairs) by key.
+        self.segments.sort_unstable_by_key(|s| s.lo);
+        Some(self.assemble())
     }
 }
 
@@ -408,6 +449,96 @@ mod tests {
             1,
             "only the invalidated leaf is re-read"
         );
+        // SAFETY: test-owned nodes.
+        unsafe { free_three_leaf_tree(t) };
+    }
+
+    /// `insert_seq`'s seqlock-wrapped in-place value overwrite of `leaf`.
+    fn overwrite(rt: &HtmRuntime, leaf: *mut BstNode, value: u64) {
+        // SAFETY: test-owned node.
+        let l = unsafe { &*leaf };
+        let v0 = l.ver.load_direct(rt);
+        l.ver.store_direct(rt, v0 + 1);
+        l.value.store_direct(rt, value);
+        l.ver.store_direct(rt, v0 + 2);
+    }
+
+    /// ROADMAP item 1a, deterministically: an entry that still held when
+    /// the partial tier computed its holes, but is invalidated before the
+    /// trace is pruned, must survive the pruning and become a hole on the
+    /// next pass. The old `retain` also required the entry to hold, so it
+    /// dropped l3's version word while keeping l3's segment: the final
+    /// pass then certified the stale `(9, 90)`.
+    #[test]
+    fn stale_retained_entry_is_rewalked() {
+        let rt = std::sync::Arc::new(HtmRuntime::new(HtmConfig::default()));
+        let t = three_leaf_tree();
+        let (entry, _, l1, _, l3) = t;
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        let r = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {});
+        assert!(r.is_some());
+        // l1 changes after the walk: [0, 5) is the partial tier's hole.
+        overwrite(&rt, l1, 21);
+        // l3 lies outside the hole; it changes inside the retain window.
+        let hook_rt = std::sync::Arc::clone(&rt);
+        let mut fired = false;
+        state.before_retain = Some(Box::new(move || {
+            if !fired {
+                fired = true;
+                overwrite(&hook_rt, l3, 91);
+            }
+        }));
+        let r = state.attempt_partial(&rt, entry, &mut tally, &mut || {}, PARTIAL_ROUNDS);
+        assert_eq!(
+            r,
+            Some(vec![(2, 21), (6, 60), (9, 91)]),
+            "a retained entry invalidated before the pruning must be re-walked"
+        );
+        // SAFETY: test-owned nodes.
+        unsafe { free_three_leaf_tree(t) };
+    }
+
+    /// Repairing the *leftmost* leaf appends its fresh segment after the
+    /// retained ones; `assemble` must still emit the tree's content in key
+    /// order, each pair once.
+    #[test]
+    fn leftmost_leaf_rewalk_assembles_in_key_order() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let t = three_leaf_tree();
+        let (entry, _, l1, ..) = t;
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        // One stall call per leaf: the second is l2's, after l1 was read.
+        let mut calls = 0u32;
+        let r = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {
+            calls += 1;
+            if calls == 2 {
+                overwrite(&rt, l1, 22);
+            }
+        });
+        assert_eq!(r, None, "l1 changed after it was copied");
+        let r = state.attempt_partial(&rt, entry, &mut tally, &mut || {}, PARTIAL_ROUNDS);
+        assert_eq!(r, Some(vec![(2, 22), (6, 60), (9, 90)]));
+        // SAFETY: test-owned nodes.
+        unsafe { free_three_leaf_tree(t) };
+    }
+
+    /// The pair buffer is handle scratch: a second scan of the same
+    /// extent reuses its capacity instead of growing it.
+    #[test]
+    fn second_walk_reuses_the_pair_buffer() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let t = three_leaf_tree();
+        let (entry, ..) = t;
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        let first = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {});
+        let cap = state.pairs.capacity();
+        assert!(cap >= 3);
+        let second = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {});
+        assert_eq!(first, second);
+        assert_eq!(state.pairs.capacity(), cap, "the buffer grew");
         // SAFETY: test-owned nodes.
         unsafe { free_three_leaf_tree(t) };
     }

@@ -18,11 +18,12 @@
 //! epoch id, `0` when idle), the covered range `lo`/`hi`, and `head`, the
 //! top of a Treiber-style chain of [`SnapNode`] pre-images.
 //!
-//! **Publish** ([`SnapshotCtl::begin`]): reserve `active` with a direct CAS
-//! `0 -> BUSY`, install `lo`/`hi`, then store the fresh epoch id. The CAS
-//! bumps `active`'s line clock, which conflict-aborts every in-flight
-//! transaction that read `active == 0` — so every transaction that commits
-//! after the publish ran its deposit check against the published epoch.
+//! **Publish** ([`SnapshotCtl::begin`]): wait out another scan's live
+//! epoch, reserve `active` with a direct CAS `0 -> BUSY`, install
+//! `lo`/`hi`, then store the fresh epoch id. The CAS bumps `active`'s line
+//! clock, which conflict-aborts every in-flight transaction that read
+//! `active == 0` — so every transaction that commits after the publish ran
+//! its deposit check against the published epoch.
 //!
 //! **Cut**: the snapshot linearizes at an instant `T*` inside a *stable
 //! window* — a span in which `head` is observed unchanged (`h1 == h2`)
@@ -50,15 +51,16 @@
 //! committed after `T*`, which by the publish argument deposited its
 //! pre-image above `h_cut`.
 //!
-//! **Finish**: clear `active`, detach the chain with a CAS loop, and
-//! harvest every node strictly above `h_cut` newest-to-oldest into an
-//! overlay map (later inserts overwrite, so the *oldest* deposit per key
-//! wins — the value as of `T*`). Overlay keys replace whatever the walk
-//! saw; every detached node is retired through the epoch domain. Deposits
-//! that raced `finish` and pushed onto the empty head are orphans: they are
-//! excluded by the next cut (they sit below the next `h_cut` only if
-//! pushed before it, and their mutations predate the next `T*`) and
-//! retired by the next drain.
+//! **Finish**: detach the chain with a CAS loop, *then* clear `active` (a
+//! publisher waiting in `begin` wins the epoch the instant it reads 0; a
+//! detach after that would carry off its deposits), and harvest every
+//! node strictly above `h_cut` newest-to-oldest into an overlay map (later
+//! inserts overwrite, so the *oldest* deposit per key wins — the value as
+//! of `T*`). Overlay keys replace whatever the walk saw; every detached
+//! node is retired through the epoch domain. Deposits that raced `finish`
+//! and pushed onto the emptied head are orphans: they are excluded by the
+//! next cut (they sit below the next `h_cut` only if pushed before it, and
+//! their mutations predate the next `T*`) and retired by the next drain.
 //!
 //! Pre-images of *failed* operations (an SCX that lost its race after
 //! depositing, a validation abort whose transactional push was discarded
@@ -69,19 +71,24 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use threepath_htm::{Abort, HtmRuntime, TxCell};
+use threepath_htm::{Abort, Backoff, HtmRuntime, TxCell};
 use threepath_reclaim::ReclaimCtx;
 
 use crate::access::Mem;
 use crate::driver::ExecCtx;
 
+// Test seam: runs right after `active` is cleared, the first instant
+// another publisher can win the epoch.
+#[cfg(test)]
+thread_local! {
+    static AFTER_CLEAR: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
 /// `active` value while a publisher owns the epoch but `lo`/`hi` are not
 /// yet installed. Depositors seeing it push unconditionally (range unknown
 /// for one publish instant); the extra nodes are retired with the rest.
 const BUSY: u64 = u64::MAX;
-
-/// Bounded yields waiting for a concurrent publisher before giving up.
-const PUBLISH_RETRIES: u32 = 8;
 
 /// Bounded attempts to stabilize a cut window before abandoning the epoch.
 const CUT_RETRIES: u32 = 16;
@@ -146,10 +153,11 @@ impl SnapshotCtl {
 
     /// Publishes a snapshot epoch over `[lo, hi)` and cuts the chain.
     ///
-    /// Returns `None` when another snapshot holds the epoch or the cut
-    /// window cannot be stabilized under sustained fallback pressure — the
-    /// caller escalates the scan to a transaction instead. On `None` any
-    /// deposits collected meanwhile are drained and retired.
+    /// A publisher that finds another snapshot's epoch active waits for it
+    /// to end. Returns `None` when the cut window cannot be stabilized
+    /// under sustained fallback pressure — the caller escalates the scan
+    /// to a transaction instead. On `None` any deposits collected
+    /// meanwhile are drained and retired.
     ///
     /// The caller must hold an epoch pin from before this call until after
     /// [`Self::finish`] returns.
@@ -162,13 +170,14 @@ impl SnapshotCtl {
     ) -> Option<SnapToken> {
         debug_assert!(reclaim.is_pinned());
         let rt = &**exec.runtime();
-        let mut tries = 0u32;
-        while self.active.cas_direct(rt, 0, BUSY).is_err() {
-            tries += 1;
-            if tries > PUBLISH_RETRIES {
-                return None;
-            }
-            std::thread::yield_now();
+        // Another scan holds the epoch: wait for it to end instead of
+        // escalating into a transaction. A holder waits on nothing but its
+        // own bounded cut window, so this is at most one snapshot scan.
+        // Poll with loads and CAS only on an observed 0: a failed
+        // `cas_direct` locks the line every covered updater reads.
+        let mut backoff = Backoff::new(lo ^ hi.rotate_left(32));
+        while self.active.load_direct(rt) != 0 || self.active.cas_direct(rt, 0, BUSY).is_err() {
+            backoff.wait();
         }
         self.lo.store_direct(rt, lo);
         self.hi.store_direct(rt, hi);
@@ -188,8 +197,8 @@ impl SnapshotCtl {
         }
         // The serialized machinery never went quiet with a stable head:
         // abandon the epoch and let the scan escalate.
-        self.active.store_direct(rt, 0);
         self.drain(rt, reclaim);
+        self.clear_active(rt);
         None
     }
 
@@ -209,9 +218,8 @@ impl SnapshotCtl {
         debug_assert!(reclaim.is_pinned());
         let rt = &**exec.runtime();
         debug_assert_eq!(self.active.load_direct(rt), token.id);
-        self.active.store_direct(rt, 0);
-
         let h = self.detach(rt);
+        self.clear_active(rt);
         // Newest-to-oldest with overwriting inserts: the oldest (first
         // pushed) pre-image per key survives — the value as of the cut.
         let mut overlay: HashMap<u64, Option<u64>> = HashMap::new();
@@ -299,6 +307,17 @@ impl SnapshotCtl {
         }
     }
 
+    /// Ends the epoch. Callers detach the chain *first*: a publisher waiting
+    /// in `begin` may win the epoch the instant `active` reads 0, and a
+    /// detach after that would carry off the new epoch's deposits.
+    fn clear_active(&self, rt: &HtmRuntime) {
+        self.active.store_direct(rt, 0);
+        #[cfg(test)]
+        if let Some(hook) = AFTER_CLEAR.with(|h| h.borrow_mut().take()) {
+            hook();
+        }
+    }
+
     /// Detaches and retires the whole chain without harvesting (abandoned
     /// epochs). Safe to call while pinned at any idle point.
     fn drain(&self, rt: &HtmRuntime, reclaim: &ReclaimCtx) {
@@ -358,18 +377,83 @@ mod tests {
         ctx.exit();
     }
 
+    /// A second publisher waits for the holder's epoch to end and then
+    /// publishes its own, instead of refusing (which escalated its scan
+    /// into a transaction). The holder stays published far longer than
+    /// the old bounded retry (8 yields) could wait.
     #[test]
-    fn concurrent_publish_is_refused() {
+    fn concurrent_publish_waits_for_the_holder() {
+        use std::sync::atomic::AtomicBool;
+        let (exec, domain) = setup();
+        let snap = SnapshotCtl::new();
+        let (published, calling) = (AtomicBool::new(false), AtomicBool::new(false));
+        let spin_until = |flag: &AtomicBool| {
+            while !flag.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let ctx = Domain::register(&domain);
+                ctx.enter();
+                let t = snap.begin(&exec, &ctx, 0, 100).expect("quiet publish");
+                published.store(true, Ordering::Release);
+                spin_until(&calling);
+                for _ in 0..1000 {
+                    std::thread::yield_now();
+                }
+                assert!(snap.finish(&exec, &ctx, t, vec![], 0, 100).is_empty());
+                ctx.exit();
+            });
+            spin_until(&published);
+            let ctx = Domain::register(&domain);
+            ctx.enter();
+            calling.store(true, Ordering::Release);
+            let t = snap.begin(&exec, &ctx, 0, 100).expect("waited, then won");
+            snap.finish(&exec, &ctx, t, vec![], 0, 100);
+            assert!(!snap.is_active(exec.runtime()));
+            ctx.exit();
+        });
+    }
+
+    /// A publisher that wins the epoch the instant the holder's `finish`
+    /// clears it keeps every deposit made under its own epoch. `finish`
+    /// used to clear `active` before detaching the chain, so it carried
+    /// off the next epoch's deposits — rare while a second publisher
+    /// gave up after 8 yields, a torn scan once publishers wait.
+    #[test]
+    fn next_epoch_keeps_its_chain_when_published_during_finish() {
+        use std::cell::Cell;
+        use std::rc::Rc;
         let (exec, domain) = setup();
         let ctx = Domain::register(&domain);
         ctx.enter();
         let snap = SnapshotCtl::new();
-        let t = snap.begin(&exec, &ctx, 0, 100).expect("quiet publish");
-        assert!(snap.is_active(exec.runtime()));
-        assert!(snap.begin(&exec, &ctx, 0, 100).is_none());
-        let out = snap.finish(&exec, &ctx, t, vec![], 0, 100);
-        assert!(out.is_empty());
-        assert!(!snap.is_active(exec.runtime()));
+        let t1 = snap.begin(&exec, &ctx, 0, 100).expect("quiet publish");
+        let next: Rc<Cell<Option<SnapToken>>> = Rc::new(Cell::new(None));
+        let (sp, ep, cp) = (
+            &snap as *const SnapshotCtl,
+            &exec as *const ExecCtx,
+            &ctx as *const ReclaimCtx,
+        );
+        let slot = Rc::clone(&next);
+        AFTER_CLEAR.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                // SAFETY: the test's locals outlive the `finish` call that
+                // runs this hook on the same thread.
+                let (snap, exec, ctx) = unsafe { (&*sp, &*ep, &*cp) };
+                let t2 = snap.begin(exec, ctx, 0, 100).expect("the epoch is free");
+                // Key 7 held 70 at t2's cut; its update deposits that.
+                let mut m = DirectMem::new(exec.runtime(), ctx);
+                snap.deposit(&mut m, 7, Some(70)).unwrap();
+                slot.set(Some(t2));
+            }));
+        });
+        snap.finish(&exec, &ctx, t1, vec![], 0, 100);
+        let t2 = next.take().expect("the hook ran");
+        // t2's walk saw the updated value; its overlay must restore 70.
+        let out = snap.finish(&exec, &ctx, t2, vec![(7, 71)], 0, 100);
+        assert_eq!(out, vec![(7, 70)], "the holder's finish took t2's deposit");
         ctx.exit();
     }
 

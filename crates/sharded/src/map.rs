@@ -678,8 +678,15 @@ impl ShardedHandle {
         if self.map.router.preserves_order() {
             let mut out = Vec::new();
             for (s, slo, shi) in plan {
-                out.extend(self.shard_handle(s).range_query(slo, shi));
+                let run = self.shard_handle(s).range_query(slo, shi);
                 self.note_op(s);
+                // The first non-empty run is moved, not copied: a
+                // single-shard query returns the shard's vector as is.
+                if out.is_empty() {
+                    out = run;
+                } else {
+                    out.extend(run);
+                }
             }
             return out;
         }

@@ -87,7 +87,10 @@ fn range_queries_see_no_torn_couples() {
                 let mut h = tree.handle();
                 let mut rng = SplitMix64::new(t + 1);
                 while !stop.load(Ordering::Relaxed) {
-                    let couple = rng.next_below(64);
+                    // One writer per couple: with two, `B.remove(l)` ·
+                    // `A.insert(r)` · `A.insert(l)` · `B.remove(r)` is a
+                    // linearizable history that ends with `l` alone.
+                    let couple = rng.next_below(32) * 2 + t;
                     let (l, r) = (couple * 2, couple * 2 + 1);
                     if rng.next_below(2) == 0 {
                         h.insert(r, couple);
