@@ -6,7 +6,7 @@
 //! exactly like the paper's data structure fixes the violations each
 //! operation creates.
 
-use threepath_core::{Mem, OpOutcome, SnapshotCtl, TemplateMode};
+use threepath_core::{Mem, OpOutcome, TemplateMode};
 use threepath_htm::{Abort, TxCell};
 use threepath_llxscx::ScxArgs;
 
@@ -229,42 +229,6 @@ pub(crate) fn delete_tmpl<M: TemplateMode>(
     finish_leaf_replace(m, f, &hp, &hl, nl, Some(old), fix)
 }
 
-/// Deposits the *whole leaf's* pre-image into an armed snapshot epoch,
-/// plus an absent-marker for `key` when the leaf lacks it.
-///
-/// The sequential family mutates leaves in place (shifts, truncations),
-/// so the snapshot tier's unvalidated walk can observe a torn leaf —
-/// keys mispaired with neighbours' values, the truncated half of an
-/// overflow splice missing behind a stale route, or a pair duplicated
-/// across the old and new halves. Every key such a torn read can surface
-/// is either a pre-image key of this leaf or the operation's key, so
-/// depositing all of them (before the first write — the order the cut's
-/// argument requires) lets the overlay rewrite whatever the walk saw back
-/// to the cut state. Template-path operations replace leaves wholesale
-/// and deposit only their operation key.
-fn deposit_leaf_pre<M: Mem>(
-    m: &mut M,
-    snap: Option<&SnapshotCtl>,
-    lv: &NodeView,
-    key: u64,
-) -> Result<(), Abort> {
-    let Some(snap) = snap else {
-        return Ok(());
-    };
-    if !snap.armed(m)? {
-        return Ok(());
-    }
-    let mut found = false;
-    for (k, v) in lv.items() {
-        found |= k == key;
-        snap.deposit(m, k, Some(v))?;
-    }
-    if !found {
-        snap.deposit(m, key, None)?;
-    }
-    Ok(())
-}
-
 /// Validates a pre-computed search result inside a transaction
 /// (Section 8 mode): links intact, nodes unmarked.
 fn validate_seq<M: Mem>(m: &mut M, f: &AbFound) -> Result<(), Abort> {
@@ -291,7 +255,6 @@ pub(crate) fn insert_seq<M: Mem>(
     key: u64,
     value: u64,
     validate: bool,
-    snap: Option<&SnapshotCtl>,
 ) -> Result<UpdResult, Abort> {
     if validate {
         validate_seq(m, f)?;
@@ -302,13 +265,19 @@ pub(crate) fn insert_seq<M: Mem>(
         let mut rd = |c: &TxCell| m.read(c);
         NodeView::read(&mut rd, l)?
     };
-    deposit_leaf_pre(m, snap, &lv, key)?;
     match lv.find_key(key) {
         Ok(i) => {
-            // Value-only update: a single cell, atomic on its own —
-            // optimistic readers need no seqlock protection for it.
+            // Value-only update: one cell, but still wrapped in the
+            // seqlock. A one-key `get` would not need it; a scan does,
+            // because it certifies every copied leaf by `ver` alone. An
+            // unbumped overwrite of a leaf the scan already copied, then
+            // a write to a later leaf, would pass validation with the old
+            // value of the first key and the new value of the second — a
+            // result no single instant ever held.
             let old = lv.ptrs[i];
+            let v0 = begin_inplace(m, l)?;
             m.write(l.ptr_cell(i), value)?;
+            end_inplace(m, l, v0)?;
             Ok((Some(old), false))
         }
         Err(pos) if lv.size < B => {
@@ -366,7 +335,6 @@ pub(crate) fn delete_seq<M: Mem>(
     key: u64,
     a: usize,
     validate: bool,
-    snap: Option<&SnapshotCtl>,
 ) -> Result<UpdResult, Abort> {
     let l = unsafe { &*f.l };
     if validate {
@@ -380,7 +348,6 @@ pub(crate) fn delete_seq<M: Mem>(
         Ok(i) => i,
         Err(_) => return Ok((None, false)),
     };
-    deposit_leaf_pre(m, snap, &lv, key)?;
     let old = lv.ptrs[i];
     let v0 = begin_inplace(m, l)?;
     for j in i + 1..lv.size {

@@ -416,9 +416,9 @@ mod tests {
     }
 
     /// The real sequential operations bump the seqlock: drive
-    /// `ops::insert_seq`'s shift branch and `ops::delete_seq` through
-    /// `DirectMem` and watch `ver` advance by 2 per in-place mutation
-    /// while staying even (value-only updates leave it untouched).
+    /// `ops::insert_seq`'s shift and overwrite branches and
+    /// `ops::delete_seq` through `DirectMem` and watch `ver` advance by 2
+    /// per in-place mutation while staying even.
     #[test]
     fn in_place_mutators_bump_the_seqlock() {
         let rt = HtmRuntime::new(HtmConfig::default());
@@ -437,17 +437,17 @@ mod tests {
             let mut m = DirectMem::new(&rt, &ctx);
             assert_eq!(l.ver_cell().load_direct(&rt), 0);
             // Shift-insert: one wrapped mutation -> +2.
-            let r = ops::insert_seq(&mut m, entry, &found(), 4, 40, false, None).unwrap();
+            let r = ops::insert_seq(&mut m, entry, &found(), 4, 40, false).unwrap();
             assert_eq!(r, (None, false));
             assert_eq!(l.ver_cell().load_direct(&rt), 2);
-            // Value-only update: single atomic cell, no bump.
-            let r = ops::insert_seq(&mut m, entry, &found(), 4, 41, false, None).unwrap();
+            // Value-only update: one cell, still bumped so scans see it.
+            let r = ops::insert_seq(&mut m, entry, &found(), 4, 41, false).unwrap();
             assert_eq!(r, (Some(40), false));
-            assert_eq!(l.ver_cell().load_direct(&rt), 2);
-            // In-place delete: +2 again.
-            let r = ops::delete_seq(&mut m, entry, &found(), 2, 1, false, None).unwrap();
-            assert_eq!(r, (Some(20), false));
             assert_eq!(l.ver_cell().load_direct(&rt), 4);
+            // In-place delete: +2 again.
+            let r = ops::delete_seq(&mut m, entry, &found(), 2, 1, false).unwrap();
+            assert_eq!(r, (Some(20), false));
+            assert_eq!(l.ver_cell().load_direct(&rt), 6);
             // The optimistic reader agrees with the mutated content.
             let (v, _) = leaf_view_optimistic(&rt, l, &mut no_stall()).unwrap();
             assert_eq!(v.items().collect::<Vec<_>>(), vec![(4, 41), (6, 60)]);
@@ -537,7 +537,7 @@ mod tests {
                 l: leaf,
             };
             let mut m = DirectMem::new(&rt, &ctx);
-            let r = ops::insert_seq(&mut m, entry, &f, 999, 1000, false, None).unwrap();
+            let r = ops::insert_seq(&mut m, entry, &f, 999, 1000, false).unwrap();
             assert_eq!(r, (None, false));
         });
         assert_eq!(

@@ -556,6 +556,41 @@ mod tests {
         unsafe { free_two_leaf_tree(t) };
     }
 
+    /// Cross-key atomicity of value-only overwrites: after the scan copied
+    /// l1, a writer overwrites key 1 (in l1) and then key 8 (in l2), and
+    /// only then does the scan copy l2. Returning `{1 -> 10, 8 -> 81}`
+    /// would show the second write without the first. The overwrite of
+    /// key 1 must bump l1's `ver`, so the attempt fails validation.
+    #[test]
+    fn overwrites_behind_and_ahead_of_the_walk_fail_validation() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let t = two_leaf_tree();
+        let (entry, inner, l1, l2) = t;
+        let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
+        let ctx = Domain::register(&domain);
+        ctx.enter();
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        // Two stall calls per leaf: the third is l2's, after l1 was read.
+        let mut calls = 0u32;
+        let r = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {
+            calls += 1;
+            if calls == 3 {
+                let mut m = DirectMem::new(&rt, &ctx);
+                for (l, p_idx, key, value) in [(l1, 0, 1, 11), (l2, 1, 8, 81)] {
+                    let f = ops::AbFound { p: inner, p_idx, l };
+                    let r = ops::insert_seq(&mut m, entry, &f, key, value, false).unwrap();
+                    assert_eq!(r, (Some(value - 1), false));
+                }
+            }
+        });
+        assert_eq!(r, None, "the scan saw key 8's write but not key 1's");
+        ctx.exit();
+        drop(ctx);
+        // SAFETY: test-owned nodes.
+        unsafe { free_two_leaf_tree(t) };
+    }
+
     /// The pair buffer is handle scratch: a second scan of the same
     /// extent reuses its capacity instead of growing it.
     #[test]
@@ -605,7 +640,7 @@ mod tests {
                 l: leaf,
             };
             let mut m = DirectMem::new(&rt, &ctx);
-            let r = ops::insert_seq(&mut m, entry, &f, 999, 1000, false, None).unwrap();
+            let r = ops::insert_seq(&mut m, entry, &f, 999, 1000, false).unwrap();
             assert_eq!(r, (None, false));
         });
         assert_eq!(r, None, "the torn scan must fail the set re-check");

@@ -5,14 +5,14 @@ use std::sync::Arc;
 
 use threepath_core::{
     AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, Mem, OpOutcome,
-    OrigMode, PathKind, PathLimits, PathStats, SnapshotCtl, Strategy, TemplateMem, TemplateMode,
+    OrigMode, PathKind, PathLimits, PathStats, Strategy, TemplateMode,
 };
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxEngine, ScxThread};
 use threepath_reclaim::{Domain, PoolConfig, PoolStats, ReclaimMode};
 
 use crate::fix;
-use crate::node::{AbNode, NodeView, B, MAX_KEY};
+use crate::node::{AbNode, B, MAX_KEY};
 use crate::ops::{self, AbFound, UpdResult};
 use crate::readpath;
 use crate::rq;
@@ -69,17 +69,6 @@ pub struct AbTreeConfig {
     /// On by default; off routes scans through `run_op` (the baseline
     /// the scan benchmarks compare against).
     pub scan_path: bool,
-    /// Arm the wait-free snapshot tier behind the scan path: a scan that
-    /// exhausts the optimistic version-ladder attempts publishes a
-    /// snapshot epoch ([`threepath_core::SnapshotCtl`]) and reads a
-    /// frozen overlay built from racing updaters' pre-image deposits —
-    /// sequential-path updates deposit their whole leaf's pre-image
-    /// before mutating it in place, template-path updates their
-    /// operation key — instead of escalating into the transactional
-    /// machinery. On by default; sound only under strategies whose
-    /// software paths are bracketed by the fallback indicator or the TLE
-    /// lock, elsewhere the tier silently declines.
-    pub snapshot_scans: bool,
     /// HTM admission control on the fallback path: at most this many
     /// threads may attempt hardware transactions while the fallback is
     /// active (TLE lock held / `F != 0`); overflow threads park on a
@@ -121,7 +110,6 @@ impl Default for AbTreeConfig {
             budget: None,
             read_path: true,
             scan_path: true,
-            snapshot_scans: true,
             admission: None,
             read_probe: None,
             admission_probe: None,
@@ -165,11 +153,6 @@ pub struct AbTree {
     read_path: bool,
     /// Whether scans bypass `run_op` (see [`AbTreeConfig::scan_path`]).
     scan_path: bool,
-    /// Whether the snapshot tier is armed (see
-    /// [`AbTreeConfig::snapshot_scans`]).
-    snapshot_scans: bool,
-    /// The snapshot epoch word + pre-image chain for the snapshot tier.
-    snap: SnapshotCtl,
 }
 
 // SAFETY: shared mutation of the raw node graph is mediated by the HTM
@@ -247,8 +230,6 @@ impl AbTree {
             pooled,
             read_path: cfg.read_path,
             scan_path: cfg.scan_path,
-            snapshot_scans: cfg.snapshot_scans,
-            snap: SnapshotCtl::new(),
         }
     }
 
@@ -344,44 +325,6 @@ impl AbTree {
         ops::search_ab(&mut read, self.entry, key).expect("direct search cannot abort")
     }
 
-    /// The snapshot control block, when updates should feed it (`None`
-    /// keeps the baseline free of even the one epoch-word read per op).
-    fn snap_ref(&self) -> Option<&SnapshotCtl> {
-        self.snapshot_scans.then_some(&self.snap)
-    }
-
-    /// Whether the snapshot tier's stable-window cut is sound under the
-    /// current strategy: every non-transactional mutation must be
-    /// bracketed by the fallback indicator or the TLE lock from before
-    /// its deposit until after its writes. `NonHtm` and `TwoPathCon` run
-    /// their software paths bare, so the tier declines there.
-    fn snapshot_tier_sound(&self) -> bool {
-        self.snapshot_scans
-            && matches!(
-                self.exec.strategy(),
-                Strategy::Tle | Strategy::TwoPathNonCon | Strategy::ThreePath
-            )
-    }
-
-    /// Deposits the operation key's pre-image for a template-path update
-    /// (copy-on-write leaf replacement — the walk can never observe a
-    /// torn leaf, so the single logically-changing key suffices).
-    fn deposit_pre<M: Mem>(&self, m: &mut M, f: &AbFound, key: u64) -> Result<(), Abort> {
-        let Some(snap) = self.snap_ref() else {
-            return Ok(());
-        };
-        if !snap.armed(m)? {
-            return Ok(());
-        }
-        let l = unsafe { &*f.l };
-        let lv = {
-            let mut rd = |c: &TxCell| m.read(c);
-            NodeView::read(&mut rd, l)?
-        };
-        let pre = lv.find_key(key).ok().map(|i| lv.ptrs[i]);
-        snap.deposit(m, key, pre)
-    }
-
     // ------------------------------------------------------------------
     // Update bodies per path. Each returns (previous value, fix needed).
     // ------------------------------------------------------------------
@@ -396,8 +339,8 @@ impl AbTree {
             th.pinned(|th| {
                 let f = self.search_direct(key);
                 self.exec.attempt_seq(&self.eng, th, |m| match value {
-                    Some(v) => ops::insert_seq(m, self.entry, &f, key, v, true, self.snap_ref()),
-                    None => ops::delete_seq(m, self.entry, &f, key, self.a, true, self.snap_ref()),
+                    Some(v) => ops::insert_seq(m, self.entry, &f, key, v, true),
+                    None => ops::delete_seq(m, self.entry, &f, key, self.a, true),
                 })
             })
         } else {
@@ -407,10 +350,8 @@ impl AbTree {
                     ops::search_ab(&mut rd, self.entry, key)?
                 };
                 match value {
-                    Some(v) => ops::insert_seq(m, self.entry, &f, key, v, false, self.snap_ref()),
-                    None => {
-                        ops::delete_seq(m, self.entry, &f, key, self.a, false, self.snap_ref())
-                    }
+                    Some(v) => ops::insert_seq(m, self.entry, &f, key, v, false),
+                    None => ops::delete_seq(m, self.entry, &f, key, self.a, false),
                 }
             })
         }
@@ -426,7 +367,6 @@ impl AbTree {
             th.pinned(|th| {
                 let f = self.search_direct(key);
                 self.exec.attempt_template(&self.eng, th, |m| {
-                    self.deposit_pre(&mut TemplateMem(m), &f, key)?;
                     let out = match value {
                         Some(v) => ops::insert_tmpl(m, self.entry, &f, key, v)?,
                         None => ops::delete_tmpl(m, self.entry, &f, key, self.a)?,
@@ -440,7 +380,6 @@ impl AbTree {
                     let mut rd = |c: &TxCell| m.read(c);
                     ops::search_ab(&mut rd, self.entry, key)?
                 };
-                self.deposit_pre(&mut TemplateMem(m), &f, key)?;
                 let out = match value {
                     Some(v) => ops::insert_tmpl(m, self.entry, &f, key, v)?,
                     None => ops::delete_tmpl(m, self.entry, &f, key, self.a)?,
@@ -455,7 +394,6 @@ impl AbTree {
             let out = th.pinned(|th| {
                 let f = self.search_direct(key);
                 let mut m = OrigMode::new(&self.eng, th);
-                self.deposit_pre(&mut TemplateMem(&mut m), &f, key)?;
                 match value {
                     Some(v) => ops::insert_tmpl(&mut m, self.entry, &f, key, v),
                     None => ops::delete_tmpl(&mut m, self.entry, &f, key, self.a),
@@ -473,10 +411,8 @@ impl AbTree {
             let f = self.search_direct(key);
             let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
             match value {
-                Some(v) => ops::insert_seq(&mut m, self.entry, &f, key, v, false, self.snap_ref()),
-                None => {
-                    ops::delete_seq(&mut m, self.entry, &f, key, self.a, false, self.snap_ref())
-                }
+                Some(v) => ops::insert_seq(&mut m, self.entry, &f, key, v, false),
+                None => ops::delete_seq(&mut m, self.entry, &f, key, self.a, false),
             }
             .expect("direct mode cannot abort")
         })
@@ -508,8 +444,7 @@ impl AbTree {
                             let mut rd = |c: &TxCell| m.read(c);
                             ops::search_ab(&mut rd, self.entry, key)?
                         };
-                        let (prev, fix) =
-                            ops::insert_seq(m, self.entry, &f, key, value, false, self.snap_ref())?;
+                        let (prev, fix) = ops::insert_seq(m, self.entry, &f, key, value, false)?;
                         if fix {
                             fixes.push(key);
                         }
@@ -520,8 +455,7 @@ impl AbTree {
                             let mut rd = |c: &TxCell| m.read(c);
                             ops::search_ab(&mut rd, self.entry, key)?
                         };
-                        let (prev, fix) =
-                            ops::delete_seq(m, self.entry, &f, key, self.a, false, self.snap_ref())?;
+                        let (prev, fix) = ops::delete_seq(m, self.entry, &f, key, self.a, false)?;
                         if fix {
                             fixes.push(key);
                         }
@@ -553,16 +487,8 @@ impl AbTree {
                     BatchOp::Insert(key, value) => {
                         assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
                         let f = self.search_direct(key);
-                        let (prev, fix) = ops::insert_seq(
-                            &mut m,
-                            self.entry,
-                            &f,
-                            key,
-                            value,
-                            false,
-                            self.snap_ref(),
-                        )
-                        .expect("direct mode cannot abort");
+                        let (prev, fix) = ops::insert_seq(&mut m, self.entry, &f, key, value, false)
+                            .expect("direct mode cannot abort");
                         if fix {
                             fixes.push(key);
                         }
@@ -570,16 +496,8 @@ impl AbTree {
                     }
                     BatchOp::Remove(key) if key <= MAX_KEY => {
                         let f = self.search_direct(key);
-                        let (prev, fix) = ops::delete_seq(
-                            &mut m,
-                            self.entry,
-                            &f,
-                            key,
-                            self.a,
-                            false,
-                            self.snap_ref(),
-                        )
-                        .expect("direct mode cannot abort");
+                        let (prev, fix) = ops::delete_seq(&mut m, self.entry, &f, key, self.a, false)
+                            .expect("direct mode cannot abort");
                         if fix {
                             fixes.push(key);
                         }
@@ -725,45 +643,6 @@ impl AbTree {
             rq::rq_with(&mut rd, self.entry, lo, hi, &mut out).expect("direct rq cannot abort");
             out
         })
-    }
-
-    /// Unvalidated epoch-pinned walk for the snapshot tier: collects every
-    /// leaf pair in `[lo, hi)` with plain reads and no version or trace
-    /// bookkeeping. The walk may observe torn leaves mid-mutation; every
-    /// key it can surface from a torn leaf is covered by the mutator's
-    /// whole-leaf pre-image deposit, so the [`SnapshotCtl`] overlay
-    /// rewrites the result back to the cut state (see
-    /// `ops::deposit_leaf_pre`). Internal nodes are immutable after
-    /// construction (structural changes are copy-on-write single-pointer
-    /// swings), so routing reads need no protection at all.
-    fn snap_walk(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let rt = self.exec.runtime();
-        let mut out = Vec::new();
-        let mut stack = vec![self.entry];
-        while let Some(ptr) = stack.pop() {
-            let n = unsafe { &*ptr };
-            let size = (n.size_cell().load_direct(rt) as usize).min(B);
-            if n.leaf {
-                for i in 0..size {
-                    let k = n.key_cell(i).load_direct(rt);
-                    if k >= lo && k < hi {
-                        out.push((k, n.ptr_cell(i).load_direct(rt)));
-                    }
-                }
-            } else {
-                // Child `i` covers `[keys[i-1], keys[i])`; skip subtrees
-                // disjoint from the query range.
-                for i in 0..size {
-                    let lo_ok = i == 0 || n.key_cell(i - 1).load_direct(rt) < hi;
-                    let hi_ok = i == size - 1 || n.key_cell(i).load_direct(rt) > lo;
-                    if lo_ok && hi_ok {
-                        stack.push(n.ptr_cell(i).load_direct(rt) as *mut AbNode);
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     fn fast_extreme(&self, th: &mut ScxThread, last: bool) -> Result<Option<(u64, u64)>, Abort> {
@@ -1351,24 +1230,19 @@ impl AbTreeHandle {
     /// transactions and no locks in the steady state, under every
     /// strategy. Every followed edge and every visited leaf's version
     /// word goes into a validation set that is re-checked as a whole
-    /// after the copy-out; a scan that keeps losing races escalates
-    /// first to a partial rescan of only the invalidated subranges, then
-    /// (when [`AbTreeConfig::snapshot_scans`] holds and the strategy
-    /// brackets its software paths with the fallback indicator or TLE
-    /// lock) to the wait-free [`SnapshotCtl`] tier — publish an epoch,
-    /// cut a stable window, take an unvalidated walk, repair it with
-    /// racing updaters' whole-leaf pre-image deposits. Only if the
-    /// snapshot tier is disabled, unsound for the strategy, or refused
-    /// does the scan escalate to the transactional machinery.
-    /// Completions land on the
+    /// after the copy-out. A scan that keeps losing races climbs a
+    /// two-rung ladder: full re-walks first, then one partial rescan of
+    /// only the invalidated subranges. If both lose, the scan escalates
+    /// to the template and runs like any operation on the fast, middle or
+    /// fallback path. Completions of the optimistic rungs land on the
     /// [`PathKind::Read`](threepath_core::PathKind) lane; retries,
-    /// validated-leaf counts, snapshot rescues, and terminal escalations
-    /// land in the [`PathStats`] scan lane.
+    /// validated-leaf counts and escalations land in the [`PathStats`]
+    /// scan lane.
     pub fn range_query(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         let tree = &self.tree;
         if tree.scan_path {
             let state = &self.scan_scratch;
-            if let Some(r) = tree.exec.run_scan_snap(
+            if let Some(r) = tree.exec.run_scan(
                 &mut self.th,
                 &mut self.stats,
                 tree.exec.read_attempts(),
@@ -1390,14 +1264,6 @@ impl AbTreeHandle {
                         &mut || {},
                         scan::PARTIAL_ROUNDS,
                     )
-                },
-                |th| {
-                    if !tree.snapshot_tier_sound() {
-                        return None;
-                    }
-                    let token = tree.snap.begin(&tree.exec, &th.reclaim, lo, hi)?;
-                    let walk = tree.snap_walk(lo, hi);
-                    Some(tree.snap.finish(&tree.exec, &th.reclaim, token, walk, lo, hi))
                 },
             ) {
                 return r;
@@ -1498,65 +1364,5 @@ impl std::fmt::Debug for AbTreeHandle {
         f.debug_struct("AbTreeHandle")
             .field("tree", &self.tree)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-
-    /// Drives the scan path's snapshot tier deterministically, exactly as
-    /// `range_query`'s rescue closure does: publish an epoch over a
-    /// subrange, churn the tree through the live update paths — in-place
-    /// leaf mutations whose whole-leaf pre-image deposits protect the
-    /// unvalidated walk, including leaf splits from fresh-key inserts —
-    /// and check that `finish` reconstructs the covered range's state as
-    /// of the cut instant.
-    #[test]
-    fn snapshot_tier_reconstructs_the_cut_across_live_updates() {
-        let tree = Arc::new(AbTree::with_config(AbTreeConfig {
-            strategy: Strategy::ThreePath,
-            ..AbTreeConfig::default()
-        }));
-        let mut upd = tree.handle();
-        for k in (0..600u64).step_by(2) {
-            assert_eq!(upd.insert(k, k + 1000), None);
-        }
-        let want: Vec<(u64, u64)> = (100..500u64)
-            .filter(|k| k % 2 == 0)
-            .map(|k| (k, k + 1000))
-            .collect();
-
-        let mut scn = tree.handle();
-        let t = Arc::clone(&scn.tree);
-        let out = scn.th.pinned(|th| {
-            let token = t
-                .snap
-                .begin(&t.exec, &th.reclaim, 100, 500)
-                .expect("calm publish");
-            // Post-cut churn inside the covered range: overwrites of even
-            // keys, fresh odd-key inserts (forcing leaf splices), removes
-            // (some of keys already overwritten — the *first* deposit per
-            // key must win), plus uncovered churn that must not affect
-            // the result.
-            for k in (100..500u64).step_by(6) {
-                assert_eq!(upd.insert(k, 9999), Some(k + 1000));
-            }
-            for k in (101..500u64).step_by(10) {
-                assert_eq!(upd.insert(k, 1), None);
-            }
-            for k in (102..500u64).step_by(14) {
-                upd.remove(k);
-            }
-            upd.insert(700, 7);
-            upd.remove(0);
-            let walk = t.snap_walk(100, 500);
-            t.snap.finish(&t.exec, &th.reclaim, token, walk, 100, 500)
-        });
-        assert_eq!(out, want);
-        assert!(!tree.snap.is_active(tree.exec.runtime()));
-        // The post-churn live state is intact (snapshotting is read-only).
-        let live = upd.range_query(600, 800);
-        assert_eq!(live, vec![(700, 7)]);
     }
 }

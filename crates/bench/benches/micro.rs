@@ -17,13 +17,6 @@
 //!   same 85%-spurious storm. Calm optimistic scans execute zero
 //!   transactions; under the storm the baseline's scans serialize on the
 //!   fallback paths while validation-set scans keep retrying for free.
-//! * **snapshot A/B** — long scans under insert churn with the ladder
-//!   pinned short, comparing the `run_op` baseline, the optimistic
-//!   ladder with the snapshot tier disabled (exhaustion escalates into
-//!   a transaction), and the full ladder+snapshot path (exhaustion
-//!   completes transaction-free off deposited pre-images). Doubles as
-//!   the zero-guard for the `scan_snapshots` column: the two
-//!   snapshot-free arms must never deposit.
 //! * **batch A/B** — the same update-heavy stream executed directly (one
 //!   transaction per operation) vs through the serving front-end, whose
 //!   combiner coalesces queued submissions into batch plans (one
@@ -55,7 +48,7 @@ use threepath_bench::{
 };
 use threepath_bst::{Bst, BstConfig};
 use threepath_core::{
-    BudgetConfig, PathKind, PathLimits, PathStats, ProbeConfig, ReadBoundConfig, Strategy,
+    BudgetConfig, PathKind, PathLimits, PathStats, ProbeConfig, Strategy,
 };
 use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{LlxResult, ScxArgs, ScxEngine, ScxHeader};
@@ -402,112 +395,6 @@ fn scan_ab(env: &BenchEnv, records: &mut Vec<BenchRecord>) {
                 records.push(bench_record(format!("scan-ab/{name}/runop"), &runop));
                 records.push(bench_record(format!("scan-ab/{name}/scanpath"), &scanpath));
             }
-        }
-    }
-}
-
-/// Snapshot-tier A/B (the ladder-exhaustion rescue): long scans over the
-/// BST under sustained insert churn, three arms per (scan_len, abort
-/// mix) cell — the `run_op` transactional-scan baseline, the optimistic
-/// version ladder with the snapshot tier *disabled* (exhaustion
-/// escalates into the transactional machinery), and the full
-/// ladder+snapshot configuration (exhaustion publishes a snapshot epoch
-/// and completes transaction-free off deposited pre-images). The ladder
-/// is pinned to two full attempts (the same legitimate short-ladder
-/// configuration `tests/scan_concurrent.rs` uses), so churn that would
-/// normally burn eight attempts reaches the tier boundary quickly and
-/// the arms actually diverge. BST only: its node-granular validation
-/// sets are what make long-scan exhaustion reachable — the (a,b)-tree's
-/// leaf-granular sets revalidate so fast the tiers above never lose
-/// (see the churn acceptance test for the same asymmetry).
-///
-/// The panel is also the zero-guard behind the `scan_snapshots` column:
-/// the baseline and the disabled-tier arm must never deposit a
-/// snapshot, and snapshot-arm scans must never leave the read lane
-/// except through counted escalations.
-fn snapshot_ab(env: &BenchEnv, records: &mut Vec<BenchRecord>) {
-    println!("\n== snapshot A/B: runop vs optimistic-only vs ladder+snapshot scans (BST, churn) ==");
-    println!(
-        "{:<22} {:>7} {:>13} {:>13} {:>13} {:>6} {:>7}",
-        "series", "threads", "runop ops/s", "opt ops/s", "snap ops/s", "snaps", "opt-esc"
-    );
-    let storm = HtmConfig::default().with_spurious(0.85);
-    let threads = env.max_threads();
-    // Node-granular validation sets need a populated range for the
-    // ladder to be raceable at all; the smoke lane shrinks it to keep
-    // the CI pass in seconds.
-    let key_range: u64 = if env.smoke { 8192 } else { 40_000 };
-    for scan_len in [100u64, 1000, 10_000] {
-        for (mix, htm) in [("calm", HtmConfig::default()), ("storm", storm.clone())] {
-            let base = TrialSpec {
-                structure: Structure::Bst,
-                strategy: Strategy::ThreePath,
-                threads,
-                duration: env.duration,
-                key_range,
-                htm,
-                workload: Workload::ScanHeavy { scan_pct: 50, scan_len },
-                read_probe: Some(ReadBoundConfig {
-                    epoch_ops: 2,
-                    ladder: vec![2],
-                    ..ReadBoundConfig::default()
-                }),
-                ..TrialSpec::default()
-            };
-            // Interleave the three arms so host-load drift hits them
-            // equally (same discipline as the other A/B panels).
-            let mut runop_runs = Vec::new();
-            let mut opt_runs = Vec::new();
-            let mut snap_runs = Vec::new();
-            for i in 0..env.trials {
-                let seed = base.seed.wrapping_add(i as u64 * 0x9E37_79B9);
-                runop_runs.push(run_trial(&TrialSpec {
-                    scan_path: false,
-                    seed,
-                    ..base.clone()
-                }));
-                opt_runs.push(run_trial(&TrialSpec {
-                    snapshot_scans: false,
-                    seed,
-                    ..base.clone()
-                }));
-                snap_runs.push(run_trial(&TrialSpec {
-                    seed,
-                    ..base.clone()
-                }));
-            }
-            let runop = average(&runop_runs);
-            let opt = average(&opt_runs);
-            let snap = average(&snap_runs);
-            assert!(runop.keysum_ok && opt.keysum_ok && snap.keysum_ok, "keysum failed");
-            // The zero-guard: only the enabled snapshot tier may deposit.
-            assert_eq!(runop.stats.scan_snapshots(), 0, "baseline deposited a snapshot");
-            assert_eq!(runop.stats.scan_escalations(), 0);
-            assert_eq!(runop.stats.completed(PathKind::Read), 0);
-            assert_eq!(opt.stats.scan_snapshots(), 0, "disabled tier deposited a snapshot");
-            // Both optimistic arms keep scans on the read lane except
-            // through counted escalations (for the snapshot arm those
-            // are the rare failed-publish cases, not the common path).
-            for r in [&opt, &snap] {
-                assert!(
-                    r.stats.completed(PathKind::Read) + r.stats.scan_escalations() >= r.scan_ops,
-                    "scans leaked off the read lane"
-                );
-            }
-            let name = format!("bst/len{scan_len}/{mix}");
-            println!(
-                "{:<22} {:>7} {:>13.0} {:>13.0} {:>13.0} {:>6} {:>7}",
-                name,
-                threads,
-                runop.throughput,
-                opt.throughput,
-                snap.throughput,
-                snap.stats.scan_snapshots(),
-                opt.stats.scan_escalations()
-            );
-            records.push(bench_record(format!("snapshot-ab/{name}/runop"), &runop));
-            records.push(bench_record(format!("snapshot-ab/{name}/optimistic"), &opt));
-            records.push(bench_record(format!("snapshot-ab/{name}/snapshot"), &snap));
         }
     }
 }
@@ -930,7 +817,6 @@ fn main() {
     pool_ab(&env, &mut records);
     read_heavy_ab(&env, &mut records);
     scan_ab(&env, &mut records);
-    snapshot_ab(&env, &mut records);
     budget_ab(&env, &mut records);
     admission_ab(&env, &mut records);
     batch_ab(&env, &mut records);

@@ -196,13 +196,13 @@ pub fn write_csv(name: &str, cells: &[Cell]) -> PathBuf {
     let mut out = String::from(
         "structure,workload,series,threads,throughput,total_ops,update_ops,rq_ops,scan_ops,\
          fast_frac,middle_frac,fallback_frac,read_frac,scan_retries,scan_escalations,\
-         scan_snapshots,keysum_ok\n",
+         keysum_ok\n",
     );
     for c in cells {
         use threepath_core::PathKind;
         writeln!(
             out,
-            "{},{},{},{},{:.1},{},{},{},{},{:.4},{:.4},{:.4},{:.4},{},{},{},{}",
+            "{},{},{},{},{:.1},{},{},{},{},{:.4},{:.4},{:.4},{:.4},{},{},{}",
             c.structure,
             c.workload,
             c.series,
@@ -218,7 +218,6 @@ pub fn write_csv(name: &str, cells: &[Cell]) -> PathBuf {
             c.result.path_fraction(PathKind::Read),
             c.result.stats.scan_retries(),
             c.result.stats.scan_escalations(),
-            c.result.stats.scan_snapshots(),
             c.result.keysum_ok,
         )
         .unwrap();
@@ -290,8 +289,7 @@ pub fn bench_json(bench: &str, records: &[BenchRecord]) -> String {
              \"abort_mix\": {{\"explicit\": {}, \"conflict\": {}, \"capacity\": {}, \"spurious\": {}}}, \
              \"abort_rate\": {:.4}, \"fallback_frac\": {:.4}, \"read_frac\": {:.4}, \
              \"read_retries\": {}, \"read_escalations\": {}, \
-             \"scan_retries\": {}, \"scan_escalations\": {}, \"scan_snapshots\": {}, \
-             \"scan_leaves\": {}, \
+             \"scan_retries\": {}, \"scan_escalations\": {}, \"scan_leaves\": {}, \
              \"pool_hit_rate\": {:.4}, \"pool_allocs\": {}, \"pool_recycled\": {}, \
              \"lat_p50_us\": {:.3}, \"lat_p95_us\": {:.3}, \"lat_p99_us\": {:.3}}}",
             if i == 0 { "" } else { "," },
@@ -308,7 +306,6 @@ pub fn bench_json(bench: &str, records: &[BenchRecord]) -> String {
             r.stats.read_escalations(),
             r.stats.scan_retries(),
             r.stats.scan_escalations(),
-            r.stats.scan_snapshots(),
             r.stats.scan_leaves_validated(),
             r.pool.hit_rate(),
             r.pool.alloc_total,

@@ -44,8 +44,8 @@
 //! holds*, so one invalidated after the holes were computed becomes a
 //! hole on the next pass instead of silently vanishing with its segments
 //! still in the answer. Only when even that fails does the scan leave the
-//! optimistic regime — for the snapshot tier or, last, the transactional
-//! machinery (see `crate::tree::Bst::range_query`).
+//! optimistic regime and escalate to the template's transactional
+//! machinery (see `crate::tree::BstHandle::range_query`).
 //!
 //! The state has the (a,b)-tree scan's shape (`threepath_abtree`'s
 //! `scan` module): copied pairs go into one handle-owned buffer, each
@@ -520,6 +520,48 @@ mod tests {
         assert_eq!(r, None, "l1 changed after it was copied");
         let r = state.attempt_partial(&rt, entry, &mut tally, &mut || {}, PARTIAL_ROUNDS);
         assert_eq!(r, Some(vec![(2, 22), (6, 60), (9, 90)]));
+        // SAFETY: test-owned nodes.
+        unsafe { free_three_leaf_tree(t) };
+    }
+
+    /// Cross-key atomicity of value-only overwrites: after the scan copied
+    /// l1, a writer overwrites key 2 (in l1) and then key 6 (in l2)
+    /// through `ops::insert_seq`, and only then does the scan copy l2.
+    /// Returning `{2 -> 20, 6 -> 61}` would show the second write without
+    /// the first; l1's `ver` bump must fail the attempt.
+    #[test]
+    fn overwrites_behind_and_ahead_of_the_walk_fail_validation() {
+        use std::sync::Arc;
+        use threepath_core::DirectMem;
+        use threepath_reclaim::{Domain, ReclaimMode};
+
+        use crate::ops;
+
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let t = three_leaf_tree();
+        let (entry, ..) = t;
+        let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
+        let ctx = Domain::register(&domain);
+        ctx.enter();
+        let mut state = ScanState::new();
+        let mut tally = ScanTally::default();
+        // One stall call per leaf: the second is l2's, after l1 was read.
+        let mut calls = 0u32;
+        let r = state.attempt_full(&rt, entry, 0, 100, &mut tally, &mut || {
+            calls += 1;
+            if calls == 2 {
+                let mut m = DirectMem::new(&rt, &ctx);
+                for (key, value) in [(2, 21), (6, 61)] {
+                    let mut rd = |c: &TxCell| Ok(c.load_direct(&rt));
+                    let f = ops::search_with(&mut rd, entry, key).unwrap();
+                    let r = ops::insert_seq(&mut m, &f, key, value, false).unwrap();
+                    assert_eq!(r, Some(value - 1));
+                }
+            }
+        });
+        assert_eq!(r, None, "the scan saw key 6's write but not key 2's");
+        ctx.exit();
+        drop(ctx);
         // SAFETY: test-owned nodes.
         unsafe { free_three_leaf_tree(t) };
     }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use threepath_core::{
     AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, Mem, OpOutcome,
-    OrigMode, PathKind, PathLimits, PathStats, SnapshotCtl, Strategy, TemplateMem, TemplateMode,
+    OrigMode, PathKind, PathLimits, PathStats, Strategy, TemplateMem, TemplateMode,
 };
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxEngine, ScxThread};
@@ -63,21 +63,11 @@ pub struct BstConfig {
     /// per copied value — and re-validates it as a whole (see
     /// `crate::scan`). Lost races retry; after
     /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures a partial
-    /// rescan re-reads only the invalidated subranges, then the snapshot
-    /// tier takes over (see [`BstConfig::snapshot_scans`]), and only if
-    /// that is off or unavailable does the scan escalate to the
-    /// transactional machinery. On by default; off routes scans through
-    /// `run_op` (the baseline the scan benchmarks compare against).
+    /// rescan re-reads only the invalidated subranges, and if that loses
+    /// too the scan escalates to the template (fast, middle or fallback
+    /// path). On by default; off routes scans through `run_op` (the
+    /// baseline the scan benchmarks compare against).
     pub scan_path: bool,
-    /// The scan ladder's terminal tier: a scan that exhausts every
-    /// validating attempt publishes a [`SnapshotCtl`] epoch over its
-    /// range, updaters racing it push pre-images onto a version chain,
-    /// and the scan reads the frozen version wait-free Bonsai-style —
-    /// no transaction, no lock, regardless of churn. On by default; only
-    /// engages under strategies whose non-transactional mutations hold
-    /// the fallback indicator or the TLE lock (3-path, 2-path-non-con,
-    /// TLE), which the snapshot cut's linearizability argument requires.
-    pub snapshot_scans: bool,
     /// HTM admission control on the fallback path: at most this many
     /// threads may attempt hardware transactions while the fallback is
     /// active (TLE lock held / `F != 0`); overflow threads park on a
@@ -119,7 +109,6 @@ impl Default for BstConfig {
             budget: None,
             read_path: true,
             scan_path: true,
-            snapshot_scans: true,
             admission: None,
             read_probe: None,
             admission_probe: None,
@@ -163,12 +152,6 @@ pub struct Bst {
     read_path: bool,
     /// Whether scans bypass `run_op` (see [`BstConfig::scan_path`]).
     scan_path: bool,
-    /// Whether exhausted scans may publish a snapshot epoch (see
-    /// [`BstConfig::snapshot_scans`]).
-    snapshot_scans: bool,
-    /// Snapshot-epoch coordination: the published range and the updaters'
-    /// pre-image version chain.
-    snap: SnapshotCtl,
 }
 
 // SAFETY: the raw root pointer references a heap structure whose shared
@@ -235,8 +218,6 @@ impl Bst {
             pooled,
             read_path: cfg.read_path,
             scan_path: cfg.scan_path,
-            snapshot_scans: cfg.snapshot_scans,
-            snap: SnapshotCtl::new(),
         }
     }
 
@@ -316,40 +297,6 @@ impl Bst {
         ops::search_with(&mut read, self.root, key).expect("direct search cannot abort")
     }
 
-    /// Whether the snapshot tier's cut argument holds under the current
-    /// strategy: every non-transactional mutation must hold the fallback
-    /// indicator (3-path, 2-path-non-con) or the TLE lock (TLE) from its
-    /// pre-image push until its writes land. `NonHtm` and `TwoPathCon`
-    /// run template fallbacks bare, so snapshots stay off there.
-    fn snapshot_tier_sound(&self) -> bool {
-        self.snapshot_scans
-            && matches!(
-                self.exec.strategy(),
-                Strategy::Tle | Strategy::TwoPathNonCon | Strategy::ThreePath
-            )
-    }
-
-    /// Pushes `key`'s pre-image (its current value, or absence) onto the
-    /// snapshot version chain when a covering epoch is active. Call after
-    /// the search, before the mutation, in the same memory mode — the
-    /// deposit then shares the mutation's atomic scope (transaction) or
-    /// its `F`/lock bracket (software and locked paths), which is what
-    /// the snapshot cut's linearizability argument needs. A deposit whose
-    /// operation then fails or mutates nothing is harmless: it records a
-    /// value the walk could have seen anyway, and older pushes win.
-    fn deposit_pre<M: Mem>(&self, m: &mut M, f: &Found, key: u64) -> Result<(), Abort> {
-        if !self.snapshot_scans {
-            return Ok(());
-        }
-        let l = unsafe { &*f.l };
-        let pre = if l.key == key {
-            Some(m.read(&l.value)?)
-        } else {
-            None
-        };
-        self.snap.deposit(m, key, pre)
-    }
-
     // ------------------------------------------------------------------
     // Per-path operation bodies.
     // ------------------------------------------------------------------
@@ -358,10 +305,8 @@ impl Bst {
         if self.sec8 {
             th.pinned(|th| {
                 let f = self.search_direct(key);
-                self.exec.attempt_seq(&self.eng, th, |m| {
-                    self.deposit_pre(m, &f, key)?;
-                    ops::insert_seq(m, &f, key, value, true)
-                })
+                self.exec
+                    .attempt_seq(&self.eng, th, |m| ops::insert_seq(m, &f, key, value, true))
             })
         } else {
             self.exec.attempt_seq(&self.eng, th, |m| {
@@ -369,7 +314,6 @@ impl Bst {
                     let mut rd = |c: &TxCell| m.read(c);
                     ops::search_with(&mut rd, self.root, key)?
                 };
-                self.deposit_pre(m, &f, key)?;
                 ops::insert_seq(m, &f, key, value, false)
             })
         }
@@ -385,7 +329,6 @@ impl Bst {
             th.pinned(|th| {
                 let f = self.search_direct(key);
                 self.exec.attempt_template(&self.eng, th, |m| {
-                    self.deposit_pre(&mut TemplateMem(m), &f, key)?;
                     finish_tx(ops::insert_tmpl(m, &f, key, value)?)
                 })
             })
@@ -395,7 +338,6 @@ impl Bst {
                     let mut rd = |c: &TxCell| m.read(c);
                     ops::search_with(&mut rd, self.root, key)?
                 };
-                self.deposit_pre(&mut TemplateMem(m), &f, key)?;
                 finish_tx(ops::insert_tmpl(m, &f, key, value)?)
             })
         }
@@ -406,7 +348,6 @@ impl Bst {
             let out = th.pinned(|th| {
                 let f = self.search_direct(key);
                 let mut m = OrigMode::new(&self.eng, th);
-                self.deposit_pre(&mut TemplateMem(&mut m), &f, key)?;
                 ops::insert_tmpl(&mut m, &f, key, value)
             });
             match out.expect("software path cannot abort") {
@@ -420,8 +361,6 @@ impl Bst {
         th.pinned(|th| {
             let f = self.search_direct(key);
             let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            self.deposit_pre(&mut m, &f, key)
-                .expect("direct mode cannot abort");
             ops::insert_seq(&mut m, &f, key, value, false).expect("direct mode cannot abort")
         })
     }
@@ -430,10 +369,8 @@ impl Bst {
         if self.sec8 {
             th.pinned(|th| {
                 let f = self.search_direct(key);
-                self.exec.attempt_seq(&self.eng, th, |m| {
-                    self.deposit_pre(m, &f, key)?;
-                    ops::delete_seq(m, &f, key, true, true)
-                })
+                self.exec
+                    .attempt_seq(&self.eng, th, |m| ops::delete_seq(m, &f, key, true, true))
             })
         } else {
             self.exec.attempt_seq(&self.eng, th, |m| {
@@ -441,7 +378,6 @@ impl Bst {
                     let mut rd = |c: &TxCell| m.read(c);
                     ops::search_with(&mut rd, self.root, key)?
                 };
-                self.deposit_pre(m, &f, key)?;
                 ops::delete_seq(m, &f, key, false, false)
             })
         }
@@ -451,10 +387,8 @@ impl Bst {
         if self.sec8 {
             th.pinned(|th| {
                 let f = self.search_direct(key);
-                self.exec.attempt_template(&self.eng, th, |m| {
-                    self.deposit_pre(&mut TemplateMem(m), &f, key)?;
-                    finish_tx(ops::delete_tmpl(m, &f, key)?)
-                })
+                self.exec
+                    .attempt_template(&self.eng, th, |m| finish_tx(ops::delete_tmpl(m, &f, key)?))
             })
         } else {
             self.exec.attempt_template(&self.eng, th, |m| {
@@ -462,7 +396,6 @@ impl Bst {
                     let mut rd = |c: &TxCell| m.read(c);
                     ops::search_with(&mut rd, self.root, key)?
                 };
-                self.deposit_pre(&mut TemplateMem(m), &f, key)?;
                 finish_tx(ops::delete_tmpl(m, &f, key)?)
             })
         }
@@ -473,7 +406,6 @@ impl Bst {
             let out = th.pinned(|th| {
                 let f = self.search_direct(key);
                 let mut m = OrigMode::new(&self.eng, th);
-                self.deposit_pre(&mut TemplateMem(&mut m), &f, key)?;
                 ops::delete_tmpl(&mut m, &f, key)
             });
             match out.expect("software path cannot abort") {
@@ -487,8 +419,6 @@ impl Bst {
         th.pinned(|th| {
             let f = self.search_direct(key);
             let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            self.deposit_pre(&mut m, &f, key)
-                .expect("direct mode cannot abort");
             ops::delete_seq(&mut m, &f, key, false, self.sec8).expect("direct mode cannot abort")
         })
     }
@@ -515,12 +445,10 @@ impl Bst {
                 let r = match *op {
                     BatchOp::Insert(key, value) => {
                         let f = self.search_mem(m, key)?;
-                        self.deposit_pre(m, &f, key)?;
                         ops::insert_seq(m, &f, key, value, false)?
                     }
                     BatchOp::Remove(key) if key <= MAX_KEY => {
                         let f = self.search_mem(m, key)?;
-                        self.deposit_pre(m, &f, key)?;
                         ops::delete_seq(m, &f, key, false, self.sec8)?
                     }
                     BatchOp::Get(key) if key <= MAX_KEY => {
@@ -547,15 +475,11 @@ impl Bst {
                     BatchOp::Insert(key, value) => {
                         assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
                         let f = self.search_direct(key);
-                        self.deposit_pre(&mut m, &f, key)
-                            .expect("direct mode cannot abort");
                         ops::insert_seq(&mut m, &f, key, value, false)
                             .expect("direct mode cannot abort")
                     }
                     BatchOp::Remove(key) if key <= MAX_KEY => {
                         let f = self.search_direct(key);
-                        self.deposit_pre(&mut m, &f, key)
-                            .expect("direct mode cannot abort");
                         ops::delete_seq(&mut m, &f, key, false, self.sec8)
                             .expect("direct mode cannot abort")
                     }
@@ -705,39 +629,6 @@ impl Bst {
             rq::rq_mem(&mut m, self.root, lo, hi, &mut out).expect("direct mode cannot abort");
             out
         })
-    }
-
-    /// Unvalidated epoch-pinned walk for the snapshot tier: collects every
-    /// leaf pair in `[lo, hi)` with plain seqlock reads and no version
-    /// bookkeeping. The walk may observe a torn mix of states; the
-    /// [`SnapshotCtl`] overlay built from racing updaters' pre-image
-    /// deposits rewrites every key that changed during the walk back to
-    /// its value at the snapshot cut, so the *combined* result is a frozen
-    /// snapshot even though the walk itself validates nothing.
-    ///
-    /// Child subranges are clamped and disjoint, so each key is collected
-    /// at most once even if a concurrent rotation makes a node reachable
-    /// along two paths.
-    fn snap_walk(&self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        let rt = self.exec.runtime();
-        let mut out = Vec::new();
-        let mut stack = vec![(self.root, lo, hi)];
-        while let Some((ptr, clo, chi)) = stack.pop() {
-            let n = unsafe { &*ptr };
-            if n.is_leaf {
-                if n.key >= clo && n.key < chi && n.key < SENT1 {
-                    out.push((n.key, n.value.load_direct(rt)));
-                }
-            } else {
-                for (dir, (elo, ehi)) in [(1, (n.key.max(clo), chi)), (0, (clo, n.key.min(chi)))] {
-                    if elo < ehi {
-                        stack.push((n.child(dir).load_direct(rt) as *mut BstNode, elo, ehi));
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     // ------------------------------------------------------------------
@@ -1118,23 +1009,19 @@ impl BstHandle {
     /// each traversed edge and each leaf's seqlock `ver` word go into a
     /// trace that is re-checked as a whole after the copy-out, so a calm
     /// scan costs O(leaves + fringe) word compares instead of per-node
-    /// LLX quadruples. A scan that keeps losing races climbs the ladder:
-    /// full re-walks first, then a partial rescan of only the invalidated
-    /// subranges, then (when [`BstConfig::snapshot_scans`] holds and the
-    /// strategy brackets its software paths with the fallback indicator
-    /// or TLE lock) the wait-free [`SnapshotCtl`] tier — publish an
-    /// epoch, cut a stable window, take an unvalidated walk, and repair
-    /// it with racing updaters' pre-image deposits. Only if the snapshot
-    /// tier is disabled, unsound for the strategy, or refused does the
-    /// scan escalate into the transactional machinery. Completions land
-    /// on the [`PathKind::Read`](threepath_core::PathKind) lane; retries,
-    /// validated-leaf counts, snapshot rescues, and terminal escalations
-    /// land in the [`PathStats`] scan lane.
+    /// LLX quadruples. A scan that keeps losing races climbs a two-rung
+    /// ladder: full re-walks first, then one partial rescan of only the
+    /// invalidated subranges. If both lose, the scan escalates to the
+    /// template and runs like any operation on the fast, middle or
+    /// fallback path. Completions of the optimistic rungs land on the
+    /// [`PathKind::Read`](threepath_core::PathKind) lane; retries,
+    /// validated-leaf counts and escalations land in the [`PathStats`]
+    /// scan lane.
     pub fn range_query(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         let tree = &self.tree;
         if tree.scan_path {
             let state = &self.scan_scratch;
-            if let Some(r) = tree.exec.run_scan_snap(
+            if let Some(r) = tree.exec.run_scan(
                 &mut self.th,
                 &mut self.stats,
                 tree.exec.read_attempts(),
@@ -1156,14 +1043,6 @@ impl BstHandle {
                         &mut || {},
                         scan::PARTIAL_ROUNDS,
                     )
-                },
-                |th| {
-                    if !tree.snapshot_tier_sound() {
-                        return None;
-                    }
-                    let token = tree.snap.begin(&tree.exec, &th.reclaim, lo, hi)?;
-                    let walk = tree.snap_walk(lo, hi);
-                    Some(tree.snap.finish(&tree.exec, &th.reclaim, token, walk, lo, hi))
                 },
             ) {
                 return r;
@@ -1211,63 +1090,5 @@ impl std::fmt::Debug for BstHandle {
         f.debug_struct("BstHandle")
             .field("tree", &self.tree)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod snapshot_tests {
-    use super::*;
-
-    /// Drives the scan path's snapshot tier deterministically, exactly as
-    /// `range_query`'s rescue closure does: publish an epoch over a
-    /// subrange, churn the tree through the live update paths (which must
-    /// deposit pre-images into the version chain), walk the tree with no
-    /// validation, and check that `finish` reconstructs the covered
-    /// range's state as of the cut instant.
-    #[test]
-    fn snapshot_tier_reconstructs_the_cut_across_live_updates() {
-        let tree = Arc::new(Bst::with_config(BstConfig {
-            strategy: Strategy::ThreePath,
-            ..BstConfig::default()
-        }));
-        let mut upd = tree.handle();
-        for k in (0..600u64).step_by(2) {
-            assert_eq!(upd.insert(k, k + 1000), None);
-        }
-        let want: Vec<(u64, u64)> = (100..500u64)
-            .filter(|k| k % 2 == 0)
-            .map(|k| (k, k + 1000))
-            .collect();
-
-        let mut scn = tree.handle();
-        let t = Arc::clone(&scn.tree);
-        let out = scn.th.pinned(|th| {
-            let token = t
-                .snap
-                .begin(&t.exec, &th.reclaim, 100, 500)
-                .expect("calm publish");
-            // Post-cut churn inside the covered range: overwrites of even
-            // keys, fresh odd-key inserts, removes (some of keys already
-            // overwritten — the *first* deposit per key must win), plus
-            // uncovered churn that must not affect the result.
-            for k in (100..500u64).step_by(6) {
-                assert_eq!(upd.insert(k, 9999), Some(k + 1000));
-            }
-            for k in (101..500u64).step_by(10) {
-                assert_eq!(upd.insert(k, 1), None);
-            }
-            for k in (102..500u64).step_by(14) {
-                upd.remove(k);
-            }
-            upd.insert(700, 7);
-            upd.remove(0);
-            let walk = t.snap_walk(100, 500);
-            t.snap.finish(&t.exec, &th.reclaim, token, walk, 100, 500)
-        });
-        assert_eq!(out, want);
-        assert!(!tree.snap.is_active(tree.exec.runtime()));
-        // The post-churn live state is intact (snapshotting is read-only).
-        let live = upd.range_query(600, 800);
-        assert_eq!(live, vec![(700, 7)]);
     }
 }

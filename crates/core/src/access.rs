@@ -45,22 +45,6 @@ pub trait Mem {
     /// and must not have been written into any reachable cell.
     unsafe fn free_unpublished<T: Send>(&mut self, ptr: *mut T);
 
-    /// Compare-and-swap: writes `new` iff the cell holds `old`. Returns
-    /// whether the swap applied; `Ok(false)` leaves the cell untouched.
-    ///
-    /// The default (read, compare, write) is atomic in transactional mode
-    /// because the enclosing transaction is; [`DirectMem`] overrides it
-    /// with a hardware-style CAS so lock-free callers (the snapshot
-    /// version-chain push) don't lose updates between the read and the
-    /// write.
-    fn cas(&mut self, cell: &TxCell, old: u64, new: u64) -> Result<bool, Abort> {
-        if self.read(cell)? != old {
-            return Ok(false);
-        }
-        self.write(cell, new)?;
-        Ok(true)
-    }
-
     /// Reads a cell as a raw pointer.
     fn read_ptr<T>(&mut self, cell: &TxCell) -> Result<*mut T, Abort> {
         self.read(cell).map(|v| v as *mut T)
@@ -143,9 +127,6 @@ impl Mem for DirectMem<'_> {
     fn write(&mut self, cell: &TxCell, v: u64) -> Result<(), Abort> {
         cell.store_direct(self.rt, v);
         Ok(())
-    }
-    fn cas(&mut self, cell: &TxCell, old: u64, new: u64) -> Result<bool, Abort> {
-        Ok(cell.cas_direct(self.rt, old, new).is_ok())
     }
     unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract; pooled nodes recycle on expiry.

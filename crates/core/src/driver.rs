@@ -941,28 +941,6 @@ impl ExecCtx {
         self.f.is_active(rt) || self.lock.is_held(rt)
     }
 
-    /// One bounded attempt to observe the serialized machinery quiet: the
-    /// fallback indicator `F` inactive and the TLE lock free, read in that
-    /// order within one pass. Used by the snapshot cut (see
-    /// `crate::snapshot`): an operation that holds `F` (or the lock)
-    /// across the whole observation makes it fail, so a success bounds
-    /// every non-transactional operation's span to one side of the
-    /// observation instant. Returns whether quiet was observed within
-    /// `spins` probes.
-    pub(crate) fn observe_quiet(&self, spins: u32) -> bool {
-        for i in 0..spins {
-            if !self.serialized_active() {
-                return true;
-            }
-            if i % 64 == 63 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        false
-    }
-
     fn wait_while(&self, cond: impl Fn() -> bool) {
         if !cond() {
             return;

@@ -29,11 +29,11 @@
 //! "searches require no synchronization" property gets a first-class
 //! wait-free entry ([`ExecCtx::run_read`] /
 //! [`ExecCtx::run_read_validated`] for point reads,
-//! [`ExecCtx::run_scan`] / [`ExecCtx::run_scan_snap`] for multi-leaf range
-//! scans) with its own [`PathKind::Read`] statistics lane — no
-//! subscription, no budget tally, no fallback escalation until the
-//! optimistic attempts *and* the [`SnapshotCtl`] snapshot tier are
-//! exhausted.
+//! [`ExecCtx::run_scan`] for multi-leaf range scans) with its own
+//! [`PathKind::Read`] statistics lane — no subscription, no budget tally,
+//! no fallback escalation until the optimistic attempts are exhausted.
+//! An exhausted scan then runs as an ordinary template operation
+//! ([`ExecCtx::run_op_escalated`]) on the fast, middle or fallback path.
 
 #![warn(missing_docs)]
 
@@ -45,7 +45,6 @@ pub mod controller;
 mod driver;
 mod effects;
 mod readpath;
-mod snapshot;
 mod snzi;
 mod stats;
 mod strategy;
@@ -60,7 +59,6 @@ pub use controller::{Controller, ProbeConfig, ProbingController, Window};
 pub use driver::{ExecCtx, StrategySwapError, ADAPTIVE_STRATEGIES};
 pub use readpath::{merge_subranges, ReadBoundConfig, ScanTally, DEFAULT_READ_ATTEMPTS};
 pub use effects::Effects;
-pub use snapshot::{SnapToken, SnapshotCtl};
 pub use stats::{AbortCounts, PathKind, PathStats};
 pub use snzi::Snzi;
 pub use strategy::{PathLimits, Strategy};

@@ -23,23 +23,20 @@
 //!   failures the read returns `None` to the caller, which escalates to
 //!   the transactional machinery via [`run_op`]. Retries and escalations
 //!   are tallied in [`PathStats`].
-//! * [`ExecCtx::run_scan`] / [`ExecCtx::run_scan_snap`] — the multi-leaf
-//!   extension, a *ladder* of tiers: each full attempt walks every leaf
-//!   covering `[lo, hi)` while accumulating a flat *validation set* (leaf
-//!   version words and followed edges) and re-validates the whole set at
-//!   the end; a lost race retries the full scan, and once the full-scan
-//!   budget is exhausted a single *partial rescan* attempt re-reads only
-//!   the invalidated subranges and re-validates the *combined* set (so
-//!   the result is still a single-instant snapshot). When even the
-//!   partial rescan loses, `run_scan_snap` tries one **snapshot** attempt
-//!   — the backend publishes a [`SnapshotCtl`](crate::SnapshotCtl) epoch
-//!   and reads a frozen version wait-free (tallied as
-//!   [`PathStats::scan_snapshots`]) — and only if the snapshot tier is
-//!   disabled or cannot be published does the scan give up and escalate
-//!   to [`run_op`]. Scan retries/escalations/snapshot rescues and
+//! * [`ExecCtx::run_scan`] — the multi-leaf extension, a two-rung
+//!   *ladder*: each full attempt walks every leaf covering `[lo, hi)`
+//!   while accumulating a flat *validation set* (leaf version words and
+//!   followed edges) and re-validates the whole set at the end; a lost
+//!   race retries the full scan, and once the full-scan budget is
+//!   exhausted a single *partial rescan* attempt re-reads only the
+//!   invalidated subranges and re-validates the *combined* set (so the
+//!   result is still a single-instant snapshot). When even the partial
+//!   rescan loses, the scan gives up and the caller runs it as a template
+//!   operation through [`run_op_escalated`]. Scan retries, escalations and
 //!   validation-set sizes are tallied on [`PathStats`]' scan lane.
 //!
 //! [`run_op`]: ExecCtx::run_op
+//! [`run_op_escalated`]: ExecCtx::run_op_escalated
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -354,51 +351,20 @@ impl ExecCtx {
         th: &mut ScxThread,
         stats: &mut PathStats,
         max_attempts: u32,
-        attempt: impl FnMut(&mut ScxThread, &mut ScanTally) -> Option<T>,
-        partial: impl FnMut(&mut ScxThread, &mut ScanTally) -> Option<T>,
-    ) -> Option<T> {
-        self.run_scan_snap(th, stats, max_attempts, attempt, partial, |_| None)
-    }
-
-    /// [`Self::run_scan`] with a final **snapshot tier**: when the whole
-    /// validation ladder (full attempts, then the partial rescan) is
-    /// exhausted, `snapshot` runs once under the same epoch pin. The
-    /// backend publishes a snapshot epoch over the scanned range, walks
-    /// the live structure with *no* validation, and reconstructs the
-    /// cut-instant state from updaters' pre-image deposits (see
-    /// [`SnapshotCtl`](crate::SnapshotCtl)) — wait-free with respect to
-    /// concurrent updates, so sustained churn that defeats every
-    /// validating tier no longer forces the scan into a transaction.
-    ///
-    /// A snapshot rescue is recorded as [`PathStats::scan_snapshots`] and
-    /// completes on the [`PathKind::Read`] lane; for the probing read
-    /// bound it counts as a non-escalated contended read. `snapshot`
-    /// returning `None` (tier disabled, or the epoch could not be
-    /// published/stabilized) records a scan escalation as before.
-    pub fn run_scan_snap<T>(
-        &self,
-        th: &mut ScxThread,
-        stats: &mut PathStats,
-        max_attempts: u32,
         mut attempt: impl FnMut(&mut ScxThread, &mut ScanTally) -> Option<T>,
         mut partial: impl FnMut(&mut ScxThread, &mut ScanTally) -> Option<T>,
-        mut snapshot: impl FnMut(&mut ScxThread) -> Option<T>,
     ) -> Option<T> {
         debug_assert!(max_attempts > 0, "at least one optimistic attempt");
         let mut tally = ScanTally::default();
-        let (out, failed, snapped) = th.pinned(|th| {
+        let (out, failed) = th.pinned(|th| {
             for i in 0..max_attempts {
                 if let Some(v) = attempt(th, &mut tally) {
-                    return (Some(v), u64::from(i), false);
+                    return (Some(v), u64::from(i));
                 }
             }
-            if let Some(v) = partial(th, &mut tally) {
-                return (Some(v), u64::from(max_attempts), false);
-            }
-            let failed = u64::from(max_attempts) + 1;
-            match snapshot(th) {
-                Some(v) => (Some(v), failed, true),
-                None => (None, failed, false),
+            match partial(th, &mut tally) {
+                Some(v) => (Some(v), u64::from(max_attempts)),
+                None => (None, u64::from(max_attempts) + 1),
             }
         });
         stats.add_scan_retries(failed);
@@ -410,9 +376,6 @@ impl ExecCtx {
         }
         match out {
             Some(v) => {
-                if snapped {
-                    stats.record_scan_snapshot();
-                }
                 stats.record_completed(PathKind::Read);
                 Some(v)
             }

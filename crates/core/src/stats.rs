@@ -113,12 +113,7 @@ pub struct PathStats {
     /// Scans that exhausted every optimistic attempt — including the
     /// partial-rescan repair — and escalated to the transactional
     /// machinery (`run_op`); completed on whatever path finished them.
-    /// Snapshot rescues do *not* count here (see `scan_snapshots`).
     scan_escalations: u64,
-    /// Scans rescued by the snapshot tier: the validation ladder was
-    /// exhausted but a snapshot epoch published, and the scan completed
-    /// wait-free on the read lane instead of entering a transaction.
-    scan_snapshots: u64,
     /// Leaves (or BST nodes) whose validation word was captured and
     /// re-checked by optimistic scans — the size of the validation sets,
     /// summed.
@@ -282,12 +277,6 @@ impl PathStats {
         self.scan_escalations += 1;
     }
 
-    /// Records a scan rescued by the snapshot tier after exhausting the
-    /// validation ladder (completed wait-free on the read lane).
-    pub fn record_scan_snapshot(&mut self) {
-        self.scan_snapshots += 1;
-    }
-
     /// Records `n` leaves validated by an optimistic scan attempt.
     pub fn add_scan_leaves_validated(&mut self, n: u64) {
         self.scan_leaves_validated += n;
@@ -305,10 +294,11 @@ impl PathStats {
         self.scan_escalations
     }
 
-    /// Scans rescued by the snapshot tier (completed on the read lane,
-    /// with zero transactional attempts).
+    /// Always 0: no scan rung completes off a snapshot. Kept because the
+    /// repository benchmark (`benchmark/`) still reports it as
+    /// `core.scan_snapshot_share`.
     pub fn scan_snapshots(&self) -> u64 {
-        self.scan_snapshots
+        0
     }
 
     /// Total leaves captured into optimistic scans' validation sets.
@@ -422,7 +412,6 @@ impl PathStats {
         self.read_escalations += other.read_escalations;
         self.scan_retries += other.scan_retries;
         self.scan_escalations += other.scan_escalations;
-        self.scan_snapshots += other.scan_snapshots;
         self.scan_leaves_validated += other.scan_leaves_validated;
         self.admission_overflows += other.admission_overflows;
         self.batches += other.batches;
@@ -464,9 +453,8 @@ impl fmt::Display for PathStats {
         )?;
         writeln!(
             f,
-            "scan-lane retries {} escalations {} snapshots {} leaves-validated {}",
-            self.scan_retries, self.scan_escalations, self.scan_snapshots,
-            self.scan_leaves_validated
+            "scan-lane retries {} escalations {} leaves-validated {}",
+            self.scan_retries, self.scan_escalations, self.scan_leaves_validated
         )?;
         writeln!(
             f,
@@ -563,11 +551,9 @@ mod tests {
         s.record_completed(PathKind::Read);
         s.add_scan_retries(2);
         s.record_scan_escalation();
-        s.record_scan_snapshot();
         s.add_scan_leaves_validated(17);
         assert_eq!(s.scan_retries(), 2);
         assert_eq!(s.scan_escalations(), 1);
-        assert_eq!(s.scan_snapshots(), 1);
         assert_eq!(s.scan_leaves_validated(), 17);
         // The scan lane is counters-only: no new PathKind, optimistic
         // scans complete on the read lane.
@@ -577,10 +563,8 @@ mod tests {
         t.merge(&s);
         assert_eq!(t.scan_retries(), 4);
         assert_eq!(t.scan_escalations(), 2);
-        assert_eq!(t.scan_snapshots(), 2);
         assert_eq!(t.scan_leaves_validated(), 34);
         assert!(s.to_string().contains("scan-lane retries 2"));
-        assert!(s.to_string().contains("snapshots 1"));
     }
 
     #[test]

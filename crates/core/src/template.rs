@@ -74,14 +74,6 @@ pub trait TemplateMode {
     fn read_ptr<T>(&mut self, cell: &TxCell) -> Result<*mut T, Abort> {
         self.read(cell).map(|v| v as *mut T)
     }
-
-    /// Compare-and-swap on a bare cell (one that is not an LLX mutable
-    /// field): writes `new` iff the cell holds `old`, returning whether the
-    /// swap applied. Transactional mode gets atomicity from the enclosing
-    /// transaction; the software path uses a hardware-style CAS. Used by
-    /// the snapshot version-chain push, which lives outside the template's
-    /// LLX/SCX protocol.
-    fn cas_weak(&mut self, cell: &TxCell, old: u64, new: u64) -> Result<bool, Abort>;
 }
 
 /// Software-path mode: the original CAS-based LLX/SCX with helping.
@@ -115,10 +107,6 @@ impl TemplateMode for OrigMode<'_> {
 
     fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
         Ok(cell.load_direct(self.eng.runtime()))
-    }
-
-    fn cas_weak(&mut self, cell: &TxCell, old: u64, new: u64) -> Result<bool, Abort> {
-        Ok(cell.cas_direct(self.eng.runtime(), old, new).is_ok())
     }
 
     unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
@@ -199,14 +187,6 @@ impl TemplateMode for TxMode<'_, '_> {
         self.tx.read(cell)
     }
 
-    fn cas_weak(&mut self, cell: &TxCell, old: u64, new: u64) -> Result<bool, Abort> {
-        if self.tx.read(cell)? != old {
-            return Ok(false);
-        }
-        self.tx.write(cell, new)?;
-        Ok(true)
-    }
-
     unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract, applied post-commit.
         unsafe { self.effects.defer_retire(ptr) };
@@ -221,11 +201,10 @@ impl TemplateMode for TxMode<'_, '_> {
 }
 
 /// Adapts a [`TemplateMode`] to the [`Mem`] interface for `Mem`-generic
-/// code running *inside* a template operation: read-only traversals and the
-/// snapshot version-chain deposit. Template operations mutate nodes only
-/// through LLX/SCX, so raw writes stay unreachable; the adapter exposes
-/// reads, allocation, retirement, and the bare-cell CAS
-/// ([`TemplateMode::cas_weak`]).
+/// code running *inside* a template operation, such as read-only
+/// traversals. Template operations mutate nodes only through LLX/SCX, so
+/// raw writes stay unreachable; the adapter exposes reads, allocation and
+/// retirement.
 pub struct TemplateMem<'m, M: TemplateMode>(pub &'m mut M);
 
 impl<M: TemplateMode> Mem for TemplateMem<'_, M> {
@@ -234,9 +213,6 @@ impl<M: TemplateMode> Mem for TemplateMem<'_, M> {
     }
     fn write(&mut self, _cell: &TxCell, _v: u64) -> Result<(), Abort> {
         unreachable!("template operations write only through LLX/SCX")
-    }
-    fn cas(&mut self, cell: &TxCell, old: u64, new: u64) -> Result<bool, Abort> {
-        self.0.cas_weak(cell, old, new)
     }
     unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract.

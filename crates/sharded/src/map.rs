@@ -80,15 +80,6 @@ pub struct ShardedConfig {
     /// optimistically. On by default; off routes scans through `run_op`
     /// — the scan benchmarks' baseline.
     pub scan_path: bool,
-    /// Arm every shard's wait-free snapshot tier: a scan that exhausts
-    /// the optimistic version-ladder attempts publishes a snapshot epoch
-    /// and reads a frozen pre-image overlay deposited by racing updaters
-    /// instead of escalating into the transactional machinery (see
-    /// [`threepath_core::SnapshotCtl`]). On by default; sound only under
-    /// strategies whose software paths are bracketed by the fallback
-    /// indicator or TLE lock — elsewhere the tier silently declines and
-    /// the scan escalates as before.
-    pub snapshot_scans: bool,
     /// HTM admission control on every shard's fallback path: at most
     /// this many threads may attempt hardware transactions while the
     /// shard's fallback is active; the overflow parks on a ready lane
@@ -206,7 +197,6 @@ impl Default for ShardedConfig {
             budget: None,
             read_path: true,
             scan_path: true,
-            snapshot_scans: true,
             admission: None,
             read_probe: None,
             controller: None,

@@ -12,7 +12,7 @@
 //! takes the shard's log lock around `append + execute`, making log
 //! order, lock order, and commit order the same order by construction.
 //! The cost when persistence is off is a single armed `Option` check
-//! per update — the same zero-cost discipline the snapshot tier uses.
+//! per update.
 //!
 //! # What the guarantee is
 //!

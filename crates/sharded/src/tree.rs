@@ -71,7 +71,6 @@ impl ShardTree {
                 budget: cfg.budget.clone(),
                 read_path: cfg.read_path,
                 scan_path: cfg.scan_path,
-                snapshot_scans: cfg.snapshot_scans,
                 admission: cfg.admission,
                 read_probe: cfg.read_probe.clone(),
                 admission_probe: cfg.admission_probe.clone(),
@@ -89,7 +88,6 @@ impl ShardTree {
                 budget: cfg.budget.clone(),
                 read_path: cfg.read_path,
                 scan_path: cfg.scan_path,
-                snapshot_scans: cfg.snapshot_scans,
                 admission: cfg.admission,
                 read_probe: cfg.read_probe.clone(),
                 admission_probe: cfg.admission_probe.clone(),

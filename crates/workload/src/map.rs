@@ -58,7 +58,6 @@ fn tree_config(spec: &TrialSpec, shards: usize, sharded: bool) -> ShardedConfig 
         budget: spec.budget.clone(),
         read_path: spec.read_path,
         scan_path: spec.scan_path,
-        snapshot_scans: spec.snapshot_scans,
         admission: spec.admission,
         read_probe: spec.read_probe.clone(),
         controller: None,

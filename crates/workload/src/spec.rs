@@ -317,12 +317,6 @@ pub struct TrialSpec {
     /// path (on by default); off drives them through `run_op` like any
     /// update — the baseline the scan benchmark panels compare against.
     pub scan_path: bool,
-    /// Arm the wait-free snapshot tier behind the scan path: a scan that
-    /// exhausts its optimistic attempts publishes a snapshot epoch and
-    /// reads a frozen pre-image overlay instead of escalating into the
-    /// transactional machinery (see [`threepath_core::SnapshotCtl`]). On
-    /// by default; off is the scan panels' escalate-to-`run_op` baseline.
-    pub snapshot_scans: bool,
     /// HTM admission control on the fallback path: at most this many
     /// threads attempt hardware transactions while a tree's fallback is
     /// active; the overflow takes the fallback directly (see
@@ -366,7 +360,6 @@ impl Default for TrialSpec {
             budget: None,
             read_path: true,
             scan_path: true,
-            snapshot_scans: true,
             admission: None,
             read_probe: None,
             admission_probe: None,

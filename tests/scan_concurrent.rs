@@ -15,6 +15,10 @@
 //!   tear one.
 //! * **Value determinism** — churn keys only ever hold `f(key)`; a torn
 //!   leaf read would surface as a foreign value.
+//! * **Sequence prefix** — one writer overwrites a fixed key set in a
+//!   seeded order, each write's value its step number, so every atomic
+//!   scan must equal the state after some prefix of that order. This is
+//!   the only check here that compares values *across* keys.
 //! * **Stats discipline** — scanner handles complete on the read lane
 //!   only; the sole exception is a terminal scan escalation, which is
 //!   itself counted, so `fast + middle + fallback == scan_escalations`.
@@ -23,7 +27,7 @@
 //! lane like `tests/read_concurrent.rs`.
 #![cfg(feature = "stress-tests")]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -320,78 +324,197 @@ fn sharded_scanners_race_updaters() {
     }
 }
 
-/// Acceptance criterion (snapshot tier): a sustained-churn `ScanHeavy`
-/// trial whose scans are long (`scan_len` ≥ 1000) completes every scan
-/// transaction-free. Scans whose validation ladder the churn defeats are
-/// rescued by the wait-free snapshot tier and counted as
-/// `scan_snapshots`; none may degrade into a `run_op` transaction
-/// (`scan_escalations == 0`), so the read lane carries exactly one
-/// completion per scan.
+/// Under sustained churn, long scans (`scan_len` 20 000 over 40 000 keys)
+/// stay on the optimistic ladder: at most 5% of them escalate to the
+/// template, and every scan is accounted for, either as a read-lane
+/// completion or as a counted escalation. On a 2-vCPU host the BST
+/// escalates about 1% of these scans in a debug build and 0.4% in a
+/// release build, with at most 3 of ~190 in one debug trial; the
+/// (a,b)-tree escalates about 0.01%.
 #[test]
-fn sustained_churn_scan_heavy_trial_is_transaction_free() {
+fn sustained_churn_scan_heavy_trial_rarely_escalates() {
     for structure in [Structure::Bst, Structure::AbTree] {
-        let mut snapshots = 0u64;
-        // The BST's validation sets are node-granular, so a long scan's
-        // tiers each span scheduler slices and churn defeats the whole
-        // ladder regularly; the rescue must fire. The ladder only
-        // exhausts when churn lands inside *every* tier of one scan —
-        // including the microsecond partial-rescan window — which needs
-        // threads actually running in parallel. On a single-CPU host the
-        // scheduler's coarse slices let the final tier re-validate
-        // unopposed (observed: 40 seeds, ~60 first-tier defeats per
-        // trial, zero ladder exhaustions), so there — as for the
-        // (a,b)-tree, whose leaf-granular sets are ~16x smaller and
-        // whose repair rounds run in microseconds on any host — the
-        // rescue stays covered by the deterministic in-crate snapshot
-        // tests and this trial contributes the acceptance property
-        // itself (zero transactional escalations under churn).
-        let parallel_host = std::thread::available_parallelism()
-            .map(|n| n.get() >= 2)
-            .unwrap_or(false);
-        let require_rescue = parallel_host && matches!(structure, Structure::Bst);
-        let seeds: u64 = if require_rescue { 6 } else { 1 };
-        for seed in 1..=seeds {
-            let spec = TrialSpec {
-                structure,
-                strategy: Strategy::ThreePath,
-                threads: 4,
-                duration: std::time::Duration::from_millis(250),
-                key_range: 40_000,
-                workload: Workload::ScanHeavy {
-                    scan_pct: 10,
-                    scan_len: 20_000,
-                },
-                read_probe: Some(threepath::core::ReadBoundConfig {
-                    epoch_ops: 2,
-                    ladder: vec![2],
-                    ..threepath::core::ReadBoundConfig::default()
-                }),
-                seed,
-                ..TrialSpec::default()
-            };
-            let r = run_trial(&spec);
-            assert!(r.keysum_ok, "{structure}: keysum diverged");
-            assert!(r.scan_ops > 0, "{structure}: trial ran no scans");
-            assert_eq!(
-                r.stats.scan_escalations(),
-                0,
-                "{structure}: a long scan escalated into a transaction"
-            );
-            assert_eq!(
-                r.stats.completed(PathKind::Read),
-                r.scan_ops,
-                "{structure}: scans must complete on the read lane only"
-            );
-            snapshots += r.stats.scan_snapshots();
-            if snapshots > 0 {
-                break;
-            }
-        }
+        let r = run_trial(&TrialSpec {
+            structure,
+            strategy: Strategy::ThreePath,
+            threads: 4,
+            duration: std::time::Duration::from_millis(750),
+            key_range: 40_000,
+            workload: Workload::ScanHeavy {
+                scan_pct: 10,
+                scan_len: 20_000,
+            },
+            ..TrialSpec::default()
+        });
+        assert!(r.keysum_ok, "{structure}: keysum diverged");
+        assert!(r.scan_ops > 0, "{structure}: trial ran no scans");
+        let escalations = r.stats.scan_escalations();
         assert!(
-            !require_rescue || snapshots > 0,
-            "{structure}: churn never drove a scan into the snapshot tier"
+            escalations * 20 <= r.scan_ops,
+            "{structure}: {escalations} of {} scans escalated",
+            r.scan_ops
+        );
+        assert_eq!(
+            r.stats.completed(PathKind::Read) + escalations,
+            r.scan_ops,
+            "{structure}: a scan neither completed on the read lane nor escalated"
         );
     }
+}
+
+/// Keys of the sequence oracle: every `KEY_SPACE / SEQ_KEYS`-th key, so
+/// a full scan crosses many leaves (and, on a sharded map, every shard).
+const SEQ_KEYS: u64 = 64;
+/// Overwrites the oracle's single writer performs.
+const SEQ_STEPS: u64 = 3000;
+
+/// The single writer's seeded schedule: step `s` (1-based) writes the
+/// value `s` to key `schedule[s - 1]`.
+fn seq_schedule(seed: u64) -> Vec<u64> {
+    let mut rng = SplitMix64::new(seed);
+    (0..SEQ_STEPS)
+        .map(|_| rng.next_below(SEQ_KEYS) * (KEY_SPACE / SEQ_KEYS))
+        .collect()
+}
+
+/// What every key holds after each prefix of a schedule.
+struct SeqOracle {
+    /// Key -> the ascending steps that wrote it.
+    writes: BTreeMap<u64, Vec<u64>>,
+}
+
+impl SeqOracle {
+    fn new(schedule: &[u64]) -> Self {
+        let mut writes: BTreeMap<u64, Vec<u64>> = (0..SEQ_KEYS)
+            .map(|i| (i * (KEY_SPACE / SEQ_KEYS), Vec::new()))
+            .collect();
+        for (i, k) in schedule.iter().enumerate() {
+            writes.get_mut(k).unwrap().push(i as u64 + 1);
+        }
+        SeqOracle { writes }
+    }
+
+    /// The value `key` holds once the first `s` steps have landed (0 is
+    /// the prefill).
+    fn value_after(&self, key: u64, s: u64) -> u64 {
+        let w = &self.writes[&key];
+        w[..w.partition_point(|&x| x <= s)].last().copied().unwrap_or(0)
+    }
+
+    /// `pairs` come from one atomic scan. With `s` the latest step they
+    /// show, every key must show its last write at or before `s`.
+    fn check(&self, pairs: &[(u64, u64)], tag: &str) {
+        let s = pairs.iter().map(|&(_, v)| v).max().unwrap_or(0);
+        for &(k, v) in pairs {
+            assert_eq!(
+                v,
+                self.value_after(k, s),
+                "{tag}: key {k} shows step {v} in a scan that saw step {s}"
+            );
+        }
+    }
+}
+
+/// One writer overwrites the oracle keys in a seeded order while two
+/// scanners check that every full scan equals the state after some
+/// prefix of that order. `unit_of` maps a key to its atomic scan unit:
+/// one tree is one unit, a sharded map has one unit per shard.
+fn sequence_race<H>(
+    tag: &str,
+    handle: impl Fn() -> H + Sync,
+    insert: fn(&mut H, u64, u64) -> Option<u64>,
+    scan: fn(&mut H) -> Vec<(u64, u64)>,
+    unit_of: impl Fn(u64) -> usize + Sync,
+) {
+    let schedule = seq_schedule(0x5E0);
+    let oracle = SeqOracle::new(&schedule);
+    {
+        let mut h = handle();
+        for &k in oracle.writes.keys() {
+            assert_eq!(insert(&mut h, k, 0), None);
+        }
+    }
+    let done = Arc::new(AtomicBool::new(false));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _done = StopOnDrop(done.clone());
+            let mut h = handle();
+            for (i, &k) in schedule.iter().enumerate() {
+                let step = i as u64 + 1;
+                assert_eq!(
+                    insert(&mut h, k, step),
+                    Some(oracle.value_after(k, step - 1)),
+                    "{tag}: overwrite of {k} returned a wrong previous value"
+                );
+            }
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut h = handle();
+                let mut scans = 0u64;
+                while !done.load(Ordering::Relaxed) || scans < 50 {
+                    let out = scan(&mut h);
+                    assert_eq!(out.len() as u64, SEQ_KEYS, "{tag}: a scan lost a key");
+                    let mut units: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+                    for p in out {
+                        units.entry(unit_of(p.0)).or_default().push(p);
+                    }
+                    for pairs in units.values() {
+                        oracle.check(pairs, tag);
+                    }
+                    scans += 1;
+                }
+            });
+        }
+    });
+}
+
+/// The sequence oracle on both trees under every strategy, with 40%
+/// spurious aborts: scans must be atomic across keys, not only per key.
+#[test]
+fn scans_match_a_prefix_of_a_single_writer_sequence() {
+    for backend in [ShardBackend::Bst, ShardBackend::AbTree] {
+        for strategy in Strategy::ALL {
+            let tree = ShardTree::build(&ShardedConfig {
+                backend,
+                strategy,
+                key_space: KEY_SPACE,
+                htm: HtmConfig::default().with_spurious(0.4).with_seed(29),
+                ..ShardedConfig::default()
+            });
+            sequence_race(
+                &format!("{backend}/{strategy}"),
+                || tree.handle(),
+                |h, k, v| h.insert(k, v),
+                |h| h.range_query(0, KEY_SPACE),
+                |_| 0,
+            );
+        }
+    }
+}
+
+/// The sequence oracle per shard: a cross-shard scan is atomic within
+/// each shard, so each shard's part must match a prefix on its own.
+#[test]
+fn sharded_scans_match_a_prefix_per_shard() {
+    let map = Arc::new(
+        ShardedMap::with_config(ShardedConfig {
+            shards: 4,
+            backend: ShardBackend::AbTree,
+            key_space: KEY_SPACE,
+            router: RouterKind::Range,
+            htm: HtmConfig::default().with_spurious(0.4),
+            ..ShardedConfig::default()
+        })
+        .unwrap(),
+    );
+    sequence_race(
+        "sharded",
+        || map.handle(),
+        |h, k, v| h.insert(k, v),
+        |h| h.range_query(0, KEY_SPACE),
+        |k| map.shard_of(k),
+    );
 }
 
 /// Steady state, no contention: scans execute zero HTM transactions on
