@@ -20,11 +20,12 @@
 //! template executor (software/middle paths) and the sequential executor
 //! (fast/TLE paths) share the same pure content planners.
 
-use threepath_core::{Mem, OpOutcome, TemplateMode};
-use threepath_htm::{Abort, TxCell};
+use threepath_core::{Mem, OpOutcome, TemplateMode, TxRead};
+use threepath_htm::Abort;
 use threepath_llxscx::ScxArgs;
 
 use crate::node::{AbNode, NodeView, B};
+use crate::ops::{llx_edge, route};
 
 /// The first violation on a key's path.
 pub(crate) struct Violation {
@@ -38,8 +39,8 @@ pub(crate) struct Violation {
 }
 
 /// Walks from the entry toward `key`, returning the first violation.
-pub(crate) fn find_violation(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+pub(crate) fn find_violation<R: TxRead>(
+    r: &mut R,
     entry: *mut AbNode,
     key: u64,
     a: usize,
@@ -48,11 +49,11 @@ pub(crate) fn find_violation(
     let mut gp_idx = 0usize;
     let mut p = entry;
     let mut p_idx = 0usize;
-    let mut u = read(unsafe { &*entry }.ptr_cell(0))? as *mut AbNode;
+    let mut u = r.read_ptr::<AbNode>(unsafe { &*entry }.ptr_cell(0))?;
     loop {
         // SAFETY: reachable under the operation's epoch pin.
         let un = unsafe { &*u };
-        let size = read(un.size_cell())? as usize;
+        let size = r.read(un.size_cell())? as usize;
         if un.tagged {
             return Ok(Some(Violation {
                 gp,
@@ -79,12 +80,8 @@ pub(crate) fn find_violation(
         gp = p;
         gp_idx = p_idx;
         p = u;
-        let mut i = 0;
-        while i + 1 < size && key >= read(un.key_cell(i))? {
-            i += 1;
-        }
-        p_idx = i;
-        u = read(un.ptr_cell(i))? as *mut AbNode;
+        p_idx = route(r, un, size, key)?;
+        u = r.read_ptr(un.ptr_cell(p_idx))?;
     }
 }
 
@@ -298,11 +295,7 @@ pub(crate) fn fix_step_tmpl<M: TemplateMode>(
     key: u64,
     a: usize,
 ) -> Result<OpOutcome<bool>, Abort> {
-    let viol = {
-        let mut rd = |c: &TxCell| m.read(c);
-        find_violation(&mut rd, entry, key, a)?
-    };
-    let Some(v) = viol else {
+    let Some(v) = find_violation(m, entry, key, a)? else {
         return Ok(OpOutcome::Done(false));
     };
 
@@ -323,21 +316,13 @@ fn fix_tag_tmpl<M: TemplateMode>(
 
     if v.p == entry {
         // Tagged root: replace with an untagged copy.
-        let hp = match m.llx(&p.hdr, p.mutable())? {
-            Some(h) => h,
-            None => return Ok(OpOutcome::Retry),
-        };
-        if hp.snapshot().get(0) != v.u as u64 {
+        let Some(hp) = llx_edge(m, p, 0, v.u)? else {
             return Ok(OpOutcome::Retry);
-        }
-        let hu = match m.llx(&u.hdr, u.mutable())? {
-            Some(h) => h,
-            None => return Ok(OpOutcome::Retry),
         };
-        let uv = {
-            let mut rd = |c: &TxCell| m.read(c);
-            NodeView::from_snapshot(&mut rd, u, hu.snapshot())?
+        let Some(hu) = m.llx(&u.hdr, u.mutable())? else {
+            return Ok(OpOutcome::Retry);
         };
+        let uv = NodeView::from_snapshot(m, u, hu.snapshot())?;
         let copy = m.alloc(copy_spec(&uv, u.leaf, false).build());
         let ok = m.scx(&ScxArgs {
             v: &[&hp, &hu],
@@ -359,30 +344,17 @@ fn fix_tag_tmpl<M: TemplateMode>(
 
     debug_assert!(!v.gp.is_null());
     let gp = unsafe { &*v.gp };
-    let hgp = match m.llx(&gp.hdr, gp.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
-    };
-    if hgp.snapshot().get(v.gp_idx) != v.p as u64 {
+    let Some(hgp) = llx_edge(m, gp, v.gp_idx, v.p)? else {
         return Ok(OpOutcome::Retry);
-    }
-    let hp = match m.llx(&p.hdr, p.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
     };
-    if hp.snapshot().get(v.p_idx) != v.u as u64 {
+    let Some(hp) = llx_edge(m, p, v.p_idx, v.u)? else {
         return Ok(OpOutcome::Retry);
-    }
-    let hu = match m.llx(&u.hdr, u.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
     };
-    let (pv, uv) = {
-        let mut rd = |c: &TxCell| m.read(c);
-        let pv = NodeView::from_snapshot(&mut rd, p, hp.snapshot())?;
-        let uv = NodeView::from_snapshot(&mut rd, u, hu.snapshot())?;
-        (pv, uv)
+    let Some(hu) = m.llx(&u.hdr, u.mutable())? else {
+        return Ok(OpOutcome::Retry);
     };
+    let pv = NodeView::from_snapshot(m, p, hp.snapshot())?;
+    let uv = NodeView::from_snapshot(m, u, hu.snapshot())?;
 
     if pv.size - 1 + uv.size <= B {
         // Absorb u into p.
@@ -454,37 +426,22 @@ fn fix_degree_tmpl<M: TemplateMode>(
     let p = unsafe { &*v.p };
     let u = unsafe { &*v.u };
 
-    let hgp = match m.llx(&gp.hdr, gp.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
-    };
-    if hgp.snapshot().get(v.gp_idx) != v.p as u64 {
+    let Some(hgp) = llx_edge(m, gp, v.gp_idx, v.p)? else {
         return Ok(OpOutcome::Retry);
-    }
-    let hp = match m.llx(&p.hdr, p.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
     };
-    if hp.snapshot().get(v.p_idx) != v.u as u64 {
+    let Some(hp) = llx_edge(m, p, v.p_idx, v.u)? else {
         return Ok(OpOutcome::Retry);
-    }
-    let pv = {
-        let mut rd = |c: &TxCell| m.read(c);
-        NodeView::from_snapshot(&mut rd, p, hp.snapshot())?
     };
+    let pv = NodeView::from_snapshot(m, p, hp.snapshot())?;
 
     if pv.size == 1 {
         // Degree-1 parent: it must be the root (anything else would have
         // been flagged first on the walk). Collapse a level.
         debug_assert!(v.gp == entry, "degree-1 internal below the root");
-        let hu = match m.llx(&u.hdr, u.mutable())? {
-            Some(h) => h,
-            None => return Ok(OpOutcome::Retry),
+        let Some(hu) = m.llx(&u.hdr, u.mutable())? else {
+            return Ok(OpOutcome::Retry);
         };
-        let uv = {
-            let mut rd = |c: &TxCell| m.read(c);
-            NodeView::from_snapshot(&mut rd, u, hu.snapshot())?
-        };
+        let uv = NodeView::from_snapshot(m, u, hu.snapshot())?;
         let copy = m.alloc(copy_spec(&uv, u.leaf, false).build());
         let ok = m.scx(&ScxArgs {
             v: &[&hgp, &hp, &hu],
@@ -532,20 +489,14 @@ fn fix_degree_tmpl<M: TemplateMode>(
     };
     let ln = unsafe { &*l_ptr };
     let rn = unsafe { &*r_ptr };
-    let hl = match m.llx(&ln.hdr, ln.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
+    let Some(hl) = m.llx(&ln.hdr, ln.mutable())? else {
+        return Ok(OpOutcome::Retry);
     };
-    let hr = match m.llx(&rn.hdr, rn.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
+    let Some(hr) = m.llx(&rn.hdr, rn.mutable())? else {
+        return Ok(OpOutcome::Retry);
     };
-    let (lv, rv) = {
-        let mut rd = |c: &TxCell| m.read(c);
-        let lv = NodeView::from_snapshot(&mut rd, ln, hl.snapshot())?;
-        let rv = NodeView::from_snapshot(&mut rd, rn, hr.snapshot())?;
-        (lv, rv)
-    };
+    let lv = NodeView::from_snapshot(m, ln, hl.snapshot())?;
+    let rv = NodeView::from_snapshot(m, rn, hr.snapshot())?;
     let leaf = ln.leaf;
     debug_assert_eq!(leaf, rn.leaf, "siblings at different heights");
     let pulldown = pv.keys[li];
@@ -641,11 +592,7 @@ pub(crate) fn fix_step_seq<M: Mem>(
     a: usize,
     mark_removed: bool,
 ) -> Result<bool, Abort> {
-    let viol = {
-        let mut rd = |c: &TxCell| m.read(c);
-        find_violation(&mut rd, entry, key, a)?
-    };
-    let Some(v) = viol else {
+    let Some(v) = find_violation(m, entry, key, a)? else {
         return Ok(false);
     };
     fix_violation_seq(m, entry, &v, mark_removed)?;
@@ -670,22 +617,17 @@ fn fix_violation_seq<M: Mem>(
 ) -> Result<(), Abort> {
     let p = unsafe { &*v.p };
     let u = unsafe { &*v.u };
-    let rd_view = |m: &mut M, n: &AbNode| {
-        let mut rd = |c: &TxCell| m.read(c);
-        NodeView::read(&mut rd, n)
-    };
-
     if v.tagged {
         if v.p == entry {
             // Untag the root.
-            let uv = rd_view(m, u)?;
+            let uv = NodeView::read(m, u)?;
             let copy = m.alloc(copy_spec(&uv, u.leaf, false).build());
             m.write(p.ptr_cell(0), copy as u64)?;
             return retire_marked(m, v.u, mark);
         }
         let gp = unsafe { &*v.gp };
-        let pv = rd_view(m, p)?;
-        let uv = rd_view(m, u)?;
+        let pv = NodeView::read(m, p)?;
+        let uv = NodeView::read(m, u)?;
         if pv.size - 1 + uv.size <= B {
             let pn = m.alloc(absorb_spec(&pv, &uv, v.p_idx).build());
             m.write(gp.ptr_cell(v.gp_idx), pn as u64)?;
@@ -707,10 +649,10 @@ fn fix_violation_seq<M: Mem>(
     // Degree violation.
     debug_assert!(v.p != entry);
     let gp = unsafe { &*v.gp };
-    let pv = rd_view(m, p)?;
+    let pv = NodeView::read(m, p)?;
     if pv.size == 1 {
         debug_assert!(v.gp == entry, "degree-1 internal below the root");
-        let uv = rd_view(m, u)?;
+        let uv = NodeView::read(m, u)?;
         let copy = m.alloc(copy_spec(&uv, u.leaf, false).build());
         m.write(gp.ptr_cell(v.gp_idx), copy as u64)?;
         retire_marked(m, v.p, mark)?;
@@ -737,8 +679,8 @@ fn fix_violation_seq<M: Mem>(
     };
     let ln = unsafe { &*l_ptr };
     let rn = unsafe { &*r_ptr };
-    let lv = rd_view(m, ln)?;
-    let rv = rd_view(m, rn)?;
+    let lv = NodeView::read(m, ln)?;
+    let rv = NodeView::read(m, rn)?;
     let leaf = ln.leaf;
     let pulldown = pv.keys[li];
 

@@ -1,5 +1,6 @@
 //! (a,b)-tree nodes and consistent node views.
 
+use threepath_core::TxRead;
 use threepath_htm::{Abort, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxHeader, Snapshot};
 
@@ -101,6 +102,11 @@ impl AbNode {
         &self.keys[i]
     }
 
+    /// The first `n` key cells.
+    pub(crate) fn key_cells(&self, n: usize) -> &[TxCell] {
+        &self.keys[..n]
+    }
+
     pub(crate) fn size_cell(&self) -> &TxCell {
         &self.size
     }
@@ -138,39 +144,31 @@ pub(crate) struct NodeView {
 }
 
 impl NodeView {
-    /// Reads keys, size and pointers through `read` (sequential paths, or
-    /// transactional template reads).
-    pub(crate) fn read(
-        read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
-        n: &AbNode,
-    ) -> Result<NodeView, Abort> {
-        let size = read(&n.size)? as usize;
-        debug_assert!(size <= B);
-        let mut v = NodeView {
-            keys: [0; B],
-            ptrs: [0; B],
-            size,
-        };
-        let nkeys = if n.leaf { size } else { size.saturating_sub(1) };
-        for i in 0..nkeys {
-            v.keys[i] = read(&n.keys[i])?;
-        }
-        for i in 0..size {
-            v.ptrs[i] = read(&n.ptrs[i])?;
-        }
+    /// Reads size, then keys, then pointers through `r`, the keys and the
+    /// pointers each as one span (one validation per cache line).
+    pub(crate) fn read<R: TxRead>(r: &mut R, n: &AbNode) -> Result<NodeView, Abort> {
+        let mut v = NodeView::keys_of(r, n)?;
+        r.read_span(&n.ptrs[..v.size], &mut v.ptrs[..v.size])?;
         Ok(v)
     }
 
     /// Builds a view whose pointers come from an LLX snapshot (the values
-    /// the linked SCX will validate), with keys/size read through `read`.
-    /// Used by template operations on the software path, where keys and
-    /// size are immutable.
-    pub(crate) fn from_snapshot(
-        read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+    /// the linked SCX will validate), with keys and size read through `r`.
+    /// Used by template operations, where keys and size are immutable.
+    pub(crate) fn from_snapshot<R: TxRead>(
+        r: &mut R,
         n: &AbNode,
         snap: &Snapshot,
     ) -> Result<NodeView, Abort> {
-        let size = read(&n.size)? as usize;
+        let mut v = NodeView::keys_of(r, n)?;
+        v.ptrs[..v.size].copy_from_slice(&snap.as_slice()[..v.size]);
+        Ok(v)
+    }
+
+    /// A view holding `n`'s size and keys (leaf: `size`, internal:
+    /// `size - 1`), pointers not yet read.
+    fn keys_of<R: TxRead>(r: &mut R, n: &AbNode) -> Result<NodeView, Abort> {
+        let size = r.read(&n.size)? as usize;
         debug_assert!(size <= B);
         let mut v = NodeView {
             keys: [0; B],
@@ -178,10 +176,7 @@ impl NodeView {
             size,
         };
         let nkeys = if n.leaf { size } else { size.saturating_sub(1) };
-        for i in 0..nkeys {
-            v.keys[i] = read(&n.keys[i])?;
-        }
-        v.ptrs[..size].copy_from_slice(&snap.as_slice()[..size]);
+        r.read_span(&n.keys[..nkeys], &mut v.keys[..nkeys])?;
         Ok(v)
     }
 
@@ -207,10 +202,10 @@ impl NodeView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use threepath_htm::HtmConfig;
 
     fn read_plain(n: &AbNode) -> NodeView {
-        let mut rd = |c: &TxCell| Ok(c.load_plain());
-        NodeView::read(&mut rd, n).unwrap()
+        NodeView::read(&mut &HtmRuntime::new(HtmConfig::default()), n).unwrap()
     }
 
     #[test]

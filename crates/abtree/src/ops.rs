@@ -6,9 +6,9 @@
 //! exactly like the paper's data structure fixes the violations each
 //! operation creates.
 
-use threepath_core::{Mem, OpOutcome, TemplateMode};
-use threepath_htm::{Abort, TxCell};
-use threepath_llxscx::ScxArgs;
+use threepath_core::{Mem, OpOutcome, TemplateMode, TxRead};
+use threepath_htm::{line_runs, Abort};
+use threepath_llxscx::{LlxHandle, ScxArgs};
 
 use crate::node::{AbNode, NodeView, B};
 
@@ -23,24 +23,33 @@ pub(crate) struct AbFound {
     pub l: *mut AbNode,
 }
 
-/// Routing step: index of the child of `n` covering `key`.
-fn route(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+/// Routing step: index of the child of `n` (degree `size`) covering
+/// `key`. The routing keys are read one cache line at a time, stopping at
+/// the line that holds the first key above `key`: the lines read are
+/// exactly those a key-by-key scan reads, never one more.
+pub(crate) fn route<R: TxRead>(
+    r: &mut R,
     n: &AbNode,
+    size: usize,
     key: u64,
 ) -> Result<usize, Abort> {
-    let size = read(n.size_cell())? as usize;
     debug_assert!((1..=B).contains(&size));
+    let mut keys = [0u64; B];
     let mut i = 0;
-    while i + 1 < size && key >= read(n.key_cell(i))? {
-        i += 1;
+    for run in line_runs(n.key_cells(size.saturating_sub(1))) {
+        let got = &mut keys[i..i + run.len()];
+        r.read_span(run, got)?;
+        if let Some(j) = got.iter().position(|&k| key < k) {
+            return Ok(i + j);
+        }
+        i += run.len();
     }
     Ok(i)
 }
 
 /// Descends from the entry node to the leaf covering `key`.
-pub(crate) fn search_ab(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+pub(crate) fn search_ab<R: TxRead>(
+    r: &mut R,
     entry: *mut AbNode,
     key: u64,
 ) -> Result<AbFound, Abort> {
@@ -48,11 +57,13 @@ pub(crate) fn search_ab(
     // pointers under the operation's epoch pin.
     let mut p = entry;
     let mut p_idx = 0usize;
-    let mut l = read(unsafe { &*entry }.ptr_cell(0))? as *mut AbNode;
+    let mut l = r.read_ptr::<AbNode>(unsafe { &*entry }.ptr_cell(0))?;
     while !unsafe { &*l }.leaf {
         p = l;
-        p_idx = route(read, unsafe { &*p }, key)?;
-        l = read(unsafe { &*p }.ptr_cell(p_idx))? as *mut AbNode;
+        let n = unsafe { &*p };
+        let size = r.read(n.size_cell())? as usize;
+        p_idx = route(r, n, size, key)?;
+        l = r.read_ptr(n.ptr_cell(p_idx))?;
     }
     Ok(AbFound { p, p_idx, l })
 }
@@ -94,21 +105,13 @@ pub(crate) fn insert_tmpl<M: TemplateMode>(
 ) -> Result<OpOutcome<UpdResult>, Abort> {
     let p = unsafe { &*f.p };
     let l = unsafe { &*f.l };
-    let hp = match m.llx(&p.hdr, p.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
-    };
-    if hp.snapshot().get(f.p_idx) != f.l as u64 {
+    let Some(hp) = llx_edge(m, p, f.p_idx, f.l)? else {
         return Ok(OpOutcome::Retry);
-    }
-    let hl = match m.llx(&l.hdr, l.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
     };
-    let lv = {
-        let mut rd = |c: &TxCell| m.read(c);
-        NodeView::from_snapshot(&mut rd, l, hl.snapshot())?
+    let Some(hl) = m.llx(&l.hdr, l.mutable())? else {
+        return Ok(OpOutcome::Retry);
     };
+    let lv = NodeView::from_snapshot(m, l, hl.snapshot())?;
 
     let prev = lv.find_key(key);
     if let Ok(i) = prev {
@@ -154,13 +157,25 @@ pub(crate) fn insert_tmpl<M: TemplateMode>(
     }
 }
 
+/// LLX of `n` whose child `i` must still be `child`: `None` (retry the
+/// operation) when the LLX failed or the edge moved since the search.
+pub(crate) fn llx_edge<M: TemplateMode>(
+    m: &mut M,
+    n: &AbNode,
+    i: usize,
+    child: *mut AbNode,
+) -> Result<Option<LlxHandle>, Abort> {
+    Ok(m.llx(&n.hdr, n.mutable())?
+        .filter(|h| h.snapshot().get(i) == child as u64))
+}
+
 /// Shared SCX tail for leaf-replacing updates: swings `p.ptrs[p_idx]` from
 /// the old leaf to `new`, finalizing the old leaf.
 fn finish_leaf_replace<M: TemplateMode>(
     m: &mut M,
     f: &AbFound,
-    hp: &threepath_llxscx::LlxHandle,
-    hl: &threepath_llxscx::LlxHandle,
+    hp: &LlxHandle,
+    hl: &LlxHandle,
     new: *mut AbNode,
     prev: Option<u64>,
     fix: bool,
@@ -194,21 +209,13 @@ pub(crate) fn delete_tmpl<M: TemplateMode>(
 ) -> Result<OpOutcome<UpdResult>, Abort> {
     let p = unsafe { &*f.p };
     let l = unsafe { &*f.l };
-    let hp = match m.llx(&p.hdr, p.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
-    };
-    if hp.snapshot().get(f.p_idx) != f.l as u64 {
+    let Some(hp) = llx_edge(m, p, f.p_idx, f.l)? else {
         return Ok(OpOutcome::Retry);
-    }
-    let hl = match m.llx(&l.hdr, l.mutable())? {
-        Some(h) => h,
-        None => return Ok(OpOutcome::Retry),
     };
-    let lv = {
-        let mut rd = |c: &TxCell| m.read(c);
-        NodeView::from_snapshot(&mut rd, l, hl.snapshot())?
+    let Some(hl) = m.llx(&l.hdr, l.mutable())? else {
+        return Ok(OpOutcome::Retry);
     };
+    let lv = NodeView::from_snapshot(m, l, hl.snapshot())?;
     let i = match lv.find_key(key) {
         Ok(i) => i,
         Err(_) => return Ok(OpOutcome::Done((None, false))),
@@ -261,10 +268,7 @@ pub(crate) fn insert_seq<M: Mem>(
     }
     let p = unsafe { &*f.p };
     let l = unsafe { &*f.l };
-    let lv = {
-        let mut rd = |c: &TxCell| m.read(c);
-        NodeView::read(&mut rd, l)?
-    };
+    let lv = NodeView::read(m, l)?;
     match lv.find_key(key) {
         Ok(i) => {
             // Value-only update: one cell, but still wrapped in the
@@ -340,10 +344,7 @@ pub(crate) fn delete_seq<M: Mem>(
     if validate {
         validate_seq(m, f)?;
     }
-    let lv = {
-        let mut rd = |c: &TxCell| m.read(c);
-        NodeView::read(&mut rd, l)?
-    };
+    let lv = NodeView::read(m, l)?;
     let i = match lv.find_key(key) {
         Ok(i) => i,
         Err(_) => return Ok((None, false)),
@@ -379,25 +380,25 @@ fn end_inplace<M: Mem>(m: &mut M, l: &AbNode, v0: u64) -> Result<(), Abort> {
     m.write(l.ver_cell(), v0.wrapping_add(2))
 }
 
-/// Lookup through any read mode.
-pub(crate) fn get_with(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
-    f: &AbFound,
+/// Lookup through any read mode: search, then read the leaf.
+pub(crate) fn get_with<R: TxRead>(
+    r: &mut R,
+    entry: *mut AbNode,
     key: u64,
 ) -> Result<Option<u64>, Abort> {
-    let l = unsafe { &*f.l };
-    let lv = NodeView::read(read, l)?;
+    let l = search_ab(r, entry, key)?.l;
+    let lv = NodeView::read(r, unsafe { &*l })?;
     Ok(lv.find_key(key).ok().map(|i| lv.ptrs[i]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
 
     fn leaf_view(items: &[(u64, u64)]) -> (AbNode, NodeView) {
         let n = AbNode::new_leaf(items);
-        let mut rd = |c: &TxCell| Ok(c.load_plain());
-        let v = NodeView::read(&mut rd, &n).unwrap();
+        let v = NodeView::read(&mut &HtmRuntime::new(HtmConfig::default()), &n).unwrap();
         (n, v)
     }
 
@@ -433,5 +434,115 @@ mod tests {
         let n = items_with(&v, 5, 99, &mut buf);
         assert_eq!(n, B + 1);
         assert!(buf[..n].windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// A node on cache lines of its own, as pool blocks place nodes.
+    #[repr(C, align(64))]
+    struct Lined(AbNode);
+
+    /// The cells the key-by-key descent read before spans: the root edge;
+    /// per internal node its size, the routing keys up to the first one
+    /// above `key`, and the chosen edge; then the leaf's size, keys and
+    /// values, and the `ver` an in-place insert reads.
+    fn per_cell_insert_reads(entry: &AbNode, key: u64) -> Vec<*const TxCell> {
+        // SAFETY (both derefs): test-owned nodes, alive for the whole test.
+        let mut cells: Vec<*const TxCell> = vec![entry.ptr_cell(0)];
+        let mut n = unsafe { &*(entry.ptr_plain(0) as *const AbNode) };
+        while !n.leaf {
+            cells.push(n.size_cell());
+            let size = n.size_plain();
+            let mut i = 0;
+            while i + 1 < size {
+                cells.push(n.key_cell(i));
+                if key < n.key_plain(i) {
+                    break;
+                }
+                i += 1;
+            }
+            cells.push(n.ptr_cell(i));
+            n = unsafe { &*(n.ptr_plain(i) as *const AbNode) };
+        }
+        cells.push(n.size_cell());
+        let size = n.size_plain();
+        cells.extend((0..size).map(|i| n.key_cell(i) as *const TxCell));
+        cells.extend((0..size).map(|i| n.ptr_cell(i) as *const TxCell));
+        cells.push(n.ver_cell());
+        cells
+    }
+
+    /// A fast-path insert on a fixed 3-level tree records exactly the
+    /// lines of the cells the key-by-key descent read: reading by line
+    /// changes the cost of a read set, not its contents. A route decided
+    /// by a key on the root's first key line leaves the second unread.
+    #[test]
+    fn fast_path_insert_reads_the_per_cell_lines() {
+        use std::sync::Arc;
+        use threepath_core::{Effects, TxMem};
+        use threepath_reclaim::{Domain, ReclaimMode};
+
+        // entry -> root (keys 100..=1500, 16 children) -> mid[i] (key
+        // 100i + 50, two leaves) -> leaves of two keys each.
+        let mut nodes: Vec<Box<Lined>> = Vec::new();
+        let mut node = |n: AbNode| {
+            nodes.push(Box::new(Lined(n)));
+            &nodes.last().unwrap().0 as *const AbNode as u64
+        };
+        let mids: Vec<u64> = (0..16u64)
+            .map(|i| {
+                let lo = node(AbNode::new_leaf(&[(100 * i + 10, 1), (100 * i + 20, 2)]));
+                let hi = node(AbNode::new_leaf(&[(100 * i + 60, 3), (100 * i + 70, 4)]));
+                node(AbNode::new_internal(&[100 * i + 50], &[lo, hi], false))
+            })
+            .collect();
+        let keys: Vec<u64> = (1..16).map(|i| 100 * i).collect();
+        let root = node(AbNode::new_internal(&keys, &mids, false)) as *mut AbNode;
+        let entry = node(AbNode::new_internal(&[], &[root as u64], false)) as *mut AbNode;
+        // The first routing key on the root's second key line.
+        let line = |c: &TxCell| c as *const TxCell as usize / threepath_htm::LINE_BYTES;
+        let r = unsafe { &*root };
+        let second = (0..15)
+            .find(|&i| line(r.key_cell(i)) != line(r.key_cell(0)))
+            .unwrap();
+
+        // A 2^20-entry line table: distinct lines of one node never share
+        // a version word here.
+        let rt = HtmRuntime::new(HtmConfig {
+            line_table_bits: 20,
+            ..HtmConfig::reliable()
+        });
+        let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
+        let ctx = Domain::register(&domain);
+        let _pin = ctx.pin();
+        let mut th = rt.register_thread();
+        let mut eff = Effects::new();
+        // Key 15 routes on keys[0]; key 1475 reads the root's keys up to
+        // keys[14], across every key line.
+        for key in [15, 1475] {
+            let old = per_cell_insert_reads(unsafe { &*entry }, key);
+            let want = rt
+                .attempt(&mut th, |tx| {
+                    for &c in &old {
+                        tx.read(unsafe { &*c })?;
+                    }
+                    let lines = tx.footprint().0;
+                    tx.read(r.key_cell(second))?;
+                    Ok((lines, tx.footprint().0 - lines))
+                })
+                .unwrap();
+            let got = rt
+                .attempt(&mut th, |tx| {
+                    let mut m = TxMem::new(tx, &mut eff, &ctx);
+                    let f = search_ab(&mut m, entry, key)?;
+                    assert_eq!(insert_seq(&mut m, entry, &f, key, 9, false)?, (None, false));
+                    let lines = m.txn().footprint().0;
+                    m.read(r.key_cell(second))?;
+                    Ok((lines, m.txn().footprint().0 - lines))
+                })
+                .unwrap();
+            assert_eq!(got, want, "key {key}: (lines, added by keys[{second}])");
+            if key == 15 {
+                assert_eq!(got.1, 1, "the second key line was read");
+            }
+        }
     }
 }

@@ -65,7 +65,7 @@
 
 use std::sync::atomic::{fence, Ordering};
 
-use threepath_htm::{Abort, HtmRuntime, TxCell};
+use threepath_htm::{HtmRuntime, TxCell};
 
 use crate::node::{AbNode, NodeView, B};
 
@@ -263,13 +263,9 @@ pub(crate) fn extreme_optimistic(
     // Rare path: the extremum leaf is transiently empty — full directed
     // DFS skipping empty leaves, still recording every followed edge and
     // visited leaf version.
-    let mut rd = |c: &TxCell| Ok::<u64, Abort>(c.load_direct(rt));
     let mut stack: Vec<(*mut AbNode, *const TxCell)> = Vec::new();
-    let push_children = |n: &AbNode,
-                         stack: &mut Vec<(*mut AbNode, *const TxCell)>,
-                         rd: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>|
-     -> Option<()> {
-        let v = NodeView::read(rd, n).expect("direct read cannot abort");
+    let push_children = |n: &AbNode, stack: &mut Vec<(*mut AbNode, *const TxCell)>| -> Option<()> {
+        let v = NodeView::read(&mut &*rt, n).expect("direct read cannot abort");
         if v.size == 0 || v.size > B {
             return None;
         }
@@ -293,7 +289,7 @@ pub(crate) fn extreme_optimistic(
         }
         return Some(None);
     }
-    push_children(unsafe { &*root }, &mut stack, &mut rd)?;
+    push_children(unsafe { &*root }, &mut stack)?;
     while let Some((ptr, parent_cell)) = stack.pop() {
         // SAFETY: reachable under the caller's epoch pin.
         if !trace.push(unsafe { &*parent_cell }, ptr as u64) {
@@ -313,7 +309,7 @@ pub(crate) fn extreme_optimistic(
                 return Some(Some((v.keys[i], v.ptrs[i])));
             }
         } else {
-            push_children(n, &mut stack, &mut rd)?;
+            push_children(n, &mut stack)?;
         }
     }
     if !trace.revalidate(rt) {

@@ -1,28 +1,29 @@
 //! Range queries over the (a,b)-tree.
 
-use threepath_htm::{Abort, TxCell};
+use threepath_core::TxRead;
+use threepath_htm::Abort;
 use threepath_llxscx::{LlxResult, ScxEngine, ScxThread};
 
 use crate::node::{AbNode, NodeView};
 
 /// Pruned DFS over `[lo, hi)` through an arbitrary read mode; results
 /// ascending.
-pub(crate) fn rq_with(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+pub(crate) fn rq_with<R: TxRead>(
+    r: &mut R,
     entry: *mut AbNode,
     lo: u64,
     hi: u64,
-    out: &mut Vec<(u64, u64)>,
-) -> Result<(), Abort> {
+) -> Result<Vec<(u64, u64)>, Abort> {
+    let mut out = Vec::new();
     if lo >= hi {
-        return Ok(());
+        return Ok(out);
     }
-    let root = read(unsafe { &*entry }.ptr_cell(0))? as *mut AbNode;
+    let root = r.read_ptr::<AbNode>(unsafe { &*entry }.ptr_cell(0))?;
     let mut stack: Vec<*mut AbNode> = vec![root];
     while let Some(ptr) = stack.pop() {
         // SAFETY: reachable under the operation's epoch pin.
         let n = unsafe { &*ptr };
-        let v = NodeView::read(read, n)?;
+        let v = NodeView::read(r, n)?;
         if n.leaf {
             for (k, val) in v.items() {
                 if k >= lo && k < hi {
@@ -44,28 +45,26 @@ pub(crate) fn rq_with(
     // Leaves visit in ascending order, but be defensive about interleaved
     // pushes.
     out.sort_unstable_by_key(|e| e.0);
-    Ok(())
+    Ok(out)
 }
 
 /// Directed extremum search: the first (or last) pair in key order,
 /// skipping transiently empty leaves. O(depth) plus any empty fringe.
-pub(crate) fn extreme_with(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+pub(crate) fn extreme_with<R: TxRead>(
+    r: &mut R,
     entry: *mut AbNode,
     last: bool,
-    out: &mut Option<(u64, u64)>,
-) -> Result<(), Abort> {
-    let root = read(unsafe { &*entry }.ptr_cell(0))? as *mut AbNode;
+) -> Result<Option<(u64, u64)>, Abort> {
+    let root = r.read_ptr::<AbNode>(unsafe { &*entry }.ptr_cell(0))?;
     let mut stack: Vec<*mut AbNode> = vec![root];
     while let Some(ptr) = stack.pop() {
         // SAFETY: reachable under the operation's epoch pin.
         let n = unsafe { &*ptr };
-        let v = NodeView::read(read, n)?;
+        let v = NodeView::read(r, n)?;
         if n.leaf {
             if v.size > 0 {
                 let i = if last { v.size - 1 } else { 0 };
-                *out = Some((v.keys[i], v.ptrs[i]));
-                return Ok(());
+                return Ok(Some((v.keys[i], v.ptrs[i])));
             }
         } else if last {
             // Ascending push: the largest-index child pops first.
@@ -78,8 +77,7 @@ pub(crate) fn extreme_with(
             }
         }
     }
-    *out = None;
-    Ok(())
+    Ok(None)
 }
 
 /// Software-path extremum: LLX-snapshot walk plus final info validation
@@ -90,9 +88,8 @@ pub(crate) fn extreme_validated(
     entry: *mut AbNode,
     last: bool,
 ) -> Option<Option<(u64, u64)>> {
-    let rt = eng.runtime();
-    let mut read_direct = |c: &TxCell| Ok::<u64, Abort>(c.load_direct(rt));
-    let root = read_direct(unsafe { &*entry }.ptr_cell(0)).unwrap() as *mut AbNode;
+    let mut rt = &**eng.runtime();
+    let root = unsafe { &*entry }.ptr_cell(0).load_direct(rt) as *mut AbNode;
     let mut visited: Vec<(*mut AbNode, u64)> = Vec::new();
     let mut stack: Vec<*mut AbNode> = vec![root];
     let mut found = None;
@@ -104,7 +101,7 @@ pub(crate) fn extreme_validated(
             _ => return None,
         };
         visited.push((ptr, h.info_observed()));
-        let v = NodeView::from_snapshot(&mut read_direct, n, h.snapshot()).unwrap();
+        let v = NodeView::from_snapshot(&mut rt, n, h.snapshot()).unwrap();
         if n.leaf {
             if v.size > 0 {
                 let i = if last { v.size - 1 } else { 0 };
@@ -140,13 +137,12 @@ pub(crate) fn rq_validated(
     lo: u64,
     hi: u64,
 ) -> Option<Vec<(u64, u64)>> {
-    let rt = eng.runtime();
+    let mut rt = &**eng.runtime();
     let mut out = Vec::new();
     if lo >= hi {
         return Some(out);
     }
-    let mut read_direct = |c: &TxCell| Ok::<u64, Abort>(c.load_direct(rt));
-    let root = read_direct(unsafe { &*entry }.ptr_cell(0)).unwrap() as *mut AbNode;
+    let root = unsafe { &*entry }.ptr_cell(0).load_direct(rt) as *mut AbNode;
     let mut visited: Vec<(*mut AbNode, u64)> = Vec::new();
     let mut stack: Vec<*mut AbNode> = vec![root];
     while let Some(ptr) = stack.pop() {
@@ -157,7 +153,7 @@ pub(crate) fn rq_validated(
             _ => return None,
         };
         visited.push((ptr, h.info_observed()));
-        let v = NodeView::from_snapshot(&mut read_direct, n, h.snapshot()).unwrap();
+        let v = NodeView::from_snapshot(&mut rt, n, h.snapshot()).unwrap();
         if n.leaf {
             for (k, val) in v.items() {
                 if k >= lo && k < hi {

@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use threepath_core::{
-    AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, Mem, OpOutcome,
-    OrigMode, PathKind, PathLimits, PathStats, Strategy, TemplateMode,
+    AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, OpOutcome, OrigMode,
+    PathKind, PathLimits, PathStats, Strategy,
 };
-use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
+use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime};
 use threepath_llxscx::{ScxEngine, ScxThread};
 use threepath_reclaim::{Domain, PoolConfig, PoolStats, ReclaimMode};
 
@@ -320,9 +320,12 @@ impl AbTree {
     }
 
     fn search_direct(&self, key: u64) -> AbFound {
-        let rt = self.exec.runtime();
-        let mut read = |c: &TxCell| Ok(c.load_direct(rt));
-        ops::search_ab(&mut read, self.entry, key).expect("direct search cannot abort")
+        ops::search_ab(&mut self.direct(), self.entry, key).expect("direct search cannot abort")
+    }
+
+    /// Bare direct loads (a `TxRead`), for reads under an epoch pin.
+    fn direct(&self) -> &HtmRuntime {
+        self.exec.runtime()
     }
 
     // ------------------------------------------------------------------
@@ -345,10 +348,7 @@ impl AbTree {
             })
         } else {
             self.exec.attempt_seq(&self.eng, th, |m| {
-                let f = {
-                    let mut rd = |c: &TxCell| m.read(c);
-                    ops::search_ab(&mut rd, self.entry, key)?
-                };
+                let f = ops::search_ab(m, self.entry, key)?;
                 match value {
                     Some(v) => ops::insert_seq(m, self.entry, &f, key, v, false),
                     None => ops::delete_seq(m, self.entry, &f, key, self.a, false),
@@ -376,10 +376,7 @@ impl AbTree {
             })
         } else {
             self.exec.attempt_template(&self.eng, th, |m| {
-                let f = {
-                    let mut rd = |c: &TxCell| m.read(c);
-                    ops::search_ab(&mut rd, self.entry, key)?
-                };
+                let f = ops::search_ab(m, self.entry, key)?;
                 let out = match value {
                     Some(v) => ops::insert_tmpl(m, self.entry, &f, key, v)?,
                     None => ops::delete_tmpl(m, self.entry, &f, key, self.a)?,
@@ -440,10 +437,7 @@ impl AbTree {
             for op in ops {
                 let r = match *op {
                     BatchOp::Insert(key, value) => {
-                        let f = {
-                            let mut rd = |c: &TxCell| m.read(c);
-                            ops::search_ab(&mut rd, self.entry, key)?
-                        };
+                        let f = ops::search_ab(m, self.entry, key)?;
                         let (prev, fix) = ops::insert_seq(m, self.entry, &f, key, value, false)?;
                         if fix {
                             fixes.push(key);
@@ -451,21 +445,14 @@ impl AbTree {
                         prev
                     }
                     BatchOp::Remove(key) if key <= MAX_KEY => {
-                        let f = {
-                            let mut rd = |c: &TxCell| m.read(c);
-                            ops::search_ab(&mut rd, self.entry, key)?
-                        };
+                        let f = ops::search_ab(m, self.entry, key)?;
                         let (prev, fix) = ops::delete_seq(m, self.entry, &f, key, self.a, false)?;
                         if fix {
                             fixes.push(key);
                         }
                         prev
                     }
-                    BatchOp::Get(key) if key <= MAX_KEY => {
-                        let mut rd = |c: &TxCell| m.read(c);
-                        let f = ops::search_ab(&mut rd, self.entry, key)?;
-                        ops::get_with(&mut rd, &f, key)?
-                    }
+                    BatchOp::Get(key) if key <= MAX_KEY => ops::get_with(m, self.entry, key)?,
                     // Out-of-range removes and lookups answer without
                     // descending.
                     BatchOp::Remove(_) | BatchOp::Get(_) => None,
@@ -504,11 +491,8 @@ impl AbTree {
                         prev
                     }
                     BatchOp::Get(key) if key <= MAX_KEY => {
-                        let rt = self.exec.runtime();
-                        let mut rd = |c: &TxCell| Ok(c.load_direct(rt));
-                        let f = ops::search_ab(&mut rd, self.entry, key)
-                            .expect("direct search cannot abort");
-                        ops::get_with(&mut rd, &f, key).expect("direct read cannot abort")
+                        ops::get_with(&mut self.direct(), self.entry, key)
+                            .expect("direct read cannot abort")
                     }
                     BatchOp::Remove(_) | BatchOp::Get(_) => None,
                 };
@@ -582,48 +566,31 @@ impl AbTree {
     }
 
     fn fast_get(&self, th: &mut ScxThread, key: u64) -> Result<Option<u64>, Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            let mut rd = |c: &TxCell| m.read(c);
-            let f = ops::search_ab(&mut rd, self.entry, key)?;
-            ops::get_with(&mut rd, &f, key)
-        })
+        self.exec
+            .attempt_seq(&self.eng, th, |m| ops::get_with(m, self.entry, key))
     }
 
     fn middle_get(&self, th: &mut ScxThread, key: u64) -> Result<Option<u64>, Abort> {
-        self.exec.attempt_template(&self.eng, th, |m| {
-            let mut rd = |c: &TxCell| m.read(c);
-            let f = ops::search_ab(&mut rd, self.entry, key)?;
-            ops::get_with(&mut rd, &f, key)
-        })
+        self.exec
+            .attempt_template(&self.eng, th, |m| ops::get_with(m, self.entry, key))
     }
 
     fn fallback_get(&self, th: &mut ScxThread, key: u64) -> Option<u64> {
         // Wait-free uninstrumented search; safe because in-place writers
         // (fast/TLE paths) are excluded while software-path operations run.
         th.pinned(|_th| {
-            let rt = self.exec.runtime();
-            let mut rd = |c: &TxCell| Ok(c.load_direct(rt));
-            let f = ops::search_ab(&mut rd, self.entry, key).expect("direct search cannot abort");
-            ops::get_with(&mut rd, &f, key).expect("direct read cannot abort")
+            ops::get_with(&mut self.direct(), self.entry, key).expect("direct read cannot abort")
         })
     }
 
     fn fast_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            let mut out = Vec::new();
-            let mut rd = |c: &TxCell| m.read(c);
-            rq::rq_with(&mut rd, self.entry, lo, hi, &mut out)?;
-            Ok(out)
-        })
+        self.exec
+            .attempt_seq(&self.eng, th, |m| rq::rq_with(m, self.entry, lo, hi))
     }
 
     fn middle_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, Abort> {
-        self.exec.attempt_template(&self.eng, th, |m| {
-            let mut out = Vec::new();
-            let mut rd = |c: &TxCell| m.read(c);
-            rq::rq_with(&mut rd, self.entry, lo, hi, &mut out)?;
-            Ok(out)
-        })
+        self.exec
+            .attempt_template(&self.eng, th, |m| rq::rq_with(m, self.entry, lo, hi))
     }
 
     fn fallback_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Vec<(u64, u64)> {
@@ -637,30 +604,18 @@ impl AbTree {
 
     fn locked_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         th.pinned(|_th| {
-            let rt = self.exec.runtime();
-            let mut rd = |c: &TxCell| Ok(c.load_direct(rt));
-            let mut out = Vec::new();
-            rq::rq_with(&mut rd, self.entry, lo, hi, &mut out).expect("direct rq cannot abort");
-            out
+            rq::rq_with(&mut self.direct(), self.entry, lo, hi).expect("direct rq cannot abort")
         })
     }
 
     fn fast_extreme(&self, th: &mut ScxThread, last: bool) -> Result<Option<(u64, u64)>, Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            let mut out = None;
-            let mut rd = |c: &TxCell| m.read(c);
-            rq::extreme_with(&mut rd, self.entry, last, &mut out)?;
-            Ok(out)
-        })
+        self.exec
+            .attempt_seq(&self.eng, th, |m| rq::extreme_with(m, self.entry, last))
     }
 
     fn middle_extreme(&self, th: &mut ScxThread, last: bool) -> Result<Option<(u64, u64)>, Abort> {
-        self.exec.attempt_template(&self.eng, th, |m| {
-            let mut out = None;
-            let mut rd = |c: &TxCell| m.read(c);
-            rq::extreme_with(&mut rd, self.entry, last, &mut out)?;
-            Ok(out)
-        })
+        self.exec
+            .attempt_template(&self.eng, th, |m| rq::extreme_with(m, self.entry, last))
     }
 
     fn fallback_extreme(&self, th: &mut ScxThread, last: bool) -> Option<(u64, u64)> {
@@ -674,12 +629,8 @@ impl AbTree {
 
     fn locked_extreme(&self, th: &mut ScxThread, last: bool) -> Option<(u64, u64)> {
         th.pinned(|_th| {
-            let rt = self.exec.runtime();
-            let mut rd = |c: &TxCell| Ok(c.load_direct(rt));
-            let mut out = None;
-            rq::extreme_with(&mut rd, self.entry, last, &mut out)
-                .expect("direct walk cannot abort");
-            out
+            rq::extreme_with(&mut self.direct(), self.entry, last)
+                .expect("direct walk cannot abort")
         })
     }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use threepath_core::{
     AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, Mem, OpOutcome,
-    OrigMode, PathKind, PathLimits, PathStats, Strategy, TemplateMem, TemplateMode,
+    OrigMode, PathKind, PathLimits, PathStats, Strategy, TemplateMem, TxRead,
 };
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxEngine, ScxThread};

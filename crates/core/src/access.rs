@@ -4,21 +4,57 @@
 //! fallback) is written once, generic over [`Mem`], and instantiated with
 //! [`TxMem`] (transactional) or [`DirectMem`] (plain coordinated access).
 //! This mirrors how the paper derives each path from the same operation
-//! logic.
+//! logic. Read-only traversals need less: they are generic over
+//! [`TxRead`], which every [`Mem`] and
+//! [`TemplateMode`](crate::TemplateMode) provides, and which a bare
+//! `&HtmRuntime` provides as direct loads.
 
 use threepath_htm::{Abort, HtmRuntime, TxCell, Txn};
 use threepath_reclaim::ReclaimCtx;
 
 use crate::effects::Effects;
 
+/// A way of reading [`TxCell`]s: transactionally (can abort) or with direct
+/// loads (never fails).
+pub trait TxRead {
+    /// Reads a cell.
+    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort>;
+
+    /// Reads consecutive cells into `out` (same length). The transactional
+    /// and direct modes validate once per cache line ([`Txn::read_span`],
+    /// [`HtmRuntime::load_span_direct`]); the default reads cell by cell.
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        assert_eq!(cells.len(), out.len(), "span and output differ in length");
+        for (c, o) in cells.iter().zip(out) {
+            *o = self.read(c)?;
+        }
+        Ok(())
+    }
+
+    /// Reads a cell as a raw pointer.
+    fn read_ptr<T>(&mut self, cell: &TxCell) -> Result<*mut T, Abort> {
+        self.read(cell).map(|v| v as *mut T)
+    }
+}
+
+/// Bare direct loads: the runtime's seqlock-coordinated reads, for
+/// searches that run outside any transaction under an epoch pin.
+impl TxRead for &HtmRuntime {
+    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
+        Ok(cell.load_direct(self))
+    }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        self.load_span_direct(cells, out);
+        Ok(())
+    }
+}
+
 /// A way of reading and writing [`TxCell`]s and retiring unlinked nodes.
 ///
 /// Direct access never fails; transactional access can abort — generic code
 /// uses `?` uniformly and the direct instantiation simply never takes the
 /// error branch.
-pub trait Mem {
-    /// Reads a cell.
-    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort>;
+pub trait Mem: TxRead {
     /// Writes a cell.
     fn write(&mut self, cell: &TxCell, v: u64) -> Result<(), Abort>;
 
@@ -44,11 +80,6 @@ pub trait Mem {
     /// `ptr` must come from this mode's `alloc` during the current attempt
     /// and must not have been written into any reachable cell.
     unsafe fn free_unpublished<T: Send>(&mut self, ptr: *mut T);
-
-    /// Reads a cell as a raw pointer.
-    fn read_ptr<T>(&mut self, cell: &TxCell) -> Result<*mut T, Abort> {
-        self.read(cell).map(|v| v as *mut T)
-    }
 
     /// Writes a raw pointer into a cell.
     fn write_ptr<T>(&mut self, cell: &TxCell, p: *mut T) -> Result<(), Abort> {
@@ -83,10 +114,16 @@ impl<'a, 'b> TxMem<'a, 'b> {
     }
 }
 
-impl Mem for TxMem<'_, '_> {
+impl TxRead for TxMem<'_, '_> {
     fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
         self.tx.read(cell)
     }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        self.tx.read_span(cells, out)
+    }
+}
+
+impl Mem for TxMem<'_, '_> {
     fn write(&mut self, cell: &TxCell, v: u64) -> Result<(), Abort> {
         self.tx.write(cell, v)
     }
@@ -120,10 +157,17 @@ impl<'a> DirectMem<'a> {
     }
 }
 
-impl Mem for DirectMem<'_> {
+impl TxRead for DirectMem<'_> {
     fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
         Ok(cell.load_direct(self.rt))
     }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        self.rt.load_span_direct(cells, out);
+        Ok(())
+    }
+}
+
+impl Mem for DirectMem<'_> {
     fn write(&mut self, cell: &TxCell, v: u64) -> Result<(), Abort> {
         cell.store_direct(self.rt, v);
         Ok(())

@@ -51,7 +51,7 @@ mod strategy;
 mod sync;
 mod template;
 
-pub use access::{DirectMem, Mem, TxMem};
+pub use access::{DirectMem, Mem, TxMem, TxRead};
 pub use admission::AdmissionProbeConfig;
 pub use batch::{BatchApply, BatchOp};
 pub use budget::{AdaptiveBudgets, BudgetConfig, OpTally};

@@ -6,7 +6,7 @@ use threepath_htm::{codes, Abort, TxCell, Txn};
 use threepath_llxscx::{LlxHandle, LlxResult, ScxArgs, ScxEngine, ScxHeader, ScxThread};
 use threepath_reclaim::ReclaimCtx;
 
-use crate::access::Mem;
+use crate::access::{Mem, TxRead};
 use crate::effects::Effects;
 
 /// Result of one template-operation attempt body.
@@ -31,10 +31,11 @@ impl<T> OpOutcome<T> {
     }
 }
 
-/// How a template operation performs its LLXs, SCX, and traversal reads.
+/// How a template operation performs its LLXs, SCX, and traversal reads
+/// (the [`TxRead`] supertrait).
 ///
 /// Implementors: [`OrigMode`] (software path) and [`TxMode`] (HTM paths).
-pub trait TemplateMode {
+pub trait TemplateMode: TxRead {
     /// Performs an LLX on a node.
     ///
     /// Returns `Ok(None)` when the operation should retry from scratch
@@ -44,9 +45,6 @@ pub trait TemplateMode {
     /// Performs the operation's SCX. `Ok(false)` means the SCX failed and
     /// the operation should retry (software path only).
     fn scx(&mut self, args: &ScxArgs<'_>) -> Result<bool, Abort>;
-
-    /// Reads a cell during the search phase.
-    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort>;
 
     /// Schedules `ptr` for reclamation once the operation's success is
     /// durable (immediately on the software path, post-commit on HTM paths).
@@ -69,11 +67,6 @@ pub trait TemplateMode {
     /// `ptr` must come from this mode's `alloc` during the current attempt
     /// and must not have been written into any reachable cell.
     unsafe fn free_unpublished<T: Send>(&mut self, ptr: *mut T);
-
-    /// Reads a cell as a pointer.
-    fn read_ptr<T>(&mut self, cell: &TxCell) -> Result<*mut T, Abort> {
-        self.read(cell).map(|v| v as *mut T)
-    }
 }
 
 /// Software-path mode: the original CAS-based LLX/SCX with helping.
@@ -91,6 +84,16 @@ impl<'a> OrigMode<'a> {
     }
 }
 
+impl TxRead for OrigMode<'_> {
+    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
+        Ok(cell.load_direct(self.eng.runtime()))
+    }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        self.eng.runtime().load_span_direct(cells, out);
+        Ok(())
+    }
+}
+
 impl TemplateMode for OrigMode<'_> {
     fn llx(&mut self, hdr: &ScxHeader, mutable: &[TxCell]) -> Result<Option<LlxHandle>, Abort> {
         match self.eng.llx(self.th, hdr, mutable) {
@@ -103,10 +106,6 @@ impl TemplateMode for OrigMode<'_> {
 
     fn scx(&mut self, args: &ScxArgs<'_>) -> Result<bool, Abort> {
         Ok(self.eng.scx_orig(self.th, args))
-    }
-
-    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
-        Ok(cell.load_direct(self.eng.runtime()))
     }
 
     unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
@@ -161,6 +160,15 @@ impl<'a, 'b> TxMode<'a, 'b> {
     }
 }
 
+impl TxRead for TxMode<'_, '_> {
+    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
+        self.tx.read(cell)
+    }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        self.tx.read_span(cells, out)
+    }
+}
+
 impl TemplateMode for TxMode<'_, '_> {
     fn llx(&mut self, hdr: &ScxHeader, mutable: &[TxCell]) -> Result<Option<LlxHandle>, Abort> {
         match self.eng.llx_tx(self.tx, hdr, mutable)? {
@@ -183,10 +191,6 @@ impl TemplateMode for TxMode<'_, '_> {
         Ok(true)
     }
 
-    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
-        self.tx.read(cell)
-    }
-
     unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract, applied post-commit.
         unsafe { self.effects.defer_retire(ptr) };
@@ -207,10 +211,16 @@ impl TemplateMode for TxMode<'_, '_> {
 /// retirement.
 pub struct TemplateMem<'m, M: TemplateMode>(pub &'m mut M);
 
-impl<M: TemplateMode> Mem for TemplateMem<'_, M> {
+impl<M: TemplateMode> TxRead for TemplateMem<'_, M> {
     fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
         self.0.read(cell)
     }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        self.0.read_span(cells, out)
+    }
+}
+
+impl<M: TemplateMode> Mem for TemplateMem<'_, M> {
     fn write(&mut self, _cell: &TxCell, _v: u64) -> Result<(), Abort> {
         unreachable!("template operations write only through LLX/SCX")
     }

@@ -16,6 +16,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::runtime::HtmRuntime;
+use crate::LINE_BYTES;
 
 /// A 64-bit word of transactionally-accessible shared memory.
 ///
@@ -48,25 +49,7 @@ impl TxCell {
     /// Reads the cell outside any transaction, coordinating with concurrent
     /// transactional commits (never observes a partial commit).
     pub fn load_direct(&self, rt: &HtmRuntime) -> u64 {
-        let line = rt.line_for(self.addr());
-        let mut spins = 0u32;
-        loop {
-            let v1 = line.load(Ordering::Acquire);
-            if v1 & 1 == 0 {
-                let val = self.raw.load(Ordering::Acquire);
-                fence(Ordering::Acquire);
-                let v2 = line.load(Ordering::Acquire);
-                if v1 == v2 {
-                    return val;
-                }
-            }
-            spins += 1;
-            if spins % 64 == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
+        load_line_direct(rt, self.addr(), || self.raw.load(Ordering::Acquire))
     }
 
     /// Writes the cell outside any transaction. Conflicting transactions
@@ -140,6 +123,45 @@ impl Default for TxCell {
     fn default() -> Self {
         TxCell::new(0)
     }
+}
+
+/// Runs `load` inside one seqlock read of the line holding `addr`: spins
+/// (yielding now and then) until the line is unlocked and its version is
+/// the same before and after `load`. Every load `load` makes from that
+/// line therefore sees one committed state of it.
+#[inline(always)]
+pub(crate) fn load_line_direct<T>(rt: &HtmRuntime, addr: usize, mut load: impl FnMut() -> T) -> T {
+    let line = rt.line_for(addr);
+    let mut spins = 0u32;
+    loop {
+        let v1 = line.load(Ordering::Acquire);
+        if v1 & 1 == 0 {
+            let val = load();
+            fence(Ordering::Acquire);
+            if line.load(Ordering::Acquire) == v1 {
+                return val;
+            }
+        }
+        spins += 1;
+        if spins % 64 == 0 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// Splits `cells` into its maximal runs that lie on one 64-byte line, in
+/// order. A span reader validates each run with one line-version check.
+pub fn line_runs(cells: &[TxCell]) -> impl Iterator<Item = &[TxCell]> {
+    let mut rest = cells;
+    std::iter::from_fn(move || {
+        let first = rest.first()?;
+        let room = (LINE_BYTES - first.addr() % LINE_BYTES) / std::mem::size_of::<TxCell>();
+        let (run, tail) = rest.split_at(room.min(rest.len()));
+        rest = tail;
+        Some(run)
+    })
 }
 
 /// Spin until the line's seqlock is acquired; returns the pre-lock version.
@@ -265,6 +287,20 @@ mod tests {
         assert_eq!(c.fetch_add_direct(&rt, 3), 11);
         assert_eq!(c.fetch_sub_direct(&rt, 4), 14);
         assert_eq!(c.load_direct(&rt), 10);
+    }
+
+    #[test]
+    fn line_runs_split_at_line_boundaries() {
+        #[repr(C, align(64))]
+        struct Lines([TxCell; 24]);
+        let a = Lines(std::array::from_fn(|i| TxCell::new(i as u64)));
+        let lens = |cells: &[TxCell]| line_runs(cells).map(<[TxCell]>::len).collect::<Vec<_>>();
+        assert_eq!(lens(&a.0), vec![8, 8, 8]);
+        assert_eq!(lens(&a.0[3..19]), vec![5, 8, 3]);
+        assert_eq!(lens(&a.0[9..12]), vec![3]);
+        assert_eq!(lens(&a.0[5..5]), Vec::<usize>::new());
+        let first: Vec<u64> = line_runs(&a.0[6..20]).map(|r| r[0].load_plain()).collect();
+        assert_eq!(first, vec![6, 8, 16]);
     }
 
     #[test]

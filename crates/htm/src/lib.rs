@@ -24,6 +24,23 @@
 //!   never observed partially by non-transactional readers, and a
 //!   non-transactional write causes conflicting transactions to abort.
 //!
+//! # Validation is per line
+//!
+//! Like hardware, the runtime tracks a transaction's reads by cache line:
+//! the read set holds one `(line, version)` pair per line, and a read is
+//! validated against its line's version word. [`Txn::read`] pays that
+//! check for every cell it reads. [`Txn::read_span`] reads a slice of
+//! consecutive cells and pays it once per line the slice touches: it loads
+//! a line's version, every cell of the slice on that line, then the
+//! version again, and records the line once. Its outcome — values, read
+//! set, snapshot extensions, capacity and conflict aborts — is that of
+//! `read` on each cell in order; lines the transaction has already written
+//! fall back to `read`, so read-own-writes is unchanged.
+//! [`HtmRuntime::load_span_direct`] is the same per-line read for code
+//! outside transactions. A multi-cell node read, such as an LLX snapshot
+//! or an (a,b)-tree node's keys, then costs one version check per line it
+//! touches, not one per cell.
+//!
 //! # Example
 //!
 //! ```
@@ -54,7 +71,7 @@ mod sets;
 mod txn;
 
 pub use abort::{codes, Abort, AbortCode};
-pub use cell::{TxCell, TxPtr};
+pub use cell::{line_runs, TxCell, TxPtr};
 pub use config::HtmConfig;
 pub use pad::CachePadded;
 pub use rng::{fib_scatter, Backoff, SplitMix64};

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::abort::Abort;
-use crate::cell::TxCell;
+use crate::cell::{line_runs, load_line_direct, TxCell};
 use crate::config::HtmConfig;
 use crate::pad::CachePadded;
 use crate::rng::SplitMix64;
@@ -160,6 +160,30 @@ impl HtmRuntime {
     #[inline]
     pub(crate) fn line_for(&self, addr: usize) -> &AtomicU64 {
         self.line(self.line_index(addr))
+    }
+
+    /// Reads `cells` outside any transaction into `out`, with one seqlock
+    /// read per 64-byte line instead of one per cell: each line's cells
+    /// are loaded between two loads of its version, so every line is read
+    /// in one committed state of it, as [`TxCell::load_direct`] reads one
+    /// cell. Distinct lines are read one after another, not atomically
+    /// together.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `cells` differ in length.
+    pub fn load_span_direct(&self, cells: &[TxCell], out: &mut [u64]) {
+        assert_eq!(cells.len(), out.len(), "span and output differ in length");
+        let mut out = out;
+        for run in line_runs(cells) {
+            let (dst, rest) = std::mem::take(&mut out).split_at_mut(run.len());
+            out = rest;
+            load_line_direct(self, run[0].addr(), || {
+                for (c, o) in run.iter().zip(dst.iter_mut()) {
+                    *o = c.raw().load(Ordering::Acquire);
+                }
+            });
+        }
     }
 
     /// Read-ahead hint for the `bytes` at `p`, about to be read with
@@ -492,6 +516,60 @@ mod tests {
         assert_eq!(rt.line_for(cells[0].addr()).load(Ordering::Acquire), before);
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.load_direct(&rt), i as u64);
+        }
+    }
+
+    /// A line locked by a committer when a direct span read starts: the
+    /// reader waits the lock out and returns the committed state of that
+    /// line, never a mix — as per-cell `load_direct` does.
+    #[test]
+    fn load_span_direct_waits_out_a_locked_line() {
+        #[repr(C, align(64))]
+        struct Lines([TxCell; 32]);
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let a = Lines(std::array::from_fn(|i| TxCell::new(i as u64)));
+        // Lines 0..=2; line 1 (cells 8..16) is the locked one.
+        let span = &a.0[4..20];
+        for per_cell in [false, true] {
+            let line = rt.line_for(a.0[8].addr());
+            let _ = crate::cell::lock_line(line);
+            let got = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let mut out = vec![0; span.len()];
+                    if per_cell {
+                        for (c, o) in span.iter().zip(out.iter_mut()) {
+                            *o = c.load_direct(&rt);
+                        }
+                    } else {
+                        rt.load_span_direct(span, &mut out);
+                    }
+                    out
+                });
+                // The reader cannot return before the release below; the
+                // pause only lets it start spinning on the lock first.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                // A commit's write-back, then its release of the line.
+                for c in &a.0[8..16] {
+                    c.raw().store(c.load_plain() + 100, Ordering::Release);
+                }
+                line.store(rt.bump_clock(), Ordering::Release);
+                reader.join().unwrap()
+            });
+            let want: Vec<u64> = span.iter().map(TxCell::load_plain).collect();
+            assert_eq!(got, want, "per_cell = {per_cell}");
+        }
+        assert_eq!(a.0[8].load_plain(), 208, "both rounds committed");
+    }
+
+    #[test]
+    fn load_span_direct_matches_per_cell_loads() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let cells: Vec<TxCell> = (0..40).map(|i| TxCell::new(i * 3)).collect();
+        for (lo, hi) in [(0, 40), (3, 4), (5, 29), (39, 40), (7, 7)] {
+            let mut out = vec![0; hi - lo];
+            rt.load_span_direct(&cells[lo..hi], &mut out);
+            let want: Vec<u64> = cells[lo..hi].iter().map(|c| c.load_direct(&rt)).collect();
+            assert_eq!(out, want);
         }
     }
 

@@ -247,6 +247,15 @@ impl WriteSet {
             .map(|i| self.entries[i].1)
     }
 
+    /// Whether some buffered write lies on line `line` (one probe).
+    pub(crate) fn touches_line(&self, line: u32) -> bool {
+        !self.lines.is_empty()
+            && self
+                .line_index
+                .probe(fib_hash(line as u64), |i| self.lines[i] == line)
+                .is_ok()
+    }
+
     pub(crate) fn entries(&self) -> &[(usize, u64)] {
         &self.entries
     }
@@ -326,6 +335,17 @@ mod tests {
         assert_eq!(ws.get(0x2000), None);
         assert_eq!(ws.entries().len(), 2);
         assert_eq!(ws.line_count(), 1);
+    }
+
+    #[test]
+    fn write_set_touches_written_lines_only() {
+        let mut ws = WriteSet::with_capacity(4);
+        assert!(!ws.touches_line(1));
+        assert!(ws.insert(0x1000, 1, 5));
+        assert!(ws.touches_line(1));
+        assert!(!ws.touches_line(2));
+        ws.clear();
+        assert!(!ws.touches_line(1));
     }
 
     #[test]

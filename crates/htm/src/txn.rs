@@ -12,7 +12,7 @@
 use std::sync::atomic::{fence, Ordering};
 
 use crate::abort::{Abort, AbortCode};
-use crate::cell::{TxCell, TxPtr};
+use crate::cell::{line_runs, TxCell, TxPtr};
 use crate::runtime::HtmRuntime;
 use crate::sets::{ReadRecord, ReadSet, WriteSet};
 
@@ -48,21 +48,74 @@ impl<'a> Txn<'a> {
         if let Some(v) = self.write_set.get(addr) {
             return Ok(v);
         }
-        let li = self.rt.line_index(addr);
+        let mut val = 0;
+        self.read_line(self.rt.line_index(addr), || {
+            val = cell.raw().load(Ordering::Acquire)
+        })?;
+        Ok(val)
+    }
+
+    /// Transactional read of consecutive cells into `out`, validated once
+    /// per 64-byte line rather than once per cell — the granularity at
+    /// which hardware tracks a read set.
+    ///
+    /// The outcome is that of [`Self::read`] on each cell in order: the
+    /// same values, the same `(line, version)` pairs recorded, the same
+    /// snapshot extensions and the same capacity and conflict aborts.
+    /// Only the cost differs: one version check, one snapshot test and
+    /// one read-set probe per line. A line the write set touches is read
+    /// cell by cell, so buffered writes are still returned and such cells
+    /// still record nothing. (A commit that lands on a line *between* two
+    /// per-cell reads of it aborts the per-cell loop; the span reads each
+    /// line in one validated step, so it never sees that interleaving.)
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `cells` differ in length.
+    pub fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        assert_eq!(cells.len(), out.len(), "span and output differ in length");
+        let mut out = out;
+        for run in line_runs(cells) {
+            let (dst, rest) = std::mem::take(&mut out).split_at_mut(run.len());
+            out = rest;
+            let li = self.rt.line_index(run[0].addr());
+            if self.write_set.touches_line(li) {
+                for (c, o) in run.iter().zip(dst.iter_mut()) {
+                    *o = self.read(c)?;
+                }
+            } else {
+                self.read_line(li, || {
+                    for (c, o) in run.iter().zip(dst.iter_mut()) {
+                        *o = c.raw().load(Ordering::Acquire);
+                    }
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One validated read of line `li`: runs `load` between two loads of
+    /// the line's version, extends the snapshot if the line is newer than
+    /// it, and records the line once.
+    #[inline(always)]
+    fn read_line(&mut self, li: u32, mut load: impl FnMut()) -> Result<(), Abort> {
         let line = self.rt.line(li);
         let mut spins = 0usize;
         loop {
             let v1 = line.load(Ordering::Acquire);
             if v1 & 1 == 0 {
-                let val = cell.raw().load(Ordering::Acquire);
+                load();
                 fence(Ordering::Acquire);
-                let v2 = line.load(Ordering::Acquire);
-                if v1 == v2 {
+                if line.load(Ordering::Acquire) == v1 {
                     if v1 > self.rv {
                         self.extend_snapshot()?;
                     }
                     return match self.read_set.record(li, v1) {
-                        ReadRecord::New | ReadRecord::Seen => Ok(val),
+                        ReadRecord::New | ReadRecord::Seen => Ok(()),
                         ReadRecord::VersionChanged => Err(Abort::new(AbortCode::Conflict)),
                         ReadRecord::Capacity => Err(Abort::new(AbortCode::Capacity)),
                     };
@@ -218,5 +271,190 @@ impl std::fmt::Debug for Txn<'_> {
             .field("reads", &self.read_set.len())
             .field("writes", &self.write_set.entries().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cell::lock_line;
+    use crate::{HtmConfig, SplitMix64, TxThread};
+
+    /// Twelve whole lines of cells, so line boundaries sit at known
+    /// indices (every eighth cell).
+    const CELLS: usize = 96;
+
+    #[repr(C, align(64))]
+    struct Arena([TxCell; CELLS]);
+
+    fn arena() -> Box<Arena> {
+        Box::new(Arena(std::array::from_fn(|i| TxCell::new(i as u64))))
+    }
+
+    /// Work a transaction does before the span read.
+    #[derive(Debug, Clone, Copy)]
+    enum Pre {
+        Read(usize),
+        Write(usize, u64),
+    }
+
+    /// What a transaction saw and left behind: the span's values (or the
+    /// abort), its sorted read set, its snapshot and its footprint.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        vals: Result<Vec<u64>, AbortCode>,
+        read_set: Vec<(u32, u64)>,
+        rv: u64,
+        footprint: (usize, usize),
+    }
+
+    /// Runs `pre`, then `mid` (outside the transaction's view, like
+    /// another thread), then reads `span` cell by cell or as one span.
+    /// The attempt always aborts explicitly, so it leaves memory as found.
+    fn run(
+        rt: &HtmRuntime,
+        th: &mut TxThread,
+        a: &Arena,
+        pre: &[Pre],
+        mid: &dyn Fn(),
+        span: std::ops::Range<usize>,
+        as_span: bool,
+    ) -> Seen {
+        let cells = &a.0[span];
+        let mut seen = None;
+        let _ = rt.attempt(th, |tx| {
+            let mut body = || -> Result<Vec<u64>, Abort> {
+                for p in pre {
+                    match *p {
+                        Pre::Read(i) => {
+                            tx.read(&a.0[i])?;
+                        }
+                        Pre::Write(i, v) => tx.write(&a.0[i], v)?,
+                    }
+                }
+                mid();
+                let mut vals = vec![0; cells.len()];
+                if as_span {
+                    tx.read_span(cells, &mut vals)?;
+                } else {
+                    for (c, o) in cells.iter().zip(vals.iter_mut()) {
+                        *o = tx.read(c)?;
+                    }
+                }
+                Ok(vals)
+            };
+            let vals = body().map_err(|e| e.code());
+            let mut read_set: Vec<_> = tx.read_set.iter().collect();
+            read_set.sort_unstable();
+            seen = Some(Seen {
+                vals,
+                read_set,
+                rv: tx.rv,
+                footprint: tx.footprint(),
+            });
+            Err::<(), _>(tx.abort(0))
+        });
+        seen.expect("the body ran")
+    }
+
+    /// Seeded runs of 1..40 cells at any start, some crossing several
+    /// lines, after transactions that already read some lines and wrote
+    /// others (the span's own lines included), on a roomy and on a
+    /// 6-line read budget: `read_span` and the per-cell loop return the
+    /// same values and leave the same read set, snapshot and footprint.
+    #[test]
+    fn read_span_matches_per_cell_reads() {
+        let a = arena();
+        let mut rng = SplitMix64::new(0x5EED_5BA1);
+        for cap in [1024, 6] {
+            let rt = HtmRuntime::new(HtmConfig::default().with_capacity(cap, 64));
+            let mut th = rt.register_thread();
+            let (mut spans, mut aborted) = (0, 0);
+            for _ in 0..1500 {
+                // Direct stores between cases give the lines distinct
+                // versions, all inside the next transaction's snapshot.
+                for _ in 0..rng.next_below(4) {
+                    let i = rng.next_below(CELLS as u64) as usize;
+                    a.0[i].store_direct(&rt, rng.next_u64() >> 1);
+                }
+                let len = 1 + rng.next_below(39) as usize;
+                let start = rng.next_below((CELLS - len + 1) as u64) as usize;
+                let pre: Vec<Pre> = (0..rng.next_below(6))
+                    .map(|_| {
+                        // Half the work lands on the span's own lines.
+                        let i = if rng.chance(0.5) {
+                            (start / 8 * 8 + rng.next_below(len as u64 + 8) as usize).min(CELLS - 1)
+                        } else {
+                            rng.next_below(CELLS as u64) as usize
+                        };
+                        if rng.chance(0.5) {
+                            Pre::Write(i, rng.next_u64() >> 1)
+                        } else {
+                            Pre::Read(i)
+                        }
+                    })
+                    .collect();
+                let span = start..start + len;
+                let cell = run(&rt, &mut th, &a, &pre, &|| {}, span.clone(), false);
+                let whole = run(&rt, &mut th, &a, &pre, &|| {}, span.clone(), true);
+                assert_eq!(whole, cell, "span {span:?} after {pre:?}");
+                spans += 1;
+                aborted += usize::from(cell.vals.is_err());
+            }
+            if cap == 6 {
+                assert!(aborted > 0, "the small budget never overflowed");
+            }
+            assert!(aborted < spans, "every case aborted");
+        }
+    }
+
+    /// A direct store to a line of the span, made after the transaction
+    /// began and before the span is read: a line first read after the
+    /// store extends the snapshot; a line already read makes extension
+    /// fail. Both strategies extend, or abort, alike.
+    #[test]
+    fn store_after_begin_extends_or_aborts_like_per_cell_reads() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let a = arena();
+        let mut th = rt.register_thread();
+        // Lines 1..=3; the store hits line 2.
+        let span = 10..30;
+        let store = || a.0[17].store_direct(&rt, 1017);
+        let cases: [(&[Pre], Option<AbortCode>); 3] = [
+            // Line 0 read before, untouched: extension succeeds.
+            (&[Pre::Read(0)], None),
+            // Line 2 itself read before the store: its version changed.
+            (&[Pre::Read(20)], Some(AbortCode::Conflict)),
+            // Line 2 written before, so read cell by cell: still extends.
+            (&[Pre::Write(18, 7)], None),
+        ];
+        for (pre, want) in cases {
+            let cell = run(&rt, &mut th, &a, pre, &store, span.clone(), false);
+            let whole = run(&rt, &mut th, &a, pre, &store, span.clone(), true);
+            assert_eq!(cell.vals.as_ref().err().copied(), want, "{pre:?}");
+            assert_eq!(whole.vals.as_ref().err().copied(), want, "{pre:?}");
+            assert_eq!(whole.footprint, cell.footprint, "{pre:?}");
+            // Each run's own store gave line 2 a newer version, so the
+            // sets agree on lines and differ only in that version.
+            let lines = |s: &Seen| s.read_set.iter().map(|e| e.0).collect::<Vec<_>>();
+            assert_eq!(lines(&whole), lines(&cell), "{pre:?}");
+            if want.is_none() {
+                assert_eq!(whole.vals, cell.vals);
+                assert_eq!(whole.vals.as_ref().unwrap()[7], 1017);
+                let line2 = rt.line_index(a.0[17].addr());
+                let v = rt.line(line2).load(Ordering::Acquire);
+                assert!(whole.read_set.contains(&(line2, v)), "{pre:?}");
+                assert!(whole.rv >= v, "the snapshot was extended past the store");
+            }
+        }
+        // A line locked by a committer for longer than the spin limit is
+        // a conflict either way.
+        let line = rt.line(rt.line_index(a.0[17].addr()));
+        let v0 = lock_line(line);
+        for as_span in [false, true] {
+            let s = run(&rt, &mut th, &a, &[], &|| {}, span.clone(), as_span);
+            assert_eq!(s.vals, Err(AbortCode::Conflict));
+        }
+        line.store(v0, Ordering::Release);
     }
 }

@@ -147,10 +147,8 @@ impl ScxEngine {
         let marked2 = hdr.marked().load_direct(rt) != 0;
         if st == state::ABORTED || (st == state::COMMITTED && !marked2) {
             // r was not frozen: snapshot the mutable fields.
-            let mut snap = Snapshot::new();
-            for c in mutable {
-                snap.push(c.load_direct(rt));
-            }
+            let mut snap = Snapshot::with_len(mutable.len());
+            rt.load_span_direct(mutable, snap.as_mut_slice());
             if hdr.info().load_direct(rt) == rinfo {
                 // info unchanged across the field reads: consistent.
                 return LlxResult::Snapshot(LlxHandle::new(hdr, rinfo, snap));
@@ -340,10 +338,9 @@ impl ScxEngine {
         };
         let marked2 = tx.read(hdr.marked())? != 0;
         if st == state::ABORTED || (st == state::COMMITTED && !marked2) {
-            let mut snap = Snapshot::new();
-            for c in mutable {
-                snap.push(tx.read(c)?);
-            }
+            // One span: a 16-field record is three line checks, not 16.
+            let mut snap = Snapshot::with_len(mutable.len());
+            tx.read_span(mutable, snap.as_mut_slice())?;
             // Within a transaction the re-read of info is guaranteed to
             // return the same value (opacity); kept for fidelity with the
             // paper's pseudocode at negligible cost.

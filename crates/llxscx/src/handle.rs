@@ -49,20 +49,21 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    pub(crate) fn new() -> Self {
+    /// A snapshot of `len` fields, all 0 until filled through
+    /// [`Self::as_mut_slice`].
+    pub(crate) fn with_len(len: usize) -> Self {
+        assert!(
+            len <= MAX_MUT,
+            "data-record exposes more than MAX_MUT mutable fields"
+        );
         Snapshot {
             vals: [0; MAX_MUT],
-            len: 0,
+            len: len as u8,
         }
     }
 
-    pub(crate) fn push(&mut self, v: u64) {
-        assert!(
-            (self.len as usize) < MAX_MUT,
-            "data-record exposes more than MAX_MUT mutable fields"
-        );
-        self.vals[self.len as usize] = v;
-        self.len += 1;
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
+        &mut self.vals[..self.len as usize]
     }
 
     /// The snapshotted values, in `mutable_cells` order.
@@ -172,10 +173,9 @@ mod tests {
 
     #[test]
     fn snapshot_accessors() {
-        let mut s = Snapshot::new();
-        assert!(s.is_empty());
-        s.push(7);
-        s.push(9);
+        assert!(Snapshot::with_len(0).is_empty());
+        let mut s = Snapshot::with_len(2);
+        s.as_mut_slice().copy_from_slice(&[7, 9]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.as_slice(), &[7, 9]);
         assert_eq!(s.get(1), 9);
@@ -185,10 +185,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "MAX_MUT")]
     fn snapshot_overflow_panics() {
-        let mut s = Snapshot::new();
-        for i in 0..=MAX_MUT as u64 {
-            s.push(i);
-        }
+        let _ = Snapshot::with_len(MAX_MUT + 1);
     }
 
     #[test]
@@ -197,7 +194,7 @@ mod tests {
         assert!(LlxResult::Finalized.is_finalized());
         assert!(LlxResult::Fail.handle().is_none());
         let hdr = ScxHeader::new();
-        let h = LlxHandle::new(&hdr, 0, Snapshot::new());
+        let h = LlxHandle::new(&hdr, 0, Snapshot::with_len(0));
         assert!(LlxResult::Snapshot(h).handle().is_some());
     }
 }

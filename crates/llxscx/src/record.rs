@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn refcount_lifecycle() {
         let hdr = ScxHeader::new();
-        let h = LlxHandle::new(&hdr, 0, Snapshot::new());
+        let h = LlxHandle::new(&hdr, 0, Snapshot::with_len(0));
         let fld = TxCell::new(0);
         let rec = ScxRecord::new(&[&h], 0b1, &fld, 0, 42);
         assert_eq!(rec.refs.load(Ordering::Relaxed), 1);
