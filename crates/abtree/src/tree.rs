@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use threepath_core::scan::ScanState;
 use threepath_core::{
-    AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, OpOutcome, OrigMode,
-    PathKind, PathLimits, PathStats, Strategy,
+    BatchApply, BatchOp, DirectMem, ExecCtx, OpOutcome, OrigMode, PathKind, PathLimits, PathStats,
+    Strategy, DEFAULT_READ_ATTEMPTS,
 };
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime};
 use threepath_llxscx::{ScxEngine, ScxThread};
@@ -38,18 +38,10 @@ pub struct AbTreeConfig {
     /// Use a SNZI instead of the fetch-and-increment counter `F`
     /// (Section 5's scalability alternative).
     pub snzi: bool,
-    /// Allow [`AbTree::set_strategy`] to swap the strategy at runtime
-    /// between TLE and 3-path (see [`threepath_core::ExecCtx`] for the
-    /// blended subscription discipline this enables). Requires `strategy`
-    /// to start as one of those two.
-    pub adaptive: bool,
     /// Allocate nodes from per-thread pools and recycle them on expiry
     /// instead of going through the global allocator (see
     /// [`threepath_reclaim::NodePool`]). On by default.
     pub pool: bool,
-    /// Adaptive attempt budgets anchored at the paper's 10/10/20 (see
-    /// [`BudgetConfig`]). A fixed `limits` override wins.
-    pub budget: Option<BudgetConfig>,
     /// Route `get`/`contains`/`first`/`last` through the uninstrumented
     /// read path: an epoch-pinned direct traversal with zero transactions
     /// or locks. Because (a,b)-tree leaves are mutated in place, each leaf
@@ -77,18 +69,6 @@ pub struct AbTreeConfig {
     /// [`threepath_core::AdmissionGate`]. `None` (the default) admits
     /// everyone.
     pub admission: Option<u32>,
-    /// Probe the read-escalation bound instead of using the fixed
-    /// [`threepath_core::DEFAULT_READ_ATTEMPTS`]: contended reads and
-    /// scans feed a ladder of candidate bounds and the tree runs the one
-    /// that measures fastest (see [`threepath_core::ReadBoundConfig`]).
-    /// Uncontended reads never touch the machinery.
-    pub read_probe: Option<threepath_core::ReadBoundConfig>,
-    /// Probe the admission window cap instead of fixing it: gated
-    /// encounters feed a ladder of candidate caps and the gate runs the
-    /// one that measures fastest (see
-    /// [`threepath_core::AdmissionProbeConfig`]). Takes precedence over a
-    /// fixed `admission` cap.
-    pub admission_probe: Option<threepath_core::AdmissionProbeConfig>,
     /// Enable the batch entry point ([`AbTreeHandle::run_batch`]):
     /// coalesced operation plans commit in a single fast-path transaction
     /// or one serialized section. Requires a TLE or 3-path strategy and
@@ -106,14 +86,10 @@ impl Default for AbTreeConfig {
             a: 6,
             search_outside_txn: false,
             snzi: false,
-            adaptive: false,
             pool: true,
-            budget: None,
             read_path: true,
             scan_path: true,
             admission: None,
-            read_probe: None,
-            admission_probe: None,
             batched: false,
         }
     }
@@ -196,20 +172,8 @@ impl AbTree {
         if cfg.snzi {
             exec = exec.with_snzi();
         }
-        if cfg.adaptive {
-            exec = exec.with_adaptive();
-        }
-        if let Some(b) = cfg.budget {
-            exec = exec.with_adaptive_budgets(b);
-        }
         if let Some(cap) = cfg.admission {
             exec = exec.with_admission(cap);
-        }
-        if let Some(p) = cfg.admission_probe {
-            exec = exec.with_admission_probe(p);
-        }
-        if let Some(r) = cfg.read_probe {
-            exec = exec.with_read_probe(r);
         }
         if cfg.batched {
             exec = exec.with_batching();
@@ -234,17 +198,9 @@ impl AbTree {
         }
     }
 
-    /// The current strategy (the configured one, or the latest runtime
-    /// swap on an adaptive tree).
+    /// The execution strategy.
     pub fn strategy(&self) -> Strategy {
         self.exec.strategy()
-    }
-
-    /// Swaps the execution strategy at runtime while operations are in
-    /// flight. Only valid on a tree built with
-    /// [`AbTreeConfig::adaptive`], and only between TLE and 3-path.
-    pub fn set_strategy(&self, strategy: Strategy) -> Result<(), threepath_core::StrategySwapError> {
-        self.exec.set_strategy(strategy)
     }
 
     /// The minimum degree `a`.
@@ -275,23 +231,10 @@ impl AbTree {
         self.eng.domain()
     }
 
-    /// The attempt budgets currently in effect (a fixed override, the
-    /// adaptive budgets' latest value, or the paper defaults).
+    /// The attempt budgets in effect (a fixed override, or the paper
+    /// defaults).
     pub fn limits(&self) -> PathLimits {
         self.exec.limits()
-    }
-
-    /// The adaptive budget state, when [`AbTreeConfig::budget`] enabled
-    /// it.
-    pub fn budgets(&self) -> Option<&AdaptiveBudgets> {
-        self.exec.budgets()
-    }
-
-    /// The read-path transaction-attempt bound currently in effect (the
-    /// probing read bound's settled arm when [`AbTreeConfig::read_probe`]
-    /// enabled it, or the fixed default).
-    pub fn read_attempts(&self) -> u32 {
-        self.exec.read_attempts()
     }
 
     /// Node-pool counters folded into the domain so far (contexts fold on
@@ -1144,25 +1087,13 @@ impl AbTreeHandle {
             if let Some(r) = tree.exec.run_read_validated(
                 &mut self.th,
                 &mut self.stats,
-                tree.exec.read_attempts(),
+                DEFAULT_READ_ATTEMPTS,
                 |_th| tree.read_get_attempt(key),
             ) {
                 return r;
             }
-            // Optimistic attempts kept losing validation races: escalate
-            // with whatever attempt limits are currently in force
-            // (including adaptively collapsed ones) but without feeding
-            // the budget tally — an escalated read's aborts say nothing
-            // about the update mix the budgets adapt to.
-            let (r, _path) = tree.exec.run_op_escalated(
-                &mut self.th,
-                &mut self.stats,
-                |th| tree.fast_get(th, key),
-                |th| tree.middle_get(th, key),
-                |th| tree.fallback_get(th, key),
-                |th| tree.fallback_get(th, key),
-            );
-            return r;
+            // The optimistic attempts kept losing races: escalate to the
+            // template's paths.
         }
         let (r, _path) = tree.exec.run_op(
             &mut self.th,
@@ -1202,17 +1133,8 @@ impl AbTreeHandle {
             ) {
                 return r;
             }
-            // Even the partial rescan kept losing races: escalate without
-            // feeding the adaptive budget tally (as in `get`).
-            let (r, _path) = tree.exec.run_op_escalated(
-                &mut self.th,
-                &mut self.stats,
-                |th| tree.fast_rq(th, lo, hi),
-                |th| tree.middle_rq(th, lo, hi),
-                |th| tree.fallback_rq(th, lo, hi),
-                |th| tree.locked_rq(th, lo, hi),
-            );
-            return r;
+            // The optimistic attempts kept losing races: escalate to the
+            // template's paths.
         }
         let (r, _path) = tree.exec.run_op(
             &mut self.th,
@@ -1246,21 +1168,13 @@ impl AbTreeHandle {
             if let Some(r) = tree.exec.run_read_validated(
                 &mut self.th,
                 &mut self.stats,
-                tree.exec.read_attempts(),
+                DEFAULT_READ_ATTEMPTS,
                 |_th| tree.read_extreme_attempt(last),
             ) {
                 return r;
             }
-            // Escalate without feeding the budget tally (as in `get`).
-            let (r, _path) = tree.exec.run_op_escalated(
-                &mut self.th,
-                &mut self.stats,
-                |th| tree.fast_extreme(th, last),
-                |th| tree.middle_extreme(th, last),
-                |th| tree.fallback_extreme(th, last),
-                |th| tree.locked_extreme(th, last),
-            );
-            return r;
+            // The optimistic attempts kept losing races: escalate to the
+            // template's paths.
         }
         let (r, _path) = tree.exec.run_op(
             &mut self.th,

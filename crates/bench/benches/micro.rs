@@ -21,10 +21,6 @@
 //!   transaction per operation) vs through the serving front-end, whose
 //!   combiner coalesces queued submissions into batch plans (one
 //!   transaction per plan), swept over submission batch sizes 1–16.
-//! * **budget A/B** — adaptive attempt budgets vs fixed budgets (the
-//!   paper's 10/10, the storm-optimal 1/1, and a deep 20/20) under a calm
-//!   mix and an injected 85%-spurious abort storm. Adaptive should track
-//!   the best fixed budget in each regime without knowing it in advance.
 //! * **persist A/B** — the update-heavy sharded workload with durability
 //!   off, group-committed (fsync every 64 records), and fsync-per-record.
 //!   The volatile arm doubles as the zero-cost guard (it must log
@@ -47,9 +43,7 @@ use threepath_bench::{
     bench_record, measure_server_spec, measure_spec, write_bench_json, BenchEnv, BenchRecord,
 };
 use threepath_bst::{Bst, BstConfig};
-use threepath_core::{
-    BudgetConfig, PathKind, PathLimits, PathStats, ProbeConfig, Strategy,
-};
+use threepath_core::{PathKind, PathStats, Strategy};
 use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{LlxResult, ScxArgs, ScxEngine, ScxHeader};
 use threepath_reclaim::{Domain, PoolStats, ReclaimMode};
@@ -399,81 +393,6 @@ fn scan_ab(env: &BenchEnv, records: &mut Vec<BenchRecord>) {
     }
 }
 
-/// Adaptive budgets vs fixed budgets under a calm and a storm abort mix.
-fn budget_ab(env: &BenchEnv, records: &mut Vec<BenchRecord>) {
-    println!("\n== budget A/B: adaptive vs fixed attempt budgets (BST, 3-path) ==");
-    println!(
-        "{:<10} {:<14} {:>14} {:>10}",
-        "mix", "budget", "ops/s", "abort rate"
-    );
-    let key_range = ((Structure::Bst.paper_key_range() as f64 * env.scale) as u64).max(256);
-    let threads = env.max_threads();
-    let fixed = [
-        ("fixed-10/10", PathLimits { fast: 10, middle: 10 }),
-        ("fixed-1/1", PathLimits { fast: 1, middle: 1 }),
-        ("fixed-20/20", PathLimits { fast: 20, middle: 20 }),
-    ];
-    for (mix, htm) in [
-        ("calm", HtmConfig::default()),
-        ("storm", HtmConfig::default().with_spurious(0.85)),
-    ] {
-        let base = TrialSpec {
-            structure: Structure::Bst,
-            strategy: Strategy::ThreePath,
-            threads,
-            key_range,
-            htm,
-            ..TrialSpec::default()
-        };
-        for (label, limits) in fixed {
-            let r = measure_spec(
-                env,
-                &TrialSpec {
-                    limits: Some(limits),
-                    ..base.clone()
-                },
-            );
-            println!(
-                "{:<10} {:<14} {:>14.0} {:>10.2}",
-                mix, label, r.throughput, r.stats.abort_rate()
-            );
-            records.push(bench_record(format!("budget-ab/{mix}/{label}"), &r));
-        }
-        // Decision windows sized well above a scheduler quantum: on the
-        // 1-core CI box a 512-op window lasts well under a millisecond,
-        // so its wall-clock score measures preemption luck, not the arm.
-        // ~4k ops ≈ 5 ms keeps the probe honest; two probe windows per
-        // arm average out the residual scheduling noise (one unlucky
-        // window must not crown a slow arm for a whole settle phase),
-        // and the settle amortizes the probe pass. Windows complete a
-        // fixed op count, so probe excursions cost time, not ops — the
-        // steady-state rent is a few percent of wall time.
-        let r = measure_spec(
-            env,
-            &TrialSpec {
-                budget: Some(BudgetConfig {
-                    epoch_ops: 4096,
-                    probe: ProbeConfig {
-                        probe_windows: 2,
-                        settle_windows: 24,
-                        min_gain: 0.05,
-                    },
-                    ..BudgetConfig::default()
-                }),
-                ..base.clone()
-            },
-        );
-        println!(
-            "{:<10} {:<14} {:>14.0} {:>10.2}",
-            mix,
-            "adaptive",
-            r.throughput,
-            r.stats.abort_rate()
-        );
-        records.push(bench_record(format!("budget-ab/{mix}/adaptive"), &r));
-    }
-}
-
 /// HTM admission control on/off while the fallback path is hot. Two
 /// storm regimes: an 85%-spurious storm over the regular key range
 /// (aborts regardless of contention, the fallback near-permanently
@@ -817,7 +736,6 @@ fn main() {
     pool_ab(&env, &mut records);
     read_heavy_ab(&env, &mut records);
     scan_ab(&env, &mut records);
-    budget_ab(&env, &mut records);
     admission_ab(&env, &mut records);
     batch_ab(&env, &mut records);
     persist_ab(&env, &mut records);

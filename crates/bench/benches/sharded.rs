@@ -1,22 +1,13 @@
 //! Sharding policy sweep: router (range vs hash) × key distribution
-//! (uniform vs clustered Zipf), plus adaptive-vs-fixed strategy under the
-//! hot-shard workload.
+//! (uniform vs clustered Zipf).
 //!
 //! The clustered Zipf distribution (`KeyDist::Zipf`, hot keys packed at
 //! the low end of the key space) is the adversarial case for range
 //! partitioning: nearly all traffic lands in shard 0, reproducing the
 //! single-tree contention sharding was meant to remove. Hash routing
-//! stripes the same hot keys across every shard. The adaptive panel keeps
-//! the PR 2 baseline configuration (range router, every shard starting on
-//! the fixed default 3-path strategy) and turns on the per-shard probing
-//! controller under spurious-abort pressure (interrupt-heavy HTM, the
-//! paper's Section 7 abort taxonomy): each shard probes TLE against
-//! 3-path on live traffic and keeps whichever measures faster — no abort
-//! taxonomy, no thresholds. The fixed arms double as the oracle: a
-//! correct prober must land within a few percent of the better fixed
-//! choice, which is the headline ratio printed at the end.
+//! stripes the same hot keys across every shard.
 //!
-//! A fourth panel measures cross-shard range queries: a scan-heavy mix
+//! A third panel measures cross-shard range queries: a scan-heavy mix
 //! (95% scans of 100 keys) over the range router, where most scans span
 //! shard boundaries and the ordered plan merges per-shard sub-scans.
 //! With `scan_path` on, every sub-scan runs on the optimistic multi-leaf
@@ -27,7 +18,7 @@
 //! onto the serialized fallback), while calm the BST validation-set walk
 //! is the more expensive of the two (see the micro scan panel).
 //!
-//! A fifth panel runs the serving front-end closed loop: N clients
+//! A fourth panel runs the serving front-end closed loop: N clients
 //! submitting 8-op mixed batches (reads, updates, cross-shard range
 //! queries) into the per-shard queues, with whichever client claims a
 //! shard's combiner role draining the queue into coalesced batch plans.
@@ -45,8 +36,7 @@ use threepath_bench::{
 use threepath_core::Strategy;
 use threepath_htm::HtmConfig;
 use threepath_workload::{
-    AdaptiveConfig, KeyDist, RouterKind, ServerTrialSpec, ShardBackend, Structure, TrialSpec,
-    Workload,
+    KeyDist, RouterKind, ServerTrialSpec, ShardBackend, Structure, TrialSpec, Workload,
 };
 
 const SHARDS: usize = 8;
@@ -99,84 +89,7 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Panel 3: probing vs the fixed-arm oracle. Same hot-shard workload
-    // (clustered Zipf, range router — the PR 2 baseline configuration)
-    // under spurious-abort pressure: transactions abort 85% of the time
-    // regardless of contention, so optimistic retries are mostly wasted
-    // work. The fixed 3-path baseline keeps paying for them plus the
-    // instrumented lock-free fallback; the adaptive map starts identical
-    // to that baseline and each shard's controller probes both arms on
-    // live traffic, keeping whichever completes more ops per unit time.
-    // The two fixed runs bound what any controller could achieve — the
-    // prober's job is to track the better one without being told which.
-    // ------------------------------------------------------------------
-    let spurious_htm = HtmConfig::default().with_spurious(0.85);
-    // Windows sized above a scheduler quantum (see the micro budget
-    // panel): per-shard wall-clock scores on sub-millisecond windows
-    // measure preemption luck, not the strategy. The probe excursion is
-    // the prober's rent — every probe pass spends one window on the
-    // losing arm, so the long settle keeps that rent to ~2% of the
-    // trial. min_gain stays at the default 5%: the TLE advantage on the
-    // hot shard is ~15-50% per window, and a hurdle above it would pin
-    // every shard on the preferred arm forever.
-    let adaptive_cfg = AdaptiveConfig {
-        sample_every: 32,
-        epoch_ops: 4096,
-        probe: threepath_core::ProbeConfig {
-            probe_windows: 1,
-            settle_windows: 48,
-            min_gain: 0.05,
-        },
-        ..AdaptiveConfig::default()
-    };
-    let mut cells = Vec::new();
-    for (label, router, strategy, adaptive) in [
-        ("fixed-3path", RouterKind::Range, Strategy::ThreePath, None),
-        ("fixed-tle", RouterKind::Range, Strategy::Tle, None),
-        (
-            "adaptive",
-            RouterKind::Range,
-            Strategy::ThreePath,
-            Some(adaptive_cfg.clone()),
-        ),
-        (
-            "hash-adaptive",
-            RouterKind::Hash,
-            Strategy::ThreePath,
-            Some(adaptive_cfg),
-        ),
-    ] {
-        for &threads in &env.threads {
-            let spec = TrialSpec {
-                structure,
-                strategy,
-                threads,
-                key_range,
-                key_dist: KeyDist::Zipf { theta: ZIPF_THETA },
-                router,
-                adaptive: adaptive.clone(),
-                htm: spurious_htm.clone(),
-                ..TrialSpec::default()
-            };
-            let result = measure_spec(&env, &spec);
-            cells.push(Cell {
-                structure,
-                workload: "adaptive",
-                series: label.to_string(),
-                threads,
-                result,
-            });
-        }
-    }
-    print_panel(
-        "zipf keys, 85% spurious aborts: adaptive vs fixed (throughput, ops/s)",
-        &cells,
-        &env.threads,
-    );
-    all.extend(cells);
-
-    // ------------------------------------------------------------------
-    // Panel 4: cross-shard range queries. The range router keeps each
+    // Panel 3: cross-shard range queries. The range router keeps each
     // scan's keyspan contiguous, so a 100-key scan regularly crosses a
     // shard boundary and the sharded layer stitches the per-shard
     // sub-scans through its ordered plan. The only variable is how each
@@ -223,7 +136,7 @@ fn main() {
     all.extend(cells);
 
     // ------------------------------------------------------------------
-    // Panel 5: the serving front-end's closed loop — N clients × the same
+    // Panel 4: the serving front-end's closed loop — N clients × the same
     // 8 shards, every client submitting 8-op mixed batches (50% point
     // reads, 5% cross-shard range queries, the rest 50/50 insert/delete)
     // into the per-shard queues and blocking for replies. Latency here is
@@ -302,15 +215,8 @@ fn main() {
     let t = env.max_threads();
     let hash = throughput(&all, "zipf", "hash-router", t);
     let range = throughput(&all, "zipf", "range-router", t);
-    let adaptive = throughput(&all, "adaptive", "adaptive", t);
-    let hash_adaptive = throughput(&all, "adaptive", "hash-adaptive", t);
-    let fixed_3p = throughput(&all, "adaptive", "fixed-3path", t);
-    let fixed_tle = throughput(&all, "adaptive", "fixed-tle", t);
     println!("\nhot-shard workload at {t} threads (baseline = PR 2 range router + fixed 3-path):");
     println!("  hash vs range at fixed 3-path, no aborts:   {:.2}x", hash / range);
-    println!("  adaptive vs baseline under abort pressure:  {:.2}x", adaptive / fixed_3p);
-    println!("  hash+adaptive vs baseline (same pressure):  {:.2}x", hash_adaptive / fixed_3p);
-    println!("  adaptive vs fixed-tle (oracle best fixed):  {:.2}x", adaptive / fixed_tle);
     let scan_calm = throughput(&all, "scan", "optimistic-calm", t)
         / throughput(&all, "scan", "runop-calm", t);
     let scan_storm = throughput(&all, "scan", "optimistic-storm", t)

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use threepath_core::scan::ScanState;
 use threepath_core::{
-    AdaptiveBudgets, BatchApply, BatchOp, BudgetConfig, DirectMem, ExecCtx, Mem, OpOutcome,
-    OrigMode, PathKind, PathLimits, PathStats, Strategy, TemplateMem, TxRead,
+    BatchApply, BatchOp, DirectMem, ExecCtx, Mem, OpOutcome, OrigMode, PathKind, PathLimits,
+    PathStats, Strategy, TemplateMem, TxRead,
 };
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxEngine, ScxThread};
@@ -34,21 +34,12 @@ pub struct BstConfig {
     /// Use a SNZI instead of the fetch-and-increment counter `F`
     /// (Section 5's scalability alternative).
     pub snzi: bool,
-    /// Allow [`Bst::set_strategy`] to swap the strategy at runtime
-    /// between TLE and 3-path (see [`threepath_core::ExecCtx`] for the
-    /// blended subscription discipline this enables). Requires `strategy`
-    /// to start as one of those two.
-    pub adaptive: bool,
     /// Allocate nodes from per-thread pools and recycle them on expiry
     /// instead of going through the global allocator (see
     /// [`threepath_reclaim::NodePool`]). On by default — the steady-state
     /// hot path then never touches `malloc`/`free`. Turn off for the
     /// `Box`-based baseline in allocator A/B measurements.
     pub pool: bool,
-    /// Adaptive attempt budgets: scale the fast/middle attempt counts per
-    /// epoch from the observed abort mix, anchored at the paper's
-    /// 10/10/20 (see [`BudgetConfig`]). A fixed `limits` override wins.
-    pub budget: Option<BudgetConfig>,
     /// Route `get`/`contains`/`first`/`last` through the uninstrumented
     /// wait-free read path ([`threepath_core::ExecCtx::run_read`]): an
     /// epoch-pinned direct traversal with zero transactions, locks or `F`
@@ -76,18 +67,6 @@ pub struct BstConfig {
     /// [`threepath_core::AdmissionGate`]. `None` (the default) admits
     /// everyone.
     pub admission: Option<u32>,
-    /// Probe the read-escalation bound instead of using the fixed
-    /// [`threepath_core::DEFAULT_READ_ATTEMPTS`]: contended reads and
-    /// scans feed a ladder of candidate bounds and the tree runs the one
-    /// that measures fastest (see [`threepath_core::ReadBoundConfig`]).
-    /// Uncontended reads never touch the machinery.
-    pub read_probe: Option<threepath_core::ReadBoundConfig>,
-    /// Probe the admission window cap instead of fixing it: gated
-    /// encounters feed a ladder of candidate caps and the gate runs the
-    /// one that measures fastest (see
-    /// [`threepath_core::AdmissionProbeConfig`]). Takes precedence over a
-    /// fixed `admission` cap.
-    pub admission_probe: Option<threepath_core::AdmissionProbeConfig>,
     /// Enable the batch entry point ([`BstHandle::run_batch`]): coalesced
     /// operation plans commit in a single fast-path transaction or one
     /// serialized section. Requires a TLE or 3-path strategy and puts
@@ -105,14 +84,10 @@ impl Default for BstConfig {
             reclaim: ReclaimMode::Epoch,
             search_outside_txn: false,
             snzi: false,
-            adaptive: false,
             pool: true,
-            budget: None,
             read_path: true,
             scan_path: true,
             admission: None,
-            read_probe: None,
-            admission_probe: None,
             batched: false,
         }
     }
@@ -184,20 +159,8 @@ impl Bst {
         if cfg.snzi {
             exec = exec.with_snzi();
         }
-        if cfg.adaptive {
-            exec = exec.with_adaptive();
-        }
-        if let Some(b) = cfg.budget {
-            exec = exec.with_adaptive_budgets(b);
-        }
         if let Some(cap) = cfg.admission {
             exec = exec.with_admission(cap);
-        }
-        if let Some(p) = cfg.admission_probe {
-            exec = exec.with_admission_probe(p);
-        }
-        if let Some(r) = cfg.read_probe {
-            exec = exec.with_read_probe(r);
         }
         if cfg.batched {
             exec = exec.with_batching();
@@ -222,8 +185,7 @@ impl Bst {
         }
     }
 
-    /// The current strategy (the configured one, or the latest runtime
-    /// swap on an adaptive tree).
+    /// The execution strategy.
     pub fn strategy(&self) -> Strategy {
         self.exec.strategy()
     }
@@ -241,13 +203,6 @@ impl Bst {
         self.exec.serialized_active()
     }
 
-    /// Swaps the execution strategy at runtime while operations are in
-    /// flight. Only valid on a tree built with
-    /// [`BstConfig::adaptive`], and only between TLE and 3-path.
-    pub fn set_strategy(&self, strategy: Strategy) -> Result<(), threepath_core::StrategySwapError> {
-        self.exec.set_strategy(strategy)
-    }
-
     /// The underlying HTM runtime (for diagnostics and benchmarks).
     pub fn runtime(&self) -> &Arc<HtmRuntime> {
         self.exec.runtime()
@@ -258,22 +213,10 @@ impl Bst {
         self.eng.domain()
     }
 
-    /// The attempt budgets currently in effect (a fixed override, the
-    /// adaptive budgets' latest value, or the paper defaults).
+    /// The attempt budgets in effect (a fixed override, or the paper
+    /// defaults).
     pub fn limits(&self) -> PathLimits {
         self.exec.limits()
-    }
-
-    /// The adaptive budget state, when [`BstConfig::budget`] enabled it.
-    pub fn budgets(&self) -> Option<&AdaptiveBudgets> {
-        self.exec.budgets()
-    }
-
-    /// The read-path transaction-attempt bound currently in effect (the
-    /// probing read bound's settled arm when [`BstConfig::read_probe`]
-    /// enabled it, or the fixed default).
-    pub fn read_attempts(&self) -> u32 {
-        self.exec.read_attempts()
     }
 
     /// Node-pool counters folded into the domain so far (contexts fold on
@@ -1029,20 +972,8 @@ impl BstHandle {
             ) {
                 return r;
             }
-            // Even the partial rescan kept losing races: escalate with
-            // whatever attempt limits are currently in force (including
-            // adaptively collapsed ones) but without feeding the budget
-            // tally — an escalated scan's aborts say nothing about the
-            // update mix the budgets adapt to.
-            let (r, _path) = tree.exec.run_op_escalated(
-                &mut self.th,
-                &mut self.stats,
-                |th| tree.fast_rq(th, lo, hi),
-                |th| tree.middle_rq(th, lo, hi),
-                |th| tree.fallback_rq(th, lo, hi),
-                |th| tree.locked_rq(th, lo, hi),
-            );
-            return r;
+            // The optimistic attempts kept losing races: escalate to the
+            // template's paths.
         }
         let (r, _path) = tree.exec.run_op(
             &mut self.th,

@@ -556,7 +556,7 @@ fn batch_replies_honor_out_of_range_keys() {
 
 #[test]
 #[should_panic(expected = "batched contexts require")]
-fn batching_rejects_non_adaptive_strategies() {
+fn batching_rejects_non_batch_strategies() {
     let _ = Bst::with_config(BstConfig {
         strategy: Strategy::NonHtm,
         batched: true,

@@ -30,20 +30,18 @@
 //! wait-free entry ([`ExecCtx::run_read`] /
 //! [`ExecCtx::run_read_validated`] for point reads,
 //! [`ExecCtx::run_scan`] for multi-leaf range scans) with its own
-//! [`PathKind::Read`] statistics lane — no subscription, no budget tally,
-//! no fallback escalation until the optimistic attempts are exhausted.
+//! [`PathKind::Read`] statistics lane — no subscription, no attempt
+//! budget, no fallback escalation until the optimistic attempts are
+//! exhausted.
 //! The [`scan`] module holds the whole optimistic scan once; a tree
 //! supplies only its node decoding ([`scan::ScanSource`]). An exhausted
 //! scan then runs as an ordinary template operation
-//! ([`ExecCtx::run_op_escalated`]) on the fast, middle or fallback path.
+//! ([`ExecCtx::run_op`]) on the fast, middle or fallback path.
 
 #![warn(missing_docs)]
 
 mod access;
-mod admission;
 mod batch;
-mod budget;
-pub mod controller;
 mod driver;
 mod effects;
 mod readpath;
@@ -55,12 +53,9 @@ mod sync;
 mod template;
 
 pub use access::{DirectMem, Mem, TxMem, TxRead};
-pub use admission::AdmissionProbeConfig;
 pub use batch::{BatchApply, BatchOp};
-pub use budget::{AdaptiveBudgets, BudgetConfig, OpTally};
-pub use controller::{Controller, ProbeConfig, ProbingController, Window};
-pub use driver::{ExecCtx, StrategySwapError, ADAPTIVE_STRATEGIES};
-pub use readpath::{ReadBoundConfig, DEFAULT_READ_ATTEMPTS};
+pub use driver::{ExecCtx, BATCH_STRATEGIES};
+pub use readpath::DEFAULT_READ_ATTEMPTS;
 pub use scan::merge_subranges;
 pub use effects::Effects;
 pub use stats::{AbortCounts, PathKind, PathStats};

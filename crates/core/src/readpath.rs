@@ -5,7 +5,7 @@
 //! change only through atomic SCX commits, so an epoch-pinned traversal is
 //! linearizable with no HTM, no locks and no validation. [`run_op`] cannot
 //! express that — every operation it drives pays transaction begin/abort
-//! handling, lock/`F` subscription and attempt-budget tallying, and under
+//! handling, lock/`F` subscription and attempt budgets, and under
 //! an abort storm read-only lookups needlessly fall back to the serialized
 //! paths.
 //!
@@ -13,7 +13,7 @@
 //!
 //! * [`ExecCtx::run_read`] — a wait-free read: pin the epoch, run the
 //!   direct traversal, record the completion on the
-//!   [`PathKind::Read`] stats lane. No subscription, no budget tally, no
+//!   [`PathKind::Read`] stats lane. No subscription, no attempt budget, no
 //!   fallback escalation. Correct whenever the traversal is linearizable
 //!   on its own (the BST: immutable leaves, atomic pointer swings).
 //! * [`ExecCtx::run_read_validated`] — an *optimistic* read for structures
@@ -27,18 +27,12 @@
 //!   [`scan`](crate::scan) module: a walk that validates every leaf it
 //!   copies and every edge it followed in one final pass, retried in
 //!   full and then repaired hole by hole before the caller escalates it
-//!   through [`run_op_escalated`]. It shares this module's probing
-//!   read bound.
+//!   through [`run_op`]. It shares this module's read bound.
 //!
 //! [`run_op`]: ExecCtx::run_op
-//! [`run_op_escalated`]: ExecCtx::run_op_escalated
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-
-use threepath_htm::CachePadded;
 use threepath_llxscx::ScxThread;
 
-use crate::controller::{Controller, ProbeConfig, ProbingController, Window};
 use crate::driver::ExecCtx;
 use crate::stats::{PathKind, PathStats};
 
@@ -49,177 +43,6 @@ use crate::stats::{PathKind, PathStats};
 /// reader stalled behind a pathological mutation storm stays lock-free
 /// rather than spinning forever.
 pub const DEFAULT_READ_ATTEMPTS: u32 = 8;
-
-/// Attempt-equivalent cost charged for a read that escalated to the
-/// transactional machinery, when scoring read-bound arms: an escalation
-/// re-runs the whole operation through `run_op`, typically serializing
-/// behind the lock or the fallback — far costlier than one more
-/// optimistic traversal.
-const ESCALATION_WEIGHT: u64 = 16;
-
-/// Tuning for the probing read-escalation bound
-/// ([`ExecCtx::with_read_probe`](crate::ExecCtx::with_read_probe)): how
-/// many validation attempts an optimistic read or scan gets before
-/// escalating, chosen empirically from a ladder of candidate bounds.
-///
-/// The calm read path stays zero-synchronization: only *contended* reads
-/// (at least one failed validation, or an escalation) touch the shared
-/// window, so an uncontended workload never pays for the controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReadBoundConfig {
-    /// Contended reads per decision window. Must be at least 2 (a
-    /// one-read window carries no comparative signal and degenerates
-    /// the claim guard).
-    pub epoch_ops: u64,
-    /// Candidate bounds, each one arm of the probing controller. Must be
-    /// non-empty with every entry positive.
-    pub ladder: Vec<u32>,
-    /// Probe/settle cadence for the controller.
-    pub probe: ProbeConfig,
-}
-
-impl Default for ReadBoundConfig {
-    fn default() -> Self {
-        ReadBoundConfig {
-            epoch_ops: 256,
-            ladder: vec![2, 4, DEFAULT_READ_ATTEMPTS, 16],
-            probe: ProbeConfig::default(),
-        }
-    }
-}
-
-impl ReadBoundConfig {
-    /// Checks the tuning for degeneracy (the conditions
-    /// [`ExecCtx::with_read_probe`](crate::ExecCtx::with_read_probe)
-    /// panics on; config layers surface them as typed errors).
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if self.epoch_ops < 2 {
-            return Err("read-probe epoch_ops must be at least 2");
-        }
-        if self.epoch_ops > (1 << 30) {
-            return Err("read-probe epoch_ops must be at most 2^30");
-        }
-        if self.ladder.is_empty() {
-            return Err("read-probe ladder must name at least one bound");
-        }
-        if self.ladder.contains(&0) {
-            return Err("read-probe bounds must be positive");
-        }
-        self.probe.validate()
-    }
-
-    /// The ladder arm probing starts from: the entry closest to the
-    /// fixed default bound, so an unprobed context and a fresh probing
-    /// one begin with the same behavior.
-    fn initial_arm(&self) -> usize {
-        self.ladder
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &b)| b.abs_diff(DEFAULT_READ_ATTEMPTS))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-}
-
-/// The read-escalation bound as a contention-manager client: a probing
-/// controller over [`ReadBoundConfig::ladder`], fed only by contended
-/// reads, its chosen bound cached in an atomic the read path loads once
-/// per operation.
-#[derive(Debug)]
-pub(crate) struct ReadBound {
-    cfg: ReadBoundConfig,
-    ctl: ProbingController,
-    /// The bound in effect — `ladder[ctl.arm()]`, cached.
-    bound: CachePadded<AtomicU32>,
-    /// `contended reads << 32 | failed validations`, pushed only by
-    /// contended reads. Both halves stay far below 2³²: the read count
-    /// claims the window at `epoch_ops ≤ 2³⁰`, and each read
-    /// contributes at most `max(ladder) + 1` failures.
-    win: CachePadded<AtomicU64>,
-    /// Escalations in the window.
-    win_esc: CachePadded<AtomicU64>,
-    /// Single-claimant latch: the claimant swaps the windows, so racing
-    /// claimants discard nothing.
-    deciding: AtomicBool,
-    epochs: AtomicU64,
-}
-
-impl ReadBound {
-    /// # Panics
-    ///
-    /// Panics on tuning [`ReadBoundConfig::validate`] rejects.
-    pub(crate) fn new(cfg: ReadBoundConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid read-probe tuning: {e}");
-        }
-        let initial = cfg.initial_arm();
-        let ctl = ProbingController::new(cfg.ladder.len(), initial, cfg.probe);
-        ReadBound {
-            bound: CachePadded::new(AtomicU32::new(cfg.ladder[initial])),
-            ctl,
-            win: CachePadded::new(AtomicU64::new(0)),
-            win_esc: CachePadded::new(AtomicU64::new(0)),
-            deciding: AtomicBool::new(false),
-            epochs: AtomicU64::new(0),
-            cfg,
-        }
-    }
-
-    /// The escalation bound currently in effect.
-    pub(crate) fn bound(&self) -> u32 {
-        self.bound.load(Ordering::Acquire)
-    }
-
-    /// Decision windows completed.
-    pub(crate) fn epochs(&self) -> u64 {
-        self.epochs.load(Ordering::Relaxed)
-    }
-
-    /// Feeds one *contended* read: `failed` validation failures (≥ 1, or
-    /// an escalation) and whether the read escalated to `run_op`.
-    pub(crate) fn note(&self, failed: u64, escalated: bool) {
-        if escalated {
-            self.win_esc.fetch_add(1, Ordering::Relaxed);
-        }
-        let add = (1u64 << 32) | failed.min(u64::from(u32::MAX));
-        let reads = (self.win.fetch_add(add, Ordering::Relaxed) + add) >> 32;
-        if reads < self.cfg.epoch_ops {
-            return;
-        }
-        if self
-            .deciding
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        let w = self.win.swap(0, Ordering::Relaxed);
-        let esc = self.win_esc.swap(0, Ordering::Relaxed);
-        let (reads, failures) = (w >> 32, w & u64::from(u32::MAX));
-        // A racing claimant right behind the swap sees a near-empty
-        // window: no signal, no decision.
-        if reads < self.cfg.epoch_ops / 2 {
-            self.deciding.store(false, Ordering::Release);
-            return;
-        }
-        let completions = reads.saturating_sub(esc);
-        let window = Window {
-            ops: completions,
-            // Each completed read costs its failures plus the final
-            // success; escalations are charged the run_op penalty.
-            attempts: completions + failures + esc * ESCALATION_WEIGHT,
-            conflicts: esc,
-            other: failures,
-            nanos: 0,
-        };
-        let arm = self.ctl.arm();
-        self.ctl.observe(arm, window);
-        self.bound
-            .store(self.cfg.ladder[self.ctl.arm()], Ordering::Release);
-        self.epochs.fetch_add(1, Ordering::Relaxed);
-        self.deciding.store(false, Ordering::Release);
-    }
-}
 
 impl ExecCtx {
     /// Runs a wait-free read-only operation: `body` executes exactly once
@@ -275,13 +98,6 @@ impl ExecCtx {
             (None, u64::from(max_attempts))
         });
         stats.add_read_retries(failed);
-        // Only contended reads feed the probing bound; the calm path
-        // stays free of shared writes.
-        if failed > 0 {
-            if let Some(rb) = self.read_bound() {
-                rb.note(failed, out.is_none());
-            }
-        }
         match out {
             Some(v) => {
                 stats.record_completed(PathKind::Read);
@@ -364,97 +180,5 @@ mod tests {
         assert_eq!(stats.completed(PathKind::Read), 0, "no read completion");
         assert_eq!(stats.read_retries(), 4);
         assert_eq!(stats.read_escalations(), 1);
-    }
-
-    fn probe_cfg(epoch_ops: u64, ladder: Vec<u32>) -> ReadBoundConfig {
-        ReadBoundConfig {
-            epoch_ops,
-            ladder,
-            probe: ProbeConfig::default(),
-        }
-    }
-
-    #[test]
-    fn read_bound_starts_near_the_default() {
-        let rb = ReadBound::new(ReadBoundConfig::default());
-        assert_eq!(rb.bound(), DEFAULT_READ_ATTEMPTS);
-        let rb = ReadBound::new(probe_cfg(64, vec![2, 6, 16]));
-        assert_eq!(rb.bound(), 6, "closest ladder entry to the default");
-    }
-
-    #[test]
-    fn read_bound_prefers_completing_over_escalating() {
-        // A validation storm a deep bound can ride out: with bound 2
-        // every read burns both attempts and escalates; with bound 16 it
-        // completes on the third try. Probing must settle on 16.
-        let rb = ReadBound::new(probe_cfg(16, vec![2, 16]));
-        for _ in 0..2_000 {
-            if rb.bound() == 2 {
-                rb.note(2, true);
-            } else {
-                rb.note(3, false);
-            }
-        }
-        assert!(rb.epochs() > 0, "contended reads must claim windows");
-        assert_eq!(
-            rb.cfg.ladder[rb.ctl.incumbent()],
-            16,
-            "escalation-heavy arms must lose to completing arms"
-        );
-    }
-
-    #[test]
-    fn uncontended_reads_never_touch_the_window() {
-        let (exec, eng) = {
-            let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
-            let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
-            let eng = ScxEngine::new(rt.clone(), domain);
-            (
-                ExecCtx::new(rt, Strategy::ThreePath)
-                    .with_read_probe(ReadBoundConfig::default()),
-                eng,
-            )
-        };
-        let mut th = eng.register_thread();
-        let mut stats = PathStats::new();
-        for _ in 0..100 {
-            let r = exec.run_read_validated(&mut th, &mut stats, exec.read_attempts(), |_th| {
-                Some(1u64)
-            });
-            assert_eq!(r, Some(1));
-        }
-        let rb = exec.read_bound().expect("probe configured");
-        assert_eq!(rb.win.load(std::sync::atomic::Ordering::Relaxed), 0);
-        assert_eq!(rb.epochs(), 0, "calm reads feed nothing");
-    }
-
-    #[test]
-    fn contended_reads_feed_the_bound_through_the_exec_entrypoints() {
-        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
-        let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
-        let eng = ScxEngine::new(rt.clone(), domain);
-        let exec = ExecCtx::new(rt, Strategy::ThreePath)
-            .with_read_probe(probe_cfg(4, vec![2, 8]));
-        let mut th = eng.register_thread();
-        let mut stats = PathStats::new();
-        // Every read fails once then completes: contended, never
-        // escalated.
-        for _ in 0..64 {
-            let mut calls = 0;
-            exec.run_read_validated(&mut th, &mut stats, exec.read_attempts(), |_th| {
-                calls += 1;
-                (calls > 1).then_some(0u64)
-            });
-        }
-        let rb = exec.read_bound().expect("probe configured");
-        assert!(rb.epochs() > 0, "contended reads must turn windows");
-    }
-
-    #[test]
-    fn degenerate_read_probe_tuning_is_rejected() {
-        assert!(probe_cfg(1, vec![2, 4]).validate().is_err(), "tiny epoch");
-        assert!(probe_cfg(64, vec![]).validate().is_err(), "empty ladder");
-        assert!(probe_cfg(64, vec![4, 0]).validate().is_err(), "zero bound");
-        assert!(probe_cfg(64, vec![2, 4]).validate().is_ok());
     }
 }

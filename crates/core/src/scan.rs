@@ -50,12 +50,13 @@
 //! the set so the next pass turns it into a hole — dropping it would
 //! leave its segments certified by nothing. When even that fails, the
 //! caller escalates the scan to the template's transactional paths
-//! ([`ExecCtx::run_op_escalated`]).
+//! ([`ExecCtx::run_op`]).
 
 use threepath_htm::{HtmRuntime, TxCell};
 use threepath_llxscx::ScxThread;
 
 use crate::driver::ExecCtx;
+use crate::readpath::DEFAULT_READ_ATTEMPTS;
 use crate::stats::{PathKind, PathStats};
 
 /// How many hole-repair rounds the partial rescan may run before the
@@ -410,7 +411,7 @@ impl<N> ScanState<N> {
 
 impl ExecCtx {
     /// Runs an optimistic range scan of `src` over `[lo, hi)`, using
-    /// `state` as scratch: up to [`Self::read_attempts`] full attempts
+    /// `state` as working storage: up to [`DEFAULT_READ_ATTEMPTS`] full attempts
     /// under one epoch pin, each returning the pairs in key order or
     /// losing a race at its whole-set re-check; then one partial rescan of
     /// the last attempt's invalidated subranges (see the [module
@@ -421,7 +422,7 @@ impl ExecCtx {
     /// or `None` once even the partial rescan failed — recorded as a
     /// [scan escalation](PathStats::scan_escalations); the caller then
     /// routes the scan through the transactional machinery
-    /// ([`Self::run_op_escalated`]). Leaves whose `ver` entered the
+    /// ([`Self::run_op`]). Leaves whose `ver` entered the
     /// validation set land on [`PathStats::scan_leaves_validated`].
     pub fn run_scan<S: ScanSource>(
         &self,
@@ -433,8 +434,7 @@ impl ExecCtx {
         hi: u64,
     ) -> Option<Vec<(u64, u64)>> {
         let rt = self.runtime();
-        let max_attempts = self.read_attempts();
-        debug_assert!(max_attempts > 0, "at least one optimistic attempt");
+        let max_attempts = DEFAULT_READ_ATTEMPTS;
         let validated_before = state.validated;
         let (out, failed) = th.pinned(|_th| {
             for i in 0..max_attempts {
@@ -449,11 +449,6 @@ impl ExecCtx {
         });
         stats.add_scan_retries(failed);
         stats.add_scan_leaves_validated(state.validated - validated_before);
-        if failed > 0 {
-            if let Some(rb) = self.read_bound() {
-                rb.note(failed, out.is_none());
-            }
-        }
         match out {
             Some(v) => {
                 stats.record_completed(PathKind::Read);
@@ -479,7 +474,7 @@ pub mod driver_tests {
     use threepath_reclaim::{Domain, ReclaimMode};
 
     use super::{ScanSource, ScanState, Torn};
-    use crate::{ExecCtx, PathKind, PathStats, ProbeConfig, ReadBoundConfig, Strategy};
+    use crate::{ExecCtx, PathKind, PathStats, Strategy, DEFAULT_READ_ATTEMPTS};
 
     /// The node type of a fixture's source.
     pub type Node<F> = <<F as ScanFixture>::Source as ScanSource>::Node;
@@ -570,15 +565,10 @@ pub mod driver_tests {
 
     /// A context to run [`ExecCtx::run_scan`] in, and the engine its
     /// threads register with.
-    fn context(probe: Option<ReadBoundConfig>) -> (ExecCtx, ScxEngine) {
+    fn context() -> (ExecCtx, ScxEngine) {
         let rt = Arc::new(runtime());
         let eng = ScxEngine::new(rt.clone(), Arc::new(Domain::new(ReclaimMode::Epoch)));
-        let exec = ExecCtx::new(rt, Strategy::ThreePath);
-        let exec = match probe {
-            Some(cfg) => exec.with_read_probe(cfg),
-            None => exec,
-        };
-        (exec, eng)
+        (ExecCtx::new(rt, Strategy::ThreePath), eng)
     }
 
     /// `leaf`'s smallest key := `value`, inside the odd/even `ver` bracket
@@ -829,7 +819,7 @@ pub mod driver_tests {
     /// more than one step. After the scan it can, and the scan's thread
     /// is unpinned.
     pub fn run_scan_success_records_read_lane_and_leaves<F: ScanFixture>() {
-        let (exec, eng) = context(None);
+        let (exec, eng) = context();
         let (mut th, mut stats) = (eng.register_thread(), PathStats::new());
         let other = eng.register_thread();
         let t = F::build();
@@ -852,11 +842,11 @@ pub mod driver_tests {
     /// Every full attempt loses a race on its last leaf; the partial rung
     /// re-reads just that leaf and rescues the scan.
     pub fn run_scan_retries_then_partial_rescue_counts_full_failures<F: ScanFixture>() {
-        let (exec, eng) = context(None);
+        let (exec, eng) = context();
         let (mut th, mut stats) = (eng.register_thread(), PathStats::new());
         let t = F::build();
         let leaves = t.leaves();
-        let (n, full) = (leaves.len() as u64, u64::from(exec.read_attempts()));
+        let (n, full) = (leaves.len() as u64, u64::from(DEFAULT_READ_ATTEMPTS));
         let (last, key) = leaves[leaves.len() - 1];
         let mut state = ScanState::new();
         let mut copies = 0;
@@ -877,7 +867,7 @@ pub mod driver_tests {
     /// Every copy is overwritten behind the walk, so even the partial
     /// rung fails: the scan is recorded as an escalation.
     pub fn run_scan_escalates_when_even_the_partial_rescan_fails<F: ScanFixture>() {
-        let (exec, eng) = context(None);
+        let (exec, eng) = context();
         let (mut th, mut stats) = (eng.register_thread(), PathStats::new());
         let t = F::build();
         let leaves = t.leaves();
@@ -892,40 +882,10 @@ pub mod driver_tests {
         assert_eq!(stats.completed(PathKind::Read), 0);
         assert_eq!(
             stats.scan_retries(),
-            u64::from(exec.read_attempts()) + 1,
+            u64::from(DEFAULT_READ_ATTEMPTS) + 1,
             "every full attempt and the partial rescan failed"
         );
         assert_eq!(stats.scan_escalations(), 1);
-    }
-
-    /// Scans that lose a race feed the probing read bound, as reads do.
-    pub fn run_scan_contention_feeds_the_read_bound<F: ScanFixture>() {
-        let (exec, eng) = context(Some(ReadBoundConfig {
-            epoch_ops: 4,
-            ladder: vec![2, 8],
-            probe: ProbeConfig::default(),
-        }));
-        let (mut th, mut stats) = (eng.register_thread(), PathStats::new());
-        let t = F::build();
-        let first = t.leaves()[0].0;
-        let mut state = ScanState::new();
-        // Every scan fails once, then completes: contended, never escalated.
-        for _ in 0..64 {
-            let mut fired = false;
-            let stalled = AfterCopy::new(t.source(), |rt: &HtmRuntime| {
-                if !fired {
-                    fired = true;
-                    overwrite::<F>(rt, first, 7);
-                }
-            });
-            let r = exec.run_scan(&mut th, &mut stats, &mut state, &stalled, 0, HI);
-            assert!(r.is_some());
-        }
-        assert_eq!(stats.scan_retries(), 64);
-        assert!(
-            exec.read_probe_epochs() > 0,
-            "scan contention turns windows"
-        );
     }
 }
 
@@ -946,8 +906,7 @@ macro_rules! scan_driver_tests {
             odd_version_at_read_time_is_a_failed_subrange,
             run_scan_success_records_read_lane_and_leaves,
             run_scan_retries_then_partial_rescue_counts_full_failures,
-            run_scan_escalates_when_even_the_partial_rescan_fails,
-            run_scan_contention_feeds_the_read_bound
+            run_scan_escalates_when_even_the_partial_rescan_fails
         );
     };
     (@each $fixture:ty; $($name:ident),*) => {

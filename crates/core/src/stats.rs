@@ -213,18 +213,8 @@ impl PathStats {
         self.aborts.iter().map(AbortCounts::total).sum()
     }
 
-    /// Total *conflict* aborts across every path — the contention
-    /// component of the abort mix (an adaptive controller reads a
-    /// conflict-dominated abort storm as "this shard needs the lock-free
-    /// fallback", and a spurious/capacity-dominated one as "this shard's
-    /// HTM is wasted work").
-    pub fn total_conflict_aborts(&self) -> u64 {
-        self.aborts.iter().map(|a| a.conflict).sum()
-    }
-
-    /// Aborted attempts per completed operation (0 when idle) — the load
-    /// signal adaptive strategy controllers act on: a rate near 0 means the
-    /// HTM fast path commits eagerly, a rate in the tens means most
+    /// Aborted attempts per completed operation (0 when idle): a rate
+    /// near 0 means the HTM fast path commits eagerly, a rate in the tens means most
     /// transactional work is wasted retries. Read-lane completions count
     /// in the denominator and never abort, so a read-heavy mix reads as
     /// calm — which is correct: its updates are the only transactional

@@ -51,23 +51,6 @@ impl Strategy {
         !matches!(self, Strategy::Tle)
     }
 
-    /// A stable small-integer encoding, for storing a strategy in an
-    /// atomic (the runtime strategy swap used by adaptive execution).
-    pub fn code(self) -> u8 {
-        match self {
-            Strategy::NonHtm => 0,
-            Strategy::Tle => 1,
-            Strategy::TwoPathCon => 2,
-            Strategy::TwoPathNonCon => 3,
-            Strategy::ThreePath => 4,
-        }
-    }
-
-    /// Decodes [`Strategy::code`].
-    pub fn from_code(code: u8) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|s| s.code() == code)
-    }
-
     /// Whether the strategy has a distinct middle path.
     pub fn has_middle_path(self) -> bool {
         matches!(self, Strategy::ThreePath)
@@ -177,14 +160,6 @@ mod tests {
         // whitespace is rejected, not silently trimmed.
         assert!(" tle".parse::<Strategy>().is_err());
         assert!("TLE".parse::<Strategy>().is_err());
-    }
-
-    #[test]
-    fn code_round_trip() {
-        for s in Strategy::ALL {
-            assert_eq!(Strategy::from_code(s.code()), Some(s));
-        }
-        assert_eq!(Strategy::from_code(200), None);
     }
 
     #[test]

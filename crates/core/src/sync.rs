@@ -115,9 +115,8 @@ impl TleLock {
 /// doomed attempts, nothing more).
 #[derive(Debug)]
 pub struct AdmissionGate {
-    /// The window width. Atomic so a probing controller
-    /// ([`crate::AdmissionProbeConfig`]) can re-tune it on live traffic.
-    cap: AtomicU32,
+    /// The window width.
+    cap: u32,
     /// Threads currently admitted to attempt HTM against a busy fallback.
     window: CachePadded<AtomicU32>,
     /// Overflow threads queued for the serialized path.
@@ -137,28 +136,16 @@ impl AdmissionGate {
     pub fn new(cap: u32) -> Self {
         assert!(cap > 0, "admission window must admit at least one thread");
         AdmissionGate {
-            cap: AtomicU32::new(cap),
+            cap,
             window: CachePadded::new(AtomicU32::new(0)),
             ready: CachePadded::new(AtomicU32::new(0)),
             overflows: AtomicU64::new(0),
         }
     }
 
-    /// The window width currently in effect.
+    /// The window width.
     pub fn cap(&self) -> u32 {
-        self.cap.load(Ordering::Acquire)
-    }
-
-    /// Re-tunes the window width (the probing admission cap's seam).
-    /// Threads already inside a window wider than the new cap drain
-    /// naturally — the gate only refuses *new* entries above it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`, same as [`Self::new`].
-    pub fn set_cap(&self, cap: u32) {
-        assert!(cap > 0, "admission window must admit at least one thread");
-        self.cap.store(cap, Ordering::Release);
+        self.cap
     }
 
     /// Tries to enter the HTM window. On `false` the caller must go to
@@ -173,7 +160,7 @@ impl AdmissionGate {
             return false;
         }
         let n = self.window.fetch_add(1, Ordering::AcqRel);
-        if n >= self.cap.load(Ordering::Acquire) {
+        if n >= self.cap {
             self.window.fetch_sub(1, Ordering::AcqRel);
             self.overflows.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -391,29 +378,6 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_width_gate_rejected() {
         let _ = AdmissionGate::new(0);
-    }
-
-    #[test]
-    fn cap_is_retunable_on_live_traffic() {
-        let g = AdmissionGate::new(1);
-        assert!(g.try_enter());
-        assert!(!g.try_enter(), "width-1 gate is full");
-        g.set_cap(3);
-        assert_eq!(g.cap(), 3);
-        assert!(g.try_enter(), "widened gate admits again");
-        g.set_cap(1);
-        assert!(!g.try_enter(), "narrowed gate refuses new entries");
-        // The two occupants from the wider window drain normally.
-        g.exit();
-        g.exit();
-        assert_eq!(g.in_window(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_width_retune_rejected() {
-        let g = AdmissionGate::new(2);
-        g.set_cap(0);
     }
 
     #[test]

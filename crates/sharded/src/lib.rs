@@ -1,5 +1,5 @@
 //! Key-space-sharded map layer over the three-path template trees, with
-//! pluggable routing and per-shard adaptive strategy.
+//! pluggable routing.
 //!
 //! A single template tree owns one HTM runtime and one reclamation domain,
 //! so under heavy traffic every hardware transaction in the process
@@ -10,19 +10,14 @@
 //! indicator — so operations on different shards never interact and the
 //! paper's per-tree correctness argument applies to each shard unchanged.
 //!
-//! Two policy axes sit on top of the partition:
-//!
-//! * **Routing** ([`Router`]): [`RangeRouter`] keeps contiguous ranges —
-//!   global order is preserved and cross-shard range queries concatenate
-//!   per-shard queries in order; [`HashRouter`] stripes keys by
-//!   multiplicative hash — key-local skew load-balances across shards,
-//!   and range queries degrade to a sort-merge over every shard (the
-//!   trait makes the trade explicit via [`Router::preserves_order`]).
-//! * **Strategy** ([`AdaptiveController`]): fixed per-map by default, or
-//!   — with [`ShardedConfig::adaptive`] — probed per shard: each shard
-//!   measures TLE and the 3-path algorithm against each other
-//!   (completed-ops throughput per decision window) and runs whichever
-//!   one is empirically faster, without any cross-shard coordination.
+//! A routing policy ([`Router`]) sits on top of the partition:
+//! [`RangeRouter`] keeps contiguous ranges — global order is preserved
+//! and cross-shard range queries concatenate per-shard queries in order;
+//! [`HashRouter`] stripes keys by multiplicative hash — key-local skew
+//! load-balances across shards, and range queries degrade to a
+//! sort-merge over every shard (the trait makes the trade explicit via
+//! [`Router::preserves_order`]). Every shard runs the map's one
+//! execution strategy.
 //!
 //! Each per-shard query is individually atomic (a consistent snapshot of
 //! that shard); a cross-shard range query is **not** a single atomic
@@ -52,13 +47,11 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 mod map;
 mod persist;
 mod router;
 mod tree;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveController, ControllerFactory};
 pub use map::{merge_sorted_runs, merge_sorted_slices, ShardedConfig, ShardedHandle, ShardedMap};
 pub use router::{ConfigError, HashRouter, RangeRouter, Router, RouterKind};
 pub use tree::{ShardBackend, ShardHandle, ShardTree};

@@ -2,15 +2,11 @@
 
 use std::sync::Arc;
 
-use threepath_core::{
-    AdmissionProbeConfig, BatchApply, BatchOp, BudgetConfig, PathKind, PathStats, ReadBoundConfig,
-    Strategy,
-};
+use threepath_core::{BatchApply, BatchOp, PathKind, PathStats, Strategy};
 use threepath_htm::HtmConfig;
 use threepath_persist::{PersistConfig, PersistError, ShardWal};
 use threepath_reclaim::ReclaimMode;
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveController, ControllerFactory};
 use crate::persist::PersistLayer;
 use crate::router::{ConfigError, HashRouter, RangeRouter, Router, RouterKind};
 use crate::tree::{ShardBackend, ShardHandle, ShardTree};
@@ -19,9 +15,8 @@ use crate::tree::{ShardBackend, ShardHandle, ShardTree};
 ///
 /// The per-tree knobs (`strategy`, `htm`, `reclaim`, `search_outside_txn`,
 /// `snzi`) apply to **every** shard; each shard still instantiates its own
-/// runtime and domain from them. `router` and `adaptive` are the two
-/// policy axes: how keys map to shards, and whether each shard may switch
-/// strategy at runtime based on its own abort rate.
+/// runtime and domain from them. `router` is the policy axis: how keys
+/// map to shards.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Number of shards (`>= 1`).
@@ -34,38 +29,23 @@ pub struct ShardedConfig {
     pub key_space: u64,
     /// Shard-routing policy (see [`RouterKind`]).
     pub router: RouterKind,
-    /// Execution-path strategy for every shard (the *initial* strategy
-    /// when `adaptive` is set).
+    /// Execution-path strategy for every shard.
     pub strategy: Strategy,
-    /// Per-shard adaptive strategy switching. `Some` builds every shard
-    /// with runtime swapping enabled and attaches an
-    /// [`AdaptiveController`]; requires `strategy` to be TLE or 3-path.
-    pub adaptive: Option<AdaptiveConfig>,
     /// Simulated-HTM parameters (each shard builds its own runtime).
     pub htm: HtmConfig,
-    /// Per-shard HTM overrides as `(shard, config)` pairs, replacing
-    /// `htm` for those shards — heterogeneous abort environments for
-    /// experiments and tests.
-    pub htm_overrides: Vec<(usize, HtmConfig)>,
     /// Memory-reclamation mode (each shard builds its own domain).
     pub reclaim: ReclaimMode,
     /// Section 8 variant (search outside transactions).
     pub search_outside_txn: bool,
     /// Use a SNZI in place of the fetch-and-increment counter `F`.
     pub snzi: bool,
-    /// Fixed attempt budgets for every shard (wins over `budget`);
-    /// `None` uses the paper's per-strategy defaults.
+    /// Fixed attempt budgets for every shard; `None` uses the paper's
+    /// per-strategy defaults.
     pub limits: Option<threepath_core::PathLimits>,
     /// Per-thread node pools in every shard's reclamation domain (on by
     /// default — see [`threepath_reclaim::NodePool`]). Off gives the
     /// `Box`-based allocator baseline.
     pub pool: bool,
-    /// Per-shard adaptive attempt budgets: each shard's `ExecCtx` scales
-    /// its fast/middle attempt counts per epoch from that shard's own
-    /// abort mix (see [`threepath_core::BudgetConfig`]). Independent of
-    /// [`adaptive`](Self::adaptive) strategy switching; when both are on,
-    /// a strategy swap re-anchors the shard's budgets.
-    pub budget: Option<BudgetConfig>,
     /// Route every shard's `get`/`contains`/`first`/`last` through the
     /// uninstrumented wait-free read path (zero transactions and locks;
     /// seqlock-validated on the (a,b)-tree backend). On by default; off
@@ -87,23 +67,6 @@ pub struct ShardedConfig {
     /// [`threepath_core::AdmissionGate`]). `None` (the default) admits
     /// everyone — the uncontrolled baseline.
     pub admission: Option<u32>,
-    /// Probe the read-escalation bound per shard instead of using the
-    /// fixed [`threepath_core::DEFAULT_READ_ATTEMPTS`]: contended reads
-    /// feed a [`ReadBoundConfig`] ladder of candidate bounds and each
-    /// shard runs the bound that measures fastest. Uncontended reads
-    /// never touch the machinery.
-    pub read_probe: Option<ReadBoundConfig>,
-    /// Custom per-shard strategy controllers for the adaptive map (fixed
-    /// oracles in benchmarks, recording controllers in tests). `None`
-    /// uses the default probing controller; ignored unless
-    /// [`adaptive`](Self::adaptive) is set.
-    pub controller: Option<ControllerFactory>,
-    /// Probe every shard's admission window cap instead of fixing it:
-    /// gated fast-path encounters feed a ladder of candidate caps and
-    /// each shard's gate runs the cap that measures fastest (see
-    /// [`AdmissionProbeConfig`]). Takes precedence over a fixed
-    /// [`admission`](Self::admission) cap.
-    pub admission_probe: Option<AdmissionProbeConfig>,
     /// Enable per-shard batch entry points
     /// ([`ShardedHandle::shard_batch`]): coalesced same-shard plans
     /// commit in a single fast-path transaction or one serialized
@@ -123,56 +86,16 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// The HTM configuration shard `shard` builds its runtime from (the
-    /// last matching override, or the shared `htm`).
-    pub fn htm_for(&self, shard: usize) -> HtmConfig {
-        self.htm_overrides
-            .iter()
-            .rev()
-            .find(|(s, _)| *s == shard)
-            .map(|(_, c)| c.clone())
-            .unwrap_or_else(|| self.htm.clone())
-    }
-
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
         crate::persist::validate_persist(self)?;
-        if let Some(a) = &self.adaptive {
-            a.validate()?;
-            if !threepath_core::ADAPTIVE_STRATEGIES.contains(&self.strategy) {
-                return Err(ConfigError::AdaptiveStrategy(self.strategy));
-            }
-        }
         if self.admission == Some(0) {
             return Err(ConfigError::ZeroAdmissionWindow);
         }
-        if let Some(p) = &self.admission_probe {
-            p.validate().map_err(ConfigError::InvalidAdmissionProbe)?;
-        }
-        if self.batched && !threepath_core::ADAPTIVE_STRATEGIES.contains(&self.strategy) {
+        if self.batched && !threepath_core::BATCH_STRATEGIES.contains(&self.strategy) {
             return Err(ConfigError::BatchedStrategy(self.strategy));
-        }
-        if let Some(r) = &self.read_probe {
-            r.validate().map_err(ConfigError::InvalidReadProbe)?;
-        }
-        if let Some(b) = &self.budget {
-            // Same typed-error contract as the other knobs: surface
-            // exactly the tunings AdaptiveBudgets::new would panic on.
-            if b.validate().is_err() {
-                return Err(ConfigError::InvalidBudget);
-            }
-        }
-        if let Some(&(shard, _)) = self
-            .htm_overrides
-            .iter()
-            .find(|(s, _)| *s >= self.shards)
-        {
-            return Err(ConfigError::OverrideOutOfRange {
-                shard,
-                shards: self.shards,
-            });
         }
         Ok(())
     }
@@ -186,21 +109,15 @@ impl Default for ShardedConfig {
             key_space: 1 << 20,
             router: RouterKind::Range,
             strategy: Strategy::ThreePath,
-            adaptive: None,
             htm: HtmConfig::default(),
-            htm_overrides: Vec::new(),
             reclaim: ReclaimMode::Epoch,
             search_outside_txn: false,
             snzi: false,
             limits: None,
             pool: true,
-            budget: None,
             read_path: true,
             scan_path: true,
             admission: None,
-            read_probe: None,
-            controller: None,
-            admission_probe: None,
             batched: false,
             persist: None,
         }
@@ -216,17 +133,12 @@ impl Default for ShardedConfig {
 /// across shards for load balance, and range queries sort-merge the
 /// per-shard results instead (see [`ShardedHandle::range_query`]).
 ///
-/// With [`ShardedConfig::adaptive`] set, each shard additionally observes
-/// its own abort rate and switches between TLE and 3-path independently
-/// (see [`AdaptiveController`]).
-///
 /// Create per-thread handles with [`ShardedMap::handle`]; all operations
 /// go through handles, which lazily create and cache one inner tree
 /// handle per shard the thread actually touches.
 pub struct ShardedMap {
     shards: Vec<ShardTree>,
     router: Arc<dyn Router>,
-    adaptive: Option<AdaptiveController>,
     backend: ShardBackend,
     strategy: Strategy,
     key_space: u64,
@@ -300,25 +212,10 @@ impl ShardedMap {
         router: Arc<dyn Router>,
         persist: Option<PersistLayer>,
     ) -> Result<Self, ConfigError> {
-        let shards: Vec<ShardTree> = (0..cfg.shards)
-            .map(|s| ShardTree::build_shard(&cfg, s))
-            .collect();
-        let adaptive = cfg
-            .adaptive
-            .as_ref()
-            .map(|a| {
-                AdaptiveController::with_factory(
-                    a.clone(),
-                    cfg.shards,
-                    cfg.strategy,
-                    cfg.controller.as_ref(),
-                )
-            })
-            .transpose()?;
+        let shards: Vec<ShardTree> = (0..cfg.shards).map(|_| ShardTree::build(&cfg)).collect();
         Ok(ShardedMap {
             shards,
             router,
-            adaptive,
             backend: cfg.backend,
             strategy: cfg.strategy,
             key_space: cfg.key_space,
@@ -336,21 +233,9 @@ impl ShardedMap {
         self.backend
     }
 
-    /// The configured (initial) execution strategy. Individual shards of
-    /// an adaptive map may since have switched — see
-    /// [`ShardedMap::shard_strategies`].
+    /// The execution strategy every shard runs.
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    /// Every shard's *current* strategy, in shard order.
-    pub fn shard_strategies(&self) -> Vec<Strategy> {
-        self.shards.iter().map(ShardTree::strategy).collect()
-    }
-
-    /// The adaptive controller, when the map was configured with one.
-    pub fn adaptive(&self) -> Option<&AdaptiveController> {
-        self.adaptive.as_ref()
     }
 
     /// The routing policy.
@@ -361,12 +246,6 @@ impl ShardedMap {
     /// The configured key-space upper bound.
     pub fn key_space(&self) -> u64 {
         self.key_space
-    }
-
-    /// Every shard's attempt budgets currently in effect, in shard order
-    /// (diagnostic for adaptive-budget experiments).
-    pub fn shard_limits(&self) -> Vec<threepath_core::PathLimits> {
-        self.shards.iter().map(ShardTree::limits).collect()
     }
 
     /// Node-pool counters summed across every shard's domain (contexts
@@ -404,7 +283,6 @@ impl ShardedMap {
     pub fn handle(self: &Arc<Self>) -> ShardedHandle {
         ShardedHandle {
             cached: (0..self.shards.len()).map(|_| None).collect(),
-            adapt: vec![AdaptSample::default(); self.shards.len()],
             local: PathStats::new(),
             map: Arc::clone(self),
         }
@@ -484,22 +362,10 @@ impl std::fmt::Debug for ShardedMap {
             .field("backend", &self.backend)
             .field("router", &self.router)
             .field("strategy", &self.strategy)
-            .field("adaptive", &self.adaptive.is_some())
             .field("key_space", &self.key_space)
             .field("persist", &self.persist.is_some())
             .finish()
     }
-}
-
-/// Per-shard adaptive sampling state of one handle: operations since the
-/// last push, and the stats totals at that push (deltas are what the
-/// controller accumulates).
-#[derive(Debug, Clone, Copy, Default)]
-struct AdaptSample {
-    ops: u64,
-    last_completed: u64,
-    last_conflicts: u64,
-    last_aborts: u64,
 }
 
 /// A per-thread handle to a [`ShardedMap`].
@@ -510,7 +376,6 @@ struct AdaptSample {
 pub struct ShardedHandle {
     map: Arc<ShardedMap>,
     cached: Vec<Option<ShardHandle>>,
-    adapt: Vec<AdaptSample>,
     /// Handle-local stats lanes the inner tree handles cannot see (the
     /// WAL lane); merged into [`ShardedHandle::stats`].
     local: PathStats,
@@ -531,59 +396,27 @@ impl ShardedHandle {
             .expect("shard handle slot was just populated above")
     }
 
-    /// Adaptive bookkeeping after an operation on `shard`: every
-    /// `sample_every` local operations, push this handle's windowed
-    /// stats delta into the shard's controller.
-    fn note_op(&mut self, shard: usize) {
-        let Some(ctl) = self.map.adaptive.as_ref() else {
-            return;
-        };
-        let sample = &mut self.adapt[shard];
-        sample.ops += 1;
-        if sample.ops % ctl.config().sample_every != 0 {
-            return;
-        }
-        let Some(h) = self.cached[shard].as_ref() else {
-            return;
-        };
-        let stats = h.stats();
-        let completed = stats.total_completed();
-        let conflicts = stats.total_conflict_aborts();
-        let aborts = stats.total_aborts();
-        let d_ops = completed - sample.last_completed;
-        let d_conflicts = conflicts - sample.last_conflicts;
-        let d_other = (aborts - sample.last_aborts) - d_conflicts;
-        sample.last_completed = completed;
-        sample.last_conflicts = conflicts;
-        sample.last_aborts = aborts;
-        ctl.record(shard, d_ops, d_conflicts, d_other, self.map.shard_tree(shard));
-    }
-
     /// Inserts a pair, returning the previous value. On a persistent
     /// map the update is logged to its shard's write-ahead log before
     /// this method returns.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
         let s = self.map.shard_of(key);
-        let r = if self.map.persist.is_some() {
+        if self.map.persist.is_some() {
             self.persistent_point_op(s, BatchOp::Insert(key, value))
         } else {
             self.shard_handle(s).insert(key, value)
-        };
-        self.note_op(s);
-        r
+        }
     }
 
     /// Removes a key, returning its value. Logged write-ahead on a
     /// persistent map, like [`ShardedHandle::insert`].
     pub fn remove(&mut self, key: u64) -> Option<u64> {
         let s = self.map.shard_of(key);
-        let r = if self.map.persist.is_some() {
+        if self.map.persist.is_some() {
             self.persistent_point_op(s, BatchOp::Remove(key))
         } else {
             self.shard_handle(s).remove(key)
-        };
-        self.note_op(s);
-        r
+        }
     }
 
     /// The persistent update discipline for point operations: hold the
@@ -641,9 +474,7 @@ impl ShardedHandle {
     /// the merged [`PathStats`]' read lane.
     pub fn get(&mut self, key: u64) -> Option<u64> {
         let s = self.map.shard_of(key);
-        let r = self.shard_handle(s).get(key);
-        self.note_op(s);
-        r
+        self.shard_handle(s).get(key)
     }
 
     /// Whether a key is present.
@@ -669,7 +500,6 @@ impl ShardedHandle {
             let mut out = Vec::new();
             for (s, slo, shi) in plan {
                 let run = self.shard_handle(s).range_query(slo, shi);
-                self.note_op(s);
                 // The first non-empty run is moved, not copied: a
                 // single-shard query returns the shard's vector as is.
                 if out.is_empty() {
@@ -683,7 +513,6 @@ impl ShardedHandle {
         let mut runs = Vec::with_capacity(plan.len());
         for (s, slo, shi) in plan {
             let run = self.shard_handle(s).range_query(slo, shi);
-            self.note_op(s);
             if !run.is_empty() {
                 runs.push(run);
             }
@@ -703,7 +532,7 @@ impl ShardedHandle {
     /// the map is not batched.
     pub fn shard_batch(&mut self, shard: usize, ops: &[BatchOp]) -> (Vec<Option<u64>>, PathKind) {
         self.check_shard_plan(shard, ops);
-        let r = if self.map.persist.is_some() {
+        if self.map.persist.is_some() {
             let map = Arc::clone(&self.map);
             let layer = map
                 .persist_layer()
@@ -719,9 +548,7 @@ impl ShardedHandle {
             r
         } else {
             self.shard_handle(shard).run_batch(ops)
-        };
-        self.note_op(shard);
-        r
+        }
     }
 
     /// [`Self::shard_batch`] with a flat-combining hook: when the batch
@@ -737,7 +564,7 @@ impl ShardedHandle {
         combine: impl FnOnce(&mut dyn BatchApply),
     ) -> (Vec<Option<u64>>, PathKind) {
         self.check_shard_plan(shard, ops);
-        let r = if self.map.persist.is_some() {
+        if self.map.persist.is_some() {
             let map = Arc::clone(&self.map);
             let layer = map
                 .persist_layer()
@@ -761,9 +588,7 @@ impl ShardedHandle {
             r
         } else {
             self.shard_handle(shard).run_batch_with(ops, combine)
-        };
-        self.note_op(shard);
-        r
+        }
     }
 
     fn check_shard_plan(&self, shard: usize, ops: &[BatchOp]) {
@@ -788,9 +613,7 @@ impl ShardedHandle {
         let Some(&(s, slo, shi)) = plan.iter().find(|(s, _, _)| *s == shard) else {
             return Vec::new();
         };
-        let r = self.shard_handle(s).range_query(slo, shi);
-        self.note_op(s);
-        r
+        self.shard_handle(s).range_query(slo, shi)
     }
 
     /// Merged path statistics across every shard this thread has
@@ -1014,81 +837,19 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_budget_tuning_is_a_typed_error() {
-        for bad in [
-            BudgetConfig {
-                epoch_ops: 0,
-                ..BudgetConfig::default()
-            },
-            // A one-op window carries no comparative signal.
-            BudgetConfig {
-                epoch_ops: 1,
-                ..BudgetConfig::default()
-            },
-            BudgetConfig {
-                min_attempts: 0,
-                ..BudgetConfig::default()
-            },
-            BudgetConfig {
-                max_scale: 0,
-                ..BudgetConfig::default()
-            },
-            // A probe pass that never measures anything.
-            BudgetConfig {
-                probe: threepath_core::ProbeConfig {
-                    probe_windows: 0,
-                    ..threepath_core::ProbeConfig::default()
-                },
-                ..BudgetConfig::default()
-            },
-            // NaN hold-back margins must not slip through.
-            BudgetConfig {
-                probe: threepath_core::ProbeConfig {
-                    min_gain: f64::NAN,
-                    ..threepath_core::ProbeConfig::default()
-                },
-                ..BudgetConfig::default()
-            },
-        ] {
-            let err = ShardedMap::with_config(ShardedConfig {
-                budget: Some(bad.clone()),
-                ..ShardedConfig::default()
-            })
-            .unwrap_err();
-            assert_eq!(err, ConfigError::InvalidBudget, "{bad:?}");
-        }
-        // A sane budget passes.
-        ShardedMap::with_config(ShardedConfig {
-            budget: Some(BudgetConfig::default()),
-            ..ShardedConfig::default()
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn degenerate_admission_and_read_probe_are_typed_errors() {
+    fn degenerate_admission_window_is_a_typed_error() {
         let err = ShardedMap::with_config(ShardedConfig {
             admission: Some(0),
             ..ShardedConfig::default()
         })
         .unwrap_err();
         assert_eq!(err, ConfigError::ZeroAdmissionWindow);
-        let err = ShardedMap::with_config(ShardedConfig {
-            read_probe: Some(threepath_core::ReadBoundConfig {
-                ladder: vec![],
-                ..threepath_core::ReadBoundConfig::default()
-            }),
-            ..ShardedConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, ConfigError::InvalidReadProbe(_)));
         // Sane values pass and the map still works.
         let map = Arc::new(
             ShardedMap::with_config(ShardedConfig {
                 shards: 2,
                 key_space: 100,
                 admission: Some(2),
-                read_probe: Some(threepath_core::ReadBoundConfig::default()),
                 ..ShardedConfig::default()
             })
             .unwrap(),
@@ -1104,22 +865,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_typed_errors() {
-        // Adaptive with a non-swappable starting strategy.
-        let err = ShardedMap::with_config(ShardedConfig {
-            strategy: Strategy::NonHtm,
-            adaptive: Some(AdaptiveConfig::default()),
-            ..ShardedConfig::default()
-        })
-        .unwrap_err();
-        assert_eq!(err, ConfigError::AdaptiveStrategy(Strategy::NonHtm));
-        // HTM override for a shard that does not exist.
-        let err = ShardedMap::with_config(ShardedConfig {
-            shards: 2,
-            htm_overrides: vec![(5, HtmConfig::default())],
-            ..ShardedConfig::default()
-        })
-        .unwrap_err();
-        assert_eq!(err, ConfigError::OverrideOutOfRange { shard: 5, shards: 2 });
         // Custom router disagreeing with the shard count.
         let err = ShardedMap::with_router(
             ShardedConfig {
@@ -1152,65 +897,6 @@ mod tests {
         assert_eq!(h.range_query(0, 50).len(), 50);
         drop(h);
         assert!(!map.router().preserves_order());
-        map.validate().unwrap();
-    }
-
-    #[test]
-    fn adaptive_map_probes_every_shard_independently() {
-        // Shard 1 aborts nearly every transaction (spurious injection);
-        // the other shards are clean. Drive uniform traffic through all
-        // shards: every shard's controller turns its own windows and
-        // probes both strategies, the decision state stays coherent, and
-        // the per-shard load picture shows the storm where it happened.
-        // (Which strategy wins each shard is an empirical question the
-        // probing answers per machine — asserted on the fixed workloads
-        // of tests/controller_convergence.rs, not here.)
-        let hot = HtmConfig::default().with_spurious(0.97);
-        let map = Arc::new(
-            ShardedMap::with_config(ShardedConfig {
-                shards: 4,
-                key_space: 400,
-                strategy: Strategy::ThreePath,
-                adaptive: Some(AdaptiveConfig {
-                    sample_every: 16,
-                    epoch_ops: 64,
-                    ..AdaptiveConfig::default()
-                }),
-                htm_overrides: vec![(1, hot)],
-                ..ShardedConfig::default()
-            })
-            .unwrap(),
-        );
-        assert_eq!(map.shard_strategies(), vec![Strategy::ThreePath; 4]);
-        let mut h = map.handle();
-        for i in 0..8000u64 {
-            let k = (i * 7) % 400;
-            if i % 2 == 0 {
-                h.insert(k, i);
-            } else {
-                h.remove(k);
-            }
-        }
-        drop(h);
-        let ctl = map.adaptive().unwrap();
-        for s in 0..4 {
-            assert!(ctl.epochs(s) > 0, "shard {s} turned decision windows");
-            // The shard runs exactly what its controller chose, and both
-            // live in the adaptive strategy set.
-            assert_eq!(ctl.strategy_of(s), map.shard_strategies()[s]);
-            assert!(threepath_core::ADAPTIVE_STRATEGIES
-                .contains(&ctl.settled_strategy_of(s)));
-            // Probe passes measured the other strategy at least once.
-            assert!(
-                ctl.controller_of(s).switches() > 0,
-                "shard {s} never probed the alternative"
-            );
-        }
-        // The observed per-shard load picture localizes the storm.
-        let (_, hot_aborts) = ctl.observed(1);
-        let (cold_ops, cold_aborts) = ctl.observed(0);
-        assert!(hot_aborts > cold_aborts * 5, "aborts concentrate on shard 1");
-        assert!(cold_ops > 0);
         map.validate().unwrap();
     }
 
@@ -1285,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_batching_and_admission_probe_are_typed_errors() {
+    fn degenerate_batching_is_a_typed_error() {
         let err = ShardedMap::with_config(ShardedConfig {
             strategy: Strategy::NonHtm,
             batched: true,
@@ -1293,22 +979,13 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, ConfigError::BatchedStrategy(Strategy::NonHtm));
-        let err = ShardedMap::with_config(ShardedConfig {
-            admission_probe: Some(threepath_core::AdmissionProbeConfig {
-                ladder: vec![],
-                ..threepath_core::AdmissionProbeConfig::default()
-            }),
-            ..ShardedConfig::default()
-        })
-        .unwrap_err();
-        assert!(matches!(err, ConfigError::InvalidAdmissionProbe(_)));
         // Sane values pass and the map still works.
         let map = Arc::new(
             ShardedMap::with_config(ShardedConfig {
                 shards: 2,
                 key_space: 100,
                 batched: true,
-                admission_probe: Some(threepath_core::AdmissionProbeConfig::default()),
+                admission: Some(1),
                 ..ShardedConfig::default()
             })
             .unwrap(),

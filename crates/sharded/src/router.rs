@@ -25,51 +25,13 @@ use std::str::FromStr;
 pub enum ConfigError {
     /// `shards == 0`: the partition would be empty.
     ZeroShards,
-    /// An adaptive controller was requested with a starting strategy the
-    /// runtime swap cannot handle (only TLE and 3-path participate).
-    AdaptiveStrategy(threepath_core::Strategy),
-    /// A degenerate adaptive cadence: `sample_every` of zero, or an
-    /// `epoch_ops` below 2 (one-operation windows carry no comparative
-    /// signal) or beyond `2^30`.
-    ZeroAdaptiveInterval,
-    /// Degenerate adaptive-budget tuning (any condition
-    /// `threepath_core::BudgetConfig::validate` rejects: out-of-range
-    /// `epoch_ops`, zero `min_attempts`/`max_scale`, or a bad probe
-    /// cadence).
-    InvalidBudget,
-    /// Degenerate probe/settle tuning for the adaptive strategy
-    /// controller (what `threepath_core::ProbeConfig::validate`
-    /// rejects).
-    InvalidProbe(&'static str),
-    /// Degenerate read-escalation probe tuning (what
-    /// `threepath_core::ReadBoundConfig::validate` rejects).
-    InvalidReadProbe(&'static str),
-    /// A custom [`ControllerFactory`](crate::ControllerFactory) built a
-    /// controller whose arm count does not cover
-    /// `threepath_core::ADAPTIVE_STRATEGIES`.
-    ControllerArity {
-        /// Arms the supplied controller has.
-        arms: usize,
-        /// Arms the strategy set requires.
-        expected: usize,
-    },
     /// An HTM admission window of zero threads: nobody could ever run
     /// the fast path while the fallback lock is held.
     ZeroAdmissionWindow,
-    /// Degenerate admission-probe tuning (what
-    /// `threepath_core::AdmissionProbeConfig::validate` rejects).
-    InvalidAdmissionProbe(&'static str),
     /// Batching was requested with a strategy the batch entry point
     /// cannot run on (only TLE and 3-path have the single-transaction
     /// fast path plus serialized section a batch commits through).
     BatchedStrategy(threepath_core::Strategy),
-    /// A per-shard HTM override names a shard index `>= shards`.
-    OverrideOutOfRange {
-        /// The offending shard index.
-        shard: usize,
-        /// The configured shard count.
-        shards: usize,
-    },
     /// A custom router disagrees with the configured shard count.
     RouterShardMismatch {
         /// `Router::shard_count()` of the supplied router.
@@ -88,40 +50,12 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroShards => f.write_str("shard count must be at least 1"),
-            ConfigError::AdaptiveStrategy(s) => write!(
-                f,
-                "adaptive controllers can only start on tle or 3-path, not `{s}`"
-            ),
-            ConfigError::ZeroAdaptiveInterval => f.write_str(
-                "adaptive sample_every must be non-zero and epoch_ops in 2..=2^30",
-            ),
-            ConfigError::InvalidBudget => f.write_str(
-                "budget tuning must have epoch_ops in 2..=2^30, non-zero \
-                 min_attempts/max_scale, and a valid probe cadence",
-            ),
-            ConfigError::InvalidProbe(why) => {
-                write!(f, "adaptive probe tuning rejected: {why}")
-            }
-            ConfigError::InvalidReadProbe(why) => {
-                write!(f, "read-escalation probe tuning rejected: {why}")
-            }
-            ConfigError::ControllerArity { arms, expected } => write!(
-                f,
-                "custom controller has {arms} arms but the adaptive strategy set needs {expected}"
-            ),
             ConfigError::ZeroAdmissionWindow => {
                 f.write_str("the HTM admission window must admit at least one thread")
-            }
-            ConfigError::InvalidAdmissionProbe(why) => {
-                write!(f, "admission-probe tuning rejected: {why}")
             }
             ConfigError::BatchedStrategy(s) => write!(
                 f,
                 "batched maps require the TLE or 3-path strategy, not `{s}`"
-            ),
-            ConfigError::OverrideOutOfRange { shard, shards } => write!(
-                f,
-                "per-shard HTM override for shard {shard}, but only {shards} shards exist"
             ),
             ConfigError::RouterShardMismatch { router, shards } => write!(
                 f,

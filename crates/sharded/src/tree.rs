@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use threepath_abtree::{AbTree, AbTreeConfig, AbTreeHandle};
 use threepath_bst::{Bst, BstConfig, BstHandle};
-use threepath_core::{BatchApply, BatchOp, PathKind, PathStats, Strategy, StrategySwapError};
+use threepath_core::{BatchApply, BatchOp, PathKind, PathStats};
 
 use crate::map::ShardedConfig;
 
@@ -41,23 +41,18 @@ pub enum ShardTree {
 }
 
 impl ShardTree {
+    /// Builds the tree for shard `shard` of `cfg`. Every shard is built
+    /// from the same per-tree fields, so this is [`ShardTree::build`].
+    pub fn build_shard(cfg: &ShardedConfig, _shard: usize) -> ShardTree {
+        Self::build(cfg)
+    }
+
     /// Builds one tree from the per-tree fields of `cfg` (`backend`,
-    /// `strategy`, `htm`, `reclaim`, `search_outside_txn`, `snzi`, and
-    /// whether `adaptive` is configured); `shards`, `key_space`, `router`
-    /// and per-shard overrides are partitioning concerns and ignored —
-    /// use [`ShardTree::build_shard`] to honour them.
+    /// `strategy`, `htm`, `reclaim`, `search_outside_txn`, `snzi`, ...);
+    /// `shards`, `key_space` and `router` are partitioning concerns and
+    /// ignored.
     pub fn build(cfg: &ShardedConfig) -> ShardTree {
-        Self::build_with(cfg, cfg.htm.clone())
-    }
-
-    /// Builds the tree for shard `shard` of `cfg`, applying any per-shard
-    /// HTM override (`cfg.htm_overrides`).
-    pub fn build_shard(cfg: &ShardedConfig, shard: usize) -> ShardTree {
-        Self::build_with(cfg, cfg.htm_for(shard))
-    }
-
-    fn build_with(cfg: &ShardedConfig, htm: threepath_htm::HtmConfig) -> ShardTree {
-        let adaptive = cfg.adaptive.is_some();
+        let htm = cfg.htm.clone();
         match cfg.backend {
             ShardBackend::Bst => ShardTree::Bst(Arc::new(Bst::with_config(BstConfig {
                 strategy: cfg.strategy,
@@ -66,14 +61,10 @@ impl ShardTree {
                 reclaim: cfg.reclaim,
                 search_outside_txn: cfg.search_outside_txn,
                 snzi: cfg.snzi,
-                adaptive,
                 pool: cfg.pool,
-                budget: cfg.budget.clone(),
                 read_path: cfg.read_path,
                 scan_path: cfg.scan_path,
                 admission: cfg.admission,
-                read_probe: cfg.read_probe.clone(),
-                admission_probe: cfg.admission_probe.clone(),
                 batched: cfg.batched,
             }))),
             ShardBackend::AbTree => ShardTree::AbTree(Arc::new(AbTree::with_config(AbTreeConfig {
@@ -83,14 +74,10 @@ impl ShardTree {
                 reclaim: cfg.reclaim,
                 search_outside_txn: cfg.search_outside_txn,
                 snzi: cfg.snzi,
-                adaptive,
                 pool: cfg.pool,
-                budget: cfg.budget.clone(),
                 read_path: cfg.read_path,
                 scan_path: cfg.scan_path,
                 admission: cfg.admission,
-                read_probe: cfg.read_probe.clone(),
-                admission_probe: cfg.admission_probe.clone(),
                 batched: cfg.batched,
                 ..AbTreeConfig::default()
             }))),
@@ -102,14 +89,6 @@ impl ShardTree {
         match self {
             ShardTree::Bst(t) => ShardHandle::Bst(t.handle()),
             ShardTree::AbTree(t) => ShardHandle::AbTree(t.handle()),
-        }
-    }
-
-    /// The tree's current execution strategy.
-    pub fn strategy(&self) -> Strategy {
-        match self {
-            ShardTree::Bst(t) => t.strategy(),
-            ShardTree::AbTree(t) => t.strategy(),
         }
     }
 
@@ -127,24 +106,6 @@ impl ShardTree {
         match self {
             ShardTree::Bst(t) => t.serialized_active(),
             ShardTree::AbTree(t) => t.serialized_active(),
-        }
-    }
-
-    /// Swaps the execution strategy at runtime (adaptive trees only; see
-    /// [`threepath_core::ExecCtx::set_strategy`]).
-    pub fn set_strategy(&self, strategy: Strategy) -> Result<(), StrategySwapError> {
-        match self {
-            ShardTree::Bst(t) => t.set_strategy(strategy),
-            ShardTree::AbTree(t) => t.set_strategy(strategy),
-        }
-    }
-
-    /// The attempt budgets currently in effect (fixed, adaptive, or the
-    /// paper defaults).
-    pub fn limits(&self) -> threepath_core::PathLimits {
-        match self {
-            ShardTree::Bst(t) => t.limits(),
-            ShardTree::AbTree(t) => t.limits(),
         }
     }
 

@@ -51,7 +51,7 @@ pub use spec::{KeyDist, ParseKeyDistError, PersistSpec, Structure, TrialSpec, Wo
 pub use zipf::KeySampler;
 // Policy knobs of sharded trials, re-exported so harnesses can configure
 // specs without depending on `threepath-sharded` directly.
-pub use threepath_sharded::{AdaptiveConfig, RouterKind, ShardBackend};
+pub use threepath_sharded::{RouterKind, ShardBackend};
 
 /// Reads a `usize` configuration value from the environment, falling back
 /// to `default`. Benchmarks use `THREEPATH_*` variables to scale sweeps.

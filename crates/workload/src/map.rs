@@ -34,9 +34,8 @@ fn persist_config(spec: &PersistSpec) -> PersistConfig {
 
 /// Maps a trial spec onto the sharded-layer config: the per-tree knobs
 /// verbatim, the trial's key range as the partitioned key space, plus the
-/// routing and adaptive policies. `sharded` is false when building the
-/// single-tree config, where routing and per-shard adaptivity do not
-/// apply (a lone tree has no controller driving strategy swaps).
+/// routing policy. `sharded` is false when building the single-tree
+/// config, where routing and persistence do not apply.
 fn tree_config(spec: &TrialSpec, shards: usize, sharded: bool) -> ShardedConfig {
     ShardedConfig {
         shards,
@@ -47,21 +46,15 @@ fn tree_config(spec: &TrialSpec, shards: usize, sharded: bool) -> ShardedConfig 
         key_space: spec.key_range,
         router: spec.router,
         strategy: spec.strategy,
-        adaptive: if sharded { spec.adaptive.clone() } else { None },
         htm: spec.htm.clone(),
-        htm_overrides: Vec::new(),
         reclaim: spec.reclaim,
         search_outside_txn: spec.search_outside_txn,
         snzi: spec.snzi,
         limits: spec.limits,
         pool: spec.pool,
-        budget: spec.budget.clone(),
         read_path: spec.read_path,
         scan_path: spec.scan_path,
         admission: spec.admission,
-        read_probe: spec.read_probe.clone(),
-        controller: None,
-        admission_probe: spec.admission_probe.clone(),
         // Direct trials drive one op per transaction; batch coalescing is
         // the server trial runner's regime (see `crate::server_trial`).
         batched: false,

@@ -434,21 +434,6 @@ mod tests {
         }
     }
 
-    /// Adaptive sharded trials run end to end and verify.
-    #[test]
-    fn adaptive_trials_verify() {
-        use threepath_sharded::AdaptiveConfig;
-        let mut spec = quick_spec(Structure::ShardedBst { shards: 4 }, Strategy::Tle, false);
-        spec.adaptive = Some(AdaptiveConfig {
-            sample_every: 16,
-            epoch_ops: 128,
-            ..AdaptiveConfig::default()
-        });
-        let r = run_trial(&spec);
-        assert!(r.keysum_ok, "adaptive keysum failed");
-        assert!(r.total_ops > 0);
-    }
-
     /// Regression for the PR-1 prefill clamp: a trial over a single-key
     /// range must terminate and verify (prefill cannot wait for a second
     /// distinct key that does not exist).
@@ -480,40 +465,6 @@ mod tests {
             assert!(on.pool.alloc_total > 0, "pooled trial must report traffic");
             assert!(on.pool_hit_rate() > 0.0);
         }
-    }
-
-    /// Adaptive attempt budgets under an injected abort storm: the trial
-    /// verifies and the budgets demonstrably shrank below the anchor.
-    #[test]
-    fn budget_adaptive_storm_trial_verifies_and_shrinks() {
-        use threepath_core::BudgetConfig;
-        use threepath_htm::HtmConfig;
-        let mut spec = quick_spec(Structure::Bst, Strategy::ThreePath, false);
-        spec.budget = Some(BudgetConfig {
-            epoch_ops: 128,
-            ..BudgetConfig::default()
-        });
-        spec.htm = HtmConfig::default().with_spurious(0.95);
-        let tree = AnyTree::build(&spec);
-        let AnyTree::Single(single) = &tree else {
-            unreachable!()
-        };
-        let r = run_trial(&spec);
-        assert!(r.keysum_ok, "budget-adaptive storm keysum failed");
-        assert!(r.total_ops > 0);
-        // The spec's own tree was consumed by run_trial; inspect a fresh
-        // one driven directly to observe the shrink.
-        let mut h = single.handle();
-        for i in 0..2000u64 {
-            h.insert(i % 64, i);
-            h.remove(i % 64);
-        }
-        drop(h);
-        let limits = single.limits();
-        assert!(
-            limits.fast < 10,
-            "a 95% spurious storm must shrink the fast budget, got {limits:?}"
-        );
     }
 
     /// Read-heavy trials verify on every structure, report their reads,

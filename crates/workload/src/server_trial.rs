@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use threepath_core::{AdmissionProbeConfig, BatchOp, PathStats, Strategy};
+use threepath_core::{BatchOp, PathStats, Strategy};
 use threepath_htm::{HtmConfig, SplitMix64};
 use threepath_server::{KvServer, ServerConfig};
 use threepath_sharded::{RouterKind, ShardBackend, ShardedConfig, ShardedMap};
@@ -49,15 +49,12 @@ pub struct ServerTrialSpec {
     /// Shard-routing policy.
     pub router: RouterKind,
     /// Execution-path strategy (must be TLE or 3-path: batch plans need
-    /// an adaptive-capable context).
+    /// a batched context).
     pub strategy: Strategy,
     /// Simulated-HTM parameters.
     pub htm: HtmConfig,
-    /// HTM admission window cap (with an optional ladder probe retuning
-    /// it); `None` admits everyone.
+    /// HTM admission window cap; `None` admits everyone.
     pub admission: Option<u32>,
-    /// Probe the admission cap on a ladder (requires `admission`).
-    pub admission_probe: Option<AdmissionProbeConfig>,
     /// Measured duration.
     pub duration: Duration,
     /// Server-side coalescing cap (see [`ServerConfig::batch_cap`]).
@@ -84,7 +81,6 @@ impl Default for ServerTrialSpec {
             strategy: Strategy::ThreePath,
             htm: HtmConfig::default(),
             admission: None,
-            admission_probe: None,
             duration: Duration::from_millis(200),
             batch_cap: 8,
             combine_rounds: 4,
@@ -103,7 +99,6 @@ impl ServerTrialSpec {
             strategy: self.strategy,
             htm: self.htm.clone(),
             admission: self.admission,
-            admission_probe: self.admission_probe.clone(),
             batched: true,
             ..ShardedConfig::default()
         }
@@ -193,8 +188,8 @@ fn client_loop(
 ///
 /// # Panics
 ///
-/// Panics on an invalid spec (zero shards/clients, a non-adaptive
-/// strategy, degenerate admission tuning) or if the final structural
+/// Panics on an invalid spec (zero shards/clients, a strategy outside
+/// [`threepath_core::BATCH_STRATEGIES`], a zero admission window) or if the final structural
 /// validation fails; key-sum mismatches report through
 /// [`TrialResult::keysum_ok`].
 pub fn run_server_trial(spec: &ServerTrialSpec) -> TrialResult {
@@ -346,10 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn server_trial_with_admission_probe_verifies() {
+    fn server_trial_with_admission_verifies() {
         let mut spec = quick(ShardBackend::Bst);
         spec.admission = Some(2);
-        spec.admission_probe = Some(AdmissionProbeConfig::default());
         spec.htm = HtmConfig::default().with_spurious(0.6);
         let r = run_server_trial(&spec);
         assert!(r.keysum_ok);

@@ -4,10 +4,10 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Duration;
 
-use threepath_core::{BudgetConfig, Strategy};
+use threepath_core::Strategy;
 use threepath_htm::HtmConfig;
 use threepath_reclaim::ReclaimMode;
-use threepath_sharded::{AdaptiveConfig, FsyncPolicy, RouterKind};
+use threepath_sharded::{FsyncPolicy, RouterKind};
 
 use crate::zipf::{KeySampler, RankMap};
 
@@ -284,12 +284,6 @@ pub struct TrialSpec {
     /// trees): range partitioning preserves global order, hash striping
     /// load-balances key-local skew. See [`RouterKind`].
     pub router: RouterKind,
-    /// Per-shard adaptive strategy switching for sharded structures
-    /// (ignored by the plain trees). `Some` starts every shard on
-    /// `strategy` (must be TLE or 3-path) and lets each shard probe both
-    /// strategies and run whichever measures faster. See
-    /// [`AdaptiveConfig`].
-    pub adaptive: Option<AdaptiveConfig>,
     /// Operation mix.
     pub workload: Workload,
     /// Simulated-HTM parameters.
@@ -300,15 +294,12 @@ pub struct TrialSpec {
     pub search_outside_txn: bool,
     /// Use a SNZI in place of the fetch-and-increment counter `F`.
     pub snzi: bool,
-    /// Fixed attempt budgets (wins over `budget`); `None` uses the
-    /// paper's per-strategy defaults.
+    /// Fixed attempt budgets; `None` uses the paper's per-strategy
+    /// defaults.
     pub limits: Option<threepath_core::PathLimits>,
     /// Per-thread node pools (on by default); off measures the `Box`
     /// allocator baseline.
     pub pool: bool,
-    /// Adaptive attempt budgets, anchored at the paper's 10/10/20 (see
-    /// [`BudgetConfig`]). `None` keeps the paper's fixed budgets.
-    pub budget: Option<BudgetConfig>,
     /// Route lookups through the uninstrumented wait-free read path (on
     /// by default); off drives them through `run_op` like any update —
     /// the baseline the read-heavy benchmark panels compare against.
@@ -323,14 +314,6 @@ pub struct TrialSpec {
     /// [`threepath_core::AdmissionGate`]). `None` admits everyone — the
     /// uncontrolled baseline the admission panels compare against.
     pub admission: Option<u32>,
-    /// Probe the read-escalation bound instead of the fixed
-    /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] (see
-    /// [`threepath_core::ReadBoundConfig`]).
-    pub read_probe: Option<threepath_core::ReadBoundConfig>,
-    /// Probe the HTM admission window cap on a ladder instead of keeping
-    /// the `admission` cap static (see
-    /// [`threepath_core::AdmissionProbeConfig`]); requires `admission`.
-    pub admission_probe: Option<threepath_core::AdmissionProbeConfig>,
     /// Per-shard write-ahead logging (see [`PersistSpec`]). `None` (the
     /// default) runs volatile — the baseline every persistence panel
     /// compares against. Only valid on sharded structures.
@@ -349,7 +332,6 @@ impl Default for TrialSpec {
             key_range: 10_000,
             key_dist: KeyDist::Uniform,
             router: RouterKind::Range,
-            adaptive: None,
             workload: Workload::Light,
             htm: HtmConfig::default(),
             reclaim: ReclaimMode::Epoch,
@@ -357,12 +339,9 @@ impl Default for TrialSpec {
             snzi: false,
             limits: None,
             pool: true,
-            budget: None,
             read_path: true,
             scan_path: true,
             admission: None,
-            read_probe: None,
-            admission_probe: None,
             persist: None,
             seed: 0x5EED,
         }
@@ -467,17 +446,14 @@ mod tests {
     }
 
     #[test]
-    fn spec_carries_router_and_adaptive_knobs() {
+    fn spec_carries_router_knob() {
         let spec = TrialSpec::default();
         assert_eq!(spec.router, RouterKind::Range);
-        assert!(spec.adaptive.is_none());
         let spec = TrialSpec {
             router: RouterKind::Hash,
-            adaptive: Some(AdaptiveConfig::default()),
             ..TrialSpec::default()
         };
         assert_eq!(spec.router.to_string().parse::<RouterKind>().unwrap(), spec.router);
-        assert_eq!(spec.adaptive.unwrap().sample_every, AdaptiveConfig::default().sample_every);
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! A sharded key-value map with pluggable routing and per-shard adaptive
-//! strategy: N independent three-path trees, each with its own HTM
-//! runtime and reclamation domain.
+//! A sharded key-value map with pluggable routing: N independent
+//! three-path trees, each with its own HTM runtime and reclamation
+//! domain.
 //!
 //! Demonstrates:
 //! * range vs hash routing under *clustered* Zipf skew (hot keys packed
 //!   into one shard's range) — the load-balance view (`shard_sizes`) and
 //!   throughput show why the router is a policy worth choosing;
 //! * cross-shard range queries — an ordered concatenation under the
-//!   range router, a sort-merge under the hash router;
-//! * the per-shard probing controller measuring TLE against 3-path on
-//!   each shard's own live traffic — the abort-heavy shard's storm shows
-//!   up in its observed abort mix, and every shard settles on whichever
-//!   strategy empirically completes more operations there.
+//!   range router, a sort-merge under the hash router.
 //!
 //! Run with: `cargo run --release --example sharded_kv`
 
@@ -19,11 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use threepath::core::{PathKind, Strategy};
-use threepath::htm::{HtmConfig, SplitMix64};
-use threepath::sharded::{
-    AdaptiveConfig, RouterKind, ShardBackend, ShardedConfig, ShardedMap,
-};
+use threepath::core::PathKind;
+use threepath::htm::SplitMix64;
+use threepath::sharded::{RouterKind, ShardBackend, ShardedConfig, ShardedMap};
 use threepath::workload::KeyDist;
 
 const KEY_SPACE: u64 = 1 << 16;
@@ -80,62 +74,6 @@ fn run(router: RouterKind) -> (f64, Arc<ShardedMap>) {
     (throughput, map)
 }
 
-fn adaptive_demo() {
-    println!("\nadaptive: shard 2 aborts ~95% of transactions; the rest are clean");
-    let map = Arc::new(
-        ShardedMap::with_config(ShardedConfig {
-            shards: 4,
-            backend: ShardBackend::Bst,
-            key_space: 4096,
-            strategy: Strategy::ThreePath,
-            adaptive: Some(AdaptiveConfig {
-                sample_every: 32,
-                epoch_ops: 512,
-                ..AdaptiveConfig::default()
-            }),
-            htm_overrides: vec![(2, HtmConfig::default().with_spurious(0.95))],
-            ..ShardedConfig::default()
-        })
-        .expect("valid config"),
-    );
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let map = map.clone();
-            s.spawn(move || {
-                let mut h = map.handle();
-                let mut rng = SplitMix64::new(t * 71 + 3);
-                for i in 0..20_000u64 {
-                    let k = rng.next_below(4096);
-                    if rng.next_below(2) == 0 {
-                        h.insert(k, i);
-                    } else {
-                        h.remove(k);
-                    }
-                }
-            });
-        }
-    });
-    let ctl = map.adaptive().expect("adaptive map");
-    for s in 0..4 {
-        let (ops, aborts) = ctl.observed(s);
-        println!(
-            "  shard {s}: settled {:<9?} (windows {}, probes {}, observed {ops} ops / {aborts} aborts)",
-            ctl.settled_strategy_of(s),
-            ctl.epochs(s),
-            ctl.controller_of(s).switches(),
-        );
-    }
-    // What the prober guarantees: every shard turned decision windows
-    // and measured the alternative; the storm shows up exactly where it
-    // was injected. Which strategy wins is the measurement's call.
-    for s in 0..4 {
-        assert!(ctl.epochs(s) > 0 && ctl.controller_of(s).switches() > 0);
-    }
-    let (hot_ops, hot_aborts) = ctl.observed(2);
-    assert!(hot_aborts > hot_ops, "the storm is visible on shard 2");
-    map.validate().expect("every shard structurally valid");
-}
-
 fn main() {
     println!(
         "clustered-zipf 50/50 insert/remove, {WRITERS} writers, {SHARDS} shards, key space {KEY_SPACE}"
@@ -159,6 +97,4 @@ fn main() {
     );
     map.validate().expect("every shard structurally valid");
     println!("final: {} keys, key_sum {}", map.len(), map.key_sum());
-
-    adaptive_demo();
 }

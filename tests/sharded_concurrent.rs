@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use threepath::core::Strategy;
 use threepath::htm::{HtmConfig, SplitMix64};
-use threepath::sharded::{
-    AdaptiveConfig, RouterKind, ShardBackend, ShardedConfig, ShardedMap,
-};
+use threepath::sharded::{RouterKind, ShardBackend, ShardedConfig, ShardedMap};
 use threepath::workload::{run_trial, KeyDist, Structure, TrialSpec, Workload};
 
 mod common;
@@ -216,95 +214,6 @@ fn heavy_skewed_trial_on_sharded_map() {
     assert!(r.keysum_ok, "sharded heavy keysum failed");
     assert!(r.rq_ops > 0, "the dedicated RQ thread must record queries");
     assert!(r.update_ops > 0);
-}
-
-/// Per-shard adaptive probing under concurrency: shard 1's HTM runtime
-/// aborts ~97% of transactions spuriously while the other shards are
-/// clean, and 4 threads hammer all shards at once. Each shard's
-/// controller probes TLE against 3-path while operations are in flight;
-/// the keysum invariant must hold across every strategy swap (operations
-/// in flight during a flip run under whichever strategy they read), the
-/// decision state must stay coherent with the trees, and the per-shard
-/// observed (ops, aborts) picture must localize the storm. Which
-/// strategy each shard settles on is the machine's business — the
-/// decision *process* and the correctness envelope are what this test
-/// pins down.
-#[test]
-fn adaptive_probing_keeps_invariants_across_live_swaps() {
-    let map = Arc::new(
-        ShardedMap::with_config(ShardedConfig {
-            shards: 4,
-            backend: ShardBackend::Bst,
-            key_space: 1024,
-            strategy: Strategy::ThreePath,
-            adaptive: Some(AdaptiveConfig {
-                sample_every: 16,
-                epoch_ops: 256,
-                ..AdaptiveConfig::default()
-            }),
-            htm_overrides: vec![(1, HtmConfig::default().with_spurious(0.97).with_seed(5))],
-            ..ShardedConfig::default()
-        })
-        .expect("valid config"),
-    );
-    assert_eq!(map.shard_strategies(), vec![Strategy::ThreePath; 4]);
-
-    let delta = Arc::new(AtomicI64::new(0));
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let map = map.clone();
-            let delta = delta.clone();
-            s.spawn(move || {
-                let mut h = map.handle();
-                let mut rng = SplitMix64::new(t * 977 + 13);
-                let mut local = 0i64;
-                for i in 0..6000u64 {
-                    let k = rng.next_below(1024);
-                    if rng.next_below(2) == 0 {
-                        if h.insert(k, i).is_none() {
-                            local += k as i64;
-                        }
-                    } else if h.remove(k).is_some() {
-                        local -= k as i64;
-                    }
-                }
-                delta.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-    });
-
-    let ctl = map.adaptive().expect("adaptive map has a controller");
-    for shard in 0..4 {
-        assert!(
-            ctl.epochs(shard) > 0,
-            "shard {shard} must have claimed decision windows"
-        );
-        // The probe pass measured the alternative at least once.
-        assert!(
-            ctl.controller_of(shard).switches() > 0,
-            "shard {shard} never probed the other strategy"
-        );
-        // The decision state and the tree never desynchronize, and both
-        // live strategies stay inside the adaptive set.
-        assert_eq!(ctl.strategy_of(shard), map.shard_strategies()[shard]);
-        assert!(threepath::core::ADAPTIVE_STRATEGIES
-            .contains(&ctl.settled_strategy_of(shard)));
-    }
-    // The per-shard stats picture localizes the storm: aborts concentrate
-    // on shard 1 while completions spread across all shards.
-    let (hot_ops, hot_aborts) = ctl.observed(1);
-    assert!(hot_ops > 0 && hot_aborts as f64 / hot_ops as f64 >= 2.0);
-    for cold in [0, 2, 3] {
-        let (ops, aborts) = ctl.observed(cold);
-        assert!(ops > 0, "shard {cold} saw traffic");
-        assert!(
-            (aborts as f64 / ops as f64) < 2.0,
-            "clean shard {cold} abort rate must stay low ({aborts}/{ops})"
-        );
-    }
-    // Correctness across the strategy swaps.
-    map.validate().unwrap();
-    assert_eq!(map.key_sum() as i128, delta.load(Ordering::Relaxed) as i128);
 }
 
 /// HTM admission control racing real traffic: with a one-thread admission
