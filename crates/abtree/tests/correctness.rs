@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 use threepath_abtree::{AbTree, AbTreeConfig, B};
-use threepath_core::{BatchOp, PathKind, Strategy};
+use threepath_core::{BatchOp, PathKind, PathLimits, Strategy};
 use threepath_htm::{HtmConfig, SplitMix64};
 
 fn tree_with(strategy: Strategy, htm: HtmConfig, sec8: bool) -> Arc<AbTree> {
@@ -29,7 +29,11 @@ fn assert_balanced(tree: &AbTree) -> threepath_abtree::AbShape {
 }
 
 fn oracle_run(strategy: Strategy, htm: HtmConfig, sec8: bool, seed: u64, ops: usize) {
-    let tree = tree_with(strategy, htm, sec8);
+    oracle_run_on(tree_with(strategy, htm, sec8), seed, ops);
+}
+
+/// [`oracle_run`] on an already configured tree.
+fn oracle_run_on(tree: Arc<AbTree>, seed: u64, ops: usize) {
     let mut h = tree.handle();
     let mut oracle = BTreeMap::new();
     let mut rng = SplitMix64::new(seed);
@@ -149,7 +153,12 @@ fn descending_and_interleaved_insertion_orders() {
 }
 
 fn keysum_stress(strategy: Strategy, htm: HtmConfig, sec8: bool, threads: usize, ops: usize) {
-    let tree = tree_with(strategy, htm, sec8);
+    keysum_stress_on(tree_with(strategy, htm, sec8), threads, ops);
+}
+
+/// [`keysum_stress`] on an already configured tree.
+fn keysum_stress_on(tree: Arc<AbTree>, threads: usize, ops: usize) {
+    let strategy = tree.strategy();
     let key_range = 2048u64;
     let delta = Arc::new(AtomicI64::new(0));
 
@@ -509,4 +518,120 @@ fn combine_hook_rebalances_combined_plans() {
     assert_eq!(h.stats().combined_ops(), 2 * B as u64);
     let shape = assert_balanced(&tree);
     assert_eq!(shape.keys, 4 + 2 * B);
+}
+
+// ----------------------------------------------------------------------
+// Fixed configuration knobs: attempt budgets, the admission gate, the
+// SNZI indicator and the read/scan path switches. Each is set once at
+// construction; every setting must keep the tree exact and balanced.
+// ----------------------------------------------------------------------
+
+fn tree_from(cfg: AbTreeConfig) -> Arc<AbTree> {
+    Arc::new(AbTree::with_config(cfg))
+}
+
+#[test]
+fn limit_override_reaches_the_tree() {
+    for strategy in Strategy::ALL {
+        let tree = tree_with(strategy, HtmConfig::default(), false);
+        assert_eq!(
+            tree.limits(),
+            PathLimits::for_strategy(strategy),
+            "{strategy}"
+        );
+        let limits = PathLimits { fast: 4, middle: 1 };
+        let tree = tree_from(AbTreeConfig {
+            strategy,
+            limits: Some(limits),
+            ..AbTreeConfig::default()
+        });
+        assert_eq!(tree.limits(), limits, "{strategy}");
+    }
+}
+
+#[test]
+fn zero_budgets_route_every_update_through_the_fallback() {
+    let tree = tree_from(AbTreeConfig {
+        limits: Some(PathLimits { fast: 0, middle: 0 }),
+        ..AbTreeConfig::default()
+    });
+    let mut h = tree.handle();
+    let mut oracle = BTreeMap::new();
+    // Enough keys to split leaves and rebalance on the fallback path.
+    for i in 0..600u64 {
+        let k = (i * 13) % 160;
+        if i % 4 == 3 {
+            assert_eq!(h.remove(k), oracle.remove(&k));
+        } else {
+            assert_eq!(h.insert(k, i), oracle.insert(k, i));
+        }
+    }
+    let st = h.stats();
+    assert_eq!(st.completed(PathKind::Fast), 0);
+    assert_eq!(st.completed(PathKind::Middle), 0);
+    // Rebalancing steps run as template operations of their own, so the
+    // fallback completes at least one operation per update.
+    assert_eq!(st.completed(PathKind::Fallback), st.total_completed());
+    assert!(st.completed(PathKind::Fallback) >= 600);
+    assert_eq!(st.total_aborts(), 0, "no transaction was attempted");
+    let shape = assert_balanced(&tree);
+    assert_eq!(shape.keys, oracle.len());
+    assert_eq!(tree.collect(), oracle.into_iter().collect::<Vec<_>>());
+}
+
+#[test]
+fn oracle_with_admission_gate_under_aborts() {
+    for (i, strategy) in [Strategy::Tle, Strategy::ThreePath].into_iter().enumerate() {
+        let tree = tree_from(AbTreeConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.5),
+            admission: Some(1),
+            ..AbTreeConfig::default()
+        });
+        oracle_run_on(tree, 900 + i as u64, 1500);
+    }
+}
+
+#[test]
+fn keysum_stress_with_admission_gate() {
+    for strategy in [Strategy::Tle, Strategy::ThreePath] {
+        let tree = tree_from(AbTreeConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.5),
+            admission: Some(1),
+            ..AbTreeConfig::default()
+        });
+        keysum_stress_on(tree, 4, 1000);
+    }
+}
+
+#[test]
+fn oracle_with_snzi_all_strategies() {
+    for (i, strategy) in Strategy::ALL.into_iter().enumerate() {
+        let tree = tree_from(AbTreeConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.5),
+            snzi: true,
+            ..AbTreeConfig::default()
+        });
+        oracle_run_on(tree, 1000 + i as u64, 1200);
+    }
+}
+
+#[test]
+fn oracle_with_read_and_scan_paths_off() {
+    for (i, strategy) in Strategy::ALL.into_iter().enumerate() {
+        let tree = tree_from(AbTreeConfig {
+            strategy,
+            read_path: false,
+            scan_path: false,
+            ..AbTreeConfig::default()
+        });
+        oracle_run_on(tree.clone(), 1100 + i as u64, 1500);
+        let mut h = tree.handle();
+        h.get(1);
+        h.range_query(0, 100);
+        assert_eq!(h.stats().completed(PathKind::Read), 0, "{strategy}");
+        assert_eq!(h.stats().total_completed(), 2, "{strategy}");
+    }
 }

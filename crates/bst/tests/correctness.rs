@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
 use threepath_bst::{Bst, BstConfig};
-use threepath_core::{BatchOp, PathKind, PathStats, Strategy};
+use threepath_core::{BatchOp, PathKind, PathLimits, PathStats, Strategy};
 use threepath_htm::{HtmConfig, SplitMix64};
 use threepath_reclaim::ReclaimMode;
 
@@ -26,7 +26,11 @@ fn tree_with(strategy: Strategy, htm: HtmConfig, sec8: bool) -> Arc<Bst> {
 
 /// Single-threaded random ops vs BTreeMap, on one strategy.
 fn oracle_run(strategy: Strategy, htm: HtmConfig, sec8: bool, seed: u64, ops: usize) {
-    let tree = tree_with(strategy, htm, sec8);
+    oracle_run_on(tree_with(strategy, htm, sec8), seed, ops);
+}
+
+/// [`oracle_run`] on an already configured tree.
+fn oracle_run_on(tree: Arc<Bst>, seed: u64, ops: usize) {
     let mut h = tree.handle();
     let mut oracle = BTreeMap::new();
     let mut rng = SplitMix64::new(seed);
@@ -107,7 +111,12 @@ fn oracle_under_tiny_capacity() {
 /// verification): Σ(inserted keys) − Σ(deleted keys) must equal the final
 /// tree key sum.
 fn keysum_stress(strategy: Strategy, htm: HtmConfig, sec8: bool, threads: usize, ops: usize) {
-    let tree = tree_with(strategy, htm, sec8);
+    keysum_stress_on(tree_with(strategy, htm, sec8), threads, ops);
+}
+
+/// [`keysum_stress`] on an already configured tree.
+fn keysum_stress_on(tree: Arc<Bst>, threads: usize, ops: usize) {
+    let strategy = tree.strategy();
     let key_range = 512u64;
     let delta = Arc::new(AtomicI64::new(0));
     let mut merged = PathStats::new();
@@ -562,4 +571,169 @@ fn batching_rejects_non_batch_strategies() {
         batched: true,
         ..BstConfig::default()
     });
+}
+
+// ----------------------------------------------------------------------
+// Fixed configuration knobs: attempt budgets, the admission gate, the
+// SNZI indicator, the node pool and the read/scan path switches. Each is
+// set once at construction; every setting must keep the tree exact.
+// ----------------------------------------------------------------------
+
+fn tree_from(cfg: BstConfig) -> Arc<Bst> {
+    Arc::new(Bst::with_config(cfg))
+}
+
+#[test]
+fn limit_override_reaches_the_tree() {
+    for strategy in all_strategies() {
+        let tree = tree_with(strategy, HtmConfig::default(), false);
+        assert_eq!(
+            tree.limits(),
+            PathLimits::for_strategy(strategy),
+            "{strategy}"
+        );
+        let limits = PathLimits { fast: 2, middle: 3 };
+        let tree = tree_from(BstConfig {
+            strategy,
+            limits: Some(limits),
+            ..BstConfig::default()
+        });
+        assert_eq!(tree.limits(), limits, "{strategy}");
+    }
+}
+
+#[test]
+fn zero_budgets_route_every_update_through_the_fallback() {
+    let tree = tree_from(BstConfig {
+        limits: Some(PathLimits { fast: 0, middle: 0 }),
+        ..BstConfig::default()
+    });
+    let mut h = tree.handle();
+    let mut oracle = BTreeMap::new();
+    for i in 0..300u64 {
+        let k = (i * 7) % 64;
+        if i % 3 == 2 {
+            assert_eq!(h.remove(k), oracle.remove(&k));
+        } else {
+            assert_eq!(h.insert(k, i), oracle.insert(k, i));
+        }
+    }
+    let st = h.stats();
+    assert_eq!(st.completed(PathKind::Fast), 0);
+    assert_eq!(st.completed(PathKind::Middle), 0);
+    assert_eq!(st.completed(PathKind::Fallback), 300);
+    assert_eq!(st.total_aborts(), 0, "no transaction was attempted");
+    let want: Vec<(u64, u64)> = oracle.into_iter().collect();
+    assert_eq!(tree.collect(), want);
+    tree.validate().expect("tree invariants violated");
+}
+
+#[test]
+fn fast_only_budget_never_uses_the_middle_path() {
+    let tree = tree_from(BstConfig {
+        htm: HtmConfig::default().with_spurious(0.7),
+        limits: Some(PathLimits { fast: 2, middle: 0 }),
+        ..BstConfig::default()
+    });
+    let mut h = tree.handle();
+    for i in 0..1000u64 {
+        let k = i % 97;
+        if i % 2 == 0 {
+            h.insert(k, i);
+        } else {
+            h.remove(k);
+        }
+    }
+    let st = h.stats();
+    assert_eq!(st.completed(PathKind::Middle), 0);
+    assert_eq!(st.commits(PathKind::Middle), 0);
+    assert!(st.completed(PathKind::Fast) > 0);
+    assert!(
+        st.completed(PathKind::Fallback) > 0,
+        "aborted ops skip to the fallback"
+    );
+    tree.validate().expect("tree invariants violated");
+}
+
+#[test]
+fn oracle_with_admission_gate_under_aborts() {
+    for (i, strategy) in [Strategy::Tle, Strategy::ThreePath].into_iter().enumerate() {
+        let tree = tree_from(BstConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.5),
+            admission: Some(1),
+            ..BstConfig::default()
+        });
+        oracle_run_on(tree, 500 + i as u64, 1500);
+    }
+}
+
+#[test]
+fn keysum_stress_with_admission_gate() {
+    for strategy in [Strategy::Tle, Strategy::ThreePath] {
+        let tree = tree_from(BstConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.5),
+            admission: Some(1),
+            ..BstConfig::default()
+        });
+        keysum_stress_on(tree, 4, 1200);
+    }
+}
+
+#[test]
+fn oracle_with_snzi_all_strategies() {
+    for (i, strategy) in all_strategies().into_iter().enumerate() {
+        let tree = tree_from(BstConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.5),
+            snzi: true,
+            ..BstConfig::default()
+        });
+        oracle_run_on(tree, 600 + i as u64, 1200);
+    }
+}
+
+#[test]
+fn keysum_stress_with_snzi() {
+    for strategy in [Strategy::TwoPathNonCon, Strategy::ThreePath] {
+        let tree = tree_from(BstConfig {
+            strategy,
+            htm: HtmConfig::default().with_spurious(0.4),
+            snzi: true,
+            ..BstConfig::default()
+        });
+        keysum_stress_on(tree, 4, 1200);
+    }
+}
+
+#[test]
+fn oracle_with_pool_off() {
+    for (i, strategy) in all_strategies().into_iter().enumerate() {
+        let tree = tree_from(BstConfig {
+            strategy,
+            pool: false,
+            ..BstConfig::default()
+        });
+        oracle_run_on(tree.clone(), 700 + i as u64, 1500);
+        assert_eq!(tree.pool_stats().alloc_total, 0, "{strategy}: pool off");
+    }
+}
+
+#[test]
+fn oracle_with_read_and_scan_paths_off() {
+    for (i, strategy) in all_strategies().into_iter().enumerate() {
+        let tree = tree_from(BstConfig {
+            strategy,
+            read_path: false,
+            scan_path: false,
+            ..BstConfig::default()
+        });
+        oracle_run_on(tree.clone(), 800 + i as u64, 1500);
+        let mut h = tree.handle();
+        h.get(1);
+        h.range_query(0, 100);
+        assert_eq!(h.stats().completed(PathKind::Read), 0, "{strategy}");
+        assert_eq!(h.stats().total_completed(), 2, "{strategy}");
+    }
 }

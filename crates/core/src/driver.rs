@@ -1029,4 +1029,806 @@ mod tests {
         let (exec, _eng) = setup(Strategy::TwoPathCon);
         let _ = exec.with_batching();
     }
+
+    /// Holds the TLE lock while `body` runs; another thread releases it
+    /// after a short delay, so `body` can observe how the driver waits
+    /// for (or queues behind) a lock holder.
+    fn with_lock_released_later<R>(exec: &ExecCtx, body: impl FnOnce() -> R) -> R {
+        let rt = exec.runtime().clone();
+        exec.tle_lock().acquire(&rt);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                exec.tle_lock().release(&rt);
+            });
+            body()
+        })
+    }
+
+    /// Puts a simulated operation on the fallback path (`F` active) while
+    /// `body` runs; another thread departs after a short delay.
+    fn with_f_departed_later<R>(exec: &ExecCtx, body: impl FnOnce() -> R) -> R {
+        let rt = exec.runtime().clone();
+        exec.fallback_indicator().arrive(&rt, 9);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                exec.fallback_indicator().depart(&rt, 9);
+            });
+            body()
+        })
+    }
+
+    #[test]
+    fn default_limits_are_the_papers_for_every_strategy() {
+        for s in Strategy::ALL {
+            let (exec, _eng) = setup(s);
+            assert_eq!(exec.strategy(), s);
+            assert_eq!(exec.limits(), PathLimits::for_strategy(s), "{s}");
+        }
+    }
+
+    #[test]
+    fn limit_override_caps_both_budgets() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_limits(PathLimits { fast: 3, middle: 2 });
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let fast_calls = Cell::new(0u32);
+        let middle_calls = Cell::new(0u32);
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| {
+                fast_calls.set(fast_calls.get() + 1);
+                Err(Abort::new(AbortCode::Conflict))
+            },
+            |_| {
+                middle_calls.set(middle_calls.get() + 1);
+                Err(Abort::new(AbortCode::Conflict))
+            },
+            |_| 4,
+            |_| unreachable!(),
+        );
+        assert_eq!((v, path), (4, PathKind::Fallback));
+        assert_eq!((fast_calls.get(), middle_calls.get()), (3, 2));
+        assert_eq!(stats.aborts(PathKind::Fast).conflict, 3);
+        assert_eq!(stats.aborts(PathKind::Middle).conflict, 2);
+    }
+
+    #[test]
+    fn zero_fast_budget_starts_on_the_middle_path() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_limits(PathLimits { fast: 0, middle: 1 });
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| panic!("a zero fast budget makes no fast attempt"),
+            |_| Ok(6),
+            |_| 0,
+            |_| 0,
+        );
+        assert_eq!((v, path), (6, PathKind::Middle));
+        assert_eq!(stats.commits(PathKind::Middle), 1);
+        assert_eq!(stats.completed(PathKind::Middle), 1);
+        assert_eq!(stats.aborts(PathKind::Fast).total(), 0);
+    }
+
+    #[test]
+    fn zero_budgets_go_straight_to_the_fallback_under_f() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_limits(PathLimits { fast: 0, middle: 0 });
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let f_inside = Cell::new(false);
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| panic!("no fast budget"),
+            |_| panic!("no middle budget"),
+            |_| {
+                f_inside.set(exec.fallback_indicator().is_active(&rt));
+                8
+            },
+            |_| 0,
+        );
+        assert_eq!((v, path), (8, PathKind::Fallback));
+        assert!(f_inside.get(), "the fallback still announces itself on F");
+        assert!(!exec.fallback_indicator().is_active(&rt));
+        assert_eq!(stats.completed(PathKind::Fallback), 1);
+    }
+
+    #[test]
+    fn fast_commit_records_only_the_fast_lane() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |th| exec.attempt_seq(&eng, th, |_| Ok(3)),
+            |_| panic!("a committed fast attempt never reaches the middle path"),
+            |_| panic!("nor the fallback"),
+            |_| panic!("nor the lock"),
+        );
+        assert_eq!((v, path), (3, PathKind::Fast));
+        assert_eq!(stats.commits(PathKind::Fast), 1);
+        assert_eq!(stats.completed(PathKind::Fast), 1);
+        assert_eq!(stats.total_completed(), 1);
+        assert_eq!(stats.total_aborts(), 0);
+    }
+
+    #[test]
+    fn three_path_fast_path_never_waits_for_f() {
+        // With an operation parked on the fallback for the whole call, the
+        // fast attempt aborts on its F subscription and the middle path
+        // (which does not subscribe) completes the operation: nothing
+        // waits for F to drain.
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let rt = exec.runtime().clone();
+        exec.fallback_indicator().arrive(&rt, 5);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |th| exec.attempt_seq(&eng, th, |_| Ok(1)),
+            |th| exec.attempt_template(&eng, th, |_| Ok(2)),
+            |_| panic!("the middle path commits beside the fallback"),
+            |_| 0,
+        );
+        assert_eq!((v, path), (2, PathKind::Middle));
+        assert_eq!(
+            stats.aborts(PathKind::Fast).explicit,
+            1,
+            "one F_NONZERO abort"
+        );
+        assert!(
+            exec.fallback_indicator().is_active(&rt),
+            "F was never drained"
+        );
+        exec.fallback_indicator().depart(&rt, 5);
+    }
+
+    #[test]
+    fn tle_exhausts_exactly_the_fast_budget_before_locking() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let fast_calls = Cell::new(0u32);
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| {
+                fast_calls.set(fast_calls.get() + 1);
+                Err(Abort::new(AbortCode::Spurious))
+            },
+            |_| panic!("TLE has no middle path"),
+            |_| panic!("TLE has no lock-free fallback"),
+            |_| 12,
+        );
+        assert_eq!((v, path), (12, PathKind::Fallback));
+        assert_eq!(
+            fast_calls.get(),
+            PathLimits::for_strategy(Strategy::Tle).fast
+        );
+        assert_eq!(stats.aborts(PathKind::Fast).spurious, 20);
+    }
+
+    #[test]
+    fn unbatched_tle_spends_its_budget_on_f_nonzero_aborts() {
+        // Only batched contexts subscribe TLE transactions to F, so only
+        // they treat an F abort as a reason to take the lock early.
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec.with_limits(PathLimits { fast: 4, middle: 0 });
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let fast_calls = Cell::new(0u32);
+        let (_, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| {
+                fast_calls.set(fast_calls.get() + 1);
+                Err::<u32, _>(Abort::explicit(codes::F_NONZERO))
+            },
+            |_| unreachable!(),
+            |_| unreachable!(),
+            |_| 0,
+        );
+        assert_eq!(path, PathKind::Fallback);
+        assert_eq!(fast_calls.get(), 4);
+    }
+
+    #[test]
+    fn batched_tle_takes_the_lock_on_f_nonzero() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec.with_batching();
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let fast_calls = Cell::new(0u32);
+        let lock_inside = Cell::new(false);
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| {
+                fast_calls.set(fast_calls.get() + 1);
+                Err(Abort::explicit(codes::F_NONZERO))
+            },
+            |_| unreachable!(),
+            |_| unreachable!(),
+            |_| {
+                lock_inside.set(exec.tle_lock().is_held(&rt));
+                21
+            },
+        );
+        assert_eq!((v, path), (21, PathKind::Fallback));
+        assert_eq!(fast_calls.get(), 1, "no doomed retries while F is active");
+        assert!(lock_inside.get());
+        assert!(!exec.tle_lock().is_held(&rt));
+    }
+
+    #[test]
+    fn tle_waits_for_the_lock_before_each_fast_attempt() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let lock_seen = Cell::new(true);
+        let (v, path) = with_lock_released_later(&exec, || {
+            exec.run_op(
+                &mut th,
+                &mut stats,
+                |_| {
+                    lock_seen.set(exec.tle_lock().is_held(&rt));
+                    Ok(17)
+                },
+                |_| unreachable!(),
+                |_| unreachable!(),
+                |_| unreachable!(),
+            )
+        });
+        assert_eq!((v, path), (17, PathKind::Fast));
+        assert!(
+            !lock_seen.get(),
+            "the fast attempt ran while the lock was held"
+        );
+        assert_eq!(
+            stats.aborts(PathKind::Fast).total(),
+            0,
+            "no attempt was wasted"
+        );
+    }
+
+    #[test]
+    fn two_path_con_exhausts_its_budget_then_runs_the_fallback_without_f() {
+        let (exec, eng) = setup(Strategy::TwoPathCon);
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let middle_calls = Cell::new(0u32);
+        let f_inside = Cell::new(true);
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| unreachable!(),
+            |_| {
+                middle_calls.set(middle_calls.get() + 1);
+                Err(Abort::new(AbortCode::Conflict))
+            },
+            |_| {
+                f_inside.set(exec.fallback_indicator().is_active(&rt));
+                31
+            },
+            |_| unreachable!(),
+        );
+        assert_eq!((v, path), (31, PathKind::Fallback));
+        assert_eq!(middle_calls.get(), 20);
+        assert_eq!(
+            stats.aborts(PathKind::Fast).conflict,
+            20,
+            "counted as fast aborts"
+        );
+        assert!(
+            !f_inside.get(),
+            "2-path-con's fallback runs concurrently, F unused"
+        );
+    }
+
+    #[test]
+    fn two_path_noncon_fallback_holds_f() {
+        let (exec, eng) = setup(Strategy::TwoPathNonCon);
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let f_inside = Cell::new(false);
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| Err(Abort::new(AbortCode::Capacity)),
+            |_| unreachable!("2-path non-con has no middle path"),
+            |_| {
+                f_inside.set(exec.fallback_indicator().is_active(&rt));
+                37
+            },
+            |_| unreachable!(),
+        );
+        assert_eq!((v, path), (37, PathKind::Fallback));
+        assert!(f_inside.get());
+        assert!(!exec.fallback_indicator().is_active(&rt));
+        assert_eq!(stats.aborts(PathKind::Fast).capacity, 20);
+    }
+
+    #[test]
+    fn two_path_noncon_waits_for_f_to_drain_before_each_attempt() {
+        let (exec, eng) = setup(Strategy::TwoPathNonCon);
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let f_seen = Cell::new(true);
+        let (v, path) = with_f_departed_later(&exec, || {
+            exec.run_op(
+                &mut th,
+                &mut stats,
+                |_| {
+                    f_seen.set(exec.fallback_indicator().is_active(&rt));
+                    Ok(41)
+                },
+                |_| unreachable!(),
+                |_| unreachable!(),
+                |_| unreachable!(),
+            )
+        });
+        assert_eq!((v, path), (41, PathKind::Fast));
+        assert!(!f_seen.get(), "the fast attempt ran while F was active");
+    }
+
+    #[test]
+    fn admission_is_off_by_default_and_sized_at_construction() {
+        let (exec, _eng) = setup(Strategy::ThreePath);
+        assert!(exec.admission().is_none());
+        let exec = exec.with_admission(3);
+        let gate = exec.admission().expect("gate installed");
+        assert_eq!(gate.cap(), 3);
+        assert_eq!(
+            (gate.in_window(), gate.ready(), gate.overflows()),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn tle_admission_overflow_takes_the_lock_directly() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec.with_admission(1);
+        let rt = exec.runtime().clone();
+        let gate = exec.admission().unwrap();
+        assert!(gate.try_enter(), "another thread occupies the window");
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let queued_inside = Cell::new(0u32);
+        let (v, path) = with_lock_released_later(&exec, || {
+            exec.run_op(
+                &mut th,
+                &mut stats,
+                |_| panic!("an overflow thread makes no HTM attempt"),
+                |_| unreachable!(),
+                |_| unreachable!(),
+                |_| {
+                    assert!(exec.tle_lock().is_held(&rt));
+                    queued_inside.set(gate.ready());
+                    43
+                },
+            )
+        });
+        assert_eq!((v, path), (43, PathKind::Fallback));
+        assert_eq!(
+            queued_inside.get(),
+            1,
+            "queued on the ready lane while serialized"
+        );
+        assert_eq!(gate.ready(), 0, "and dequeued afterwards");
+        assert_eq!(gate.in_window(), 1, "the other thread's slot is untouched");
+        assert_eq!(stats.admission_overflows(), 1);
+        assert_eq!(gate.overflows(), 1);
+        gate.exit();
+    }
+
+    #[test]
+    fn tle_admitted_attempt_leaves_the_window_on_commit() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec.with_admission(2);
+        let gate = exec.admission().unwrap();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let window_inside = Cell::new(0u32);
+        let (v, path) = with_lock_released_later(&exec, || {
+            exec.run_op(
+                &mut th,
+                &mut stats,
+                |_| {
+                    window_inside.set(gate.in_window());
+                    Ok(47)
+                },
+                |_| unreachable!(),
+                |_| unreachable!(),
+                |_| unreachable!(),
+            )
+        });
+        assert_eq!((v, path), (47, PathKind::Fast));
+        assert_eq!(window_inside.get(), 1, "admitted while the lock was held");
+        assert_eq!(gate.in_window(), 0);
+        assert_eq!(stats.admission_overflows(), 0);
+    }
+
+    #[test]
+    fn tle_admitted_thread_exits_the_window_before_taking_the_lock() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec
+            .with_admission(1)
+            .with_limits(PathLimits { fast: 2, middle: 0 });
+        let gate = exec.admission().unwrap();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let window_inside = Cell::new(u32::MAX);
+        let (_, path) = with_lock_released_later(&exec, || {
+            exec.run_op(
+                &mut th,
+                &mut stats,
+                |_| Err(Abort::new(AbortCode::Conflict)),
+                |_| unreachable!(),
+                |_| unreachable!(),
+                |_| window_inside.set(gate.in_window()),
+            )
+        });
+        assert_eq!(path, PathKind::Fallback);
+        assert_eq!(
+            window_inside.get(),
+            0,
+            "the lock holder no longer attempts HTM"
+        );
+        assert_eq!(gate.in_window(), 0);
+    }
+
+    #[test]
+    fn three_path_admission_overflow_joins_the_fallback_directly() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_admission(1);
+        let rt = exec.runtime().clone();
+        let gate = exec.admission().unwrap();
+        exec.fallback_indicator().arrive(&rt, 9);
+        assert!(gate.try_enter(), "another thread occupies the window");
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| panic!("an overflow thread makes no HTM attempt"),
+            |_| panic!("not even on the middle path"),
+            |_| {
+                assert_eq!(gate.ready(), 1);
+                assert!(exec.fallback_indicator().is_active(&rt));
+                53
+            },
+            |_| unreachable!(),
+        );
+        assert_eq!((v, path), (53, PathKind::Fallback));
+        assert_eq!(stats.admission_overflows(), 1);
+        assert_eq!(gate.ready(), 0);
+        assert_eq!(gate.in_window(), 1);
+        gate.exit();
+        exec.fallback_indicator().depart(&rt, 9);
+        assert!(!exec.fallback_indicator().is_active(&rt), "F is balanced");
+    }
+
+    #[test]
+    fn three_path_admitted_thread_leaves_the_window_before_parking_on_f() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec
+            .with_admission(1)
+            .with_limits(PathLimits { fast: 1, middle: 1 });
+        let rt = exec.runtime().clone();
+        let gate = exec.admission().unwrap();
+        exec.fallback_indicator().arrive(&rt, 9);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let window_in_middle = Cell::new(0u32);
+        let window_in_fallback = Cell::new(u32::MAX);
+        let (_, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| Err(Abort::explicit(codes::F_NONZERO)),
+            |_| {
+                window_in_middle.set(gate.in_window());
+                Err(Abort::new(AbortCode::Conflict))
+            },
+            |_| window_in_fallback.set(gate.in_window()),
+            |_| unreachable!(),
+        );
+        assert_eq!(path, PathKind::Fallback);
+        assert_eq!(window_in_middle.get(), 1, "admitted for its HTM attempts");
+        assert_eq!(window_in_fallback.get(), 0, "left before the fallback");
+        assert_eq!(stats.admission_overflows(), 0);
+        exec.fallback_indicator().depart(&rt, 9);
+    }
+
+    #[test]
+    fn idle_serialized_path_bypasses_the_gate() {
+        // The gate is consulted only while the fallback is busy: a full
+        // window does not turn away operations when F is quiet.
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_admission(1);
+        let gate = exec.admission().unwrap();
+        assert!(gate.try_enter());
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (v, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| Ok(59),
+            |_| unreachable!(),
+            |_| 0,
+            |_| 0,
+        );
+        assert_eq!((v, path), (59, PathKind::Fast));
+        assert_eq!(gate.overflows(), 0);
+        assert_eq!(gate.in_window(), 1, "the bypass took no slot");
+        assert_eq!(stats.admission_overflows(), 0);
+        gate.exit();
+    }
+
+    #[test]
+    fn non_gating_strategies_ignore_the_gate() {
+        for strategy in [Strategy::NonHtm, Strategy::TwoPathCon] {
+            let (exec, eng) = setup(strategy);
+            let exec = exec.with_admission(1);
+            let rt = exec.runtime().clone();
+            let gate = exec.admission().unwrap();
+            exec.fallback_indicator().arrive(&rt, 9);
+            assert!(gate.try_enter());
+            let mut th = eng.register_thread();
+            let mut stats = PathStats::new();
+            let (v, _) = exec.run_op(
+                &mut th,
+                &mut stats,
+                |_| unreachable!(),
+                |_| Ok(61),
+                |_| 61,
+                |_| 0,
+            );
+            assert_eq!(v, 61, "{strategy}");
+            assert_eq!(gate.overflows(), 0, "{strategy}");
+            assert_eq!(stats.admission_overflows(), 0, "{strategy}");
+            gate.exit();
+            exec.fallback_indicator().depart(&rt, 9);
+        }
+    }
+
+    #[test]
+    fn batch_capacity_abort_escalates_at_once() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_batching();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let fast_calls = Cell::new(0u32);
+        let (v, path) = exec.run_batch(
+            &mut th,
+            &mut stats,
+            3,
+            |_| {
+                fast_calls.set(fast_calls.get() + 1);
+                Err(Abort::new(AbortCode::Capacity))
+            },
+            |_| 67,
+        );
+        assert_eq!((v, path), (67, PathKind::Fallback));
+        assert_eq!(
+            fast_calls.get(),
+            1,
+            "a fixed plan's footprint never shrinks"
+        );
+        assert_eq!(stats.aborts(PathKind::Fast).capacity, 1);
+        assert_eq!(stats.completed(PathKind::Fallback), 3);
+    }
+
+    #[test]
+    fn tle_batch_retries_conflicts_up_to_the_budget() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec
+            .with_batching()
+            .with_limits(PathLimits { fast: 5, middle: 0 });
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let fast_calls = Cell::new(0u32);
+        let (_, path) = exec.run_batch(
+            &mut th,
+            &mut stats,
+            2,
+            |_| {
+                fast_calls.set(fast_calls.get() + 1);
+                Err::<u32, _>(Abort::new(AbortCode::Conflict))
+            },
+            |_| 0,
+        );
+        assert_eq!(path, PathKind::Fallback);
+        assert_eq!(fast_calls.get(), 5);
+        assert_eq!(stats.batch_txns(), 1, "then one serialized section");
+    }
+
+    #[test]
+    fn batch_admission_overflow_enqueues_on_the_serialized_lane() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec.with_batching().with_admission(1);
+        let rt = exec.runtime().clone();
+        let gate = exec.admission().unwrap();
+        assert!(gate.try_enter(), "another thread occupies the window");
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (v, path) = with_lock_released_later(&exec, || {
+            exec.run_batch(
+                &mut th,
+                &mut stats,
+                4,
+                |_| panic!("a refused batch makes no HTM attempt"),
+                |_| {
+                    assert!(exec.tle_lock().is_held(&rt));
+                    assert_eq!(gate.ready(), 1);
+                    71
+                },
+            )
+        });
+        assert_eq!((v, path), (71, PathKind::Fallback));
+        assert_eq!(stats.admission_overflows(), 1);
+        assert_eq!(stats.batch_txns(), 1);
+        assert_eq!(stats.completed(PathKind::Fallback), 4);
+        assert_eq!(gate.ready(), 0);
+        gate.exit();
+    }
+
+    #[test]
+    fn batch_admitted_to_the_window_exits_on_commit() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_batching().with_admission(2);
+        let gate = exec.admission().unwrap();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let window_inside = Cell::new(0u32);
+        let (v, path) = with_f_departed_later(&exec, || {
+            exec.run_batch(
+                &mut th,
+                &mut stats,
+                2,
+                |_| {
+                    window_inside.set(gate.in_window());
+                    Ok(73)
+                },
+                |_| unreachable!(),
+            )
+        });
+        assert_eq!((v, path), (73, PathKind::Fast));
+        assert_eq!(window_inside.get(), 1);
+        assert_eq!(gate.in_window(), 0);
+        assert_eq!(stats.admission_overflows(), 0);
+    }
+
+    #[test]
+    fn serialized_active_tracks_f_and_the_lock() {
+        let (exec, _eng) = setup(Strategy::ThreePath);
+        let rt = exec.runtime().clone();
+        assert!(!exec.serialized_active());
+        exec.fallback_indicator().arrive(&rt, 0);
+        assert!(exec.serialized_active(), "an operation on the fallback");
+        exec.fallback_indicator().depart(&rt, 0);
+        assert!(!exec.serialized_active());
+        exec.tle_lock().acquire(&rt);
+        assert!(exec.serialized_active(), "a lock holder");
+        exec.tle_lock().release(&rt);
+        assert!(!exec.serialized_active());
+    }
+
+    #[test]
+    fn snzi_context_subscribes_through_the_snzi_cell() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_snzi();
+        assert!(matches!(exec.fallback_indicator(), Indicator::Snzi(_)));
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        exec.fallback_indicator().arrive(&rt, 3);
+        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        assert_eq!(r.unwrap_err().user_code(), Some(codes::F_NONZERO));
+        exec.fallback_indicator().depart(&rt, 3);
+        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        assert!(r.is_ok());
+    }
+
+    #[test]
+    fn snzi_three_path_fallback_raises_the_indicator() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_snzi();
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let active_inside = Cell::new(false);
+        let (_, path) = exec.run_op(
+            &mut th,
+            &mut stats,
+            |_| Err(Abort::new(AbortCode::Conflict)),
+            |_| Err(Abort::new(AbortCode::Conflict)),
+            |_| active_inside.set(exec.fallback_indicator().is_active(&rt)),
+            |_| unreachable!(),
+        );
+        assert_eq!(path, PathKind::Fallback);
+        assert!(active_inside.get());
+        assert!(!exec.fallback_indicator().is_active(&rt));
+    }
+
+    #[test]
+    fn unbatched_three_path_ignores_the_tle_lock() {
+        // Without batching nothing runs under the lock on a 3-path
+        // context, so its transactions do not pay for a lock read.
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        exec.tle_lock().acquire(&rt);
+        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        assert!(r.is_ok());
+        let r: Result<(), _> = exec.attempt_template(&eng, &mut th, |_| Ok(()));
+        assert!(r.is_ok());
+        exec.tle_lock().release(&rt);
+    }
+
+    #[test]
+    fn tle_subscribes_to_the_lock_and_not_to_f() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let rt = exec.runtime().clone();
+        let mut th = eng.register_thread();
+        exec.fallback_indicator().arrive(&rt, 0);
+        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        assert!(r.is_ok(), "TLE ignores F");
+        exec.fallback_indicator().depart(&rt, 0);
+        exec.tle_lock().acquire(&rt);
+        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        assert_eq!(r.unwrap_err().user_code(), Some(codes::LOCK_HELD));
+        exec.tle_lock().release(&rt);
+    }
+
+    #[test]
+    fn concurrent_strategies_attempt_without_subscribing() {
+        // Non-HTM and 2-path-con transactions may run beside the fallback,
+        // so neither F nor the lock aborts them.
+        for strategy in [Strategy::NonHtm, Strategy::TwoPathCon] {
+            let (exec, eng) = setup(strategy);
+            let rt = exec.runtime().clone();
+            let mut th = eng.register_thread();
+            exec.fallback_indicator().arrive(&rt, 0);
+            exec.tle_lock().acquire(&rt);
+            let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+            assert!(r.is_ok(), "{strategy}");
+            let r: Result<(), _> = exec.attempt_template(&eng, &mut th, |_| Ok(()));
+            assert!(r.is_ok(), "{strategy}");
+            exec.tle_lock().release(&rt);
+            exec.fallback_indicator().depart(&rt, 0);
+        }
+    }
+
+    #[test]
+    fn batch_strategies_are_the_lock_covered_ones() {
+        assert_eq!(BATCH_STRATEGIES, [Strategy::Tle, Strategy::ThreePath]);
+        for s in BATCH_STRATEGIES {
+            let (exec, _eng) = setup(s);
+            assert!(!exec.is_batched(), "{s}: batching is opt-in");
+            assert!(exec.with_batching().is_batched(), "{s}");
+        }
+    }
+
+    #[test]
+    fn debug_names_the_strategy_and_limits() {
+        let (exec, _eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_limits(PathLimits { fast: 2, middle: 5 });
+        let s = format!("{exec:?}");
+        assert!(s.contains("ThreePath"), "{s}");
+        assert!(s.contains("fast: 2") && s.contains("middle: 5"), "{s}");
+    }
 }

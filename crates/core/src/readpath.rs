@@ -181,4 +181,76 @@ mod tests {
         assert_eq!(stats.read_retries(), 4);
         assert_eq!(stats.read_escalations(), 1);
     }
+
+    #[test]
+    fn validated_read_that_succeeds_at_once_has_no_retries() {
+        let (exec, eng) = setup();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let mut calls = 0;
+        let r = exec.run_read_validated(&mut th, &mut stats, DEFAULT_READ_ATTEMPTS, |_th| {
+            calls += 1;
+            Some(5)
+        });
+        assert_eq!(r, Some(5));
+        assert_eq!(calls, 1);
+        assert_eq!(stats.read_retries(), 0);
+        assert_eq!(stats.completed(PathKind::Read), 1);
+    }
+
+    #[test]
+    fn default_bound_spends_exactly_its_attempts() {
+        let (exec, eng) = setup();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let mut calls = 0u32;
+        let r: Option<()> =
+            exec.run_read_validated(&mut th, &mut stats, DEFAULT_READ_ATTEMPTS, |_th| {
+                calls += 1;
+                None
+            });
+        assert_eq!(r, None);
+        assert_eq!(DEFAULT_READ_ATTEMPTS, 8, "the documented default");
+        assert_eq!(calls, DEFAULT_READ_ATTEMPTS);
+        assert_eq!(stats.read_retries(), u64::from(DEFAULT_READ_ATTEMPTS));
+        assert_eq!(stats.read_escalations(), 1);
+    }
+
+    #[test]
+    fn every_validated_attempt_runs_under_the_pin() {
+        let (exec, eng) = setup();
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let mut unpinned = 0;
+        let _: Option<()> = exec.run_read_validated(&mut th, &mut stats, 3, |th| {
+            if !th.reclaim.is_pinned() {
+                unpinned += 1;
+            }
+            None
+        });
+        assert_eq!(unpinned, 0);
+        assert!(!th.reclaim.is_pinned(), "the pin is released afterwards");
+    }
+
+    #[test]
+    fn reads_ignore_f_and_the_lock() {
+        // No subscription: a busy fallback (F active, TLE lock held)
+        // neither blocks nor escalates a read.
+        let (exec, eng) = setup();
+        let rt = exec.runtime().clone();
+        exec.fallback_indicator().arrive(&rt, 0);
+        exec.tle_lock().acquire(&rt);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_read(&mut th, &mut stats, |_| 1), 1);
+        assert_eq!(
+            exec.run_read_validated(&mut th, &mut stats, 1, |_| Some(2)),
+            Some(2)
+        );
+        assert_eq!(stats.completed(PathKind::Read), 2);
+        assert_eq!(stats.read_escalations(), 0);
+        assert_eq!(stats.total_aborts(), 0);
+        exec.tle_lock().release(&rt);
+        exec.fallback_indicator().depart(&rt, 0);
+    }
 }

@@ -602,4 +602,67 @@ mod tests {
         assert!((s.abort_rate() - 1.5).abs() < 1e-12);
         assert!((s.fallback_fraction() - 0.5).abs() < 1e-12);
     }
+
+    #[test]
+    fn path_kinds_display_as_lane_labels() {
+        let labels: Vec<String> = PathKind::ALL.iter().map(|p| p.to_string()).collect();
+        assert_eq!(labels, ["fast", "middle", "fallback", "read"]);
+    }
+
+    #[test]
+    fn abort_reasons_land_in_their_own_category() {
+        let mut s = PathStats::new();
+        for code in [
+            AbortCode::Explicit(7),
+            AbortCode::Conflict,
+            AbortCode::Conflict,
+            AbortCode::Capacity,
+            AbortCode::Spurious,
+        ] {
+            s.record_abort(PathKind::Middle, &Abort::new(code));
+        }
+        let a = s.aborts(PathKind::Middle);
+        assert_eq!(
+            (a.explicit, a.conflict, a.capacity, a.spurious),
+            (1, 2, 1, 1)
+        );
+        assert_eq!(a.total(), 5);
+        assert_eq!(s.aborts(PathKind::Fast), AbortCounts::default());
+        assert_eq!(s.total_aborts(), 5);
+    }
+
+    #[test]
+    fn admission_overflows_count_and_merge() {
+        let mut s = PathStats::new();
+        s.record_admission_overflow();
+        s.record_admission_overflow();
+        assert_eq!(s.admission_overflows(), 2);
+        let mut t = PathStats::new();
+        t.merge(&s);
+        t.merge(&s);
+        assert_eq!(t.admission_overflows(), 4);
+    }
+
+    #[test]
+    fn wal_lane_counts_merges_and_prints_only_when_used() {
+        let mut s = PathStats::new();
+        assert!(!s.to_string().contains("wal-lane"), "silent when unused");
+        s.record_wal_appends(3, 120);
+        s.record_wal_appends(1, 40);
+        s.record_wal_snapshot();
+        assert_eq!(
+            (s.wal_records(), s.wal_bytes(), s.wal_snapshots()),
+            (4, 160, 1)
+        );
+        let mut t = PathStats::new();
+        t.merge(&s);
+        t.merge(&s);
+        assert_eq!(
+            (t.wal_records(), t.wal_bytes(), t.wal_snapshots()),
+            (8, 320, 2)
+        );
+        assert!(s
+            .to_string()
+            .contains("wal-lane records 4 bytes 160 snapshots 1"));
+    }
 }

@@ -177,4 +177,67 @@ mod tests {
         );
         assert_eq!(PathLimits::for_strategy(Strategy::Tle).fast, 20);
     }
+
+    #[test]
+    fn all_lists_each_strategy_once() {
+        let set: std::collections::HashSet<Strategy> = Strategy::ALL.into_iter().collect();
+        assert_eq!(set.len(), Strategy::ALL.len());
+    }
+
+    #[test]
+    fn figure_series_omit_only_two_path_noncon() {
+        let omitted: Vec<Strategy> = Strategy::ALL
+            .into_iter()
+            .filter(|s| !Strategy::FIGURE_SERIES.contains(s))
+            .collect();
+        assert_eq!(omitted, [Strategy::TwoPathNonCon]);
+        // Same relative order as `ALL`.
+        let kept: Vec<Strategy> = Strategy::ALL
+            .into_iter()
+            .filter(|s| Strategy::FIGURE_SERIES.contains(s))
+            .collect();
+        assert_eq!(kept, Strategy::FIGURE_SERIES);
+    }
+
+    #[test]
+    fn only_three_path_has_a_middle_path() {
+        for s in Strategy::ALL {
+            assert_eq!(s.has_middle_path(), s == Strategy::ThreePath, "{s}");
+        }
+    }
+
+    #[test]
+    fn only_tle_gives_up_lock_freedom() {
+        for s in Strategy::ALL {
+            assert_eq!(s.is_lock_free(), s != Strategy::Tle, "{s}");
+        }
+    }
+
+    #[test]
+    fn paper_budgets_for_every_strategy() {
+        for s in Strategy::ALL {
+            let l = PathLimits::for_strategy(s);
+            if s.has_middle_path() {
+                assert_eq!(
+                    l,
+                    PathLimits {
+                        fast: 10,
+                        middle: 10
+                    },
+                    "{s}"
+                );
+            } else {
+                // Two-path algorithms and TLE: 20 fast attempts, and a
+                // middle budget that no path ever spends.
+                assert_eq!(
+                    l,
+                    PathLimits {
+                        fast: 20,
+                        middle: 0
+                    },
+                    "{s}"
+                );
+            }
+        }
+    }
 }

@@ -400,4 +400,120 @@ mod tests {
         assert_eq!(data.load_direct(&rt), 0);
         lock.release(&rt);
     }
+
+    #[test]
+    fn late_fallback_arrival_aborts_started_transaction() {
+        // The 3-path fast path's safety argument: a transaction that read
+        // F = 0 cannot commit once an operation arrives on the fallback.
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let mut th = rt.register_thread();
+        let f = FallbackCount::new();
+        let data = CachePadded::new(TxCell::new(0));
+        let r: Result<(), _> = rt.attempt(&mut th, |tx| {
+            if tx.read(f.cell())? != 0 {
+                return Err(tx.abort(threepath_htm::codes::F_NONZERO));
+            }
+            f.increment(&rt); // an operation enters the fallback
+            tx.write(&data, 1)?;
+            Ok(())
+        });
+        assert!(r.is_err(), "commit must fail after F changed");
+        assert_eq!(data.load_direct(&rt), 0);
+        f.decrement(&rt);
+    }
+
+    #[test]
+    fn gate_reports_its_fixed_cap() {
+        for cap in [1, 2, 16] {
+            let g = AdmissionGate::new(cap);
+            assert_eq!(g.cap(), cap);
+            for _ in 0..cap {
+                assert!(g.try_enter());
+            }
+            assert!(!g.try_enter(), "cap {cap} is the window width");
+            assert_eq!(g.in_window(), cap);
+        }
+    }
+
+    #[test]
+    fn refusals_never_leak_window_slots() {
+        let g = AdmissionGate::new(1);
+        assert!(g.try_enter());
+        for _ in 0..100 {
+            assert!(!g.try_enter());
+        }
+        assert_eq!(g.in_window(), 1, "a refused entry gives its slot back");
+        assert_eq!(g.overflows(), 100);
+        g.exit();
+        assert!(g.try_enter(), "the lone slot is free again");
+        g.exit();
+    }
+
+    #[test]
+    fn admitted_threads_never_exceed_the_cap() {
+        // Refused probes may over-count the window transiently, but a
+        // thread is admitted only when the count it saw was below the cap,
+        // so the number of threads actually inside never exceeds it.
+        let g = AdmissionGate::new(2);
+        let inside = AtomicU32::new(0);
+        let max_inside = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    for _ in 0..3_000 {
+                        if g.try_enter() {
+                            let n = inside.fetch_add(1, Ordering::AcqRel) + 1;
+                            max_inside.fetch_max(n, Ordering::AcqRel);
+                            inside.fetch_sub(1, Ordering::AcqRel);
+                            g.exit();
+                        }
+                    }
+                });
+            }
+        });
+        assert!(max_inside.load(Ordering::Acquire) <= 2);
+        assert_eq!(g.in_window(), 0);
+    }
+
+    #[test]
+    fn counter_indicator_is_active_while_any_operation_remains() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let f = Indicator::Counter(FallbackCount::new());
+        assert!(!f.is_active(&rt));
+        f.arrive(&rt, 0);
+        f.arrive(&rt, 1);
+        f.depart(&rt, 0);
+        assert!(f.is_active(&rt), "one operation still on the fallback");
+        assert!(f.raw_is_active(f.cell().load_direct(&rt)));
+        f.depart(&rt, 1);
+        assert!(!f.is_active(&rt));
+        assert!(!f.raw_is_active(0));
+        assert!(f.raw_is_active(2), "any non-zero count is active");
+    }
+
+    #[test]
+    fn snzi_indicator_reads_the_same_through_its_cell() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let f = Indicator::Snzi(crate::snzi::Snzi::new());
+        assert!(!f.raw_is_active(f.cell().load_direct(&rt)));
+        f.arrive(&rt, 3);
+        assert!(f.is_active(&rt));
+        assert!(f.raw_is_active(f.cell().load_direct(&rt)));
+        f.depart(&rt, 3);
+        assert!(!f.is_active(&rt));
+        assert!(!f.raw_is_active(f.cell().load_direct(&rt)));
+    }
+
+    #[test]
+    fn tle_lock_is_reacquirable_after_release() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let lock = TleLock::new();
+        for _ in 0..3 {
+            assert!(!lock.is_held(&rt));
+            lock.acquire(&rt);
+            assert!(lock.is_held(&rt));
+            lock.release(&rt);
+        }
+        assert!(!lock.is_held(&rt));
+    }
 }

@@ -998,6 +998,269 @@ mod tests {
     }
 
     #[test]
+    fn config_errors_say_what_is_wrong() {
+        assert_eq!(
+            ConfigError::ZeroShards.to_string(),
+            "shard count must be at least 1"
+        );
+        assert_eq!(
+            ConfigError::ZeroAdmissionWindow.to_string(),
+            "the HTM admission window must admit at least one thread"
+        );
+        assert_eq!(
+            ConfigError::BatchedStrategy(Strategy::TwoPathCon).to_string(),
+            "batched maps require the TLE or 3-path strategy, not `2-path-con`"
+        );
+        assert_eq!(
+            ConfigError::RouterShardMismatch {
+                router: 2,
+                shards: 4
+            }
+            .to_string(),
+            "router partitions 2 shards but the map was configured with 4"
+        );
+    }
+
+    #[test]
+    fn batching_accepts_exactly_the_batch_strategies() {
+        for strategy in Strategy::ALL {
+            let r = ShardedMap::with_config(ShardedConfig {
+                shards: 2,
+                key_space: 100,
+                strategy,
+                batched: true,
+                ..ShardedConfig::default()
+            });
+            if threepath_core::BATCH_STRATEGIES.contains(&strategy) {
+                assert!(r.unwrap().is_batched(), "{strategy}");
+            } else {
+                assert_eq!(r.unwrap_err(), ConfigError::BatchedStrategy(strategy));
+            }
+        }
+    }
+
+    #[test]
+    fn accessors_reflect_the_config() {
+        let map = ShardedMap::with_config(ShardedConfig {
+            shards: 3,
+            backend: ShardBackend::AbTree,
+            key_space: 300,
+            strategy: Strategy::Tle,
+            ..ShardedConfig::default()
+        })
+        .unwrap();
+        assert_eq!(map.shard_count(), 3);
+        assert_eq!(map.backend(), ShardBackend::AbTree);
+        assert_eq!(map.strategy(), Strategy::Tle);
+        assert_eq!(map.key_space(), 300);
+        assert!(!map.is_batched());
+        assert!(map.is_empty());
+        assert!(map.router().preserves_order(), "range routing by default");
+    }
+
+    #[test]
+    fn every_strategy_keeps_map_semantics() {
+        for backend in [ShardBackend::Bst, ShardBackend::AbTree] {
+            for strategy in Strategy::ALL {
+                let map = Arc::new(
+                    ShardedMap::with_config(ShardedConfig {
+                        shards: 3,
+                        backend,
+                        key_space: 90,
+                        strategy,
+                        ..ShardedConfig::default()
+                    })
+                    .unwrap(),
+                );
+                let mut h = map.handle();
+                for k in 0..90u64 {
+                    assert_eq!(h.insert(k, k + 1), None, "{backend}/{strategy}");
+                }
+                for k in (0..90u64).step_by(2) {
+                    assert_eq!(h.remove(k), Some(k + 1), "{backend}/{strategy}");
+                }
+                assert_eq!(h.get(31), Some(32));
+                assert_eq!(h.get(30), None);
+                let odd: Vec<(u64, u64)> = (20..70)
+                    .filter(|k| k % 2 == 1)
+                    .map(|k| (k, k + 1))
+                    .collect();
+                assert_eq!(h.range_query(20, 70), odd, "{backend}/{strategy}");
+                drop(h);
+                assert_eq!(map.len(), 45);
+                map.validate().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn zero_budgets_put_every_update_on_the_fallback() {
+        let map = Arc::new(
+            ShardedMap::with_config(ShardedConfig {
+                shards: 2,
+                key_space: 100,
+                limits: Some(threepath_core::PathLimits { fast: 0, middle: 0 }),
+                ..ShardedConfig::default()
+            })
+            .unwrap(),
+        );
+        let mut h = map.handle();
+        for k in 0..60u64 {
+            h.insert(k, k);
+        }
+        for k in 0..20u64 {
+            h.remove(k);
+        }
+        let st = h.stats();
+        assert_eq!(st.completed(PathKind::Fast), 0);
+        assert_eq!(st.completed(PathKind::Middle), 0);
+        assert_eq!(
+            st.completed(PathKind::Fallback),
+            80,
+            "every shard got the budgets"
+        );
+        drop(h);
+        assert_eq!(map.len(), 40);
+        map.validate().unwrap();
+    }
+
+    #[test]
+    fn snzi_shards_keep_their_invariants_under_aborts() {
+        let map = Arc::new(
+            ShardedMap::with_config(ShardedConfig {
+                shards: 2,
+                key_space: 64,
+                snzi: true,
+                htm: HtmConfig::default().with_spurious(0.6),
+                // Short budgets so aborts reach the fallback, which
+                // arrives on and departs from the SNZI.
+                limits: Some(threepath_core::PathLimits { fast: 1, middle: 1 }),
+                ..ShardedConfig::default()
+            })
+            .unwrap(),
+        );
+        let mut h = map.handle();
+        let mut want = std::collections::BTreeMap::new();
+        for i in 0..600u64 {
+            let k = (i * 37) % 64;
+            if i % 3 == 0 {
+                assert_eq!(h.remove(k), want.remove(&k));
+            } else {
+                assert_eq!(h.insert(k, i), want.insert(k, i));
+            }
+        }
+        assert!(
+            h.stats().completed(PathKind::Fallback) > 0,
+            "the SNZI was exercised"
+        );
+        drop(h);
+        assert_eq!(map.collect(), want.into_iter().collect::<Vec<_>>());
+        map.validate().unwrap();
+    }
+
+    #[test]
+    fn read_path_toggle_moves_lookups_between_lanes() {
+        for read_path in [true, false] {
+            let map = Arc::new(
+                ShardedMap::with_config(ShardedConfig {
+                    shards: 2,
+                    key_space: 100,
+                    read_path,
+                    ..ShardedConfig::default()
+                })
+                .unwrap(),
+            );
+            let mut h = map.handle();
+            for k in 0..10u64 {
+                h.insert(k * 10, k);
+            }
+            let before = h.stats().total_completed();
+            for k in 0..10u64 {
+                assert_eq!(h.get(k * 10), Some(k));
+            }
+            let st = h.stats();
+            assert_eq!(st.total_completed() - before, 10);
+            let on_read_lane = if read_path { 10 } else { 0 };
+            assert_eq!(
+                st.completed(PathKind::Read),
+                on_read_lane,
+                "read_path={read_path}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_path_toggle_moves_range_queries_between_lanes() {
+        for scan_path in [true, false] {
+            let map = Arc::new(
+                ShardedMap::with_config(ShardedConfig {
+                    shards: 2,
+                    backend: ShardBackend::AbTree,
+                    key_space: 100,
+                    scan_path,
+                    ..ShardedConfig::default()
+                })
+                .unwrap(),
+            );
+            let mut h = map.handle();
+            for k in 0..100u64 {
+                h.insert(k, k);
+            }
+            assert_eq!(h.range_query(10, 90).len(), 80);
+            let st = h.stats();
+            if scan_path {
+                assert!(st.completed(PathKind::Read) > 0);
+                assert!(st.scan_leaves_validated() > 0);
+            } else {
+                assert_eq!(st.completed(PathKind::Read), 0);
+                assert_eq!(st.scan_leaves_validated(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn admission_map_keeps_the_key_sum_under_a_concurrent_storm() {
+        for strategy in [Strategy::Tle, Strategy::ThreePath] {
+            let map = Arc::new(
+                ShardedMap::with_config(ShardedConfig {
+                    shards: 2,
+                    key_space: 128,
+                    strategy,
+                    admission: Some(1),
+                    htm: HtmConfig::default().with_spurious(0.5),
+                    ..ShardedConfig::default()
+                })
+                .unwrap(),
+            );
+            let delta: i128 = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..4u64)
+                    .map(|t| {
+                        let map = Arc::clone(&map);
+                        s.spawn(move || {
+                            let mut h = map.handle();
+                            let mut local = 0i128;
+                            for i in 0..800u64 {
+                                let k = (i * 2654435761 + t * 97) % 128;
+                                if i % 2 == 0 {
+                                    if h.insert(k, i).is_none() {
+                                        local += i128::from(k);
+                                    }
+                                } else if h.remove(k).is_some() {
+                                    local -= i128::from(k);
+                                }
+                            }
+                            local
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            assert_eq!(map.key_sum() as i128, delta, "{strategy}");
+            map.validate().unwrap();
+        }
+    }
+
+    #[test]
     fn merge_sorted_runs_interleaves() {
         assert_eq!(merge_sorted_runs(vec![]), vec![]);
         assert_eq!(merge_sorted_runs(vec![vec![(1, 1)]]), vec![(1, 1)]);

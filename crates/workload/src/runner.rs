@@ -638,6 +638,90 @@ mod tests {
     }
 
     #[test]
+    fn every_strategy_verifies_on_both_trees() {
+        for structure in [Structure::Bst, Structure::AbTree] {
+            for strategy in Strategy::ALL {
+                let r = run_trial(&quick_spec(structure, strategy, false));
+                assert!(r.keysum_ok, "{structure}/{strategy} keysum failed");
+                assert!(r.update_ops > 0, "{structure}/{strategy}");
+            }
+        }
+    }
+
+    /// Fixed attempt budgets reach the tree: with no fast or middle
+    /// attempts every update completes on the fallback path.
+    #[test]
+    fn zero_budget_trials_complete_on_the_fallback() {
+        use threepath_core::{PathKind, PathLimits};
+        for structure in [
+            Structure::Bst,
+            Structure::AbTree,
+            Structure::ShardedBst { shards: 2 },
+        ] {
+            let mut spec = quick_spec(structure, Strategy::ThreePath, false);
+            spec.limits = Some(PathLimits { fast: 0, middle: 0 });
+            let r = run_trial(&spec);
+            assert!(r.keysum_ok, "{structure} keysum failed");
+            assert!(r.stats.completed(PathKind::Fallback) > 0, "{structure}");
+            assert_eq!(r.stats.completed(PathKind::Fast), 0, "{structure}");
+            assert_eq!(r.stats.completed(PathKind::Middle), 0, "{structure}");
+        }
+    }
+
+    #[test]
+    fn admission_trials_verify_under_a_storm() {
+        use threepath_htm::HtmConfig;
+        for structure in [
+            Structure::Bst,
+            Structure::AbTree,
+            Structure::ShardedBst { shards: 2 },
+        ] {
+            for strategy in [Strategy::Tle, Strategy::ThreePath] {
+                let mut spec = quick_spec(structure, strategy, false);
+                spec.threads = 3;
+                spec.key_range = 64;
+                spec.htm = HtmConfig::default().with_spurious(0.6);
+                spec.admission = Some(1);
+                let r = run_trial(&spec);
+                assert!(r.keysum_ok, "{structure}/{strategy} keysum failed");
+                assert!(r.update_ops > 0, "{structure}/{strategy}");
+            }
+        }
+    }
+
+    #[test]
+    fn snzi_trials_verify() {
+        use threepath_htm::HtmConfig;
+        for structure in [
+            Structure::Bst,
+            Structure::AbTree,
+            Structure::ShardedAbTree { shards: 2 },
+        ] {
+            for strategy in [Strategy::TwoPathNonCon, Strategy::ThreePath] {
+                let mut spec = quick_spec(structure, strategy, false);
+                spec.snzi = true;
+                spec.htm = HtmConfig::default().with_spurious(0.4);
+                let r = run_trial(&spec);
+                assert!(r.keysum_ok, "{structure}/{strategy} keysum failed");
+                assert!(r.update_ops > 0, "{structure}/{strategy}");
+            }
+        }
+    }
+
+    #[test]
+    fn search_outside_txn_trials_verify() {
+        for structure in [Structure::Bst, Structure::AbTree] {
+            for strategy in [Strategy::Tle, Strategy::TwoPathCon, Strategy::ThreePath] {
+                let mut spec = quick_spec(structure, strategy, true);
+                spec.search_outside_txn = true;
+                let r = run_trial(&spec);
+                assert!(r.keysum_ok, "{structure}/{strategy} keysum failed");
+                assert!(r.update_ops > 0 && r.rq_ops > 0, "{structure}/{strategy}");
+            }
+        }
+    }
+
+    #[test]
     fn multiple_trials_distinct_seeds() {
         let spec = quick_spec(Structure::Bst, Strategy::Tle, false);
         let rs = run_trials(&spec, 2);
