@@ -18,9 +18,10 @@
 //! Each step may create a new violation strictly closer to the root or
 //! with fewer nodes, so the per-operation fix loop terminates. Both the
 //! template executor (software/middle paths) and the sequential executor
-//! (fast/TLE paths) share the same pure content planners.
+//! (fast/TLE paths) share the same pure content planners; [`Fix`] hands
+//! the two to the execution context as one operation.
 
-use threepath_core::{Mem, OpOutcome, TemplateMode, TxRead};
+use threepath_core::{Mem, OpOutcome, SeqOp, TemplateMode, TemplateOp, TxRead};
 use threepath_htm::Abort;
 use threepath_llxscx::ScxArgs;
 
@@ -285,26 +286,6 @@ pub(crate) fn parent_after_redistribute(pv: &NodeView, li: usize, pivot: u64) ->
 // ---------------------------------------------------------------------
 // Template executor (software path and middle path).
 // ---------------------------------------------------------------------
-
-/// One rebalancing step via the tree-update template. Returns whether a
-/// violation was found (and an SCX attempted); `Retry` when a linked LLX or
-/// the SCX failed.
-pub(crate) fn fix_step_tmpl<M: TemplateMode>(
-    m: &mut M,
-    entry: *mut AbNode,
-    key: u64,
-    a: usize,
-) -> Result<OpOutcome<bool>, Abort> {
-    let Some(v) = find_violation(m, entry, key, a)? else {
-        return Ok(OpOutcome::Done(false));
-    };
-
-    if v.tagged {
-        fix_tag_tmpl(m, entry, &v)
-    } else {
-        fix_degree_tmpl(m, entry, &v)
-    }
-}
 
 fn fix_tag_tmpl<M: TemplateMode>(
     m: &mut M,
@@ -580,25 +561,6 @@ fn fix_degree_tmpl<M: TemplateMode>(
 // Sequential executor (fast path and TLE under-lock path).
 // ---------------------------------------------------------------------
 
-/// One rebalancing step with plain reads/writes inside the enclosing
-/// transaction (or under the TLE lock). Rebalancing creates new nodes and
-/// swings one pointer even on the fast path — the paper found in-place
-/// rebalancing slower. `mark_removed` is set in Section 8 mode so
-/// out-of-transaction searches can detect removed nodes.
-pub(crate) fn fix_step_seq<M: Mem>(
-    m: &mut M,
-    entry: *mut AbNode,
-    key: u64,
-    a: usize,
-    mark_removed: bool,
-) -> Result<bool, Abort> {
-    let Some(v) = find_violation(m, entry, key, a)? else {
-        return Ok(false);
-    };
-    fix_violation_seq(m, entry, &v, mark_removed)?;
-    Ok(true)
-}
-
 fn retire_marked<M: Mem>(m: &mut M, node: *mut AbNode, mark: bool) -> Result<(), Abort> {
     if mark {
         m.write(unsafe { &*node }.hdr.marked(), 1)?;
@@ -707,6 +669,57 @@ fn fix_violation_seq<M: Mem>(
     retire_marked(m, v.p, mark)?;
     retire_marked(m, l_ptr, mark)?;
     retire_marked(m, r_ptr, mark)
+}
+
+/// One rebalancing step on `key`'s path: whether a violation was found
+/// (and repaired, or an SCX attempted). Its search is empty: both bodies
+/// find their violation themselves, in the memory mode they run in.
+/// `mark_removed` is set in Section 8 mode so out-of-transaction searches
+/// can detect removed nodes.
+pub(crate) struct Fix {
+    pub entry: *mut AbNode,
+    pub a: usize,
+    pub key: u64,
+    pub mark_removed: bool,
+}
+
+impl SeqOp for Fix {
+    type Found = ();
+    type Out = bool;
+
+    #[inline]
+    fn search<R: TxRead>(&self, _r: &mut R) -> Result<(), Abort> {
+        Ok(())
+    }
+
+    /// Plain reads and writes inside the enclosing transaction (or under
+    /// the TLE lock). Rebalancing creates new nodes and swings one pointer
+    /// even on the fast path — the paper found in-place rebalancing
+    /// slower.
+    #[inline]
+    fn seq<M: Mem>(&self, m: &mut M, _f: &(), _validate: bool) -> Result<bool, Abort> {
+        let Some(v) = find_violation(m, self.entry, self.key, self.a)? else {
+            return Ok(false);
+        };
+        fix_violation_seq(m, self.entry, &v, self.mark_removed)?;
+        Ok(true)
+    }
+}
+
+impl TemplateOp for Fix {
+    /// The tree-update template; `Retry` when a linked LLX or the SCX
+    /// failed.
+    #[inline]
+    fn tmpl<M: TemplateMode>(&self, m: &mut M, _f: &()) -> Result<OpOutcome<bool>, Abort> {
+        let Some(v) = find_violation(m, self.entry, self.key, self.a)? else {
+            return Ok(OpOutcome::Done(false));
+        };
+        if v.tagged {
+            fix_tag_tmpl(m, self.entry, &v)
+        } else {
+            fix_degree_tmpl(m, self.entry, &v)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,21 @@
 //! (a,b)-tree search, insert and delete — template and sequential families.
 //!
+//! Each family is written once. [`Op`] hands an insert, remove or batched
+//! lookup to [`ExecCtx`](threepath_core::ExecCtx) as a [`TemplateOp`], and
+//! [`Get`] a lookup as a [`ReadOp`]; core derives the fast, middle,
+//! fallback and locked paths from them.
+//!
 //! Update results carry a `fix_needed` flag: inserts that split create a
 //! tagged parent, deletes can leave an underfull leaf. The handle then runs
 //! rebalancing steps (see [`crate::fix`]) until the key's path is clean,
 //! exactly like the paper's data structure fixes the violations each
 //! operation creates.
 
-use threepath_core::{Mem, OpOutcome, TemplateMode, TxRead};
+use threepath_core::{BatchOp, Mem, OpOutcome, ReadOp, SeqOp, TemplateMode, TemplateOp, TxRead};
 use threepath_htm::{line_runs, Abort};
 use threepath_llxscx::{LlxHandle, ScxArgs};
 
-use crate::node::{AbNode, NodeView, B};
+use crate::node::{AbNode, NodeView, B, MAX_KEY};
 
 /// Result of an update: previous value (if any) and whether rebalancing is
 /// needed.
@@ -380,15 +385,83 @@ fn end_inplace<M: Mem>(m: &mut M, l: &AbNode, v0: u64) -> Result<(), Abort> {
     m.write(l.ver_cell(), v0.wrapping_add(2))
 }
 
-/// Lookup through any read mode: search, then read the leaf.
-pub(crate) fn get_with<R: TxRead>(
-    r: &mut R,
-    entry: *mut AbNode,
-    key: u64,
-) -> Result<Option<u64>, Abort> {
-    let l = search_ab(r, entry, key)?.l;
+/// `key`'s value in leaf `l`, read through any read mode.
+fn leaf_get<R: TxRead>(r: &mut R, l: *mut AbNode, key: u64) -> Result<Option<u64>, Abort> {
     let lv = NodeView::read(r, unsafe { &*l })?;
     Ok(lv.find_key(key).ok().map(|i| lv.ptrs[i]))
+}
+
+/// An insert, remove or lookup: a single update, or one operation of a
+/// batch plan. A lookup answers `(value, false)`; a remove or lookup of a
+/// key above [`MAX_KEY`] answers `(None, false)` without descending.
+pub(crate) struct Op {
+    pub entry: *mut AbNode,
+    pub a: usize,
+    pub op: BatchOp,
+}
+
+impl SeqOp for Op {
+    type Found = Option<AbFound>;
+    type Out = UpdResult;
+
+    #[inline]
+    fn search<R: TxRead>(&self, r: &mut R) -> Result<Option<AbFound>, Abort> {
+        match self.op {
+            BatchOp::Remove(k) | BatchOp::Get(k) if k > MAX_KEY => Ok(None),
+            op => search_ab(r, self.entry, op.key()).map(Some),
+        }
+    }
+
+    #[inline]
+    fn seq<M: Mem>(
+        &self,
+        m: &mut M,
+        f: &Option<AbFound>,
+        validate: bool,
+    ) -> Result<UpdResult, Abort> {
+        let Some(f) = f else { return Ok((None, false)) };
+        let (entry, a) = (self.entry, self.a);
+        match self.op {
+            BatchOp::Insert(key, value) => insert_seq(m, entry, f, key, value, validate),
+            BatchOp::Remove(key) => delete_seq(m, entry, f, key, a, validate),
+            BatchOp::Get(key) => Ok((leaf_get(m, f.l, key)?, false)),
+        }
+    }
+}
+
+impl TemplateOp for Op {
+    #[inline]
+    fn tmpl<M: TemplateMode>(
+        &self,
+        m: &mut M,
+        f: &Option<AbFound>,
+    ) -> Result<OpOutcome<UpdResult>, Abort> {
+        let Some(f) = f else {
+            return Ok(OpOutcome::Done((None, false)));
+        };
+        let (entry, a) = (self.entry, self.a);
+        match self.op {
+            BatchOp::Insert(key, value) => insert_tmpl(m, entry, f, key, value),
+            BatchOp::Remove(key) => delete_tmpl(m, entry, f, key, a),
+            BatchOp::Get(key) => Ok(OpOutcome::Done((leaf_get(m, f.l, key)?, false))),
+        }
+    }
+}
+
+/// Look up `key`: search, then read the leaf.
+pub(crate) struct Get {
+    pub entry: *mut AbNode,
+    pub key: u64,
+}
+
+impl ReadOp for Get {
+    type Out = Option<u64>;
+
+    #[inline]
+    fn walk<R: TxRead>(&self, r: &mut R) -> Result<Option<u64>, Abort> {
+        let l = search_ab(r, self.entry, self.key)?.l;
+        leaf_get(r, l, self.key)
+    }
 }
 
 #[cfg(test)]

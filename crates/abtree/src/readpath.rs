@@ -60,7 +60,7 @@
 //! Validation only ever fails while an in-place mutation races the
 //! traversal, so retries are bounded in practice; after
 //! [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures the caller
-//! escalates to the transactional machinery (`run_op`), whose paths do
+//! escalates to the transactional machinery (`run_query`), whose paths do
 //! not rely on optimistic validation.
 
 use std::sync::atomic::{fence, Ordering};
@@ -265,7 +265,7 @@ pub(crate) fn extreme_optimistic(
     // visited leaf version.
     let mut stack: Vec<(*mut AbNode, *const TxCell)> = Vec::new();
     let push_children = |n: &AbNode, stack: &mut Vec<(*mut AbNode, *const TxCell)>| -> Option<()> {
-        let v = NodeView::read(&mut &*rt, n).expect("direct read cannot abort");
+        let v = NodeView::read(&mut &*rt, n).ok()?;
         if v.size == 0 || v.size > B {
             return None;
         }
@@ -322,7 +322,7 @@ pub(crate) fn extreme_optimistic(
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use threepath_core::DirectMem;
+    use threepath_core::{run_direct, BatchOp};
     use threepath_htm::HtmConfig;
     use threepath_reclaim::{Domain, ReclaimMode};
 
@@ -413,7 +413,7 @@ mod tests {
 
     /// The real sequential operations bump the seqlock: drive
     /// `ops::insert_seq`'s shift and overwrite branches and
-    /// `ops::delete_seq` through `DirectMem` and watch `ver` advance by 2
+    /// `ops::delete_seq` over direct memory and watch `ver` advance by 2
     /// per in-place mutation while staying even.
     #[test]
     fn in_place_mutators_bump_the_seqlock() {
@@ -422,26 +422,21 @@ mod tests {
         let ctx = Domain::register(&domain);
         let leaf = Box::into_raw(Box::new(AbNode::new_leaf(&[(2, 20), (6, 60)])));
         let entry = Box::into_raw(Box::new(AbNode::new_internal(&[], &[leaf as u64], false)));
-        let found = || ops::AbFound {
-            p: entry,
-            p_idx: 0,
-            l: leaf,
-        };
+        let op = |op| ops::Op { entry, a: 1, op };
         ctx.enter();
         {
             let l = unsafe { &*leaf };
-            let mut m = DirectMem::new(&rt, &ctx);
             assert_eq!(l.ver_cell().load_direct(&rt), 0);
             // Shift-insert: one wrapped mutation -> +2.
-            let r = ops::insert_seq(&mut m, entry, &found(), 4, 40, false).unwrap();
+            let r = run_direct(&rt, &ctx, &op(BatchOp::Insert(4, 40)));
             assert_eq!(r, (None, false));
             assert_eq!(l.ver_cell().load_direct(&rt), 2);
             // Value-only update: one cell, still bumped so scans see it.
-            let r = ops::insert_seq(&mut m, entry, &found(), 4, 41, false).unwrap();
+            let r = run_direct(&rt, &ctx, &op(BatchOp::Insert(4, 41)));
             assert_eq!(r, (Some(40), false));
             assert_eq!(l.ver_cell().load_direct(&rt), 4);
             // In-place delete: +2 again.
-            let r = ops::delete_seq(&mut m, entry, &found(), 2, 1, false).unwrap();
+            let r = run_direct(&rt, &ctx, &op(BatchOp::Remove(2)));
             assert_eq!(r, (Some(20), false));
             assert_eq!(l.ver_cell().load_direct(&rt), 6);
             // The optimistic reader agrees with the mutated content.
@@ -525,16 +520,14 @@ mod tests {
                 return;
             }
             split = true;
-            // Overflowing insert of a new largest key through DirectMem:
+            // Overflowing insert of a new largest key over direct memory:
             // the in-place splice `insert_seq` performs under the lock.
-            let f = ops::AbFound {
-                p: entry,
-                p_idx: 0,
-                l: leaf,
+            let op = ops::Op {
+                entry,
+                a: 2,
+                op: BatchOp::Insert(999, 1000),
             };
-            let mut m = DirectMem::new(&rt, &ctx);
-            let r = ops::insert_seq(&mut m, entry, &f, 999, 1000, false).unwrap();
-            assert_eq!(r, (None, false));
+            assert_eq!(run_direct(&rt, &ctx, &op), (None, false));
         });
         assert_eq!(
             r, None,

@@ -109,7 +109,7 @@ mod tests {
 
     use threepath_core::scan::driver_tests::{AfterCopy, ScanFixture};
     use threepath_core::scan::ScanState;
-    use threepath_core::DirectMem;
+    use threepath_core::{run_direct, BatchOp};
     use threepath_htm::HtmConfig;
     use threepath_reclaim::{Domain, ReclaimMode};
 
@@ -171,9 +171,12 @@ mod tests {
             let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
             let ctx = Domain::register(&domain);
             ctx.enter();
-            let f = ops::search_ab(&mut &*rt, entry, key).unwrap();
-            let mut m = DirectMem::new(rt, &ctx);
-            let (old, _) = ops::insert_seq(&mut m, entry, &f, key, value, false).unwrap();
+            let op = ops::Op {
+                entry,
+                a: 2,
+                op: BatchOp::Insert(key, value),
+            };
+            let (old, _) = run_direct(rt, &ctx, &op);
             ctx.exit();
             old
         }
@@ -204,15 +207,15 @@ mod tests {
         let stalled = AfterCopy::new(&src, |rt: &HtmRuntime| {
             if !split {
                 split = true;
-                let f = ops::AbFound {
-                    p: inner,
-                    p_idx: 1,
-                    l: l2,
+                // Routes through `inner` to `l2`, which overflows.
+                let op = ops::Op {
+                    entry,
+                    a: 2,
+                    op: BatchOp::Insert(999, 1000),
                 };
                 let ctx = Domain::register(&domain);
                 ctx.enter();
-                let r = ops::insert_seq(&mut DirectMem::new(rt, &ctx), entry, &f, 999, 1000, false);
-                assert_eq!(r.unwrap(), (None, true));
+                assert_eq!(run_direct(rt, &ctx, &op), (None, true));
                 ctx.exit();
             }
         });

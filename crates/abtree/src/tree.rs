@@ -1,20 +1,22 @@
-//! The public (a,b)-tree: configuration, handles, path wiring, rebalancing
-//! loop, and quiescent validation.
+//! The public (a,b)-tree: configuration, handles, rebalancing loop, and
+//! quiescent validation. Each handle operation hands its op (see
+//! `crate::ops`, `crate::fix`, `crate::rq`) to the execution context,
+//! which derives the paths.
 
 use std::sync::Arc;
 
 use threepath_core::scan::ScanState;
 use threepath_core::{
-    BatchApply, BatchOp, DirectMem, ExecCtx, OpOutcome, OrigMode, PathKind, PathLimits, PathStats,
-    Strategy, DEFAULT_READ_ATTEMPTS,
+    BatchApply, BatchOp, ExecCtx, LockedSection, PathKind, PathLimits, PathStats, Strategy,
+    DEFAULT_READ_ATTEMPTS,
 };
-use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime};
+use threepath_htm::{HtmConfig, HtmRuntime};
 use threepath_llxscx::{ScxEngine, ScxThread};
 use threepath_reclaim::{Domain, PoolConfig, PoolStats, ReclaimMode};
 
 use crate::fix;
 use crate::node::{AbNode, B, MAX_KEY};
-use crate::ops::{self, AbFound, UpdResult};
+use crate::ops::{self, UpdResult};
 use crate::readpath;
 use crate::rq;
 use crate::scan;
@@ -49,7 +51,8 @@ pub struct AbTreeConfig {
     /// search retries on a lost race, escalating to the transactional
     /// machinery only after
     /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures. On by
-    /// default; off routes reads through `run_op` (the baseline the
+    /// default; off routes reads through the template's paths
+    /// ([`threepath_core::ExecCtx::run_query`]; the baseline the
     /// read-heavy benchmarks compare against).
     pub read_path: bool,
     /// Route `range_query` through the uninstrumented scan path: an
@@ -59,8 +62,8 @@ pub struct AbTreeConfig {
     /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures a partial
     /// rescan re-reads only the invalidated subranges, and only if that
     /// also fails does the scan escalate to the transactional machinery.
-    /// On by default; off routes scans through `run_op` (the baseline
-    /// the scan benchmarks compare against).
+    /// On by default; off routes scans through the template's paths (the
+    /// baseline the scan benchmarks compare against).
     pub scan_path: bool,
     /// HTM admission control on the fallback path: at most this many
     /// threads may attempt hardware transactions while the fallback is
@@ -121,14 +124,15 @@ pub struct AbTree {
     eng: ScxEngine,
     entry: *mut AbNode,
     a: usize,
-    sec8: bool,
     /// Whether nodes live in pool chunks (owned by the domain) rather
     /// than individual `Box` allocations — decides how `Drop` frees the
     /// node graph.
     pooled: bool,
-    /// Whether reads bypass `run_op` (see [`AbTreeConfig::read_path`]).
+    /// Whether reads bypass the template's paths (see
+    /// [`AbTreeConfig::read_path`]).
     read_path: bool,
-    /// Whether scans bypass `run_op` (see [`AbTreeConfig::scan_path`]).
+    /// Whether scans bypass the template's paths (see
+    /// [`AbTreeConfig::scan_path`]).
     scan_path: bool,
 }
 
@@ -178,6 +182,9 @@ impl AbTree {
         if cfg.batched {
             exec = exec.with_batching();
         }
+        if cfg.search_outside_txn {
+            exec = exec.with_search_outside_txn();
+        }
         // Entry node (never deleted) with the initial empty root leaf,
         // allocated through a short-lived context so they come from the
         // pool too (uniform ownership for `Drop`).
@@ -191,7 +198,6 @@ impl AbTree {
             eng,
             entry,
             a: cfg.a,
-            sec8: cfg.search_outside_txn,
             pooled,
             read_path: cfg.read_path,
             scan_path: cfg.scan_path,
@@ -263,319 +269,17 @@ impl AbTree {
         }
     }
 
-    fn search_direct(&self, key: u64) -> AbFound {
-        ops::search_ab(&mut self.direct(), self.entry, key).expect("direct search cannot abort")
-    }
-
-    /// Bare direct loads (a `TxRead`), for reads under an epoch pin.
-    fn direct(&self) -> &HtmRuntime {
-        self.exec.runtime()
-    }
-
-    // ------------------------------------------------------------------
-    // Update bodies per path. Each returns (previous value, fix needed).
-    // ------------------------------------------------------------------
-
-    fn fast_update(
-        &self,
-        th: &mut ScxThread,
-        key: u64,
-        value: Option<u64>, // Some = insert, None = delete
-    ) -> Result<UpdResult, Abort> {
-        if self.sec8 {
-            th.pinned(|th| {
-                let f = self.search_direct(key);
-                self.exec.attempt_seq(&self.eng, th, |m| match value {
-                    Some(v) => ops::insert_seq(m, self.entry, &f, key, v, true),
-                    None => ops::delete_seq(m, self.entry, &f, key, self.a, true),
-                })
-            })
-        } else {
-            self.exec.attempt_seq(&self.eng, th, |m| {
-                let f = ops::search_ab(m, self.entry, key)?;
-                match value {
-                    Some(v) => ops::insert_seq(m, self.entry, &f, key, v, false),
-                    None => ops::delete_seq(m, self.entry, &f, key, self.a, false),
-                }
-            })
+    /// `op` as this tree's operation; panics on an insert key above
+    /// [`MAX_KEY`].
+    fn op(&self, op: BatchOp) -> ops::Op {
+        if let BatchOp::Insert(key, _) = op {
+            assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
         }
-    }
-
-    fn middle_update(
-        &self,
-        th: &mut ScxThread,
-        key: u64,
-        value: Option<u64>,
-    ) -> Result<UpdResult, Abort> {
-        if self.sec8 {
-            th.pinned(|th| {
-                let f = self.search_direct(key);
-                self.exec.attempt_template(&self.eng, th, |m| {
-                    let out = match value {
-                        Some(v) => ops::insert_tmpl(m, self.entry, &f, key, v)?,
-                        None => ops::delete_tmpl(m, self.entry, &f, key, self.a)?,
-                    };
-                    finish_tx(out)
-                })
-            })
-        } else {
-            self.exec.attempt_template(&self.eng, th, |m| {
-                let f = ops::search_ab(m, self.entry, key)?;
-                let out = match value {
-                    Some(v) => ops::insert_tmpl(m, self.entry, &f, key, v)?,
-                    None => ops::delete_tmpl(m, self.entry, &f, key, self.a)?,
-                };
-                finish_tx(out)
-            })
+        ops::Op {
+            entry: self.entry,
+            a: self.a,
+            op,
         }
-    }
-
-    fn fallback_update(&self, th: &mut ScxThread, key: u64, value: Option<u64>) -> UpdResult {
-        loop {
-            let out = th.pinned(|th| {
-                let f = self.search_direct(key);
-                let mut m = OrigMode::new(&self.eng, th);
-                match value {
-                    Some(v) => ops::insert_tmpl(&mut m, self.entry, &f, key, v),
-                    None => ops::delete_tmpl(&mut m, self.entry, &f, key, self.a),
-                }
-            });
-            match out.expect("software path cannot abort") {
-                OpOutcome::Done(r) => return r,
-                OpOutcome::Retry => continue,
-            }
-        }
-    }
-
-    fn locked_update(&self, th: &mut ScxThread, key: u64, value: Option<u64>) -> UpdResult {
-        th.pinned(|th| {
-            let f = self.search_direct(key);
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            match value {
-                Some(v) => ops::insert_seq(&mut m, self.entry, &f, key, v, false),
-                None => ops::delete_seq(&mut m, self.entry, &f, key, self.a, false),
-            }
-            .expect("direct mode cannot abort")
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Batch bodies: one transaction (or one serialized section) applies a
-    // whole coalesced plan, returning one reply per operation plus the
-    // keys whose paths need rebalancing. Every operation searches from
-    // the entry inside the same memory mode, so later operations in the
-    // plan observe the effects of earlier ones. Fix-ups are deferred to
-    // the caller: they must run *outside* the serialized section (they go
-    // through `run_op`, which may take the same lock).
-    // ------------------------------------------------------------------
-
-    /// The whole plan in a single fast-path transaction.
-    fn batch_fast(
-        &self,
-        th: &mut ScxThread,
-        ops: &[BatchOp],
-    ) -> Result<(Vec<Option<u64>>, Vec<u64>), Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            let mut out = Vec::with_capacity(ops.len());
-            let mut fixes = Vec::new();
-            for op in ops {
-                let r = match *op {
-                    BatchOp::Insert(key, value) => {
-                        let f = ops::search_ab(m, self.entry, key)?;
-                        let (prev, fix) = ops::insert_seq(m, self.entry, &f, key, value, false)?;
-                        if fix {
-                            fixes.push(key);
-                        }
-                        prev
-                    }
-                    BatchOp::Remove(key) if key <= MAX_KEY => {
-                        let f = ops::search_ab(m, self.entry, key)?;
-                        let (prev, fix) = ops::delete_seq(m, self.entry, &f, key, self.a, false)?;
-                        if fix {
-                            fixes.push(key);
-                        }
-                        prev
-                    }
-                    BatchOp::Get(key) if key <= MAX_KEY => ops::get_with(m, self.entry, key)?,
-                    // Out-of-range removes and lookups answer without
-                    // descending.
-                    BatchOp::Remove(_) | BatchOp::Get(_) => None,
-                };
-                out.push(r);
-            }
-            Ok((out, fixes))
-        })
-    }
-
-    /// The whole plan in one serialized section (caller holds the lock).
-    fn batch_locked(&self, th: &mut ScxThread, ops: &[BatchOp]) -> (Vec<Option<u64>>, Vec<u64>) {
-        th.pinned(|th| {
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            let mut out = Vec::with_capacity(ops.len());
-            let mut fixes = Vec::new();
-            for op in ops {
-                let r = match *op {
-                    BatchOp::Insert(key, value) => {
-                        assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
-                        let f = self.search_direct(key);
-                        let (prev, fix) = ops::insert_seq(&mut m, self.entry, &f, key, value, false)
-                            .expect("direct mode cannot abort");
-                        if fix {
-                            fixes.push(key);
-                        }
-                        prev
-                    }
-                    BatchOp::Remove(key) if key <= MAX_KEY => {
-                        let f = self.search_direct(key);
-                        let (prev, fix) = ops::delete_seq(&mut m, self.entry, &f, key, self.a, false)
-                            .expect("direct mode cannot abort");
-                        if fix {
-                            fixes.push(key);
-                        }
-                        prev
-                    }
-                    BatchOp::Get(key) if key <= MAX_KEY => {
-                        ops::get_with(&mut self.direct(), self.entry, key)
-                            .expect("direct read cannot abort")
-                    }
-                    BatchOp::Remove(_) | BatchOp::Get(_) => None,
-                };
-                out.push(r);
-            }
-            (out, fixes)
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Rebalancing step per path. Each returns whether a violation was
-    // found and repaired.
-    // ------------------------------------------------------------------
-
-    fn fast_fix(&self, th: &mut ScxThread, key: u64) -> Result<bool, Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            fix::fix_step_seq(m, self.entry, key, self.a, self.sec8)
-        })
-    }
-
-    fn middle_fix(&self, th: &mut ScxThread, key: u64) -> Result<bool, Abort> {
-        self.exec.attempt_template(&self.eng, th, |m| {
-            match fix::fix_step_tmpl(m, self.entry, key, self.a)? {
-                OpOutcome::Done(b) => Ok(b),
-                OpOutcome::Retry => Err(Abort::explicit(codes::VALIDATION)),
-            }
-        })
-    }
-
-    fn fallback_fix(&self, th: &mut ScxThread, key: u64) -> bool {
-        loop {
-            let out = th.pinned(|th| {
-                let mut m = OrigMode::new(&self.eng, th);
-                fix::fix_step_tmpl(&mut m, self.entry, key, self.a)
-            });
-            match out.expect("software path cannot abort") {
-                OpOutcome::Done(b) => return b,
-                OpOutcome::Retry => continue,
-            }
-        }
-    }
-
-    fn locked_fix(&self, th: &mut ScxThread, key: u64) -> bool {
-        th.pinned(|th| {
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            fix::fix_step_seq(&mut m, self.entry, key, self.a, self.sec8)
-                .expect("direct mode cannot abort")
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Reads.
-    //
-    // The default path is the uninstrumented optimistic read
-    // (`crate::readpath`): direct traversal, seqlock-validated leaf read,
-    // whole-search retry on a lost race, escalation to `run_op` only
-    // after a bounded number of failures. The transactional closures
-    // below remain as the escalation target and as the
-    // `read_path: false` baseline.
-    // ------------------------------------------------------------------
-
-    /// One optimistic lookup attempt (requires the caller's epoch pin);
-    /// `None` = leaf validation failed, retry.
-    fn read_get_attempt(&self, key: u64) -> Option<Option<u64>> {
-        readpath::get_optimistic(self.exec.runtime(), self.entry, key, &mut || {})
-    }
-
-    /// One optimistic extremum attempt (requires the caller's epoch pin).
-    fn read_extreme_attempt(&self, last: bool) -> Option<Option<(u64, u64)>> {
-        readpath::extreme_optimistic(self.exec.runtime(), self.entry, last, &mut || {})
-    }
-
-    fn fast_get(&self, th: &mut ScxThread, key: u64) -> Result<Option<u64>, Abort> {
-        self.exec
-            .attempt_seq(&self.eng, th, |m| ops::get_with(m, self.entry, key))
-    }
-
-    fn middle_get(&self, th: &mut ScxThread, key: u64) -> Result<Option<u64>, Abort> {
-        self.exec
-            .attempt_template(&self.eng, th, |m| ops::get_with(m, self.entry, key))
-    }
-
-    fn fallback_get(&self, th: &mut ScxThread, key: u64) -> Option<u64> {
-        // Wait-free uninstrumented search; safe because in-place writers
-        // (fast/TLE paths) are excluded while software-path operations run.
-        th.pinned(|_th| {
-            ops::get_with(&mut self.direct(), self.entry, key).expect("direct read cannot abort")
-        })
-    }
-
-    fn fast_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, Abort> {
-        self.exec
-            .attempt_seq(&self.eng, th, |m| rq::rq_with(m, self.entry, lo, hi))
-    }
-
-    fn middle_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, Abort> {
-        self.exec
-            .attempt_template(&self.eng, th, |m| rq::rq_with(m, self.entry, lo, hi))
-    }
-
-    fn fallback_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        loop {
-            let r = th.pinned(|th| rq::rq_validated(&self.eng, th, self.entry, lo, hi));
-            if let Some(out) = r {
-                return out;
-            }
-        }
-    }
-
-    fn locked_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        th.pinned(|_th| {
-            rq::rq_with(&mut self.direct(), self.entry, lo, hi).expect("direct rq cannot abort")
-        })
-    }
-
-    fn fast_extreme(&self, th: &mut ScxThread, last: bool) -> Result<Option<(u64, u64)>, Abort> {
-        self.exec
-            .attempt_seq(&self.eng, th, |m| rq::extreme_with(m, self.entry, last))
-    }
-
-    fn middle_extreme(&self, th: &mut ScxThread, last: bool) -> Result<Option<(u64, u64)>, Abort> {
-        self.exec
-            .attempt_template(&self.eng, th, |m| rq::extreme_with(m, self.entry, last))
-    }
-
-    fn fallback_extreme(&self, th: &mut ScxThread, last: bool) -> Option<(u64, u64)> {
-        loop {
-            let r = th.pinned(|th| rq::extreme_validated(&self.eng, th, self.entry, last));
-            if let Some(out) = r {
-                return out;
-            }
-        }
-    }
-
-    fn locked_extreme(&self, th: &mut ScxThread, last: bool) -> Option<(u64, u64)> {
-        th.pinned(|_th| {
-            rq::extreme_with(&mut self.direct(), self.entry, last)
-                .expect("direct walk cannot abort")
-        })
     }
 
     /// Builds a tree from strictly ascending `(key, value)` pairs in
@@ -738,13 +442,6 @@ impl Drop for AbTree {
     }
 }
 
-fn finish_tx<T>(out: OpOutcome<T>) -> Result<T, Abort> {
-    match out {
-        OpOutcome::Done(t) => Ok(t),
-        OpOutcome::Retry => Err(Abort::explicit(codes::VALIDATION)),
-    }
-}
-
 /// Splits `n` items into chunks of roughly `target`, each at least `min`
 /// (assuming `n >= 1`; a single short chunk is allowed only when
 /// `n < min`, which for this tree means "root only" and is legal).
@@ -899,20 +596,32 @@ unsafe fn validate_rec(
 /// runs one more plan inside the serialized section the caller already
 /// holds (see [`AbTreeHandle::run_batch_with`]). Rebalancing keys are
 /// collected and repaired by the combining handle after the section ends.
-struct AbBatchApplier<'a> {
-    tree: &'a AbTree,
-    th: &'a mut ScxThread,
-    combined: &'a std::cell::Cell<u64>,
-    fixes: &'a std::cell::RefCell<Vec<u64>>,
+struct AbBatchApplier<'s, 'l> {
+    tree: &'s AbTree,
+    section: &'s mut LockedSection<'l>,
+    fixes: &'s mut Vec<u64>,
 }
 
-impl BatchApply for AbBatchApplier<'_> {
+impl BatchApply for AbBatchApplier<'_, '_> {
     fn apply(&mut self, ops: &[BatchOp]) -> Vec<Option<u64>> {
-        self.combined.set(self.combined.get() + ops.len() as u64);
-        let (out, fixes) = self.tree.batch_locked(self.th, ops);
-        self.fixes.borrow_mut().extend(fixes);
-        out
+        let tree = self.tree;
+        let out = self.section.apply(ops, |op| tree.op(op));
+        replies(ops, out, self.fixes)
     }
+}
+
+/// The replies of a batch's steps, in plan order; the keys whose paths
+/// need rebalancing go to `fixes`.
+fn replies(ops: &[BatchOp], out: Vec<UpdResult>, fixes: &mut Vec<u64>) -> Vec<Option<u64>> {
+    ops.iter()
+        .zip(out)
+        .map(|(op, (prev, fix))| {
+            if fix {
+                fixes.push(op.key());
+            }
+            prev
+        })
+        .collect()
 }
 
 /// A per-thread handle to an [`AbTree`].
@@ -952,20 +661,7 @@ impl AbTreeHandle {
     ///
     /// [`MAX_KEY`]: crate::MAX_KEY
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
-        let tree = &self.tree;
-        let ((prev, fix), _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_update(th, key, Some(value)),
-            |th| tree.middle_update(th, key, Some(value)),
-            |th| tree.fallback_update(th, key, Some(value)),
-            |th| tree.locked_update(th, key, Some(value)),
-        );
-        if fix {
-            self.fix_to_key(key);
-        }
-        prev
+        self.update(BatchOp::Insert(key, value))
     }
 
     /// Removes `key`, returning its value.
@@ -973,17 +669,17 @@ impl AbTreeHandle {
         if key > MAX_KEY {
             return None;
         }
+        self.update(BatchOp::Remove(key))
+    }
+
+    /// Runs one update, then repairs the violation it left, if any.
+    fn update(&mut self, op: BatchOp) -> Option<u64> {
         let tree = &self.tree;
-        let ((prev, fix), _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_update(th, key, None),
-            |th| tree.middle_update(th, key, None),
-            |th| tree.fallback_update(th, key, None),
-            |th| tree.locked_update(th, key, None),
-        );
+        let (prev, fix) =
+            tree.exec
+                .run_update(&tree.eng, &mut self.th, &mut self.stats, &tree.op(op));
         if fix {
-            self.fix_to_key(key);
+            self.fix_to_key(op.key());
         }
         prev
     }
@@ -1004,7 +700,7 @@ impl AbTreeHandle {
     /// Panics if the tree was not built with `batched`, or if an insert
     /// key exceeds [`MAX_KEY`](crate::MAX_KEY).
     pub fn run_batch(&mut self, ops: &[BatchOp]) -> (Vec<Option<u64>>, PathKind) {
-        self.run_batch_inner(ops, None::<fn(&mut dyn BatchApply)>)
+        self.run_batch_with(ops, |_| {})
     }
 
     /// Like [`Self::run_batch`], with a flat-combining hook: when the
@@ -1019,49 +715,30 @@ impl AbTreeHandle {
         ops: &[BatchOp],
         combine: impl FnOnce(&mut dyn BatchApply),
     ) -> (Vec<Option<u64>>, PathKind) {
-        self.run_batch_inner(ops, Some(combine))
-    }
-
-    fn run_batch_inner(
-        &mut self,
-        ops: &[BatchOp],
-        combine: Option<impl FnOnce(&mut dyn BatchApply)>,
-    ) -> (Vec<Option<u64>>, PathKind) {
         for op in ops {
             if let BatchOp::Insert(key, _) = op {
                 assert!(*key <= MAX_KEY, "key exceeds MAX_KEY");
             }
         }
-        if ops.is_empty() {
-            return (Vec::new(), PathKind::Fast);
-        }
         let tree = &self.tree;
-        let combined = std::cell::Cell::new(0u64);
-        let combined_fixes = std::cell::RefCell::new(Vec::new());
-        let mut combine_slot = combine;
-        let ((out, fixes), path) = tree.exec.run_batch(
+        let mut fixes = Vec::new();
+        let mut combined_fixes = Vec::new();
+        let (out, path) = tree.exec.run_batch(
+            &tree.eng,
             &mut self.th,
             &mut self.stats,
-            ops.len() as u64,
-            |th| tree.batch_fast(th, ops),
-            |th| {
-                let out = tree.batch_locked(th, ops);
-                if let Some(c) = combine_slot.take() {
-                    c(&mut AbBatchApplier {
-                        tree,
-                        th,
-                        combined: &combined,
-                        fixes: &combined_fixes,
-                    });
-                }
-                out
+            ops,
+            |op| tree.op(op),
+            |section| {
+                combine(&mut AbBatchApplier {
+                    tree,
+                    section,
+                    fixes: &mut combined_fixes,
+                })
             },
         );
-        self.stats.add_combined_ops(combined.get());
-        for key in fixes {
-            self.fix_to_key(key);
-        }
-        for key in combined_fixes.into_inner() {
+        let out = replies(ops, out, &mut fixes);
+        for key in fixes.into_iter().chain(combined_fixes) {
             self.fix_to_key(key);
         }
         (out, path)
@@ -1084,26 +761,24 @@ impl AbTreeHandle {
         }
         let tree = &self.tree;
         if tree.read_path {
+            let rt = tree.exec.runtime();
             if let Some(r) = tree.exec.run_read_validated(
                 &mut self.th,
                 &mut self.stats,
                 DEFAULT_READ_ATTEMPTS,
-                |_th| tree.read_get_attempt(key),
+                |_th| readpath::get_optimistic(rt, tree.entry, key, &mut || {}),
             ) {
                 return r;
             }
             // The optimistic attempts kept losing races: escalate to the
             // template's paths.
         }
-        let (r, _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_get(th, key),
-            |th| tree.middle_get(th, key),
-            |th| tree.fallback_get(th, key),
-            |th| tree.fallback_get(th, key),
-        );
-        r
+        let op = ops::Get {
+            entry: tree.entry,
+            key,
+        };
+        tree.exec
+            .run_query(&tree.eng, &mut self.th, &mut self.stats, &op)
     }
 
     /// Returns all pairs with keys in `[lo, hi)`, ascending.
@@ -1136,15 +811,13 @@ impl AbTreeHandle {
             // The optimistic attempts kept losing races: escalate to the
             // template's paths.
         }
-        let (r, _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_rq(th, lo, hi),
-            |th| tree.middle_rq(th, lo, hi),
-            |th| tree.fallback_rq(th, lo, hi),
-            |th| tree.locked_rq(th, lo, hi),
-        );
-        r
+        let op = rq::Rq {
+            entry: tree.entry,
+            lo,
+            hi,
+        };
+        tree.exec
+            .run_query(&tree.eng, &mut self.th, &mut self.stats, &op)
     }
 
     /// Whether `key` is present.
@@ -1165,45 +838,41 @@ impl AbTreeHandle {
     fn extreme(&mut self, last: bool) -> Option<(u64, u64)> {
         let tree = &self.tree;
         if tree.read_path {
+            let rt = tree.exec.runtime();
             if let Some(r) = tree.exec.run_read_validated(
                 &mut self.th,
                 &mut self.stats,
                 DEFAULT_READ_ATTEMPTS,
-                |_th| tree.read_extreme_attempt(last),
+                |_th| readpath::extreme_optimistic(rt, tree.entry, last, &mut || {}),
             ) {
                 return r;
             }
             // The optimistic attempts kept losing races: escalate to the
             // template's paths.
         }
-        let (r, _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_extreme(th, last),
-            |th| tree.middle_extreme(th, last),
-            |th| tree.fallback_extreme(th, last),
-            |th| tree.locked_extreme(th, last),
-        );
-        r
+        let op = rq::Extreme {
+            entry: tree.entry,
+            last,
+        };
+        tree.exec
+            .run_query(&tree.eng, &mut self.th, &mut self.stats, &op)
     }
 
     /// Repairs every violation on `key`'s path (called automatically after
     /// updates that create one; public for tests and tooling).
     pub fn fix_to_key(&mut self, key: u64) {
-        loop {
-            let tree = &self.tree;
-            let (progress, _path) = tree.exec.run_op(
-                &mut self.th,
-                &mut self.stats,
-                |th| tree.fast_fix(th, key),
-                |th| tree.middle_fix(th, key),
-                |th| tree.fallback_fix(th, key),
-                |th| tree.locked_fix(th, key),
-            );
-            if !progress {
-                return;
-            }
-        }
+        let tree = &self.tree;
+        let op = fix::Fix {
+            entry: tree.entry,
+            a: tree.a,
+            key,
+            mark_removed: tree.exec.search_outside_txn(),
+        };
+        // Each step repairs one violation; stop when none is left.
+        while tree
+            .exec
+            .run_update(&tree.eng, &mut self.th, &mut self.stats, &op)
+        {}
     }
 }
 

@@ -1,21 +1,26 @@
-//! BST operations, written once per family and instantiated per path:
+//! BST operations, each written once per family:
 //!
 //! * [`insert_tmpl`]/[`delete_tmpl`] — the tree-update-template operations
-//!   (paper Figure 12), generic over [`TemplateMode`]: `OrigMode` yields the
-//!   fallback path, `TxMode` the middle path (and the 2-path-con fast path);
+//!   (paper Figure 12), generic over [`TemplateMode`];
 //! * [`insert_seq`]/[`delete_seq`] — the sequential operations
-//!   (paper Figure 13), generic over [`Mem`]: `TxMem` yields the HTM fast
-//!   path, `DirectMem` the TLE under-lock fallback.
+//!   (paper Figure 13), generic over [`Mem`].
+//!
+//! [`Op`] hands them to [`ExecCtx`](threepath_core::ExecCtx) as one
+//! [`TemplateOp`] per insert, remove or batched lookup, and core derives
+//! the paths: `TxMode` makes a template body the middle path (and the
+//! 2-path-con fast path), `OrigMode` the fallback; `TxMem` makes a
+//! sequential body the HTM fast path, `DirectMem` TLE's locked path.
+//! [`Leaf`] is the point read.
 //!
 //! The sequential ops optionally validate their pre-computed search result
 //! (parent still points to the leaf, nodes unmarked) — required when the
 //! search ran *outside* the transaction (Section 8's optimization).
 
-use threepath_core::{Mem, OpOutcome, TemplateMode};
-use threepath_htm::{codes, Abort, TxCell};
+use threepath_core::{BatchOp, Mem, OpOutcome, ReadOp, SeqOp, TemplateMode, TemplateOp, TxRead};
+use threepath_htm::{codes, Abort};
 use threepath_llxscx::ScxArgs;
 
-use crate::node::{dir_of, BstNode};
+use crate::node::{dir_of, BstNode, MAX_KEY};
 
 /// Result of a leaf search: grandparent, parent (with the directions taken)
 /// and the leaf.
@@ -27,10 +32,10 @@ pub(crate) struct Found {
     pub l: *mut BstNode,
 }
 
-/// Leaf search from `root`, reading child pointers through `read`
+/// Leaf search from `root`, reading child pointers through `r`
 /// (transactional or direct). `root` must be the entry node (internal).
-pub(crate) fn search_with(
-    read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+pub(crate) fn search_with<R: TxRead>(
+    r: &mut R,
     root: *mut BstNode,
     key: u64,
 ) -> Result<Found, Abort> {
@@ -41,13 +46,13 @@ pub(crate) fn search_with(
     let mut gp_dir = 0usize;
     let mut p = root;
     let mut p_dir = dir_of(key, unsafe { &*root }.key);
-    let mut l = read(unsafe { &*p }.child(p_dir))? as *mut BstNode;
+    let mut l = r.read_ptr::<BstNode>(unsafe { &*p }.child(p_dir))?;
     while !unsafe { &*l }.is_leaf {
         gp = p;
         gp_dir = p_dir;
         p = l;
         p_dir = dir_of(key, unsafe { &*p }.key);
-        l = read(unsafe { &*p }.child(p_dir))? as *mut BstNode;
+        l = r.read_ptr(unsafe { &*p }.child(p_dir))?;
     }
     Ok(Found {
         gp,
@@ -311,11 +316,90 @@ pub(crate) fn delete_seq<M: Mem>(
 }
 
 /// Sequential lookup.
-pub(crate) fn get_seq<M: Mem>(m: &mut M, f: &Found, key: u64) -> Result<Option<u64>, Abort> {
+pub(crate) fn get_seq<R: TxRead>(r: &mut R, f: &Found, key: u64) -> Result<Option<u64>, Abort> {
     let l = unsafe { &*f.l };
     if l.key == key {
-        Ok(Some(m.read(&l.value)?))
+        Ok(Some(r.read(&l.value)?))
     } else {
         Ok(None)
+    }
+}
+
+/// An insert, remove or lookup: a single update, or one operation of a
+/// batch plan. A remove or lookup of a key above [`MAX_KEY`] answers
+/// `None` without touching the sentinel spine. `mark_removed` is set in
+/// Section 8 mode.
+pub(crate) struct Op {
+    pub root: *mut BstNode,
+    pub op: BatchOp,
+    pub mark_removed: bool,
+}
+
+impl SeqOp for Op {
+    type Found = Option<Found>;
+    type Out = Option<u64>;
+
+    #[inline]
+    fn search<R: TxRead>(&self, r: &mut R) -> Result<Option<Found>, Abort> {
+        match self.op {
+            BatchOp::Remove(k) | BatchOp::Get(k) if k > MAX_KEY => Ok(None),
+            op => search_with(r, self.root, op.key()).map(Some),
+        }
+    }
+
+    #[inline]
+    fn seq<M: Mem>(
+        &self,
+        m: &mut M,
+        f: &Option<Found>,
+        validate: bool,
+    ) -> Result<Option<u64>, Abort> {
+        let Some(f) = f else { return Ok(None) };
+        match self.op {
+            BatchOp::Insert(key, value) => insert_seq(m, f, key, value, validate),
+            BatchOp::Remove(key) => delete_seq(m, f, key, validate, self.mark_removed),
+            BatchOp::Get(key) => get_seq(m, f, key),
+        }
+    }
+}
+
+impl TemplateOp for Op {
+    #[inline]
+    fn tmpl<M: TemplateMode>(
+        &self,
+        m: &mut M,
+        f: &Option<Found>,
+    ) -> Result<OpOutcome<Option<u64>>, Abort> {
+        let Some(f) = f else {
+            return Ok(OpOutcome::Done(None));
+        };
+        match self.op {
+            BatchOp::Insert(key, value) => insert_tmpl(m, f, key, value),
+            BatchOp::Remove(key) => delete_tmpl(m, f, key),
+            BatchOp::Get(key) => get_seq(m, f, key).map(OpOutcome::Done),
+        }
+    }
+}
+
+/// A read of the leaf covering `key`: its pair when it holds `key` (a
+/// lookup) or, with `any`, any user key (the minimum for key `0`, the
+/// maximum for [`MAX_KEY`]).
+pub(crate) struct Leaf {
+    pub root: *mut BstNode,
+    pub key: u64,
+    pub any: bool,
+}
+
+impl ReadOp for Leaf {
+    type Out = Option<(u64, u64)>;
+
+    #[inline]
+    fn walk<R: TxRead>(&self, r: &mut R) -> Result<Option<(u64, u64)>, Abort> {
+        let l = unsafe { &*search_with(r, self.root, self.key)?.l };
+        if l.key == self.key || (self.any && l.key <= MAX_KEY) {
+            Ok(Some((l.key, r.read(&l.value)?)))
+        } else {
+            Ok(None)
+        }
     }
 }

@@ -94,7 +94,7 @@ mod tests {
 
     use threepath_core::scan::driver_tests::{AfterCopy, ScanFixture};
     use threepath_core::scan::ScanState;
-    use threepath_core::DirectMem;
+    use threepath_core::{run_direct, BatchOp};
     use threepath_htm::HtmConfig;
     use threepath_reclaim::{Domain, ReclaimMode};
 
@@ -161,10 +161,12 @@ mod tests {
             let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
             let ctx = Domain::register(&domain);
             ctx.enter();
-            let mut rd = |c: &TxCell| Ok(c.load_direct(rt));
-            let f = ops::search_with(&mut rd, entry, key).unwrap();
-            let old =
-                ops::insert_seq(&mut DirectMem::new(rt, &ctx), &f, key, value, false).unwrap();
+            let op = ops::Op {
+                root: entry,
+                op: BatchOp::Insert(key, value),
+                mark_removed: false,
+            };
+            let old = run_direct(rt, &ctx, &op);
             ctx.exit();
             old
         }

@@ -1,19 +1,19 @@
-//! The public BST: configuration, handles, the per-operation path wiring,
-//! and quiescent validation utilities.
+//! The public BST: configuration, handles, and quiescent validation
+//! utilities. Each handle operation hands its op (see `crate::ops`) to
+//! the execution context, which derives the paths.
 
 use std::sync::Arc;
 
 use threepath_core::scan::ScanState;
 use threepath_core::{
-    BatchApply, BatchOp, DirectMem, ExecCtx, Mem, OpOutcome, OrigMode, PathKind, PathLimits,
-    PathStats, Strategy, TemplateMem, TxRead,
+    BatchApply, BatchOp, ExecCtx, LockedSection, PathKind, PathLimits, PathStats, Strategy,
 };
-use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
+use threepath_htm::{HtmConfig, HtmRuntime};
 use threepath_llxscx::{ScxEngine, ScxThread};
 use threepath_reclaim::{Domain, PoolConfig, PoolStats, ReclaimMode};
 
 use crate::node::{BstNode, MAX_KEY, SENT1, SENT2};
-use crate::ops::{self, Found};
+use crate::ops;
 use crate::rq;
 use crate::scan;
 
@@ -45,7 +45,8 @@ pub struct BstConfig {
     /// epoch-pinned direct traversal with zero transactions, locks or `F`
     /// subscription — linearizable because leaf keys are immutable and
     /// child pointers only change via atomic SCX commits. On by default;
-    /// off routes reads through `run_op` like any update (the baseline the
+    /// off routes reads through the template's paths like any update
+    /// ([`threepath_core::ExecCtx::run_query`]; the baseline the
     /// read-heavy benchmarks compare against).
     pub read_path: bool,
     /// Route `range_query` through the uninstrumented scan path: an
@@ -57,8 +58,8 @@ pub struct BstConfig {
     /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures a partial
     /// rescan re-reads only the invalidated subranges, and if that loses
     /// too the scan escalates to the template (fast, middle or fallback
-    /// path). On by default; off routes scans through `run_op` (the
-    /// baseline the scan benchmarks compare against).
+    /// path). On by default; off routes scans through the template's paths
+    /// (the baseline the scan benchmarks compare against).
     pub scan_path: bool,
     /// HTM admission control on the fallback path: at most this many
     /// threads may attempt hardware transactions while the fallback is
@@ -119,14 +120,15 @@ pub struct Bst {
     exec: ExecCtx,
     eng: ScxEngine,
     root: *mut BstNode,
-    sec8: bool,
     /// Whether nodes live in pool chunks (owned by the domain) rather
     /// than individual `Box` allocations — decides how `Drop` frees the
     /// node graph.
     pooled: bool,
-    /// Whether reads bypass `run_op` (see [`BstConfig::read_path`]).
+    /// Whether reads bypass the template's paths (see
+    /// [`BstConfig::read_path`]).
     read_path: bool,
-    /// Whether scans bypass `run_op` (see [`BstConfig::scan_path`]).
+    /// Whether scans bypass the template's paths (see
+    /// [`BstConfig::scan_path`]).
     scan_path: bool,
 }
 
@@ -165,6 +167,9 @@ impl Bst {
         if cfg.batched {
             exec = exec.with_batching();
         }
+        if cfg.search_outside_txn {
+            exec = exec.with_search_outside_txn();
+        }
         // Initial tree (Ellen et al.): entry(∞₂) over leaf(∞₁), leaf(∞₂).
         // Allocated through a short-lived context so sentinels come from
         // the pool too (uniform ownership for `Drop`).
@@ -178,7 +183,6 @@ impl Bst {
             exec,
             eng,
             root,
-            sec8: cfg.search_outside_txn,
             pooled,
             read_path: cfg.read_path,
             scan_path: cfg.scan_path,
@@ -235,344 +239,17 @@ impl Bst {
         }
     }
 
-    fn search_direct(&self, key: u64) -> Found {
-        let rt = self.exec.runtime();
-        let mut read = |c: &TxCell| Ok(c.load_direct(rt));
-        ops::search_with(&mut read, self.root, key).expect("direct search cannot abort")
-    }
-
-    // ------------------------------------------------------------------
-    // Per-path operation bodies.
-    // ------------------------------------------------------------------
-
-    fn fast_insert(&self, th: &mut ScxThread, key: u64, value: u64) -> Result<Option<u64>, Abort> {
-        if self.sec8 {
-            th.pinned(|th| {
-                let f = self.search_direct(key);
-                self.exec
-                    .attempt_seq(&self.eng, th, |m| ops::insert_seq(m, &f, key, value, true))
-            })
-        } else {
-            self.exec.attempt_seq(&self.eng, th, |m| {
-                let f = {
-                    let mut rd = |c: &TxCell| m.read(c);
-                    ops::search_with(&mut rd, self.root, key)?
-                };
-                ops::insert_seq(m, &f, key, value, false)
-            })
+    /// `op` as this tree's operation; panics on an insert key above
+    /// [`MAX_KEY`].
+    fn op(&self, op: BatchOp) -> ops::Op {
+        if let BatchOp::Insert(key, _) = op {
+            assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
         }
-    }
-
-    fn middle_insert(
-        &self,
-        th: &mut ScxThread,
-        key: u64,
-        value: u64,
-    ) -> Result<Option<u64>, Abort> {
-        if self.sec8 {
-            th.pinned(|th| {
-                let f = self.search_direct(key);
-                self.exec.attempt_template(&self.eng, th, |m| {
-                    finish_tx(ops::insert_tmpl(m, &f, key, value)?)
-                })
-            })
-        } else {
-            self.exec.attempt_template(&self.eng, th, |m| {
-                let f = {
-                    let mut rd = |c: &TxCell| m.read(c);
-                    ops::search_with(&mut rd, self.root, key)?
-                };
-                finish_tx(ops::insert_tmpl(m, &f, key, value)?)
-            })
+        ops::Op {
+            root: self.root,
+            op,
+            mark_removed: self.exec.search_outside_txn(),
         }
-    }
-
-    fn fallback_insert(&self, th: &mut ScxThread, key: u64, value: u64) -> Option<u64> {
-        loop {
-            let out = th.pinned(|th| {
-                let f = self.search_direct(key);
-                let mut m = OrigMode::new(&self.eng, th);
-                ops::insert_tmpl(&mut m, &f, key, value)
-            });
-            match out.expect("software path cannot abort") {
-                OpOutcome::Done(r) => return r,
-                OpOutcome::Retry => continue,
-            }
-        }
-    }
-
-    fn locked_insert(&self, th: &mut ScxThread, key: u64, value: u64) -> Option<u64> {
-        th.pinned(|th| {
-            let f = self.search_direct(key);
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            ops::insert_seq(&mut m, &f, key, value, false).expect("direct mode cannot abort")
-        })
-    }
-
-    fn fast_delete(&self, th: &mut ScxThread, key: u64) -> Result<Option<u64>, Abort> {
-        if self.sec8 {
-            th.pinned(|th| {
-                let f = self.search_direct(key);
-                self.exec
-                    .attempt_seq(&self.eng, th, |m| ops::delete_seq(m, &f, key, true, true))
-            })
-        } else {
-            self.exec.attempt_seq(&self.eng, th, |m| {
-                let f = {
-                    let mut rd = |c: &TxCell| m.read(c);
-                    ops::search_with(&mut rd, self.root, key)?
-                };
-                ops::delete_seq(m, &f, key, false, false)
-            })
-        }
-    }
-
-    fn middle_delete(&self, th: &mut ScxThread, key: u64) -> Result<Option<u64>, Abort> {
-        if self.sec8 {
-            th.pinned(|th| {
-                let f = self.search_direct(key);
-                self.exec
-                    .attempt_template(&self.eng, th, |m| finish_tx(ops::delete_tmpl(m, &f, key)?))
-            })
-        } else {
-            self.exec.attempt_template(&self.eng, th, |m| {
-                let f = {
-                    let mut rd = |c: &TxCell| m.read(c);
-                    ops::search_with(&mut rd, self.root, key)?
-                };
-                finish_tx(ops::delete_tmpl(m, &f, key)?)
-            })
-        }
-    }
-
-    fn fallback_delete(&self, th: &mut ScxThread, key: u64) -> Option<u64> {
-        loop {
-            let out = th.pinned(|th| {
-                let f = self.search_direct(key);
-                let mut m = OrigMode::new(&self.eng, th);
-                ops::delete_tmpl(&mut m, &f, key)
-            });
-            match out.expect("software path cannot abort") {
-                OpOutcome::Done(r) => return r,
-                OpOutcome::Retry => continue,
-            }
-        }
-    }
-
-    fn locked_delete(&self, th: &mut ScxThread, key: u64) -> Option<u64> {
-        th.pinned(|th| {
-            let f = self.search_direct(key);
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            ops::delete_seq(&mut m, &f, key, false, self.sec8).expect("direct mode cannot abort")
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Batch bodies: one transaction (or one serialized section) applies a
-    // whole coalesced plan. Every operation searches from the root inside
-    // the same memory mode, so later operations in the plan observe the
-    // effects of earlier ones — which is why the sec8 outside-search
-    // variant does not apply here.
-    // ------------------------------------------------------------------
-
-    /// Mem-generic search (borrow-scoped so the caller can keep using `m`).
-    fn search_mem<M: Mem>(&self, m: &mut M, key: u64) -> Result<Found, Abort> {
-        let mut rd = |c: &TxCell| m.read(c);
-        ops::search_with(&mut rd, self.root, key)
-    }
-
-    /// The whole plan in a single fast-path transaction.
-    fn batch_fast(&self, th: &mut ScxThread, ops: &[BatchOp]) -> Result<Vec<Option<u64>>, Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            let mut out = Vec::with_capacity(ops.len());
-            for op in ops {
-                let r = match *op {
-                    BatchOp::Insert(key, value) => {
-                        let f = self.search_mem(m, key)?;
-                        ops::insert_seq(m, &f, key, value, false)?
-                    }
-                    BatchOp::Remove(key) if key <= MAX_KEY => {
-                        let f = self.search_mem(m, key)?;
-                        ops::delete_seq(m, &f, key, false, self.sec8)?
-                    }
-                    BatchOp::Get(key) if key <= MAX_KEY => {
-                        let f = self.search_mem(m, key)?;
-                        ops::get_seq(m, &f, key)?
-                    }
-                    // Out-of-range removes and lookups answer without
-                    // touching the sentinel spine.
-                    BatchOp::Remove(_) | BatchOp::Get(_) => None,
-                };
-                out.push(r);
-            }
-            Ok(out)
-        })
-    }
-
-    /// The whole plan in one serialized section (caller holds the lock).
-    fn batch_locked(&self, th: &mut ScxThread, ops: &[BatchOp]) -> Vec<Option<u64>> {
-        th.pinned(|th| {
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            let mut out = Vec::with_capacity(ops.len());
-            for op in ops {
-                let r = match *op {
-                    BatchOp::Insert(key, value) => {
-                        assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
-                        let f = self.search_direct(key);
-                        ops::insert_seq(&mut m, &f, key, value, false)
-                            .expect("direct mode cannot abort")
-                    }
-                    BatchOp::Remove(key) if key <= MAX_KEY => {
-                        let f = self.search_direct(key);
-                        ops::delete_seq(&mut m, &f, key, false, self.sec8)
-                            .expect("direct mode cannot abort")
-                    }
-                    BatchOp::Get(key) if key <= MAX_KEY => self.read_get(key),
-                    BatchOp::Remove(_) | BatchOp::Get(_) => None,
-                };
-                out.push(r);
-            }
-            out
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Reads.
-    //
-    // The wait-free read path: an epoch-pinned direct traversal with zero
-    // transactions, locks or `F` subscription. Linearizable without
-    // validation because (a) leaf keys are immutable — a leaf reached
-    // through a pointer read linearizes at that read, whether or not it
-    // was unlinked in between (its content can never change again), and
-    // (b) the only in-place mutation is the fast/TLE value update, a
-    // single cell whose `load_direct` is atomic against transactional
-    // commits and direct stores alike.
-    // ------------------------------------------------------------------
-
-    /// Direct lookup body (requires the caller's epoch pin).
-    fn read_get(&self, key: u64) -> Option<u64> {
-        let f = self.search_direct(key);
-        let l = unsafe { &*f.l };
-        if l.key == key {
-            Some(l.value.load_direct(self.exec.runtime()))
-        } else {
-            None
-        }
-    }
-
-    /// Direct extremum body: the leaf covering `probe`, when it holds a
-    /// user key (requires the caller's epoch pin).
-    fn read_locate(&self, probe: u64) -> Option<(u64, u64)> {
-        let f = self.search_direct(probe);
-        let l = unsafe { &*f.l };
-        if l.key <= MAX_KEY {
-            Some((l.key, l.value.load_direct(self.exec.runtime())))
-        } else {
-            None
-        }
-    }
-
-    /// Mem-generic lookup: transactional search plus leaf read. Only used
-    /// by the `read_path: false` baseline's fast/middle closures.
-    fn get_mem<M: Mem>(&self, m: &mut M, key: u64) -> Result<Option<u64>, Abort> {
-        let f = {
-            let mut rd = |c: &TxCell| m.read(c);
-            ops::search_with(&mut rd, self.root, key)?
-        };
-        ops::get_seq(m, &f, key)
-    }
-
-    /// Mem-generic extremum (baseline only, like [`Self::get_mem`]).
-    fn locate_mem<M: Mem>(&self, m: &mut M, probe: u64) -> Result<Option<(u64, u64)>, Abort> {
-        let f = {
-            let mut rd = |c: &TxCell| m.read(c);
-            ops::search_with(&mut rd, self.root, probe)?
-        };
-        let l = unsafe { &*f.l };
-        if l.key <= MAX_KEY {
-            Ok(Some((l.key, m.read(&l.value)?)))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// The `read_path: false` baseline: drives a lookup through `run_op`
-    /// exactly like an update (transactional fast/middle attempts, direct
-    /// traversal on the software paths) — what every read paid before the
-    /// dedicated read path existed, kept for A/B measurement.
-    fn get_runop(&self, th: &mut ScxThread, stats: &mut PathStats, key: u64) -> Option<u64> {
-        let (r, _path) = self.exec.run_op(
-            th,
-            stats,
-            |th| self.exec.attempt_seq(&self.eng, th, |m| self.get_mem(m, key)),
-            |th| {
-                self.exec.attempt_template(&self.eng, th, |m| {
-                    let mut mem = TemplateMem(m);
-                    self.get_mem(&mut mem, key)
-                })
-            },
-            |th| th.pinned(|_th| self.read_get(key)),
-            |th| th.pinned(|_th| self.read_get(key)),
-        );
-        r
-    }
-
-    /// `run_op` baseline for `first`/`last` (see [`Self::get_runop`]).
-    fn locate_runop(
-        &self,
-        th: &mut ScxThread,
-        stats: &mut PathStats,
-        probe: u64,
-    ) -> Option<(u64, u64)> {
-        let (r, _path) = self.exec.run_op(
-            th,
-            stats,
-            |th| self.exec.attempt_seq(&self.eng, th, |m| self.locate_mem(m, probe)),
-            |th| {
-                self.exec.attempt_template(&self.eng, th, |m| {
-                    let mut mem = TemplateMem(m);
-                    self.locate_mem(&mut mem, probe)
-                })
-            },
-            |th| th.pinned(|_th| self.read_locate(probe)),
-            |th| th.pinned(|_th| self.read_locate(probe)),
-        );
-        r
-    }
-
-    fn fast_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, Abort> {
-        self.exec.attempt_seq(&self.eng, th, |m| {
-            let mut out = Vec::new();
-            rq::rq_mem(m, self.root, lo, hi, &mut out)?;
-            Ok(out)
-        })
-    }
-
-    fn middle_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Result<Vec<(u64, u64)>, Abort> {
-        self.exec.attempt_template(&self.eng, th, |m| {
-            let mut out = Vec::new();
-            let mut mem = TemplateMem(m);
-            rq::rq_mem(&mut mem, self.root, lo, hi, &mut out)?;
-            Ok(out)
-        })
-    }
-
-    fn fallback_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        loop {
-            let r = th.pinned(|th| rq::rq_validated(&self.eng, th, self.root, lo, hi));
-            if let Some(out) = r {
-                return out;
-            }
-        }
-    }
-
-    fn locked_rq(&self, th: &mut ScxThread, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        th.pinned(|th| {
-            let mut m = DirectMem::new(self.exec.runtime(), &th.reclaim);
-            let mut out = Vec::new();
-            rq::rq_mem(&mut m, self.root, lo, hi, &mut out).expect("direct mode cannot abort");
-            out
-        })
     }
 
     // ------------------------------------------------------------------
@@ -628,7 +305,7 @@ impl std::fmt::Debug for Bst {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Bst")
             .field("strategy", &self.strategy())
-            .field("search_outside_txn", &self.sec8)
+            .field("search_outside_txn", &self.exec.search_outside_txn())
             .finish()
     }
 }
@@ -646,16 +323,6 @@ impl Drop for Bst {
             // double free.
             unsafe { free_rec(self.root) };
         }
-    }
-}
-
-/// Maps a template outcome into a transactional result: transactional
-/// attempts cannot re-run their search, so `Retry` (a failed link
-/// validation after an out-of-transaction search) aborts the attempt.
-fn finish_tx<T>(out: OpOutcome<T>) -> Result<T, Abort> {
-    match out {
-        OpOutcome::Done(t) => Ok(t),
-        OpOutcome::Retry => Err(Abort::explicit(codes::VALIDATION)),
     }
 }
 
@@ -741,16 +408,15 @@ unsafe fn validate_rec(
 /// The [`BatchApply`] view handed to a flat-combining hook: each `apply`
 /// runs one more plan inside the serialized section the caller already
 /// holds (see [`BstHandle::run_batch_with`]).
-struct BstBatchApplier<'a> {
-    tree: &'a Bst,
-    th: &'a mut ScxThread,
-    combined: &'a std::cell::Cell<u64>,
+struct BstBatchApplier<'s, 'l> {
+    tree: &'s Bst,
+    section: &'s mut LockedSection<'l>,
 }
 
-impl BatchApply for BstBatchApplier<'_> {
+impl BatchApply for BstBatchApplier<'_, '_> {
     fn apply(&mut self, ops: &[BatchOp]) -> Vec<Option<u64>> {
-        self.combined.set(self.combined.get() + ops.len() as u64);
-        self.tree.batch_locked(self.th, ops)
+        let tree = self.tree;
+        self.section.apply(ops, |op| tree.op(op))
     }
 }
 
@@ -794,17 +460,10 @@ impl BstHandle {
     ///
     /// [`MAX_KEY`]: crate::MAX_KEY
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        assert!(key <= MAX_KEY, "key exceeds MAX_KEY");
         let tree = &self.tree;
-        let (r, _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_insert(th, key, value),
-            |th| tree.middle_insert(th, key, value),
-            |th| tree.fallback_insert(th, key, value),
-            |th| tree.locked_insert(th, key, value),
-        );
-        r
+        let op = tree.op(BatchOp::Insert(key, value));
+        tree.exec
+            .run_update(&tree.eng, &mut self.th, &mut self.stats, &op)
     }
 
     /// Removes `key`, returning its value if present.
@@ -813,15 +472,9 @@ impl BstHandle {
             return None;
         }
         let tree = &self.tree;
-        let (r, _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_delete(th, key),
-            |th| tree.middle_delete(th, key),
-            |th| tree.fallback_delete(th, key),
-            |th| tree.locked_delete(th, key),
-        );
-        r
+        let op = tree.op(BatchOp::Remove(key));
+        tree.exec
+            .run_update(&tree.eng, &mut self.th, &mut self.stats, &op)
     }
 
     /// Applies a coalesced plan of operations in submission order,
@@ -840,7 +493,7 @@ impl BstHandle {
     /// Panics if the tree was not built with `batched`, or if an insert
     /// key exceeds [`MAX_KEY`](crate::MAX_KEY).
     pub fn run_batch(&mut self, ops: &[BatchOp]) -> (Vec<Option<u64>>, PathKind) {
-        self.run_batch_inner(ops, None::<fn(&mut dyn BatchApply)>)
+        self.run_batch_with(ops, |_| {})
     }
 
     /// Like [`Self::run_batch`], with a flat-combining hook: when the
@@ -855,44 +508,20 @@ impl BstHandle {
         ops: &[BatchOp],
         combine: impl FnOnce(&mut dyn BatchApply),
     ) -> (Vec<Option<u64>>, PathKind) {
-        self.run_batch_inner(ops, Some(combine))
-    }
-
-    fn run_batch_inner(
-        &mut self,
-        ops: &[BatchOp],
-        combine: Option<impl FnOnce(&mut dyn BatchApply)>,
-    ) -> (Vec<Option<u64>>, PathKind) {
         for op in ops {
             if let BatchOp::Insert(key, _) = op {
                 assert!(*key <= MAX_KEY, "key exceeds MAX_KEY");
             }
         }
-        if ops.is_empty() {
-            return (Vec::new(), PathKind::Fast);
-        }
         let tree = &self.tree;
-        let combined = std::cell::Cell::new(0u64);
-        let mut combine_slot = combine;
-        let (out, path) = tree.exec.run_batch(
+        tree.exec.run_batch(
+            &tree.eng,
             &mut self.th,
             &mut self.stats,
-            ops.len() as u64,
-            |th| tree.batch_fast(th, ops),
-            |th| {
-                let out = tree.batch_locked(th, ops);
-                if let Some(c) = combine_slot.take() {
-                    c(&mut BstBatchApplier {
-                        tree,
-                        th,
-                        combined: &combined,
-                    });
-                }
-                out
-            },
-        );
-        self.stats.add_combined_ops(combined.get());
-        (out, path)
+            ops,
+            |op| tree.op(op),
+            |section| combine(&mut BstBatchApplier { tree, section }),
+        )
     }
 
     /// Looks up `key`.
@@ -907,13 +536,7 @@ impl BstHandle {
         if key > MAX_KEY {
             return None;
         }
-        let tree = &self.tree;
-        if tree.read_path {
-            tree.exec
-                .run_read(&mut self.th, &mut self.stats, |_th| tree.read_get(key))
-        } else {
-            tree.get_runop(&mut self.th, &mut self.stats, key)
-        }
+        self.leaf(key, false).map(|(_, v)| v)
     }
 
     /// Whether `key` is present.
@@ -927,21 +550,27 @@ impl BstHandle {
     /// all sit left of the sentinel spine, so the leftmost leaf is real
     /// whenever the tree is non-empty.
     pub fn first(&mut self) -> Option<(u64, u64)> {
-        self.extreme(0)
+        self.leaf(0, true)
     }
 
     /// The largest key and its value, if any.
     pub fn last(&mut self) -> Option<(u64, u64)> {
-        self.extreme(MAX_KEY)
+        self.leaf(MAX_KEY, true)
     }
 
-    fn extreme(&mut self, probe: u64) -> Option<(u64, u64)> {
+    /// Reads the leaf covering `key` (see [`ops::Leaf`]).
+    fn leaf(&mut self, key: u64, any: bool) -> Option<(u64, u64)> {
         let tree = &self.tree;
+        let op = ops::Leaf {
+            root: tree.root,
+            key,
+            any,
+        };
         if tree.read_path {
-            tree.exec
-                .run_read(&mut self.th, &mut self.stats, |_th| tree.read_locate(probe))
+            tree.exec.run_read(&mut self.th, &mut self.stats, &op)
         } else {
-            tree.locate_runop(&mut self.th, &mut self.stats, probe)
+            tree.exec
+                .run_query(&tree.eng, &mut self.th, &mut self.stats, &op)
         }
     }
 
@@ -975,15 +604,13 @@ impl BstHandle {
             // The optimistic attempts kept losing races: escalate to the
             // template's paths.
         }
-        let (r, _path) = tree.exec.run_op(
-            &mut self.th,
-            &mut self.stats,
-            |th| tree.fast_rq(th, lo, hi),
-            |th| tree.middle_rq(th, lo, hi),
-            |th| tree.fallback_rq(th, lo, hi),
-            |th| tree.locked_rq(th, lo, hi),
-        );
-        r
+        let op = rq::Rq {
+            root: tree.root,
+            lo,
+            hi,
+        };
+        tree.exec
+            .run_query(&tree.eng, &mut self.th, &mut self.stats, &op)
     }
 
     /// The path *most* of this handle's completed operations ran on,

@@ -6,8 +6,8 @@
 //! This mirrors how the paper derives each path from the same operation
 //! logic. Read-only traversals need less: they are generic over
 //! [`TxRead`], which every [`Mem`] and
-//! [`TemplateMode`](crate::TemplateMode) provides, and which a bare
-//! `&HtmRuntime` provides as direct loads.
+//! [`TemplateMode`](crate::TemplateMode) provides, as do a bare [`Txn`]
+//! and, as direct loads, a bare `&HtmRuntime`.
 
 use threepath_htm::{Abort, HtmRuntime, TxCell, Txn};
 use threepath_reclaim::ReclaimCtx;
@@ -34,6 +34,16 @@ pub trait TxRead {
     /// Reads a cell as a raw pointer.
     fn read_ptr<T>(&mut self, cell: &TxCell) -> Result<*mut T, Abort> {
         self.read(cell).map(|v| v as *mut T)
+    }
+}
+
+/// A bare transaction: reads join its read set.
+impl TxRead for Txn<'_> {
+    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
+        Txn::read(self, cell)
+    }
+    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
+        Txn::read_span(self, cells, out)
     }
 }
 

@@ -8,13 +8,15 @@ use std::sync::Arc;
 use threepath_htm::{codes, Abort, Backoff, HtmRuntime, Txn};
 use threepath_llxscx::{ScxEngine, ScxThread};
 
-use crate::access::TxMem;
+use crate::access::{DirectMem, TxMem};
+use crate::batch::BatchOp;
 use crate::effects::Effects;
+use crate::op::{direct, finish_tx, run_direct, ReadOp, SeqOp, TemplateOp};
 use crate::stats::{PathKind, PathStats};
 use crate::strategy::{PathLimits, Strategy};
 use crate::snzi::Snzi;
 use crate::sync::{AdmissionGate, FallbackCount, Indicator, TleLock};
-use crate::template::TxMode;
+use crate::template::{OpOutcome, OrigMode, TxMode};
 
 /// The strategies a batched context may run (see
 /// [`ExecCtx::with_batching`]): the blended subscription discipline only
@@ -57,6 +59,9 @@ pub struct ExecCtx {
     batched: bool,
     limits_override: Option<PathLimits>,
     admission: Option<AdmissionGate>,
+    /// Section 8: updates search outside their transactions (see
+    /// [`Self::with_search_outside_txn`]).
+    search_outside_txn: bool,
     f: Indicator,
     lock: TleLock,
 }
@@ -70,6 +75,7 @@ impl ExecCtx {
             batched: false,
             limits_override: None,
             admission: None,
+            search_outside_txn: false,
             f: Indicator::Counter(FallbackCount::new()),
             lock: TleLock::new(),
         }
@@ -108,6 +114,21 @@ impl ExecCtx {
     /// The admission gate, when enabled.
     pub fn admission(&self) -> Option<&AdmissionGate> {
         self.admission.as_ref()
+    }
+
+    /// Section 8: [`Self::run_update`] runs each update's search *outside*
+    /// its fast-path and middle-path transactions, with direct loads under
+    /// the epoch pin, and the sequential body validates the found links
+    /// inside the transaction. Sequential bodies also mark the nodes they
+    /// remove, so such a validation can tell them apart.
+    pub fn with_search_outside_txn(mut self) -> Self {
+        self.search_outside_txn = true;
+        self
+    }
+
+    /// Whether updates search outside their transactions (Section 8).
+    pub fn search_outside_txn(&self) -> bool {
+        self.search_outside_txn
     }
 
     /// Enables the batch entry point ([`Self::run_batch`]): coalesced
@@ -205,7 +226,7 @@ impl ExecCtx {
     /// One fast-path attempt: sequential code in a transaction, preceded by
     /// the strategy's subscription check. Deferred retirements apply on
     /// commit.
-    pub fn attempt_seq<T>(
+    pub(crate) fn attempt_seq<T>(
         &self,
         eng: &ScxEngine,
         th: &mut ScxThread,
@@ -236,7 +257,7 @@ impl ExecCtx {
     /// concurrently with the fallback — except on batched contexts, where
     /// the transaction subscribes to the TLE lock so it can never commit
     /// over a batch's exclusive sequential section.
-    pub fn attempt_template<T>(
+    pub(crate) fn attempt_template<T>(
         &self,
         eng: &ScxEngine,
         th: &mut ScxThread,
@@ -264,7 +285,8 @@ impl ExecCtx {
         })
     }
 
-    /// Runs one operation to completion under the configured strategy.
+    /// Runs one operation to completion under the configured strategy;
+    /// [`Self::run_update`] and [`Self::run_query`] build its closures.
     ///
     /// * `fast` — one fast-path attempt (typically built with
     ///   [`Self::attempt_seq`]);
@@ -276,11 +298,8 @@ impl ExecCtx {
     /// * `seq_locked` — the sequential operation with direct memory access,
     ///   used only by TLE under the global lock.
     ///
-    /// Read and scan escalations (an optimistic read that exhausted its
-    /// validation attempts) re-enter the template's paths here too.
-    ///
     /// Returns the result and the path the operation completed on.
-    pub fn run_op<T>(
+    pub(crate) fn run_op<T>(
         &self,
         th: &mut ScxThread,
         stats: &mut PathStats,
@@ -464,33 +483,16 @@ impl ExecCtx {
         }
     }
 
-    /// Runs one coalesced batch of `ops` operations to completion: up to
-    /// the fast budget of `fast` attempts — each a **single** transaction
-    /// whose body applies the whole plan — then one serialized
-    /// `seq_locked` section under the TLE lock. No middle path: a batch
-    /// either commits wholesale in HTM or runs exclusively (the
-    /// instrumented template brings per-operation help/abort machinery
-    /// that defeats the amortization batching exists for).
-    ///
-    /// Requires a context built [`with_batching`](Self::with_batching) on
-    /// TLE or 3-path: the blended subscription discipline is what makes
-    /// the serialized section safe against concurrent single-operation
-    /// traffic on every path. The admission gate (when configured)
-    /// applies exactly as in [`Self::run_op`], except a refused batch
-    /// *enqueues* on the serialized lane via the ready queue instead of
-    /// spinning on HTM.
-    ///
-    /// Stats: the batch lands `ops` completions on the finishing path in
-    /// one call, plus one batch-lane record — so
-    /// [`PathStats::batch_txns`] counts exactly one transaction (or
-    /// section) per executed batch, the basis of the steady-state claim
-    /// that K calm same-shard updates commit in ≤ ceil(K / batch_cap)
-    /// transactions.
+    /// Runs one coalesced batch of `ops` operations to completion (see
+    /// [`Self::run_batch`], which builds the closures): up to the fast
+    /// budget of `fast` attempts — each a **single** transaction whose
+    /// body applies the whole plan — then one serialized `seq_locked`
+    /// section under the TLE lock.
     ///
     /// # Panics
     ///
     /// Panics if the context was not built with batching.
-    pub fn run_batch<T>(
+    pub(crate) fn run_plan<T>(
         &self,
         th: &mut ScxThread,
         stats: &mut PathStats,
@@ -670,11 +672,222 @@ impl ExecCtx {
     }
 }
 
+/// The serialized section a batch escalated to, handed to the batch's
+/// combining hook while this thread holds the TLE lock.
+pub struct LockedSection<'a> {
+    exec: &'a ExecCtx,
+    th: &'a mut ScxThread,
+    applied: u64,
+}
+
+impl LockedSection<'_> {
+    /// Applies one more plan in this section, each operation mapped to its
+    /// step by `step`, and returns the steps' results in plan order. The
+    /// operations count as [combined](PathStats::combined_ops).
+    pub fn apply<S: SeqOp>(
+        &mut self,
+        plan: &[BatchOp],
+        step: impl Fn(BatchOp) -> S,
+    ) -> Vec<S::Out> {
+        self.applied += plan.len() as u64;
+        self.exec.apply_direct(self.th, plan, &step)
+    }
+}
+
+impl ExecCtx {
+    /// Runs one update to completion under the configured strategy,
+    /// deriving each path from `op`:
+    ///
+    /// * fast — search and [`SeqOp::seq`] in one transaction. In Section 8
+    ///   mode the search runs first, pinned, with direct loads, and `seq`
+    ///   validates what it found (`validate = true`);
+    /// * middle — search and [`TemplateOp::tmpl`] in one transaction over
+    ///   the HTM LLX/SCX (the search outside it in Section 8 mode); `Retry`
+    ///   aborts with [`codes::VALIDATION`];
+    /// * fallback — a pinned direct search and `tmpl` over the software
+    ///   LLX/SCX, repeated until it is `Done`;
+    /// * locked (TLE) — search and `seq` over direct memory.
+    ///
+    /// The pin of an outside search lasts until the attempt ends, so the
+    /// nodes it found cannot be recycled under the body.
+    pub fn run_update<O: TemplateOp>(
+        &self,
+        eng: &ScxEngine,
+        th: &mut ScxThread,
+        stats: &mut PathStats,
+        op: &O,
+    ) -> O::Out {
+        let rt = &**self.runtime();
+        let outside = self.search_outside_txn();
+        let (out, _path) = self.run_op(
+            th,
+            stats,
+            |th| {
+                if outside {
+                    th.pinned(|th| {
+                        let f = direct(op.search(&mut &*rt));
+                        self.attempt_seq(eng, th, |m| op.seq(m, &f, true))
+                    })
+                } else {
+                    self.attempt_seq(eng, th, |m| {
+                        let f = op.search(m)?;
+                        op.seq(m, &f, false)
+                    })
+                }
+            },
+            |th| {
+                if outside {
+                    th.pinned(|th| {
+                        let f = direct(op.search(&mut &*rt));
+                        self.attempt_template(eng, th, |m| finish_tx(op.tmpl(m, &f)?))
+                    })
+                } else {
+                    self.attempt_template(eng, th, |m| {
+                        let f = op.search(m)?;
+                        finish_tx(op.tmpl(m, &f)?)
+                    })
+                }
+            },
+            |th| loop {
+                let out = th.pinned(|th| {
+                    let f = direct(op.search(&mut &*rt));
+                    direct(op.tmpl(&mut OrigMode::new(eng, th), &f))
+                });
+                if let OpOutcome::Done(v) = out {
+                    return v;
+                }
+            },
+            |th| th.pinned(|th| run_direct(rt, &th.reclaim, op)),
+        );
+        out
+    }
+
+    /// Runs one read-only operation through the template's paths: `walk`
+    /// in a transaction on the fast and middle paths and over direct
+    /// memory on TLE's locked path; [`ReadOp::validated`] on the fallback,
+    /// repeated until it succeeds. This is where the optimistic read and
+    /// scan paths escalate to, and what a structure built without them
+    /// runs.
+    pub fn run_query<O: ReadOp>(
+        &self,
+        eng: &ScxEngine,
+        th: &mut ScxThread,
+        stats: &mut PathStats,
+        op: &O,
+    ) -> O::Out {
+        let rt = &**self.runtime();
+        let (out, _path) = self.run_op(
+            th,
+            stats,
+            |th| self.attempt_seq(eng, th, |m| op.walk(m)),
+            |th| self.attempt_template(eng, th, |m| op.walk(m)),
+            |th| loop {
+                if let Some(v) = th.pinned(|th| op.validated(eng, th)) {
+                    return v;
+                }
+            },
+            |th| th.pinned(|th| direct(op.walk(&mut DirectMem::new(rt, &th.reclaim)))),
+        );
+        out
+    }
+
+    /// Runs a coalesced batch: every operation of `plan`, mapped to its
+    /// step by `step`, searched and applied in order by [`SeqOp::seq`]
+    /// (`validate = false`), so later steps see earlier ones. Up to the
+    /// fast budget of attempts run the whole plan in **one** transaction;
+    /// then one serialized section under the TLE lock runs it over direct
+    /// memory, and `combine` runs in the same section with a
+    /// [`LockedSection`] that applies further plans. Returns the steps'
+    /// results in plan order and the path the batch finished on. An empty
+    /// plan returns at once.
+    ///
+    /// Requires a context built [`with_batching`](Self::with_batching) on
+    /// TLE or 3-path: the blended subscription discipline is what makes
+    /// the serialized section safe against concurrent single-operation
+    /// traffic on every path. The admission gate (when configured)
+    /// applies as for single operations, except a refused batch
+    /// *enqueues* on the serialized lane via the ready queue instead of
+    /// spinning on HTM. No middle path: a batch either commits wholesale
+    /// in HTM or runs exclusively.
+    ///
+    /// Stats: the batch lands `plan.len()` completions on the finishing
+    /// path in one call, plus one batch-lane record — so
+    /// [`PathStats::batch_txns`] counts exactly one transaction (or
+    /// section) per executed batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context was not built with batching.
+    pub fn run_batch<S: SeqOp>(
+        &self,
+        eng: &ScxEngine,
+        th: &mut ScxThread,
+        stats: &mut PathStats,
+        plan: &[BatchOp],
+        step: impl Fn(BatchOp) -> S,
+        combine: impl FnOnce(&mut LockedSection<'_>),
+    ) -> (Vec<S::Out>, PathKind) {
+        if plan.is_empty() {
+            return (Vec::new(), PathKind::Fast);
+        }
+        let mut combine = Some(combine);
+        let mut combined = 0;
+        let r = self.run_plan(
+            th,
+            stats,
+            plan.len() as u64,
+            |th| {
+                self.attempt_seq(eng, th, |m| {
+                    let mut out = Vec::with_capacity(plan.len());
+                    for &op in plan {
+                        let s = step(op);
+                        let f = s.search(m)?;
+                        out.push(s.seq(m, &f, false)?);
+                    }
+                    Ok(out)
+                })
+            },
+            |th| {
+                let out = self.apply_direct(th, plan, &step);
+                if let Some(c) = combine.take() {
+                    let mut section = LockedSection {
+                        exec: self,
+                        th,
+                        applied: 0,
+                    };
+                    c(&mut section);
+                    combined = section.applied;
+                }
+                out
+            },
+        );
+        stats.add_combined_ops(combined);
+        r
+    }
+
+    /// A plan's steps over direct memory, under one pin; the caller holds
+    /// the TLE lock.
+    fn apply_direct<S: SeqOp>(
+        &self,
+        th: &mut ScxThread,
+        plan: &[BatchOp],
+        step: &impl Fn(BatchOp) -> S,
+    ) -> Vec<S::Out> {
+        let rt = &**self.runtime();
+        th.pinned(|th| {
+            plan.iter()
+                .map(|&op| run_direct(rt, &th.reclaim, &step(op)))
+                .collect()
+        })
+    }
+}
+
 impl std::fmt::Debug for ExecCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecCtx")
             .field("strategy", &self.strategy)
             .field("limits", &self.limits())
+            .field("search_outside_txn", &self.search_outside_txn)
             .finish()
     }
 }
@@ -682,8 +895,10 @@ impl std::fmt::Debug for ExecCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{Mem, TxRead};
+    use crate::op::toy::{epoch_advance, Toy, ToyRead};
     use std::cell::Cell;
-    use threepath_htm::{AbortCode, HtmConfig};
+    use threepath_htm::{AbortCode, HtmConfig, TxCell};
     use threepath_reclaim::{Domain, ReclaimMode};
 
     fn setup(strategy: Strategy) -> (ExecCtx, ScxEngine) {
@@ -873,7 +1088,7 @@ mod tests {
             });
             let mut th = eng.register_thread();
             let mut stats = PathStats::new();
-            let (v, path) = exec.run_batch(
+            let (v, path) = exec.run_plan(
                 &mut th,
                 &mut stats,
                 2,
@@ -959,7 +1174,7 @@ mod tests {
         assert!(exec.is_batched());
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
-        let (v, path) = exec.run_batch(&mut th, &mut stats, 8, |_| Ok(99), |_| 0);
+        let (v, path) = exec.run_plan(&mut th, &mut stats, 8, |_| Ok(99), |_| 0);
         assert_eq!((v, path), (99, PathKind::Fast));
         assert_eq!(stats.completed(PathKind::Fast), 8, "whole batch landed");
         assert_eq!(stats.batches(), 1);
@@ -976,7 +1191,7 @@ mod tests {
         let mut stats = PathStats::new();
         let rt = exec.runtime().clone();
         let lock_held_inside = Cell::new(false);
-        let (v, path) = exec.run_batch(
+        let (v, path) = exec.run_plan(
             &mut th,
             &mut stats,
             4,
@@ -1000,7 +1215,7 @@ mod tests {
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
-        let (_, path) = exec.run_batch(
+        let (_, path) = exec.run_plan(
             &mut th,
             &mut stats,
             2,
@@ -1020,7 +1235,7 @@ mod tests {
         let (exec, eng) = setup(Strategy::ThreePath);
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
-        let _ = exec.run_batch(&mut th, &mut stats, 1, |_| Ok(0), |_| 0);
+        let _ = exec.run_plan(&mut th, &mut stats, 1, |_| Ok(0), |_| 0);
     }
 
     #[test]
@@ -1613,7 +1828,7 @@ mod tests {
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
-        let (v, path) = exec.run_batch(
+        let (v, path) = exec.run_plan(
             &mut th,
             &mut stats,
             3,
@@ -1642,7 +1857,7 @@ mod tests {
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
-        let (_, path) = exec.run_batch(
+        let (_, path) = exec.run_plan(
             &mut th,
             &mut stats,
             2,
@@ -1667,7 +1882,7 @@ mod tests {
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let (v, path) = with_lock_released_later(&exec, || {
-            exec.run_batch(
+            exec.run_plan(
                 &mut th,
                 &mut stats,
                 4,
@@ -1696,7 +1911,7 @@ mod tests {
         let mut stats = PathStats::new();
         let window_inside = Cell::new(0u32);
         let (v, path) = with_f_departed_later(&exec, || {
-            exec.run_batch(
+            exec.run_plan(
                 &mut th,
                 &mut stats,
                 2,
@@ -1830,5 +2045,266 @@ mod tests {
         let s = format!("{exec:?}");
         assert!(s.contains("ThreePath"), "{s}");
         assert!(s.contains("fast: 2") && s.contains("middle: 5"), "{s}");
+    }
+
+    // ------------------------------------------------------------------
+    // The composition: run_update, run_query and run_batch derive the
+    // paths from a toy op over a few cells.
+    // ------------------------------------------------------------------
+
+    /// Section 8: the fast path's body validates the outside search. The
+    /// search goes stale at once (a writer moves `slot` behind it), so the
+    /// fast attempt aborts on `VALIDATION` and the op completes on the
+    /// middle path, after a fresh search.
+    #[test]
+    fn sec8_fast_path_validates_its_outside_search() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec
+            .with_search_outside_txn()
+            .with_limits(PathLimits { fast: 1, middle: 1 });
+        let rt = exec.runtime().clone();
+        let mut toy = Toy::new(&rt);
+        toy.on_search = Box::new(|t, i| {
+            if t.searches.get() == 1 {
+                t.slot.store_direct(t.rt, i + 1);
+            }
+        });
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_update(&eng, &mut th, &mut stats, &toy), 0);
+        assert_eq!(*toy.validates.borrow(), [true]);
+        assert_eq!(toy.stale.get(), 1, "the fast attempt saw the stale link");
+        assert_eq!(stats.aborts(PathKind::Fast).explicit, 1);
+        assert_eq!(stats.completed(PathKind::Middle), 1);
+        assert_eq!(toy.searches.get(), 2, "the middle path searched afresh");
+        assert_eq!(toy.vals[0].load_direct(&rt), 0, "no write through a stale link");
+    }
+
+    /// Without Section 8 the search runs inside the transaction, so the
+    /// body has nothing to validate.
+    #[test]
+    fn in_txn_search_is_not_validated() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let rt = exec.runtime().clone();
+        let toy = Toy::new(&rt);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_update(&eng, &mut th, &mut stats, &toy), 0);
+        assert_eq!(*toy.validates.borrow(), [false]);
+        assert_eq!(stats.completed(PathKind::Fast), 1);
+        assert_eq!(toy.vals[0].load_direct(&rt), 7);
+    }
+
+    /// A middle-path `Retry` (the template body lost a race) aborts the
+    /// transaction, and the op retries it within the middle budget.
+    #[test]
+    fn middle_path_retry_aborts_and_retries_within_the_budget() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_limits(PathLimits { fast: 0, middle: 3 });
+        let rt = exec.runtime().clone();
+        let toy = Toy::new(&rt);
+        toy.retries.set(2);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_update(&eng, &mut th, &mut stats, &toy), 0);
+        assert_eq!(toy.tmpls.get(), 3);
+        assert_eq!(stats.aborts(PathKind::Middle).explicit, 2);
+        assert_eq!(stats.completed(PathKind::Middle), 1);
+        assert_eq!(stats.completed(PathKind::Fallback), 0);
+    }
+
+    /// The fallback repeats its search and template body until `Done`.
+    #[test]
+    fn fallback_loops_on_retry_until_done() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_limits(PathLimits { fast: 0, middle: 0 });
+        let rt = exec.runtime().clone();
+        let toy = Toy::new(&rt);
+        toy.retries.set(3);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_update(&eng, &mut th, &mut stats, &toy), 0);
+        assert_eq!(toy.tmpls.get(), 4);
+        assert_eq!(toy.searches.get(), 4, "every retry searches again");
+        assert_eq!(stats.completed(PathKind::Fallback), 1);
+        assert!(!exec.fallback_indicator().is_active(&rt));
+        assert!(!th.reclaim.is_pinned());
+    }
+
+    /// TLE's locked path runs the sequential body under the lock, over
+    /// direct memory (its write is visible at once), with
+    /// `validate = false` even in Section 8 mode.
+    #[test]
+    fn tle_locked_path_runs_seq_directly_without_validation() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec
+            .with_search_outside_txn()
+            .with_limits(PathLimits { fast: 0, middle: 0 });
+        let rt = exec.runtime().clone();
+        let locked = Cell::new(false);
+        let mut toy = Toy::new(&rt);
+        toy.on_seq = Box::new(|| locked.set(exec.tle_lock().is_held(&rt)));
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_update(&eng, &mut th, &mut stats, &toy), 0);
+        assert_eq!(*toy.validates.borrow(), [false]);
+        assert_eq!(toy.direct_writes.get(), 1);
+        assert!(locked.get(), "the body ran under the lock");
+        assert!(!exec.tle_lock().is_held(&rt));
+        assert_eq!(stats.completed(PathKind::Fallback), 1);
+    }
+
+    /// `run_query`'s fallback repeats the validated read, pinned, until it
+    /// succeeds; the walk is not used there.
+    #[test]
+    fn query_fallback_loops_until_the_validated_read_succeeds() {
+        let (exec, eng) = setup(Strategy::NonHtm);
+        let cell = TxCell::new(5);
+        let op = ToyRead::new(&cell);
+        op.misses.set(2);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_query(&eng, &mut th, &mut stats, &op), 5);
+        assert_eq!(op.validated.get(), 3);
+        assert_eq!(op.unpinned.get(), 0);
+        assert_eq!(op.walks.get(), 0);
+        assert_eq!(stats.completed(PathKind::Fallback), 1);
+    }
+
+    /// `run_query` walks in a transaction on the fast path.
+    #[test]
+    fn query_walks_in_a_transaction_on_the_fast_path() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let cell = TxCell::new(9);
+        let op = ToyRead::new(&cell);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        assert_eq!(exec.run_query(&eng, &mut th, &mut stats, &op), 9);
+        assert_eq!((op.walks.get(), op.validated.get()), (1, 0));
+        assert_eq!(stats.commits(PathKind::Fast), 1);
+    }
+
+    /// Section 8's outside search and the transaction after it run under
+    /// one epoch pin: from the search to the end of the body, a second
+    /// context cannot move the epoch more than one step.
+    #[test]
+    fn outside_search_stays_pinned_until_the_attempt_ends() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_search_outside_txn();
+        let rt = exec.runtime().clone();
+        let other = eng.register_thread();
+        let domain = eng.domain().clone();
+        let (start, end) = (Cell::new(0), Cell::new(0));
+        let mut toy = Toy::new(&rt);
+        toy.on_search = Box::new(|_, _| {
+            start.set(domain.epoch());
+            epoch_advance(&other, 256);
+        });
+        toy.on_seq = Box::new(|| {
+            epoch_advance(&other, 256);
+            end.set(domain.epoch());
+        });
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        exec.run_update(&eng, &mut th, &mut stats, &toy);
+        assert_eq!(stats.completed(PathKind::Fast), 1);
+        let moved = end.get() - start.get();
+        assert!(moved <= 1, "the epoch moved {moved} steps under the op");
+        assert!(epoch_advance(&other, 256) >= 2, "the epoch is stuck");
+    }
+
+    /// Adds `n` to `cell`, returning the old value: a batch step.
+    struct Add<'a> {
+        cell: &'a TxCell,
+        n: u64,
+    }
+
+    impl SeqOp for Add<'_> {
+        type Found = ();
+        type Out = u64;
+
+        fn search<R: TxRead>(&self, _r: &mut R) -> Result<(), Abort> {
+            Ok(())
+        }
+
+        fn seq<M: Mem>(&self, m: &mut M, _f: &(), validate: bool) -> Result<u64, Abort> {
+            assert!(!validate, "batch steps search inside");
+            let old = m.read(self.cell)?;
+            m.write(self.cell, old + self.n)?;
+            Ok(old)
+        }
+    }
+
+    /// A batch commits its whole plan in one transaction; each step sees
+    /// the ones before it, and the combining hook does not run.
+    #[test]
+    fn batch_plan_commits_in_one_transaction_in_order() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let exec = exec.with_batching();
+        let cell = TxCell::new(0);
+        let plan = [BatchOp::Insert(1, 0), BatchOp::Insert(2, 0)];
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (out, path) = exec.run_batch(
+            &eng,
+            &mut th,
+            &mut stats,
+            &plan,
+            |op| Add { cell: &cell, n: op.key() },
+            |_| panic!("no section on the fast path"),
+        );
+        assert_eq!((out, path), (vec![0, 1], PathKind::Fast));
+        assert_eq!(cell.load_direct(exec.runtime()), 3);
+        assert_eq!(stats.batch_txns(), 1);
+    }
+
+    /// An escalated batch runs its plan and the hook's plans in one locked
+    /// section; the hook's operations count as combined.
+    #[test]
+    fn escalated_batch_runs_the_combining_hook_in_its_section() {
+        let (exec, eng) = setup(Strategy::Tle);
+        let exec = exec
+            .with_batching()
+            .with_limits(PathLimits { fast: 0, middle: 0 });
+        let rt = exec.runtime().clone();
+        let cell = TxCell::new(0);
+        let step = |op: BatchOp| Add { cell: &cell, n: op.key() };
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let (out, path) = exec.run_batch(
+            &eng,
+            &mut th,
+            &mut stats,
+            &[BatchOp::Insert(1, 0), BatchOp::Insert(2, 0)],
+            step,
+            |section| {
+                assert!(exec.tle_lock().is_held(&rt));
+                assert_eq!(section.apply(&[BatchOp::Remove(4)], step), [3]);
+            },
+        );
+        assert_eq!((out, path), (vec![0, 1], PathKind::Fallback));
+        assert_eq!(cell.load_direct(&rt), 7);
+        assert_eq!(stats.combined_ops(), 1);
+        assert_eq!(stats.batch_txns(), 1, "one serialized section");
+        assert!(!exec.tle_lock().is_held(&rt));
+    }
+
+    /// An empty plan returns at once, and touches no lane.
+    #[test]
+    fn empty_batch_returns_at_once() {
+        let (exec, eng) = setup(Strategy::ThreePath);
+        let mut th = eng.register_thread();
+        let mut stats = PathStats::new();
+        let cell = TxCell::new(0);
+        let (out, path) = exec.run_batch(
+            &eng,
+            &mut th,
+            &mut stats,
+            &[],
+            |_| Add { cell: &cell, n: 1 },
+            |_| unreachable!(),
+        );
+        assert_eq!((out, path), (vec![], PathKind::Fast));
+        assert_eq!(stats.batches(), 0);
     }
 }

@@ -21,11 +21,15 @@
 //! hardware transactions flowing instead of waiting (avoiding both TLE's
 //! serialization and the lemming effect).
 //!
-//! Data structures plug in four closures (fast, middle, fallback,
-//! sequential-under-lock) and this crate's [`ExecCtx::run_op`] drives
-//! attempts, budgets, waiting, and statistics.
+//! A data structure supplies each operation once, as a search and the
+//! bodies that act on what it found ([`SeqOp`], [`TemplateOp`],
+//! [`ReadOp`]); [`ExecCtx::run_update`], [`ExecCtx::run_query`] and
+//! [`ExecCtx::run_batch`] derive the fast, middle, fallback and locked
+//! paths from them and drive attempts, budgets, waiting, and statistics.
+//! Section 8's search outside the transaction, the epoch pin around it
+//! and the fallback's retry loop live there, once.
 //!
-//! Read-only operations do not go through `run_op` at all: the paper's
+//! Read-only operations need not take those paths at all: the paper's
 //! "searches require no synchronization" property gets a first-class
 //! wait-free entry ([`ExecCtx::run_read`] /
 //! [`ExecCtx::run_read_validated`] for point reads,
@@ -35,8 +39,8 @@
 //! exhausted.
 //! The [`scan`] module holds the whole optimistic scan once; a tree
 //! supplies only its node decoding ([`scan::ScanSource`]). An exhausted
-//! scan then runs as an ordinary template operation
-//! ([`ExecCtx::run_op`]) on the fast, middle or fallback path.
+//! read or scan then runs through [`ExecCtx::run_query`] on the fast,
+//! middle or fallback path.
 
 #![warn(missing_docs)]
 
@@ -44,6 +48,7 @@ mod access;
 mod batch;
 mod driver;
 mod effects;
+mod op;
 mod readpath;
 pub mod scan;
 mod snzi;
@@ -54,7 +59,8 @@ mod template;
 
 pub use access::{DirectMem, Mem, TxMem, TxRead};
 pub use batch::{BatchApply, BatchOp};
-pub use driver::{ExecCtx, BATCH_STRATEGIES};
+pub use driver::{ExecCtx, LockedSection, BATCH_STRATEGIES};
+pub use op::{run_direct, ReadOp, SeqOp, TemplateOp};
 pub use readpath::DEFAULT_READ_ATTEMPTS;
 pub use scan::merge_subranges;
 pub use effects::Effects;
@@ -62,4 +68,4 @@ pub use stats::{AbortCounts, PathKind, PathStats};
 pub use snzi::Snzi;
 pub use strategy::{PathLimits, Strategy};
 pub use sync::{AdmissionGate, FallbackCount, Indicator, TleLock};
-pub use template::{OpOutcome, OrigMode, TemplateMem, TemplateMode, TxMode};
+pub use template::{OpOutcome, OrigMode, TemplateMode, TxMode};

@@ -3,16 +3,17 @@
 //! The template paper's headline property is that *searches require no
 //! synchronization at all*: node keys are immutable and child pointers
 //! change only through atomic SCX commits, so an epoch-pinned traversal is
-//! linearizable with no HTM, no locks and no validation. [`run_op`] cannot
-//! express that — every operation it drives pays transaction begin/abort
-//! handling, lock/`F` subscription and attempt budgets, and under
-//! an abort storm read-only lookups needlessly fall back to the serialized
-//! paths.
+//! linearizable with no HTM, no locks and no validation. The template's
+//! paths ([`ExecCtx::run_query`]) cannot express that — every operation
+//! they drive pays transaction begin/abort handling, lock/`F`
+//! subscription and attempt budgets, and under an abort storm read-only
+//! lookups needlessly fall back to the serialized paths.
 //!
 //! This module is the dedicated entry for reads:
 //!
 //! * [`ExecCtx::run_read`] — a wait-free read: pin the epoch, run the
-//!   direct traversal, record the completion on the
+//!   operation's [walk](ReadOp::walk) with direct loads, record the
+//!   completion on the
 //!   [`PathKind::Read`] stats lane. No subscription, no attempt budget, no
 //!   fallback escalation. Correct whenever the traversal is linearizable
 //!   on its own (the BST: immutable leaves, atomic pointer swings).
@@ -21,19 +22,18 @@
 //!   performs a seqlock-validated traversal and reports `None` when the
 //!   validation lost a race; after [`bounded`](DEFAULT_READ_ATTEMPTS)
 //!   failures the read returns `None` to the caller, which escalates to
-//!   the transactional machinery via [`run_op`]. Retries and escalations
-//!   are tallied in [`PathStats`].
+//!   the transactional machinery via [`ExecCtx::run_query`]. Retries and
+//!   escalations are tallied in [`PathStats`].
 //! * [`ExecCtx::run_scan`] — the multi-leaf extension, in the
 //!   [`scan`](crate::scan) module: a walk that validates every leaf it
 //!   copies and every edge it followed in one final pass, retried in
 //!   full and then repaired hole by hole before the caller escalates it
-//!   through [`run_op`]. It shares this module's read bound.
-//!
-//! [`run_op`]: ExecCtx::run_op
+//!   through [`ExecCtx::run_query`]. It shares this module's read bound.
 
 use threepath_llxscx::ScxThread;
 
 use crate::driver::ExecCtx;
+use crate::op::{direct, ReadOp};
 use crate::stats::{PathKind, PathStats};
 
 /// Default bound on optimistic validation retries before a validated read
@@ -45,22 +45,17 @@ use crate::stats::{PathKind, PathStats};
 pub const DEFAULT_READ_ATTEMPTS: u32 = 8;
 
 impl ExecCtx {
-    /// Runs a wait-free read-only operation: `body` executes exactly once
-    /// under an epoch pin with plain direct memory access — no
-    /// transaction, no lock or `F` subscription, no attempt budget — and
-    /// its completion lands on the [`PathKind::Read`] stats lane.
+    /// Runs a wait-free read: `op`'s walk, once, with direct loads under
+    /// an epoch pin — no transaction, no lock or `F` subscription, no
+    /// attempt budget — recorded on the [`PathKind::Read`] lane.
     ///
-    /// The caller asserts that `body`'s traversal is linearizable without
+    /// The caller asserts that the walk is linearizable without
     /// validation (immutable node content; pointer changes are single
     /// atomic words). For structures that mutate nodes in place, use
     /// [`Self::run_read_validated`].
-    pub fn run_read<T>(
-        &self,
-        th: &mut ScxThread,
-        stats: &mut PathStats,
-        body: impl FnOnce(&mut ScxThread) -> T,
-    ) -> T {
-        let v = th.pinned(body);
+    pub fn run_read<O: ReadOp>(&self, th: &mut ScxThread, stats: &mut PathStats, op: &O) -> O::Out {
+        let rt = &**self.runtime();
+        let v = th.pinned(|_th| direct(op.walk(&mut &*rt)));
         stats.record_completed(PathKind::Read);
         v
     }
@@ -75,8 +70,8 @@ impl ExecCtx {
     /// [read retries](PathStats::read_retries)), or `None` once every
     /// attempt failed validation — recorded as a
     /// [read escalation](PathStats::read_escalations); the caller then
-    /// routes the operation through [`Self::run_op`], whose paths do not
-    /// rely on optimistic validation.
+    /// routes the operation through [`Self::run_query`], whose paths do
+    /// not rely on optimistic validation.
     ///
     /// # Panics
     ///
@@ -114,9 +109,11 @@ impl ExecCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::toy::{epoch_advance, ToyRead};
     use crate::strategy::Strategy;
+    use std::cell::Cell;
     use std::sync::Arc;
-    use threepath_htm::{HtmConfig, HtmRuntime};
+    use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
     use threepath_llxscx::ScxEngine;
     use threepath_reclaim::{Domain, ReclaimMode};
 
@@ -127,16 +124,23 @@ mod tests {
         (ExecCtx::new(rt, Strategy::ThreePath), eng)
     }
 
+    /// The walk runs once, under the pin: a second context of the
+    /// domain cannot move the epoch more than one step during it.
     #[test]
     fn run_read_pins_and_records_only_the_read_lane() {
         let (exec, eng) = setup();
         let mut th = eng.register_thread();
+        let other = eng.register_thread();
         let mut stats = PathStats::new();
-        let v = exec.run_read(&mut th, &mut stats, |th| {
-            assert!(th.reclaim.is_pinned(), "read body runs under a pin");
-            42
-        });
+        let cell = TxCell::new(42);
+        let advanced = Cell::new(0);
+        let mut op = ToyRead::new(&cell);
+        op.on_walk = Box::new(|| advanced.set(epoch_advance(&other, 256)));
+        let v = exec.run_read(&mut th, &mut stats, &op);
         assert_eq!(v, 42);
+        assert_eq!(op.walks.get(), 1);
+        assert!(advanced.get() <= 1, "the walk ran unpinned");
+        assert!(epoch_advance(&other, 256) >= 2, "the epoch is stuck");
         assert!(!th.reclaim.is_pinned());
         assert_eq!(stats.completed(PathKind::Read), 1);
         for p in [PathKind::Fast, PathKind::Middle, PathKind::Fallback] {
@@ -242,7 +246,8 @@ mod tests {
         exec.tle_lock().acquire(&rt);
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
-        assert_eq!(exec.run_read(&mut th, &mut stats, |_| 1), 1);
+        let cell = TxCell::new(1);
+        assert_eq!(exec.run_read(&mut th, &mut stats, &ToyRead::new(&cell)), 1);
         assert_eq!(
             exec.run_read_validated(&mut th, &mut stats, 1, |_| Some(2)),
             Some(2)

@@ -50,7 +50,7 @@
 //! the set so the next pass turns it into a hole — dropping it would
 //! leave its segments certified by nothing. When even that fails, the
 //! caller escalates the scan to the template's transactional paths
-//! ([`ExecCtx::run_op`]).
+//! ([`ExecCtx::run_query`]).
 
 use threepath_htm::{HtmRuntime, TxCell};
 use threepath_llxscx::ScxThread;
@@ -422,7 +422,7 @@ impl ExecCtx {
     /// or `None` once even the partial rescan failed — recorded as a
     /// [scan escalation](PathStats::scan_escalations); the caller then
     /// routes the scan through the transactional machinery
-    /// ([`Self::run_op`]). Leaves whose `ver` entered the
+    /// ([`Self::run_query`]). Leaves whose `ver` entered the
     /// validation set land on [`PathStats::scan_leaves_validated`].
     pub fn run_scan<S: ScanSource>(
         &self,

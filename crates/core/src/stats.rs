@@ -104,7 +104,7 @@ pub struct PathStats {
     /// with an in-place mutation; the read re-ran its traversal).
     read_retries: u64,
     /// Reads whose optimistic attempts all failed validation and which
-    /// escalated to the transactional machinery (`run_op`); their
+    /// escalated to the transactional machinery (`run_query`); their
     /// completion is recorded on whatever path finished them.
     read_escalations: u64,
     /// Optimistic-scan attempts whose validation set re-check lost a race
@@ -112,7 +112,7 @@ pub struct PathStats {
     scan_retries: u64,
     /// Scans that exhausted every optimistic attempt — including the
     /// partial-rescan repair — and escalated to the transactional
-    /// machinery (`run_op`); completed on whatever path finished them.
+    /// machinery (`run_query`); completed on whatever path finished them.
     scan_escalations: u64,
     /// Leaves whose `ver` word entered an optimistic scan's validation
     /// set, summed over every attempt. A leaf a scan visits without
@@ -251,7 +251,7 @@ impl PathStats {
         self.read_retries
     }
 
-    /// Reads that escalated to `run_op` after exhausting their optimistic
+    /// Reads that escalated to `run_query` after exhausting their optimistic
     /// attempts (completed on fast/middle/fallback, not the read lane).
     pub fn read_escalations(&self) -> u64 {
         self.read_escalations
@@ -279,7 +279,7 @@ impl PathStats {
         self.scan_retries
     }
 
-    /// Scans that escalated to `run_op` after exhausting their optimistic
+    /// Scans that escalated to `run_query` after exhausting their optimistic
     /// attempts (completed on fast/middle/fallback, not the read lane).
     pub fn scan_escalations(&self) -> u64 {
         self.scan_escalations

@@ -6,7 +6,7 @@ use threepath_htm::{codes, Abort, TxCell, Txn};
 use threepath_llxscx::{LlxHandle, LlxResult, ScxArgs, ScxEngine, ScxHeader, ScxThread};
 use threepath_reclaim::ReclaimCtx;
 
-use crate::access::{Mem, TxRead};
+use crate::access::TxRead;
 use crate::effects::Effects;
 
 /// Result of one template-operation attempt body.
@@ -201,39 +201,6 @@ impl TemplateMode for TxMode<'_, '_> {
     unsafe fn free_unpublished<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract.
         unsafe { self.effects.free_unpublished(self.reclaim, ptr) };
-    }
-}
-
-/// Adapts a [`TemplateMode`] to the [`Mem`] interface for `Mem`-generic
-/// code running *inside* a template operation, such as read-only
-/// traversals. Template operations mutate nodes only through LLX/SCX, so
-/// raw writes stay unreachable; the adapter exposes reads, allocation and
-/// retirement.
-pub struct TemplateMem<'m, M: TemplateMode>(pub &'m mut M);
-
-impl<M: TemplateMode> TxRead for TemplateMem<'_, M> {
-    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
-        self.0.read(cell)
-    }
-    fn read_span(&mut self, cells: &[TxCell], out: &mut [u64]) -> Result<(), Abort> {
-        self.0.read_span(cells, out)
-    }
-}
-
-impl<M: TemplateMode> Mem for TemplateMem<'_, M> {
-    fn write(&mut self, _cell: &TxCell, _v: u64) -> Result<(), Abort> {
-        unreachable!("template operations write only through LLX/SCX")
-    }
-    unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
-        // SAFETY: forwarded contract.
-        unsafe { self.0.retire(ptr) };
-    }
-    fn alloc<T: Send>(&mut self, val: T) -> *mut T {
-        self.0.alloc(val)
-    }
-    unsafe fn free_unpublished<T: Send>(&mut self, ptr: *mut T) {
-        // SAFETY: forwarded contract.
-        unsafe { self.0.free_unpublished(ptr) };
     }
 }
 

@@ -41,6 +41,45 @@
 //! or an (a,b)-tree node's keys, then costs one version check per line it
 //! touches, not one per cell.
 //!
+//! # Opacity
+//!
+//! Every line carries a version word: even when free, odd while a
+//! committer (or a direct store) holds it. A commit locks its written
+//! lines, *then* takes its version `wv` from the global clock, validates
+//! its read set, writes back, and publishes `wv` on each line as it
+//! unlocks it. Direct stores follow the same lock-then-clock order.
+//!
+//! A transaction's snapshot `rv` is a clock value such that every line it
+//! has read is unchanged since the instant the clock read `rv`. It starts
+//! as the clock at begin (the read set is empty). A read of a line at an
+//! even version `v <= rv` is consistent at `rv`: the value is the one
+//! published at `v`, and no later commit had published on that line
+//! while the clock was at `rv`. The read only adds a line to a set that
+//! is consistent at one instant.
+//!
+//! A line newer than the snapshot (`v > rv`) is first recorded in the
+//! read set, then the snapshot is *extended*: sample the clock as
+//! `new_rv`, re-check that every recorded line still has its recorded
+//! version, and advance `rv` to `new_rv`. The sample comes before the
+//! check, so a commit at a version `<= new_rv` had locked its lines
+//! before the sample; if it wrote a line in the set, the check sees it
+//! locked or changed and the transaction aborts. A commit at a version
+//! `> new_rv` has not published yet, as far as this snapshot goes. The
+//! line just read is in the set during the check, so a commit that lands
+//! between its load and the extension is caught too. Had the line been
+//! recorded after the extension, that commit would pass unseen and a
+//! later read of another line it wrote, at a version `<= new_rv`, would
+//! look consistent: the torn pair opacity forbids.
+//!
+//! So every value a transaction body sees, aborted or not, belongs to one
+//! snapshot at `rv`, and a read-only transaction commits without further
+//! validation. A writing transaction re-validates its read set after it
+//! has taken `wv`, which orders it at `wv`. Direct loads
+//! ([`TxCell::load_direct`], [`HtmRuntime::load_span_direct`]) are
+//! seqlock reads of one line: version, load, version again, retried
+//! until the two versions match and are even. Each sees one committed
+//! state of its line; consecutive direct loads are not a snapshot.
+//!
 //! # Example
 //!
 //! ```

@@ -99,8 +99,15 @@ impl<'a> Txn<'a> {
     }
 
     /// One validated read of line `li`: runs `load` between two loads of
-    /// the line's version, extends the snapshot if the line is newer than
-    /// it, and records the line once.
+    /// the line's version, records the line once, then extends the
+    /// snapshot if the line is newer than it.
+    ///
+    /// The line is recorded *before* the extension, so the extension
+    /// re-validates it too. In the other order a commit landing between
+    /// the load and the extension would go unseen: the extension would
+    /// advance `rv` past that commit without checking the line just read,
+    /// and a later read of another line the commit wrote would pass as
+    /// consistent at the new `rv` (see the crate docs on opacity).
     #[inline(always)]
     fn read_line(&mut self, li: u32, mut load: impl FnMut()) -> Result<(), Abort> {
         let line = self.rt.line(li);
@@ -111,14 +118,17 @@ impl<'a> Txn<'a> {
                 load();
                 fence(Ordering::Acquire);
                 if line.load(Ordering::Acquire) == v1 {
+                    #[cfg(test)]
+                    seam::after_validated_load();
+                    match self.read_set.record(li, v1) {
+                        ReadRecord::New | ReadRecord::Seen => {}
+                        ReadRecord::VersionChanged => return Err(Abort::new(AbortCode::Conflict)),
+                        ReadRecord::Capacity => return Err(Abort::new(AbortCode::Capacity)),
+                    }
                     if v1 > self.rv {
                         self.extend_snapshot()?;
                     }
-                    return match self.read_set.record(li, v1) {
-                        ReadRecord::New | ReadRecord::Seen => Ok(()),
-                        ReadRecord::VersionChanged => Err(Abort::new(AbortCode::Conflict)),
-                        ReadRecord::Capacity => Err(Abort::new(AbortCode::Capacity)),
-                    };
+                    return Ok(());
                 }
             }
             spins += 1;
@@ -170,6 +180,11 @@ impl<'a> Txn<'a> {
     }
 
     /// Re-validates every recorded read and advances the snapshot timestamp.
+    ///
+    /// The clock is sampled *before* the validation: a committer locks its
+    /// lines before it takes its commit version, so any commit at a version
+    /// `<= new_rv` either shows as a changed or locked line here, or wrote
+    /// no line this transaction has read.
     fn extend_snapshot(&mut self) -> Result<(), Abort> {
         let new_rv = self.rt.clock_now();
         for (li, ver) in self.read_set.iter() {
@@ -271,6 +286,31 @@ impl std::fmt::Debug for Txn<'_> {
             .field("reads", &self.read_set.len())
             .field("writes", &self.write_set.entries().len())
             .finish()
+    }
+}
+
+/// A test-only seam between a transactional read's validated load and
+/// its read-set bookkeeping, where a test can land a commit from another
+/// thread at exactly the instant the snapshot argument depends on.
+#[cfg(test)]
+pub(crate) mod seam {
+    use std::cell::RefCell;
+
+    type Hook = Box<dyn FnOnce()>;
+
+    thread_local! {
+        static AFTER_LOAD: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` once, right after this thread's next validated load.
+    pub(crate) fn arm(f: impl FnOnce() + 'static) {
+        AFTER_LOAD.with(|h| *h.borrow_mut() = Some(Box::new(f)));
+    }
+
+    pub(super) fn after_validated_load() {
+        if let Some(f) = AFTER_LOAD.with(|h| h.borrow_mut().take()) {
+            f();
+        }
     }
 }
 
@@ -456,5 +496,45 @@ mod tests {
             assert_eq!(s.vals, Err(AbortCode::Conflict));
         }
         line.store(v0, Ordering::Release);
+    }
+
+    /// A commit to both `x` and `y` lands between the validated load of
+    /// `x` (newer than the snapshot, so the read must extend it) and the
+    /// extension. The extension has to see `x`'s line change and abort:
+    /// otherwise it would advance `rv` past the commit and the later read
+    /// of `y` would pair the old `x` with the new `y`.
+    #[test]
+    fn opacity_commit_between_load_and_extension_aborts() {
+        let rt = std::sync::Arc::new(HtmRuntime::new(HtmConfig::default()));
+        let a: std::sync::Arc<Arena> = std::sync::Arc::from(arena());
+        let (xi, yi) = (0, 40);
+        assert_ne!(rt.line_index(a.0[xi].addr()), rt.line_index(a.0[yi].addr()));
+        let mut th = rt.register_thread();
+        let r = rt.attempt(&mut th, |tx| {
+            // Give x's line a version newer than the snapshot.
+            a.0[xi].store_direct(&rt, 5);
+            let (rt2, a2) = (rt.clone(), a.clone());
+            seam::arm(move || {
+                std::thread::spawn(move || {
+                    let mut w = rt2.register_thread();
+                    rt2.attempt(&mut w, |tx| {
+                        tx.write(&a2.0[xi], 1000)?;
+                        tx.write(&a2.0[yi], 1000)
+                    })
+                    .expect("an uncontended writer commits");
+                })
+                .join()
+                .unwrap();
+            });
+            let x = tx.read(&a.0[xi])?;
+            let y = tx.read(&a.0[yi])?;
+            Ok((x, y))
+        });
+        assert_eq!(
+            r.map_err(|e| e.code()),
+            Err(AbortCode::Conflict),
+            "torn pair"
+        );
+        assert_eq!((a.0[xi].load_plain(), a.0[yi].load_plain()), (1000, 1000));
     }
 }

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use threepath_core::{FallbackCount, PathKind, PathStats};
+use threepath_core::{FallbackCount, PathKind, PathStats, TxRead};
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell};
 use threepath_reclaim::{Domain, ReclaimMode};
 
@@ -41,6 +41,16 @@ impl LNode {
             mark: TxCell::new(0),
             next: TxCell::new(next as u64),
         }
+    }
+}
+
+/// Reads through the k-CAS heap, helping any k-CAS in the way: the
+/// fallback path's [`TxRead`]. They never abort.
+struct HelpingRead<'a>(&'a KcasHeap, &'a KcasThread);
+
+impl TxRead for HelpingRead<'_> {
+    fn read(&mut self, cell: &TxCell) -> Result<u64, Abort> {
+        Ok(self.0.read(self.1, cell))
     }
 }
 
@@ -133,24 +143,24 @@ impl KcasList {
         self.collect().iter().map(|(k, _)| *k as u128).sum()
     }
 
-    fn search_with(
+    fn search_with<R: TxRead>(
         &self,
-        read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+        r: &mut R,
         key: u64,
     ) -> Result<(*mut LNode, *mut LNode), Abort> {
         // SAFETY: nodes reachable under the operation's pin.
         let mut prev = self.head;
-        let mut cur = read(&unsafe { &*prev }.next)? as *mut LNode;
+        let mut cur = r.read_ptr::<LNode>(&unsafe { &*prev }.next)?;
         while !cur.is_null() && unsafe { &*cur }.key < key {
             prev = cur;
-            cur = read(&unsafe { &*cur }.next)? as *mut LNode;
+            cur = r.read_ptr(&unsafe { &*cur }.next)?;
         }
         Ok((prev, cur))
     }
 
     fn search_helping(&self, th: &KcasThread, key: u64) -> (*mut LNode, *mut LNode) {
-        let mut read = |c: &TxCell| Ok(self.heap.read(th, c));
-        self.search_with(&mut read, key).expect("helping search cannot abort")
+        self.search_with(&mut HelpingRead(&self.heap, th), key)
+            .expect("helping search cannot abort")
     }
 
     // ------------------------------------------------------------------
@@ -212,10 +222,7 @@ impl KcasList {
                 if tx.read(self.f.cell())? != 0 {
                     return Err(tx.abort(codes::F_NONZERO));
                 }
-                let (prev, cur) = {
-                    let mut rd = |c: &TxCell| tx.read(c);
-                    self.search_with(&mut rd, key)?
-                };
+                let (prev, cur) = self.search_with(tx, key)?;
                 if !cur.is_null() && unsafe { &*cur }.key == key {
                     return Ok(false);
                 }
@@ -324,10 +331,7 @@ impl KcasList {
                 if tx.read(self.f.cell())? != 0 {
                     return Err(tx.abort(codes::F_NONZERO));
                 }
-                let (prev, cur) = {
-                    let mut rd = |c: &TxCell| tx.read(c);
-                    self.search_with(&mut rd, key)?
-                };
+                let (prev, cur) = self.search_with(tx, key)?;
                 if cur.is_null() || unsafe { &*cur }.key != key {
                     return Ok(None);
                 }
@@ -447,10 +451,7 @@ impl KcasList {
                 if tx.read(self.f.cell())? != 0 {
                     return Err(tx.abort(codes::F_NONZERO));
                 }
-                let (_prev, cur) = {
-                    let mut rd = |c: &TxCell| tx.read(c);
-                    self.search_with(&mut rd, key)?
-                };
+                let (_prev, cur) = self.search_with(tx, key)?;
                 if cur.is_null() || unsafe { &*cur }.key != key {
                     Ok(None)
                 } else {

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use threepath_core::{FallbackCount, PathKind, PathStats};
+use threepath_core::{FallbackCount, PathKind, PathStats, TxRead};
 use threepath_htm::{codes, Abort, HtmConfig, HtmRuntime, TxCell, TxThread, Txn};
 use threepath_reclaim::{Domain, ReclaimCtx, ReclaimMode};
 
@@ -213,15 +213,11 @@ impl Citrus {
         Ok(count)
     }
 
-    fn search_with(
-        &self,
-        read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
-        key: u64,
-    ) -> Result<Search, Abort> {
+    fn search_with<R: TxRead>(&self, r: &mut R, key: u64) -> Result<Search, Abort> {
         // SAFETY: nodes reachable under the operation's epoch pin.
         let mut prev = self.root;
         let mut dir = 0usize;
-        let mut cur = read(&unsafe { &*prev }.children[0])? as *mut CNode;
+        let mut cur = r.read_ptr::<CNode>(&unsafe { &*prev }.children[0])?;
         while !cur.is_null() {
             let n = unsafe { &*cur };
             if n.key == key {
@@ -229,22 +225,22 @@ impl Citrus {
             }
             prev = cur;
             dir = dir_of(key, n.key);
-            cur = read(&n.children[dir])? as *mut CNode;
+            cur = r.read_ptr(&n.children[dir])?;
         }
         Ok(Search { prev, dir, cur })
     }
 
     /// Successor of `cur` (which has two children): `(sp, s)` where `s` is
     /// the leftmost node of `cur`'s right subtree and `sp` its parent.
-    fn successor_with(
+    fn successor_with<R: TxRead>(
         &self,
-        read: &mut dyn FnMut(&TxCell) -> Result<u64, Abort>,
+        r: &mut R,
         cur: *mut CNode,
     ) -> Result<(*mut CNode, *mut CNode), Abort> {
         let mut sp = cur;
-        let mut s = read(&unsafe { &*cur }.children[1])? as *mut CNode;
+        let mut s = r.read_ptr::<CNode>(&unsafe { &*cur }.children[1])?;
         loop {
-            let left = read(&unsafe { &*s }.children[0])? as *mut CNode;
+            let left = r.read_ptr::<CNode>(&unsafe { &*s }.children[0])?;
             if left.is_null() {
                 return Ok((sp, s));
             }
@@ -287,9 +283,8 @@ impl Citrus {
     fn search_direct(&self, th: &CitrusThread, key: u64) -> Search {
         // CITRUS searches run inside an RCU read-side critical section.
         let _rcu = th.rcu.read_lock();
-        let rt = &*self.rt;
-        let mut rd = |c: &TxCell| Ok(c.load_direct(rt));
-        self.search_with(&mut rd, key).expect("direct search cannot abort")
+        self.search_with(&mut &*self.rt, key)
+            .expect("direct search cannot abort")
     }
 
     fn fallback_insert(&self, th: &mut CitrusThread, key: u64, value: u64) -> Option<u64> {
@@ -383,9 +378,8 @@ impl Citrus {
                 // successor's pair, wait out readers, then unlink the
                 // successor (CITRUS's rcu_wait is the dominating cost the
                 // middle path eliminates).
-                let mut rd = |c: &TxCell| Ok::<u64, Abort>(c.load_direct(rt));
                 let (sp, succ) = self
-                    .successor_with(&mut rd, s.cur)
+                    .successor_with(&mut &*rt, s.cur)
                     .expect("direct reads cannot abort");
                 if sp != s.cur {
                     self.lock(sp);
@@ -486,10 +480,7 @@ impl Citrus {
             Ok(())
         };
 
-        let s = {
-            let mut rd = |c: &TxCell| tx.read(c);
-            self.search_with(&mut rd, key)?
-        };
+        let s = self.search_with(tx, key)?;
         match value {
             Some(v) => {
                 if !s.cur.is_null() {
@@ -533,10 +524,7 @@ impl Citrus {
                 }
                 // Two children: copy-replace; no rcu_wait — the
                 // transaction is atomic (the middle path's key win).
-                let (sp, succ) = {
-                    let mut rd = |c: &TxCell| tx.read(c);
-                    self.successor_with(&mut rd, s.cur)?
-                };
+                let (sp, succ) = self.successor_with(tx, s.cur)?;
                 if sp != s.cur {
                     guard(tx, sp)?;
                 }
@@ -617,10 +605,7 @@ impl Citrus {
                 if subscribe && tx.read(self.f.cell())? != 0 {
                     return Err(tx.abort(codes::F_NONZERO));
                 }
-                let s = {
-                    let mut rd = |c: &TxCell| tx.read(c);
-                    self.search_with(&mut rd, key)?
-                };
+                let s = self.search_with(tx, key)?;
                 if s.cur.is_null() {
                     Ok(None)
                 } else {

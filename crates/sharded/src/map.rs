@@ -49,7 +49,8 @@ pub struct ShardedConfig {
     /// Route every shard's `get`/`contains`/`first`/`last` through the
     /// uninstrumented wait-free read path (zero transactions and locks;
     /// seqlock-validated on the (a,b)-tree backend). On by default; off
-    /// routes reads through `run_op` — the read-heavy benchmarks' baseline.
+    /// routes reads through the template's paths — the read-heavy
+    /// benchmarks' baseline.
     pub read_path: bool,
     /// Route every shard's `range_query` through the uninstrumented
     /// optimistic scan path (epoch-pinned multi-leaf validation with a
@@ -57,8 +58,8 @@ pub struct ShardedConfig {
     /// path). Cross-shard range queries then feed per-shard optimistic
     /// scans into the usual concat/sort-merge plan, so they are
     /// transaction-free end-to-end when every shard's scan succeeds
-    /// optimistically. On by default; off routes scans through `run_op`
-    /// — the scan benchmarks' baseline.
+    /// optimistically. On by default; off routes scans through the
+    /// template's paths — the scan benchmarks' baseline.
     pub scan_path: bool,
     /// HTM admission control on every shard's fallback path: at most
     /// this many threads may attempt hardware transactions while the

@@ -3,7 +3,7 @@
 //! write-ahead total order of the shard's committed plans, and the
 //! map-level recovery entry.
 //!
-//! # Why the commit hook lives here and not inside `run_op`
+//! # Why the commit hook lives here and not inside the execution driver
 //!
 //! Commit order on a shard is only *observable* where updates are
 //! serialized: inside the HTM fast path two plans may race and the

@@ -301,12 +301,14 @@ pub struct TrialSpec {
     /// allocator baseline.
     pub pool: bool,
     /// Route lookups through the uninstrumented wait-free read path (on
-    /// by default); off drives them through `run_op` like any update —
-    /// the baseline the read-heavy benchmark panels compare against.
+    /// by default); off drives them through the template's paths like
+    /// any update — the baseline the read-heavy benchmark panels compare
+    /// against.
     pub read_path: bool,
     /// Route range queries through the uninstrumented optimistic scan
-    /// path (on by default); off drives them through `run_op` like any
-    /// update — the baseline the scan benchmark panels compare against.
+    /// path (on by default); off drives them through the template's
+    /// paths like any update — the baseline the scan benchmark panels
+    /// compare against.
     pub scan_path: bool,
     /// HTM admission control on the fallback path: at most this many
     /// threads attempt hardware transactions while a tree's fallback is
