@@ -2,13 +2,16 @@
 //! append-only write-ahead log plus periodic snapshots, so a crashed
 //! process recovers to snapshot-load + bounded log replay.
 //!
-//! This crate owns the **storage formats and the per-shard recovery
-//! algorithm**; it knows nothing about trees, routers, or HTM. The
-//! sharded layer (`threepath-sharded`) decides *when* to append (under
-//! its per-shard log lock, before an update executes — write-ahead) and
-//! *when* to snapshot (at a quiescent point where the log lock excludes
-//! every other persistent updater), and feeds recovered pairs back into
-//! its shards.
+//! This crate owns the **storage formats, the per-shard recovery
+//! algorithm, and the log lock**: [`ShardLogs`] holds one [`ShardWal`]
+//! per shard behind its mutex, plus the map's flusher thread, which does
+//! every physical fsync outside those mutexes. It knows nothing about
+//! trees, routers, or HTM. The sharded layer (`threepath-sharded`)
+//! decides *when* to append (holding the shard's log lock, before an
+//! update executes — write-ahead), *when* to snapshot (at a quiescent
+//! point where the log lock excludes every other persistent updater),
+//! and when a reply may leave ([`ShardLogs::await_reply`]); it feeds
+//! recovered pairs back into its shards.
 //!
 //! # On-disk layout
 //!
@@ -49,19 +52,22 @@
 //! # Fault injection
 //!
 //! [`FailPoints`] arms deterministic faults inside the log writer —
-//! truncate mid-record, flip a CRC byte, suppress fsync — so the crash
-//! suite can manufacture exactly the torn states recovery must handle.
+//! truncate mid-record, flip a CRC byte, suppress fsync, fail the n-th
+//! fsync — so the crash suite can manufacture exactly the torn states
+//! recovery must handle, and the sync-error path can be driven.
 
 #![warn(missing_docs)]
 
 mod crc;
 mod error;
+mod logs;
 mod manifest;
 mod snapshot;
 mod wal;
 
 pub use crc::crc32c;
 pub use error::PersistError;
+pub use logs::ShardLogs;
 pub use manifest::{read_manifest, write_manifest, Manifest};
 pub use snapshot::{read_snapshot, snapshot_path, write_snapshot};
 pub use wal::{

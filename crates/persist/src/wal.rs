@@ -20,15 +20,41 @@
 //! batch — allowed, since the plan had been accepted and would have
 //! committed; what can never happen is a *half*-applied batch, because
 //! a batch is one record and records are atomic under the checksum.
+//!
+//! # Writing and syncing are split
+//!
+//! [`ShardWal::append`] encodes the record and `write_all`s it — the
+//! record is in the kernel when `append` returns, which is all a process
+//! kill needs — and publishes its sequence number as the shard's
+//! *written* mark. It evaluates the [`FsyncPolicy`] but never calls
+//! `fdatasync`: when a sync is due it raises a request. In a map
+//! the request wakes the [`ShardLogs`](crate::ShardLogs) flusher, which
+//! fsyncs outside the log lock; a standalone writer's only physical
+//! syncs are explicit [`ShardWal::sync`] calls. Either way one function
+//! does the fsync: it samples the written mark, syncs a duplicate of the
+//! log's file descriptor, and publishes the sample as the *synced* mark.
+//! A failed sync is sticky: the shard never syncs again, and its next
+//! append fails with the error.
+//!
+//! The duplicate descriptor stays the log across snapshot rotation:
+//! [`ShardWal::install_snapshot`] truncates the same inode in place (it
+//! never unlinks or renames the log), so a sync through the duplicate
+//! reaches whatever the log holds at that moment. A record that rotation
+//! cuts from the log is covered by the snapshot, which was fsynced and
+//! renamed into place before the truncation — so a sync that sampled its
+//! mark before a rotation and ran after it still makes every record up
+//! to the mark durable.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use threepath_core::BatchOp;
 
+use crate::logs::{ShardSync, Signal};
 use crate::snapshot::{read_snapshot, snapshot_path, write_snapshot};
 use crate::{crc32c, io_err, sync_dir, PersistError, FORMAT_VERSION};
 
@@ -41,25 +67,37 @@ const MIN_PAYLOAD: u32 = 8 + 4;
 /// damage (a torn length word can decode to anything).
 const MAX_PAYLOAD: u32 = 1 << 26;
 
-/// When the log writer physically flushes to stable storage.
+/// When the log is physically flushed to stable storage, and what a
+/// reply waits for.
 ///
 /// Note the durability split: `write(2)` alone already survives a
-/// process kill (the page cache belongs to the kernel), so the crash
+/// process kill (the page cache belongs to the kernel), and every
+/// record is written before its reply under every policy, so the crash
 /// harness's SIGKILL loop is exact under every policy. `fsync` governs
-/// survival of *machine* crashes — power loss, kernel panic.
+/// survival of *machine* crashes — power loss, kernel panic. The
+/// fsync itself runs on the map's flusher thread, never under a shard's
+/// log lock (see [`ShardLogs`](crate::ShardLogs)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every record — group commit degenerates to
-    /// per-record commit. The default.
+    /// Every record is synced before its reply: group commit by
+    /// waiting. A reply is released once the shard's synced mark covers
+    /// its record, so one `fdatasync` releases every writer waiting at
+    /// that moment. The default.
     Always,
-    /// `fdatasync` once per `n` records (`n >= 1`).
+    /// Request an `fdatasync` once per `n` records (`n >= 1`). No reply
+    /// waits for it: a machine crash loses at most the last `n`
+    /// records, plus those appended while one sync is in flight.
     EveryN(u64),
-    /// `fdatasync` when at least this much time has passed since the
-    /// last sync, checked after each append.
+    /// Request an `fdatasync` when at least this much time has passed
+    /// since the last request, checked after each append. No reply
+    /// waits for it: a machine crash loses the records appended since
+    /// the last request, plus those appended while one sync is in
+    /// flight. The clock is read only on append, so after the last
+    /// append that tail stays unsynced until an explicit sync.
     Interval(Duration),
-    /// Never sync from the append path; only explicit
-    /// [`ShardWal::sync`] calls (e.g. server shutdown) flush. The
-    /// process-crash-only durability baseline.
+    /// Never sync from the append path; only explicit syncs
+    /// ([`ShardWal::sync`], `ShardedMap::sync_persist`, server shutdown)
+    /// flush. The process-crash-only durability baseline.
     Never,
 }
 
@@ -80,6 +118,10 @@ pub struct FailPoints {
     /// Suppress every physical fsync (the policy's bookkeeping still
     /// runs) — models a drive that lied about the final flush.
     pub drop_sync: bool,
+    /// Physical sync number `n` of the shard (0-based, counting every
+    /// sync attempt) fails with [`PersistError::Injected`] — an
+    /// `fdatasync` error, which is sticky: the shard syncs no more.
+    pub fail_sync: Option<u64>,
 }
 
 /// Tuning for the durability layer, carried by
@@ -141,7 +183,7 @@ pub struct WalStats {
     pub records: u64,
     /// Frame bytes appended.
     pub bytes: u64,
-    /// Physical fsyncs issued.
+    /// Physical fsyncs completed (by the flusher or an explicit sync).
     pub syncs: u64,
     /// Snapshots installed (each also rotates the log).
     pub snapshots: u64,
@@ -243,11 +285,18 @@ fn decode_payload(payload: &[u8]) -> Result<(u64, Vec<BatchOp>), &'static str> {
 }
 
 /// One shard's append-only log writer. All mutating access happens under
-/// the sharded layer's per-shard log lock, which is what makes the log
-/// a total order of that shard's committed plans.
+/// the shard's log lock ([`ShardLogs::lock`](crate::ShardLogs::lock)),
+/// which is what makes the log a total order of that shard's committed
+/// plans. Syncing happens elsewhere (see the module docs).
 #[derive(Debug)]
 pub struct ShardWal {
     file: File,
+    /// The shard's written/synced marks and the fsync itself, shared
+    /// with the flusher.
+    marks: Arc<ShardSync>,
+    /// Where a due sync is requested: the owning map's flusher, or a
+    /// signal nobody listens to while the writer stands alone.
+    pub(crate) signal: Arc<Signal>,
     path: PathBuf,
     dir: PathBuf,
     shard: u32,
@@ -281,7 +330,7 @@ impl ShardWal {
         let path = wal_path(&cfg.dir, shard);
         let file = Self::init_log_file(&path, shard, 0)?;
         sync_dir(&cfg.dir)?;
-        Ok(Self::assemble(cfg, shard, path, file, 1))
+        Self::assemble(cfg, shard, path, file, 1)
     }
 
     /// Writes a fresh header with `base_seq` into a (new or truncated)
@@ -306,9 +355,12 @@ impl ShardWal {
         path: PathBuf,
         file: File,
         next_seq: u64,
-    ) -> ShardWal {
-        ShardWal {
+    ) -> Result<ShardWal, PersistError> {
+        let marks = ShardSync::new(&file, &path, cfg.failpoints, next_seq - 1)?;
+        Ok(ShardWal {
             file,
+            marks: Arc::new(marks),
+            signal: Arc::default(),
             path,
             dir: cfg.dir.clone(),
             shard,
@@ -321,7 +373,7 @@ impl ShardWal {
             snapshot_every: cfg.snapshot_every,
             failpoints: cfg.failpoints,
             stats: WalStats::default(),
-        }
+        })
     }
 
     /// The shard this log belongs to.
@@ -336,15 +388,25 @@ impl ShardWal {
 
     /// Lifetime counters.
     pub fn stats(&self) -> WalStats {
-        self.stats
+        WalStats {
+            syncs: self.marks.syncs(),
+            ..self.stats
+        }
+    }
+
+    pub(crate) fn marks(&self) -> &Arc<ShardSync> {
+        &self.marks
     }
 
     /// Appends one record covering the update operations of `ops`
     /// (write-ahead: call **before** executing the plan, holding the
     /// shard's log lock across both). Returns whether a record was
     /// written — a plan of pure reads appends nothing and consumes no
-    /// sequence number.
+    /// sequence number. The record is in the kernel on return; when the
+    /// [`FsyncPolicy`] says a sync is due, the sync is requested, not
+    /// run. Fails with the shard's sticky error once a sync has failed.
     pub fn append(&mut self, ops: &[BatchOp]) -> Result<bool, PersistError> {
+        self.marks.check()?;
         let Some(mut frame) = encode_record(self.next_seq, ops) else {
             return Ok(false);
         };
@@ -365,6 +427,7 @@ impl ShardWal {
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append", &self.path, e))?;
+        self.marks.set_written(self.next_seq);
         self.next_seq += 1;
         self.records_since_snapshot += 1;
         self.stats.records += 1;
@@ -377,25 +440,24 @@ impl ShardWal {
             FsyncPolicy::Never => false,
         };
         if due {
-            self.sync()?;
+            self.reset_sync_clock();
+            self.signal.request(&self.marks);
         }
         Ok(true)
     }
 
-    /// Unconditionally flushes to stable storage (unless the
-    /// `drop_sync` fail point is armed) and resets the group-commit
-    /// counters.
+    /// Flushes every record written so far to stable storage on the
+    /// calling thread (unless the `drop_sync` fail point is armed) and
+    /// resets the policy's counters. After a failed sync this returns
+    /// the shard's sticky error without syncing again.
     pub fn sync(&mut self) -> Result<(), PersistError> {
+        self.reset_sync_clock();
+        self.marks.sync_written()
+    }
+
+    fn reset_sync_clock(&mut self) {
         self.since_sync = 0;
         self.last_sync = Instant::now();
-        if self.failpoints.drop_sync {
-            return Ok(());
-        }
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("fsync wal", &self.path, e))?;
-        self.stats.syncs += 1;
-        Ok(())
     }
 
     /// Whether enough records accumulated since the last snapshot that
@@ -417,12 +479,11 @@ impl ShardWal {
         write_snapshot(&self.dir, self.shard, covered, pairs)?;
         // From here on the old log is redundant: every record it holds
         // is covered by the snapshot just renamed into place. Reset it
-        // in place (truncate + fresh header) — a crash after the rename
-        // but before the reset just replays covered records onto the
-        // snapshot, which is idempotent at the state level only for the
-        // records' *effects already being in the snapshot*; to keep
-        // replay strictly "records after the snapshot", recovery skips
-        // records with seq <= snapshot seq instead of re-applying them.
+        // in place (truncate + fresh header). A crash after the rename
+        // but before the reset leaves covered records in the log;
+        // recovery skips every record with seq <= the snapshot's seq
+        // rather than re-applying it. Truncating in place keeps the
+        // inode, so the flusher's duplicate descriptor stays this log.
         self.file = Self::init_log_file(&self.path, self.shard, covered)?;
         sync_dir(&self.dir)?;
         self.records_since_snapshot = 0;
@@ -679,7 +740,7 @@ pub fn recover_shard(cfg: &PersistConfig, shard: u32) -> Result<ShardRecovery, P
         }
     };
 
-    let mut wal = ShardWal::assemble(cfg, shard, path, file, last_seq + 1);
+    let mut wal = ShardWal::assemble(cfg, shard, path, file, last_seq + 1)?;
     // Records already in the current log count against the snapshot
     // cadence, so a restart mid-interval does not double the interval.
     wal.records_since_snapshot = last_seq - snap_seq;
@@ -776,41 +837,41 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The policy decides *when a sync is due*; `append` then requests
+    /// it and never syncs itself. Observed per append: whether a request
+    /// was raised, and that no physical sync ran.
     #[test]
     fn fsync_policies_schedule_syncs() {
-        let dir = test_dir("fsync");
-        // Always: one physical sync per record.
-        let c = PersistConfig { fsync: FsyncPolicy::Always, ..cfg(&dir) };
-        let mut wal = ShardWal::create(&c, 0).unwrap();
-        for k in 0..4 {
-            wal.append(&plan(&[(k, Some(k))])).unwrap();
+        fn due_pattern(policy: FsyncPolicy, appends: u64, tag: &str) -> (Vec<bool>, ShardWal) {
+            let dir = test_dir(tag);
+            let c = PersistConfig { fsync: policy, ..cfg(&dir) };
+            let mut wal = ShardWal::create(&c, 0).unwrap();
+            let due = (0..appends)
+                .map(|k| {
+                    wal.append(&plan(&[(k, Some(k))])).unwrap();
+                    wal.marks.take_request()
+                })
+                .collect();
+            assert_eq!(wal.stats().syncs, 0, "{policy:?}: append never syncs");
+            fs::remove_dir_all(&dir).ok();
+            (due, wal)
         }
-        assert_eq!(wal.stats().syncs, 4);
-        drop(wal);
-        fs::remove_dir_all(&dir).ok();
-
-        // EveryN(3): group commit — one sync per three records.
-        let dir = test_dir("fsync-group");
-        let c = PersistConfig { fsync: FsyncPolicy::EveryN(3), ..cfg(&dir) };
-        let mut wal = ShardWal::create(&c, 1).unwrap();
-        for k in 0..7 {
-            wal.append(&plan(&[(k, Some(k))])).unwrap();
-        }
-        assert_eq!(wal.stats().syncs, 2);
+        // Always: every record is due.
+        let (due, _) = due_pattern(FsyncPolicy::Always, 4, "fsync");
+        assert_eq!(due, vec![true; 4]);
+        // EveryN(3): group commit — one request per three records.
+        let (due, mut wal) = due_pattern(FsyncPolicy::EveryN(3), 7, "fsync-group");
+        assert_eq!(due, [false, false, true, false, false, true, false]);
+        // An explicit sync is physical and restarts the count.
         wal.sync().unwrap();
-        assert_eq!(wal.stats().syncs, 3);
-        drop(wal);
-        fs::remove_dir_all(&dir).ok();
-
+        assert_eq!(wal.stats().syncs, 1);
+        assert_eq!(wal.marks.synced.load(std::sync::atomic::Ordering::Acquire), 7);
+        wal.append(&plan(&[(9, Some(9))])).unwrap();
+        wal.append(&plan(&[(9, Some(9))])).unwrap();
+        assert!(!wal.marks.take_request(), "the count restarted at the sync");
         // Never: only explicit syncs flush.
-        let dir = test_dir("fsync-never");
-        let c = PersistConfig { fsync: FsyncPolicy::Never, ..cfg(&dir) };
-        let mut wal = ShardWal::create(&c, 2).unwrap();
-        for k in 0..5 {
-            wal.append(&plan(&[(k, Some(k))])).unwrap();
-        }
-        assert_eq!(wal.stats().syncs, 0);
-        fs::remove_dir_all(&dir).ok();
+        let (due, _) = due_pattern(FsyncPolicy::Never, 5, "fsync-never");
+        assert_eq!(due, vec![false; 5]);
     }
 
     #[test]
@@ -878,6 +939,7 @@ mod tests {
         let mut wal = ShardWal::create(&c, 0).unwrap();
         for k in 0..3 {
             wal.append(&plan(&[(k, Some(k))])).unwrap();
+            wal.sync().unwrap();
         }
         assert_eq!(wal.stats().syncs, 0, "every fsync was dropped");
         drop(wal);

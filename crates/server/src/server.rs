@@ -124,13 +124,15 @@ impl KvServer {
 
     /// Graceful shutdown: rejects all new submissions, drains every
     /// shard's queue through the combiner (publishing the backlog's
-    /// replies), waits for every submission still executing, then flushes
-    /// and fsyncs every shard's write-ahead log when the map is
-    /// persistent. After this returns, the on-disk state reflects every
-    /// acknowledged update and the map is quiescent — safe to drop, or to
-    /// hand to [`ShardedMap::recover`] in a new process. Idempotent;
-    /// concurrent in-flight submissions either complete normally or
-    /// observe [`SubmitError::ShuttingDown`].
+    /// replies), waits for every submission still executing, then, when
+    /// the map is persistent, waits until the map's flusher has fsynced
+    /// every record written ([`ShardedMap::sync_persist`]). After an `Ok`
+    /// the on-disk state reflects every acknowledged update and the map
+    /// is quiescent — safe to drop, or to hand to [`ShardedMap::recover`]
+    /// in a new process. An `Err` is a shard's sticky fsync failure,
+    /// whenever it happened: the tail of that shard's log is not known to
+    /// be on stable storage. Idempotent; concurrent in-flight submissions
+    /// either complete normally or observe [`SubmitError::ShuttingDown`].
     pub fn shutdown(&self) -> Result<(), PersistError> {
         self.stopping.store(true, Ordering::SeqCst);
         for q in &self.queues {
@@ -621,4 +623,95 @@ mod tests {
             }
         }
     }
+
+    fn durable_map(dir: &std::path::Path, fsync: FsyncPolicy, spurious: f64) -> ShardedConfig {
+        let _ = std::fs::remove_dir_all(dir);
+        ShardedConfig {
+            shards: 1,
+            key_space: 64,
+            batched: true,
+            htm: threepath_htm::HtmConfig::default().with_spurious(spurious),
+            persist: Some(PersistConfig {
+                fsync,
+                ..PersistConfig::new(dir)
+            }),
+            ..ShardedConfig::default()
+        }
+    }
+
+    /// Under `Always` a plan the combiner drains through its
+    /// flat-combining hook is applied in the lock holder's section, but
+    /// its reply is not published until the flusher has synced its
+    /// record: `LoggedApply` waits before it returns.
+    #[test]
+    fn always_combined_replies_wait_for_their_sync() {
+        let dir = std::env::temp_dir().join(format!(
+            "threepath-server-always-combined-{}",
+            std::process::id()
+        ));
+        // Every attempt aborts: each plan escalates to the serialized
+        // section, where the hook drains the queue.
+        let cfg = durable_map(&dir, FsyncPolicy::Always, 1.0);
+        let map = Arc::new(ShardedMap::with_config(cfg).expect("valid config"));
+        let srv = Arc::new(KvServer::new(map, ServerConfig::default()).expect("batched map"));
+        let logs = srv.map().logs().expect("persistent");
+        // The test holds the claim, so the client's group waits queued.
+        assert!(srv.queues[0].try_claim());
+        logs.park_flusher_for_test(true);
+        let replied = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let client = s.spawn(|| {
+                let r = srv.client().try_submit(vec![BatchOp::Insert(5, 50)]);
+                replied.store(true, Ordering::SeqCst);
+                r
+            });
+            while srv.queues[0].is_empty() {
+                std::thread::yield_now();
+            }
+            let combiner = s.spawn(|| {
+                let mut h = srv.map().handle();
+                let mut lane = PathStats::new();
+                h.shard_batch_with(0, &[BatchOp::Insert(1, 10)], |apply| {
+                    drain_rounds(&srv, 0, apply, &mut lane)
+                });
+                lane.batch_ops()
+            });
+            let mut reader = srv.map().handle();
+            while reader.get(5).is_none() {
+                std::thread::yield_now();
+            }
+            // Applied in the combiner's section; now held for the sync.
+            std::thread::sleep(Duration::from_millis(50));
+            let early = replied.load(Ordering::SeqCst);
+            logs.park_flusher_for_test(false);
+            assert!(!early, "a combined reply was published before its record was synced");
+            assert_eq!(combiner.join().unwrap(), 1, "the client's plan rode the hook");
+            assert_eq!(client.join().unwrap(), Ok(vec![None]));
+        });
+        assert!(logs.synced_seq(0) >= 2, "both records synced");
+        srv.queues[0].release();
+        drop(srv);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed flusher fsync reaches `shutdown` as the typed error.
+    #[test]
+    fn shutdown_reports_a_failed_flush() {
+        let dir = std::env::temp_dir().join(format!(
+            "threepath-server-fail-sync-{}",
+            std::process::id()
+        ));
+        let mut cfg = durable_map(&dir, FsyncPolicy::EveryN(1), 0.0);
+        cfg.persist.as_mut().expect("persistent").failpoints.fail_sync = Some(0);
+        let map = Arc::new(ShardedMap::with_config(cfg).expect("valid config"));
+        let srv = Arc::new(KvServer::new(map, ServerConfig::default()).expect("batched map"));
+        assert_eq!(srv.client().submit(vec![BatchOp::Insert(1, 1)]), vec![None]);
+        assert_eq!(
+            srv.shutdown(),
+            Err(PersistError::Injected { point: "fail_sync" })
+        );
+        drop(srv);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
 }

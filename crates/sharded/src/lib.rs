@@ -59,5 +59,5 @@ pub use tree::{ShardBackend, ShardHandle, ShardTree};
 // configure persistence ([`ShardedConfig::persist`]) and interpret
 // [`ShardedMap::recover`] results without naming the persist crate.
 pub use threepath_persist::{
-    FailPoints, FsyncPolicy, PersistConfig, PersistError, RecoveryReport, WalStats,
+    FailPoints, FsyncPolicy, PersistConfig, PersistError, RecoveryReport, ShardLogs, WalStats,
 };

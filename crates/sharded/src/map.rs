@@ -4,10 +4,10 @@ use std::sync::Arc;
 
 use threepath_core::{BatchApply, BatchOp, PathKind, PathStats, Strategy};
 use threepath_htm::HtmConfig;
-use threepath_persist::{PersistConfig, PersistError, ShardWal};
+use threepath_persist::{PersistConfig, PersistError, ShardLogs, ShardWal};
 use threepath_reclaim::ReclaimMode;
 
-use crate::persist::PersistLayer;
+use crate::persist::{append_record, await_reply};
 use crate::router::{ConfigError, HashRouter, RangeRouter, Router, RouterKind};
 use crate::tree::{ShardBackend, ShardHandle, ShardTree};
 
@@ -143,7 +143,7 @@ pub struct ShardedMap {
     backend: ShardBackend,
     strategy: Strategy,
     key_space: u64,
-    persist: Option<PersistLayer>,
+    persist: Option<ShardLogs>,
 }
 
 impl ShardedMap {
@@ -164,7 +164,7 @@ impl ShardedMap {
         cfg.validate()?;
         let router = Self::router_of(&cfg)?;
         let persist = match &cfg.persist {
-            Some(_) => Some(PersistLayer::create(&cfg)?),
+            Some(_) => Some(crate::persist::create_logs(&cfg)?),
             None => None,
         };
         Self::build(cfg, router, persist)
@@ -202,16 +202,16 @@ impl ShardedMap {
     /// (no fresh directory initialization).
     pub(crate) fn build_recovered(
         cfg: ShardedConfig,
-        layer: PersistLayer,
+        logs: ShardLogs,
     ) -> Result<Arc<Self>, ConfigError> {
         let router = Self::router_of(&cfg)?;
-        Ok(Arc::new(Self::build(cfg, router, Some(layer))?))
+        Ok(Arc::new(Self::build(cfg, router, Some(logs))?))
     }
 
     fn build(
         cfg: ShardedConfig,
         router: Arc<dyn Router>,
-        persist: Option<PersistLayer>,
+        persist: Option<ShardLogs>,
     ) -> Result<Self, ConfigError> {
         let shards: Vec<ShardTree> = (0..cfg.shards).map(|_| ShardTree::build(&cfg)).collect();
         Ok(ShardedMap {
@@ -345,7 +345,9 @@ impl ShardedMap {
         &self.shards[shard]
     }
 
-    pub(crate) fn persist_layer(&self) -> Option<&PersistLayer> {
+    /// The map's shard logs and their flusher, or `None` on a volatile
+    /// map.
+    pub fn logs(&self) -> Option<&ShardLogs> {
         self.persist.as_ref()
     }
 }
@@ -423,24 +425,22 @@ impl ShardedHandle {
     /// The persistent update discipline for point operations: hold the
     /// shard's log lock across *append + execute* so log order is commit
     /// order, appending **before** executing so no acknowledged update
-    /// can be missing from the log. Runtime log IO failure is fail-stop
-    /// by design — continuing would acknowledge updates the log never
-    /// saw.
+    /// can be missing from the log; then, with the lock released, wait
+    /// out the fsync policy before replying.
     fn persistent_point_op(&mut self, s: usize, op: BatchOp) -> Option<u64> {
         let map = Arc::clone(&self.map);
-        let layer = map
-            .persist_layer()
-            .expect("caller checked the map is persistent");
-        let mut wal = layer.lock(s);
+        let logs = map.logs().expect("caller checked the map is persistent");
+        let mut wal = logs.lock(s);
         let before = wal.stats();
-        wal.append(std::slice::from_ref(&op))
-            .expect("WAL append failed (fail-stop: the log is the map)");
+        let seq = append_record(&mut wal, std::slice::from_ref(&op));
         let r = match op {
             BatchOp::Insert(k, v) => self.shard_handle(s).insert(k, v),
             BatchOp::Remove(k) => self.shard_handle(s).remove(k),
             BatchOp::Get(_) => unreachable!("reads are never logged"),
         };
         self.persist_finish(&map, s, &mut wal, before);
+        drop(wal);
+        await_reply(logs, s, seq);
         r
     }
 
@@ -535,17 +535,16 @@ impl ShardedHandle {
         self.check_shard_plan(shard, ops);
         if self.map.persist.is_some() {
             let map = Arc::clone(&self.map);
-            let layer = map
-                .persist_layer()
-                .expect("caller checked the map is persistent");
-            let mut wal = layer.lock(shard);
+            let logs = map.logs().expect("caller checked the map is persistent");
+            let mut wal = logs.lock(shard);
             let before = wal.stats();
             // One batch = one record: the whole plan becomes durable (or
             // is discarded at recovery) atomically under its checksum.
-            wal.append(ops)
-                .expect("WAL append failed (fail-stop: the log is the map)");
+            let seq = append_record(&mut wal, ops);
             let r = self.shard_handle(shard).run_batch(ops);
             self.persist_finish(&map, shard, &mut wal, before);
+            drop(wal);
+            await_reply(logs, shard, seq);
             r
         } else {
             self.shard_handle(shard).run_batch(ops)
@@ -567,25 +566,26 @@ impl ShardedHandle {
         self.check_shard_plan(shard, ops);
         if self.map.persist.is_some() {
             let map = Arc::clone(&self.map);
-            let layer = map
-                .persist_layer()
-                .expect("caller checked the map is persistent");
-            let mut wal = layer.lock(shard);
+            let logs = map.logs().expect("caller checked the map is persistent");
+            let mut wal = logs.lock(shard);
             let before = wal.stats();
-            wal.append(ops)
-                .expect("WAL append failed (fail-stop: the log is the map)");
+            let seq = append_record(&mut wal, ops);
             // Combined plans are applied (and their replies published)
             // inside the serialized section, so they log through a
             // write-ahead wrapper of the combiner's BatchApply.
             let wal_ref = &mut *wal;
             let r = self.shard_handle(shard).run_batch_with(ops, move |apply| {
                 let mut logged = crate::persist::LoggedApply {
+                    logs,
+                    shard,
                     wal: wal_ref,
                     inner: apply,
                 };
                 combine(&mut logged);
             });
             self.persist_finish(&map, shard, &mut wal, before);
+            drop(wal);
+            await_reply(logs, shard, seq);
             r
         } else {
             self.shard_handle(shard).run_batch_with(ops, combine)

@@ -1,7 +1,8 @@
-//! The sharded map's durability wiring: one [`ShardWal`] per shard
-//! behind a mutex, the commit-hook discipline that makes the log a
-//! write-ahead total order of the shard's committed plans, and the
-//! map-level recovery entry.
+//! The sharded map's durability wiring: the manifest, the commit-hook
+//! discipline that makes each shard's log a write-ahead total order of
+//! its committed plans, the reply gate, and the map-level recovery
+//! entry. The logs themselves, their locks and their flusher are
+//! [`ShardLogs`], owned by `threepath-persist`.
 //!
 //! # Why the commit hook lives here and not inside the execution driver
 //!
@@ -23,15 +24,27 @@
 //! no batch is half-applied (a batch is one record, atomic under its
 //! checksum). A record whose plan never executed replays as a fully
 //! applied but unacknowledged batch — permitted, since the plan had
-//! been accepted and would have committed. `fsync` policy only widens
-//! this to *machine* crashes; see [`FsyncPolicy`].
+//! been accepted and would have committed.
+//!
+//! The [`FsyncPolicy`](threepath_persist::FsyncPolicy) widens this to
+//! *machine* crashes. The fsync runs on the map's flusher, never under
+//! a log lock. Under `Always` a reply also waits until the flusher has
+//! synced its record: a point op or `shard_batch` waits after releasing
+//! the log lock; a plan drained through [`LoggedApply`] waits inside
+//! `apply`, because the server publishes its reply as soon as `apply`
+//! returns. Under `EveryN(n)` and `Interval` no reply waits: a machine
+//! crash loses at most the records since the last requested sync, plus
+//! those appended while one sync is in flight. A failed fsync is sticky
+//! and fail-stop: the shard's next append, every `Always` reply still
+//! waiting, [`ShardedMap::sync_persist`] and the server's shutdown all
+//! see it.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use threepath_core::{BatchApply, BatchOp};
 use threepath_persist::{
     read_manifest, recover_shard, write_manifest, Manifest, PersistConfig, PersistError,
-    RecoveryReport, ShardWal, WalStats,
+    RecoveryReport, ShardLogs, ShardWal, WalStats,
 };
 
 use crate::map::{ShardedConfig, ShardedMap};
@@ -61,89 +74,30 @@ fn manifest_of(cfg: &ShardedConfig) -> Manifest {
     }
 }
 
-/// The per-map durability state: one log writer per shard. Mutating
-/// operations on shard `s` hold `logs[s]` across *append + execute*, so
-/// the log is a total order of that shard's committed plans.
-pub(crate) struct PersistLayer {
-    logs: Vec<Mutex<ShardWal>>,
-}
-
-impl std::fmt::Debug for PersistLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PersistLayer")
-            .field("shards", &self.logs.len())
-            .finish()
-    }
-}
-
-impl PersistLayer {
-    /// Initializes a fresh persistence directory for `cfg`: manifest
-    /// plus one empty log per shard. Refuses (typed) to clobber an
-    /// already-initialized directory.
-    pub(crate) fn create(cfg: &ShardedConfig) -> Result<PersistLayer, ConfigError> {
-        let p = cfg.persist.as_ref().expect("caller checked persist is set");
-        std::fs::create_dir_all(&p.dir).map_err(|e| {
-            ConfigError::Persist(PersistError::Io {
-                op: "create dir",
-                path: p.dir.display().to_string(),
-                kind: e.kind(),
-                msg: e.to_string(),
-            })
-        })?;
-        write_manifest(&p.dir, &manifest_of(cfg)).map_err(ConfigError::Persist)?;
-        let logs = (0..cfg.shards)
-            .map(|s| ShardWal::create(p, s as u32).map(Mutex::new))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ConfigError::Persist)?;
-        Ok(PersistLayer { logs })
-    }
-
-    /// Wraps recovered log writers (recovery constructs them itself).
-    pub(crate) fn from_wals(wals: Vec<ShardWal>) -> PersistLayer {
-        PersistLayer {
-            logs: wals.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Locks shard `s`'s log. Poisoning is fatal by design: a panic
-    /// while holding the log lock means an append or apply died midway,
-    /// and continuing would fork the log from the tree.
-    pub(crate) fn lock(&self, shard: usize) -> MutexGuard<'_, ShardWal> {
-        self.logs[shard]
-            .lock()
-            .expect("shard log lock poisoned: a persistent update panicked mid-commit")
-    }
-
-    /// Lifetime counters summed across shards.
-    pub(crate) fn stats(&self) -> WalStats {
-        let mut total = WalStats::default();
-        for l in &self.logs {
-            total.merge(&self.lock_of(l).stats());
-        }
-        total
-    }
-
-    /// Flushes and fsyncs every shard's log (graceful-shutdown barrier).
-    pub(crate) fn sync_all(&self) -> Result<(), PersistError> {
-        for l in &self.logs {
-            self.lock_of(l).sync()?;
-        }
-        Ok(())
-    }
-
-    fn lock_of<'a>(&self, l: &'a Mutex<ShardWal>) -> MutexGuard<'a, ShardWal> {
-        l.lock()
-            .expect("shard log lock poisoned: a persistent update panicked mid-commit")
-    }
+/// Initializes a fresh persistence directory for `cfg`: manifest plus
+/// one empty log per shard, under a started flusher. Refuses (typed) to
+/// clobber an already-initialized directory.
+pub(crate) fn create_logs(cfg: &ShardedConfig) -> Result<ShardLogs, ConfigError> {
+    let p = cfg.persist.as_ref().expect("caller checked persist is set");
+    std::fs::create_dir_all(&p.dir).map_err(|e| {
+        ConfigError::Persist(PersistError::Io {
+            op: "create dir",
+            path: p.dir.display().to_string(),
+            kind: e.kind(),
+            msg: e.to_string(),
+        })
+    })?;
+    write_manifest(&p.dir, &manifest_of(cfg)).map_err(ConfigError::Persist)?;
+    ShardLogs::create(p, cfg.shards as u32).map_err(ConfigError::Persist)
 }
 
 /// Validates `cfg` against the manifest already in its persistence
 /// directory, recovers every shard, and returns the recovered wals
 /// plus per-shard pair sets and reports.
 #[allow(clippy::type_complexity)]
-pub(crate) fn recover_layer(
+pub(crate) fn recover_logs(
     cfg: &ShardedConfig,
-) -> Result<(PersistLayer, Vec<Vec<(u64, u64)>>, Vec<RecoveryReport>), ConfigError> {
+) -> Result<(ShardLogs, Vec<Vec<(u64, u64)>>, Vec<RecoveryReport>), ConfigError> {
     let p = cfg.persist.as_ref().ok_or(ConfigError::Persist(PersistError::NotPersisted))?;
     let want = manifest_of(cfg);
     let stored = read_manifest(&p.dir)
@@ -179,7 +133,8 @@ pub(crate) fn recover_layer(
         pairs.push(r.pairs);
         reports.push(r.report);
     }
-    Ok((PersistLayer::from_wals(wals), pairs, reports))
+    let logs = ShardLogs::new(p, wals).map_err(ConfigError::Persist)?;
+    Ok((logs, pairs, reports))
 }
 
 /// Validates the persistence knobs of `cfg` (called from
@@ -191,21 +146,46 @@ pub(crate) fn validate_persist(cfg: &ShardedConfig) -> Result<(), ConfigError> {
     Ok(())
 }
 
+/// Appends the record of `ops` to `wal` (write-ahead: the caller holds
+/// the shard's log lock and executes the plan next) and returns its
+/// sequence number, or `None` for a plan of pure reads. Runtime log IO
+/// failure is fail-stop by design — continuing would acknowledge updates
+/// the log never saw.
+pub(crate) fn append_record(wal: &mut ShardWal, ops: &[BatchOp]) -> Option<u64> {
+    wal.append(ops)
+        .expect("WAL append failed (fail-stop: the log is the map)")
+        .then(|| wal.next_seq() - 1)
+}
+
+/// Holds a reply until the fsync policy lets it leave (see
+/// [`ShardLogs::await_reply`]). A failed sync is fail-stop, like a
+/// failed append.
+pub(crate) fn await_reply(logs: &ShardLogs, shard: usize, seq: Option<u64>) {
+    if let Some(seq) = seq {
+        logs.await_reply(shard, seq)
+            .expect("WAL sync failed (fail-stop: the log is the map)");
+    }
+}
+
 /// A [`BatchApply`] wrapper that appends each flat-combined plan's
 /// record *before* the plan applies, so the write-ahead invariant holds
-/// for every plan the combiner drains while holding the fallback lock —
-/// the server publishes those replies inside the combining closure.
+/// for every plan the combiner drains while holding the fallback lock.
+/// The server publishes those replies as soon as `apply` returns, so
+/// `apply` also waits out the fsync policy before it returns — under
+/// the log lock, which is safe because the flusher never takes it.
 pub(crate) struct LoggedApply<'a, 'b> {
+    pub(crate) logs: &'a ShardLogs,
+    pub(crate) shard: usize,
     pub(crate) wal: &'a mut ShardWal,
     pub(crate) inner: &'b mut dyn BatchApply,
 }
 
 impl BatchApply for LoggedApply<'_, '_> {
     fn apply(&mut self, ops: &[BatchOp]) -> Vec<Option<u64>> {
-        self.wal
-            .append(ops)
-            .expect("WAL append failed while flat combining (fail-stop: the log is the map)");
-        self.inner.apply(ops)
+        let seq = append_record(self.wal, ops);
+        let replies = self.inner.apply(ops);
+        await_reply(self.logs, self.shard, seq);
+        replies
     }
 }
 
@@ -240,8 +220,8 @@ impl ShardedMap {
         if cfg.persist.is_none() {
             return Err(ConfigError::Persist(PersistError::NotPersisted));
         }
-        let (layer, pairs, reports) = recover_layer(&cfg)?;
-        let map = Self::build_recovered(cfg, layer)?;
+        let (logs, pairs, reports) = recover_logs(&cfg)?;
+        let map = Self::build_recovered(cfg, logs)?;
         // Refill each shard directly through its tree handle: replay
         // must not re-log (the records are already durable) and must
         // not re-route (the manifest pinned the partition). The pairs
@@ -268,13 +248,16 @@ impl ShardedMap {
 
     /// Aggregated write-ahead-log counters, or `None` on a volatile map.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.persist_layer().map(PersistLayer::stats)
+        self.logs().map(ShardLogs::stats)
     }
 
-    /// Flushes and fsyncs every shard's log — the graceful-shutdown
-    /// durability barrier. No-op on a volatile map.
+    /// Fsyncs every shard's log and returns once every record written
+    /// so far is on stable storage — the graceful-shutdown durability
+    /// barrier (see [`ShardLogs::sync_all`]). Fails with a shard's
+    /// sticky error once any of its syncs has failed. No-op on a
+    /// volatile map.
     pub fn sync_persist(&self) -> Result<(), PersistError> {
-        match self.persist_layer() {
+        match self.logs() {
             Some(l) => l.sync_all(),
             None => Ok(()),
         }
@@ -282,7 +265,7 @@ impl ShardedMap {
 
     /// Whether this map persists its updates.
     pub fn is_persistent(&self) -> bool {
-        self.persist_layer().is_some()
+        self.logs().is_some()
     }
 }
 
@@ -290,8 +273,9 @@ impl ShardedMap {
 mod tests {
     use super::*;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
     use threepath_persist::FsyncPolicy;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     pub(crate) fn test_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -495,6 +479,165 @@ mod tests {
             Err(ConfigError::Persist(PersistError::InvalidConfig(_)))
         ));
         fs_cleanup(&dir);
+    }
+
+    fn with_policy(dir: &std::path::Path, fsync: FsyncPolicy) -> ShardedConfig {
+        let mut cfg = persisted(dir, 2);
+        cfg.persist.as_mut().unwrap().fsync = fsync;
+        cfg
+    }
+
+    /// Runs `op` on another thread while the map's flusher is parked
+    /// holding a sampled sync, and reports whether `op` returned before
+    /// the flusher was released. `op` always completes.
+    fn returns_while_parked(map: &Arc<ShardedMap>, op: impl FnOnce() + Send) -> bool {
+        let logs = map.logs().unwrap();
+        logs.park_flusher_for_test(true);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let t = s.spawn(|| {
+                op();
+                done.store(true, Ordering::SeqCst);
+            });
+            let t0 = std::time::Instant::now();
+            while !done.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_millis(50) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let early = done.load(Ordering::SeqCst);
+            logs.park_flusher_for_test(false);
+            t.join().unwrap();
+            early
+        })
+    }
+
+    fn synced_everywhere(map: &ShardedMap) -> bool {
+        let logs = map.logs().unwrap();
+        (0..map.shard_count()).all(|s| logs.synced_seq(s) == logs.written_seq(s))
+    }
+
+    /// (a) Under `EveryN(1)` every record requests a sync, but neither a
+    /// point op nor a `shard_batch` waits for it.
+    #[test]
+    fn every_n_replies_do_not_wait_for_the_flusher() {
+        let dir = test_dir("everyn-nowait");
+        let cfg = with_policy(&dir, FsyncPolicy::EveryN(1));
+        let map = Arc::new(ShardedMap::with_config(cfg).unwrap());
+        let mut h = map.handle();
+        assert!(returns_while_parked(&map, || {
+            h.insert(1, 1);
+        }));
+        assert!(returns_while_parked(&map, || {
+            h.shard_batch(0, &[BatchOp::Insert(2, 2), BatchOp::Remove(1)]);
+        }));
+        drop(h);
+        map.sync_persist().unwrap();
+        assert!(synced_everywhere(&map));
+        fs_cleanup(&dir);
+    }
+
+    /// (b) Under `Always` neither a point op nor a `shard_batch`
+    /// returns before the flusher has synced its record.
+    #[test]
+    fn always_replies_wait_for_their_sync() {
+        let dir = test_dir("always-wait");
+        let cfg = with_policy(&dir, FsyncPolicy::Always);
+        let map = Arc::new(ShardedMap::with_config(cfg).unwrap());
+        let logs = map.logs().unwrap();
+        let mut h = map.handle();
+        assert!(!returns_while_parked(&map, || {
+            assert_eq!(h.insert(1, 1), None);
+        }));
+        assert!(logs.synced_seq(0) >= 1);
+        assert!(!returns_while_parked(&map, || {
+            h.shard_batch(0, &[BatchOp::Insert(2, 2), BatchOp::Remove(1)]);
+        }));
+        assert!(logs.synced_seq(0) >= 2);
+        // A plan of pure reads logs nothing and waits for nothing.
+        assert!(returns_while_parked(&map, || {
+            h.shard_batch(0, &[BatchOp::Get(2)]);
+        }));
+        drop(h);
+        fs_cleanup(&dir);
+    }
+
+    /// (c) `sync_persist` returns only once every shard's synced mark
+    /// has reached its written mark.
+    #[test]
+    fn sync_persist_waits_until_every_shard_is_synced() {
+        let dir = test_dir("sync-persist");
+        let cfg = with_policy(&dir, FsyncPolicy::Never);
+        let map = Arc::new(ShardedMap::with_config(cfg).unwrap());
+        let mut h = map.handle();
+        for k in [1, 2, 60, 70, 80] {
+            h.insert(k, k);
+        }
+        assert!(!synced_everywhere(&map));
+        assert!(!returns_while_parked(&map, || map.sync_persist().unwrap()));
+        assert!(synced_everywhere(&map));
+        assert_eq!(map.logs().unwrap().written_seq(1), 3);
+        drop(h);
+        fs_cleanup(&dir);
+    }
+
+    /// (d) Snapshot rotations truncate the log while the flusher holds a
+    /// sync it sampled before them; the sync through its duplicate
+    /// descriptor still lands, and recovery equals the map.
+    #[test]
+    fn rotation_under_a_parked_flush_recovers_the_map() {
+        let dir = test_dir("rotate-parked");
+        let mut cfg = with_policy(&dir, FsyncPolicy::EveryN(1));
+        cfg.persist.as_mut().unwrap().snapshot_every = Some(4);
+        let map = Arc::new(ShardedMap::with_config(cfg.clone()).unwrap());
+        let logs = map.logs().unwrap();
+        let mut h = map.handle();
+        logs.park_flusher_for_test(true);
+        h.insert(0, 0);
+        logs.wait_flusher_parked_for_test();
+        for k in 1..11 {
+            h.insert(k, k * 7);
+        }
+        h.remove(3);
+        assert!(h.stats().wal_snapshots() >= 2, "rotations ran during the parked flush");
+        logs.park_flusher_for_test(false);
+        map.sync_persist().unwrap();
+        assert!(synced_everywhere(&map));
+        drop(h);
+        let pairs = map.collect();
+        drop(map);
+        let (rec, reports) = ShardedMap::recover(&dir, cfg).unwrap();
+        assert_eq!(rec.collect(), pairs);
+        assert!(reports[0].snapshot_seq >= 8);
+        fs_cleanup(&dir);
+    }
+
+    /// A failed flusher fsync reaches `sync_persist` as the typed error.
+    #[test]
+    fn sync_persist_reports_a_failed_flush() {
+        let dir = test_dir("fail-sync");
+        let mut cfg = with_policy(&dir, FsyncPolicy::EveryN(1));
+        cfg.persist.as_mut().unwrap().failpoints.fail_sync = Some(0);
+        let map = Arc::new(ShardedMap::with_config(cfg).unwrap());
+        map.handle().insert(1, 1);
+        assert_eq!(
+            map.sync_persist(),
+            Err(PersistError::Injected { point: "fail_sync" })
+        );
+        drop(map);
+        fs_cleanup(&dir);
+    }
+
+    /// An `Always` writer whose sync failed does not reply: the update is
+    /// fail-stop, like a failed append.
+    #[test]
+    #[should_panic(expected = "WAL sync failed")]
+    fn an_always_reply_after_a_failed_sync_is_fail_stop() {
+        let dir = test_dir("fail-always");
+        let mut cfg = with_policy(&dir, FsyncPolicy::Always);
+        cfg.persist.as_mut().unwrap().failpoints.fail_sync = Some(0);
+        let map = Arc::new(ShardedMap::with_config(cfg).unwrap());
+        let mut h = map.handle();
+        fs_cleanup(&dir);
+        h.insert(1, 1);
     }
 
     fn fs_cleanup(dir: &std::path::Path) {

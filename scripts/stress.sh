@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Runs the three multi-threaded integration binaries N times on two lanes,
-# each run with --no-fail-fast so one red binary cannot hide the others;
-# the first red run prints its output and fails the script.
+# Runs the multi-threaded test binaries N times on two lanes, each run
+# with --no-fail-fast so one red binary cannot hide the others; the first
+# red run prints its output and fails the script.
 #
-#   debug lane    the three binaries as Tier-1 builds them;
-#   release lane  the same three, plus the simulated HTM's opacity tests,
-#                 built with --release: optimised timing exposes races the
+#   debug lane    the three concurrency binaries and the persistence tests
+#                 (the persist crate, the sharded map's persist module and
+#                 the facade's persist_recovery binary: the WAL flusher
+#                 thread races the writers and their waiters) as Tier-1
+#                 builds them;
+#   release lane  the same, plus the simulated HTM's opacity tests, built
+#                 with --release: optimised timing exposes races the
 #                 debug build hides (a torn snapshot showed in 8 of 300
 #                 release runs and 0 of 550 debug runs).
 #
@@ -14,11 +18,16 @@ set -euo pipefail
 
 n="${1:?usage: scripts/stress.sh N}"
 cd "$(dirname "$0")/.."
-tests=(--test concurrent --test scan_concurrent --test sharded_concurrent)
+tests=(--test concurrent --test scan_concurrent --test sharded_concurrent --test persist_recovery)
+wal=(-p threepath-persist)
+wal_map=(-p threepath-sharded --lib persist)
 opacity=(-p threepath-htm --lib opacity)
 
-cargo test -q --no-run "${tests[@]}"
-cargo test -q --release --no-run "${tests[@]}"
+for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}"; do
+  read -ra args <<< "$lane_args"
+  cargo test -q --no-run "${args[@]}"
+  cargo test -q --release --no-run "${args[@]}"
+done
 cargo test -q --release --no-run "${opacity[@]}"
 
 # One run of one lane; a red run prints its output and stops the script.
@@ -34,7 +43,11 @@ lane() {
 
 for i in $(seq 1 "$n"); do
   lane debug "$i" "${tests[@]}"
+  lane debug "$i" "${wal[@]}"
+  lane debug "$i" "${wal_map[@]}"
   lane release "$i" --release "${tests[@]}"
+  lane release "$i" --release "${wal[@]}"
+  lane release "$i" --release "${wal_map[@]}"
   lane release "$i" --release "${opacity[@]}"
 done
 echo "stress: $n of $n runs green on both lanes"
