@@ -426,17 +426,34 @@ impl std::fmt::Debug for AbTree {
 impl Drop for AbTree {
     fn drop(&mut self) {
         // Nodes are plain data (no drop glue — asserted below), so a
-        // pooled tree needs no per-node walk: the blocks' memory belongs
-        // to arena chunks the domain releases when it drops, after the
-        // limbo bags.
+        // pooled tree walks its nodes only to release the SCX-records
+        // their `info` fields still hold, and only if the software path
+        // ever created one. The blocks' memory belongs to arena chunks
+        // the domain releases when it drops, after the limbo bags (where
+        // the released records then wait too).
         const { assert!(!std::mem::needs_drop::<AbNode>()) };
-        if !self.pooled {
-            // SAFETY: exclusive access; retired nodes live in limbo bags,
-            // not in the reachable graph.
-            unsafe {
-                let root = (*self.entry).ptr_plain(0) as *mut AbNode;
-                free_rec(root);
-                drop(Box::from_raw(self.entry));
+        let release = self.eng.ran_scx_orig();
+        if self.pooled && !release {
+            return;
+        }
+        let rt = self.eng.runtime();
+        let ctx = Domain::register(self.domain());
+        // The entry node is an internal node whose one child is the root.
+        let mut stack = vec![self.entry];
+        while let Some(n) = stack.pop() {
+            // SAFETY: exclusive access. Every reachable node is live and
+            // still holds its install reference; retired nodes released
+            // theirs when retired and sit in limbo bags, never reachable,
+            // so nothing is released or freed twice.
+            let node = unsafe { &*n };
+            if !node.leaf {
+                stack.extend((0..node.size_plain()).map(|i| node.ptr_plain(i) as *mut AbNode));
+            }
+            if release {
+                unsafe { node.hdr.release_install(rt, &ctx) };
+            }
+            if !self.pooled {
+                drop(unsafe { Box::from_raw(n) });
             }
         }
     }
@@ -461,16 +478,6 @@ fn chunk_sizes(n: usize, target: usize, min: usize) -> Vec<usize> {
     }
     debug_assert_eq!(sizes.iter().sum::<usize>(), n);
     sizes
-}
-
-unsafe fn free_rec(n: *mut AbNode) {
-    let node = unsafe { &*n };
-    if !node.leaf {
-        for i in 0..node.size_plain() {
-            unsafe { free_rec(node.ptr_plain(i) as *mut AbNode) };
-        }
-    }
-    drop(unsafe { Box::from_raw(n) });
 }
 
 unsafe fn collect_rec(n: *mut AbNode, out: &mut Vec<(u64, u64)>) {

@@ -1,5 +1,6 @@
 //! BST nodes: Data-records with two child pointers as their mutable fields.
 
+use threepath_core::ScxNode;
 use threepath_htm::TxCell;
 use threepath_llxscx::ScxHeader;
 
@@ -35,6 +36,12 @@ pub(crate) struct BstNode {
     /// tracks the sequential value overwrite.
     pub(crate) ver: TxCell,
     pub(crate) is_leaf: bool,
+}
+
+impl ScxNode for BstNode {
+    fn scx_header(&self) -> &ScxHeader {
+        &self.hdr
+    }
 }
 
 impl BstNode {

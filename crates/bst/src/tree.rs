@@ -313,31 +313,36 @@ impl std::fmt::Debug for Bst {
 impl Drop for Bst {
     fn drop(&mut self) {
         // Nodes are plain data (no drop glue — asserted below), so a
-        // pooled tree needs no per-node walk: the blocks' memory belongs
-        // to arena chunks the domain releases when it drops, after the
-        // limbo bags.
+        // pooled tree walks its nodes only to release the SCX-records
+        // their `info` fields still hold, and only if the software path
+        // ever created one. The blocks' memory belongs to arena chunks
+        // the domain releases when it drops, after the limbo bags (where
+        // the released records then wait too).
         const { assert!(!std::mem::needs_drop::<BstNode>()) };
-        if !self.pooled {
-            // SAFETY: exclusive access; retired nodes are owned by the
-            // domain's limbo bags, never reachable from the root, so no
-            // double free.
-            unsafe { free_rec(self.root) };
+        let release = self.eng.ran_scx_orig();
+        if self.pooled && !release {
+            return;
+        }
+        let rt = self.eng.runtime();
+        let ctx = Domain::register(self.domain());
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            // SAFETY: exclusive access. Every reachable node is live and
+            // still holds its install reference; retired nodes released
+            // theirs when retired and sit in limbo bags, never reachable,
+            // so nothing is released or freed twice.
+            let node = unsafe { &*n };
+            if !node.is_leaf {
+                stack.extend([node.child_plain(0), node.child_plain(1)]);
+            }
+            if release {
+                unsafe { node.hdr.release_install(rt, &ctx) };
+            }
+            if !self.pooled {
+                drop(unsafe { Box::from_raw(n) });
+            }
         }
     }
-}
-
-unsafe fn free_rec(n: *mut BstNode) {
-    if n.is_null() {
-        return;
-    }
-    let node = unsafe { &*n };
-    if !node.is_leaf {
-        unsafe {
-            free_rec(node.child_plain(0));
-            free_rec(node.child_plain(1));
-        }
-    }
-    drop(unsafe { Box::from_raw(n) });
 }
 
 unsafe fn collect_rec(n: *mut BstNode, out: &mut Vec<(u64, u64)>) {

@@ -9,16 +9,22 @@
 //! are provably unreachable — which is also why the undo path may return
 //! them to the thread's node pool immediately, with no grace period).
 
+use threepath_htm::HtmRuntime;
 use threepath_llxscx::{ScxEngine, ScxThread};
 use threepath_reclaim::ReclaimCtx;
+
+use crate::access::{retire_scx_node, ScxNode};
 
 /// A type-erased action on a pointer that needs the thread's reclamation
 /// context (to reach its node pool).
 type CtxAction = unsafe fn(*mut u8, &ReclaimCtx);
 
-unsafe fn retire_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
+/// A type-erased retirement of a template node.
+type RetireAction = unsafe fn(*mut u8, &HtmRuntime, &ReclaimCtx);
+
+unsafe fn retire_node_erased<T: ScxNode>(p: *mut u8, rt: &HtmRuntime, ctx: &ReclaimCtx) {
     // SAFETY: forwarded from `defer_retire`'s contract.
-    unsafe { ctx.retire_node(p as *mut T) };
+    unsafe { retire_scx_node(rt, ctx, p as *mut T) };
 }
 
 unsafe fn return_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
@@ -31,7 +37,7 @@ unsafe fn return_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
 /// attempt.
 #[derive(Default)]
 pub struct Effects {
-    retire: Vec<(*mut u8, CtxAction)>,
+    retire: Vec<(*mut u8, RetireAction)>,
     release_infos: Vec<u64>,
     allocs: Vec<(*mut u8, CtxAction)>,
 }
@@ -43,14 +49,15 @@ impl Effects {
     }
 
     /// Defers retiring `ptr` (a node that the transaction unlinks) until
-    /// the transaction commits; the retirement goes through
+    /// the transaction commits; the retirement first releases the
+    /// install reference the node's `info` field holds, then goes through
     /// [`ReclaimCtx::retire_node`], so pooled nodes recycle.
     ///
     /// # Safety
     ///
     /// Same contract as [`ReclaimCtx::retire_node`], holding at the time
     /// [`Effects::commit`] runs.
-    pub unsafe fn defer_retire<T: Send>(&mut self, ptr: *mut T) {
+    pub unsafe fn defer_retire<T: ScxNode>(&mut self, ptr: *mut T) {
         self.retire.push((ptr as *mut u8, retire_node_erased::<T>));
     }
 
@@ -99,7 +106,7 @@ impl Effects {
         for (ptr, retire) in &self.retire {
             // SAFETY: per defer_retire's contract; the transaction that
             // unlinked these nodes has committed.
-            unsafe { retire(*ptr, &th.reclaim) };
+            unsafe { retire(*ptr, eng.runtime(), &th.reclaim) };
         }
         eng.release_replaced(th, &self.release_infos);
         // self.allocs dropped without freeing: nodes are published.
@@ -153,7 +160,7 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         let mut e = Effects::new();
         let _a = e.alloc(&ctx, DropCounter(count.clone()));
-        let r = Box::into_raw(Box::new(7u64));
+        let r = Box::into_raw(Box::new(crate::access::HeaderNode::default()));
         unsafe { e.defer_retire(r) };
         e.defer_release_info(0);
         e.abort_cleanup(&ctx);

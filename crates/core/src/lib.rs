@@ -57,7 +57,7 @@ mod strategy;
 mod sync;
 mod template;
 
-pub use access::{DirectMem, Mem, TxMem, TxRead};
+pub use access::{DirectMem, Mem, ScxNode, TxMem, TxRead};
 pub use batch::{BatchApply, BatchOp};
 pub use driver::{ExecCtx, LockedSection, BATCH_STRATEGIES};
 pub use op::{run_direct, ReadOp, SeqOp, TemplateOp};

@@ -1,6 +1,7 @@
 //! The LLX/SCX engine: original CAS-based path, HTM fast path, and the
 //! in-transaction variants.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use threepath_htm::{codes, Abort, HtmRuntime, ThreadId, TxCell, TxThread, Txn};
@@ -8,7 +9,7 @@ use threepath_reclaim::{Domain, ReclaimCtx};
 
 use crate::handle::{LlxHandle, LlxResult, ScxHeader, Snapshot};
 use crate::info::{self, classify, InfoState};
-use crate::record::{state, ScxRecord};
+use crate::record::{self, state, ScxRecord};
 use crate::ScxArgs;
 
 /// Default number of hardware attempts before an SCX falls back to the
@@ -76,6 +77,9 @@ pub struct ScxEngine {
     rt: Arc<HtmRuntime>,
     domain: Arc<Domain>,
     attempt_limit: u32,
+    /// Set by the first [`Self::scx_orig`]: whether any SCX-record was
+    /// ever created.
+    ran_orig: AtomicBool,
 }
 
 impl ScxEngine {
@@ -85,6 +89,7 @@ impl ScxEngine {
             rt,
             domain,
             attempt_limit: DEFAULT_SCX_ATTEMPT_LIMIT,
+            ran_orig: AtomicBool::new(false),
         }
     }
 
@@ -105,6 +110,13 @@ impl ScxEngine {
         &self.domain
     }
 
+    /// Whether [`Self::scx_orig`] ever ran, i.e. whether an `info` field
+    /// of this engine's structure may hold an SCX-record. A structure
+    /// that never took the software path has none to release on drop.
+    pub fn ran_scx_orig(&self) -> bool {
+        self.ran_orig.load(Ordering::Relaxed)
+    }
+
     /// Registers the calling thread.
     pub fn register_thread(&self) -> ScxThread {
         let htm = self.rt.register_thread();
@@ -122,10 +134,15 @@ impl ScxEngine {
     fn state_of(&self, rinfo: u64) -> u64 {
         match classify(rinfo) {
             InfoState::None | InfoState::Tagged => state::COMMITTED,
-            // SAFETY: a record pointer read from an info field under the
-            // caller's epoch pin: the install refcount keeps the record
-            // alive while any info field references it, and the pin defers
-            // the free after the last release.
+            // SAFETY: a record pointer read from a node's info field under
+            // the caller's epoch pin. A record is retired only once its
+            // last install reference is dropped, and a node drops its
+            // reference only when its info is replaced or when the node
+            // is retired after its unlink. So at the read either the node
+            // still held its reference, or the node was unlinked while
+            // the caller was already pinned (it could not have reached it
+            // otherwise). Either way the retirement follows the start of
+            // the pin, which defers the free.
             InfoState::Record => unsafe { &*(rinfo as *const ScxRecord) }
                 .state
                 .load_direct(&self.rt),
@@ -179,6 +196,9 @@ impl ScxEngine {
     /// * `args.fld` belongs to a node in `args.v`.
     pub fn scx_orig(&self, th: &ScxThread, args: &ScxArgs<'_>) -> bool {
         debug_assert!(th.reclaim.is_pinned(), "SCX requires an epoch pin");
+        if !self.ran_orig.load(Ordering::Relaxed) {
+            self.ran_orig.store(true, Ordering::Relaxed);
+        }
         let rec = Box::into_raw(Box::new(ScxRecord::new(
             args.v, args.r_mask, args.fld, args.old, args.new,
         )));
@@ -392,12 +412,8 @@ impl ScxEngine {
     }
 
     fn release_record(&self, th: &ScxThread, rec: *mut ScxRecord) {
-        // SAFETY: reference-counted; pin held by caller.
-        if unsafe { &*rec }.release() {
-            // SAFETY: last reference; the record is in no info field and
-            // future readers are excluded by the epoch protocol.
-            unsafe { th.reclaim.retire(rec) };
-        }
+        // SAFETY: the caller owns the reference and holds a pin.
+        unsafe { record::release_ref(&th.reclaim, rec) };
     }
 }
 

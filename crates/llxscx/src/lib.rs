@@ -34,9 +34,46 @@
 //! SCX-records are reference-counted by *installs*: creating a record holds
 //! one reference; each successful freezing CAS adds one; whatever replaces a
 //! record pointer in an `info` field releases one. When the count reaches
-//! zero the record is retired through the epoch [`Domain`]
-//! (no info field references it, and any thread still holding a raw pointer
-//! is pinned). This bounds memory without type-unstable reuse.
+//! zero the record is retired through the epoch [`Domain`] (no live `info`
+//! field references it, and any thread still holding a raw pointer is
+//! pinned).
+//!
+//! Replacement alone does not drain the count: two kinds of node keep their
+//! `info` value until they die. A node finalized by a committed `scx_orig`
+//! (the `R` set) is never frozen again, and a node in `V \ R` may later be
+//! unlinked by the uninstrumented fast path, which never writes `info`. So
+//! **retiring a node releases the install reference its `info` field
+//! holds** ([`ScxHeader::release_install`]; every template path retires
+//! through it, and a tree releases the references its live nodes hold when
+//! it drops). This is sound only because no SCX can replace a retired
+//! node's `info` value afterwards (a second release), which each retire
+//! site guarantees:
+//!
+//! * **Fallback path** (`scx_orig`, then retire): the retired nodes are the
+//!   `R` set of the committed record. They are marked before the record
+//!   commits, so no LLX of them returns a snapshot again (it reports
+//!   *finalized*), no SCX can be linked to them, and no freezing CAS can
+//!   expect their current `info` value. Helpers of the record itself find
+//!   it already installed.
+//! * **Middle path** (the HTM template, retire after commit): the
+//!   transaction wrote a fresh tagged sequence number into every node of
+//!   `V`, retired ones included, so their `info` is already tagged and the
+//!   release finds no record. The record it replaced was released through
+//!   [`ScxEngine::release_replaced`].
+//! * **Fast path** (sequential code, retire after commit; also TLE's and a
+//!   batch's locked section): the transaction subscribed to the fallback
+//!   indicator `F` and committed with `F = 0`, so no operation was on the
+//!   fallback path, and only fallback operations create or help records.
+//!   Any that arrives later searches from the root after the unlink and
+//!   cannot reach the node. A middle-path transaction that had read the
+//!   node conflicts with the unlink and aborts. TLE never creates a
+//!   record, and a batch's locked section drains `F` and excludes
+//!   transactions through the lock before it touches the tree.
+//!
+//! A thread that reads a record pointer from a node under its pin stays
+//! safe: either the node still held its reference at the read, or the node
+//! was unlinked while the thread was already pinned, and in both cases the
+//! record's retirement follows the start of the pin.
 //!
 //! [`Domain`]: threepath_reclaim::Domain
 

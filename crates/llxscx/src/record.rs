@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use threepath_htm::TxCell;
+use threepath_reclaim::ReclaimCtx;
 
 use crate::handle::{LlxHandle, ScxHeader};
 
@@ -113,6 +114,22 @@ impl ScxRecord {
         let prev = self.refs.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev >= 1, "ScxRecord refcount underflow");
         prev == 1
+    }
+}
+
+/// Drops one reference to `rec`; the holder of the last one retires the
+/// record through `reclaim`.
+///
+/// # Safety
+///
+/// The caller owns one reference to `rec` and holds an epoch pin of
+/// `reclaim`'s domain (or has exclusive access to the structure).
+pub(crate) unsafe fn release_ref(reclaim: &ReclaimCtx, rec: *mut ScxRecord) {
+    // SAFETY: the caller's reference keeps the record alive.
+    if unsafe { &*rec }.release() {
+        // SAFETY: last reference: the record is in no info field, and
+        // threads still holding its raw pointer are pinned.
+        unsafe { reclaim.retire(rec) };
     }
 }
 

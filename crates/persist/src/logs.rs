@@ -196,24 +196,46 @@ impl Signal {
     }
 }
 
-/// The flusher thread: serves sync requests until the map drops.
-fn flusher(signal: &Signal, shards: &[Arc<ShardSync>]) {
+/// The flusher thread: serves sync requests until the map drops. Under
+/// [`FsyncPolicy::Interval`] it also wakes once the interval passes with
+/// no request, and then syncs every shard with records not yet synced:
+/// the append path only requests a sync on an append, so without this
+/// the tail after the last append would stay unsynced.
+fn flusher(signal: &Signal, shards: &[Arc<ShardSync>], fsync: FsyncPolicy) {
+    let interval = match fsync {
+        FsyncPolicy::Interval(d) => Some(d),
+        _ => None,
+    };
     loop {
-        {
+        let timed_out = {
             let mut st = signal.lock();
-            while !st.pending && !st.stop {
-                st = signal.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+            let mut timed_out = false;
+            while !st.pending && !st.stop && !timed_out {
+                st = match interval {
+                    None => signal.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+                    Some(d) => {
+                        let (st, res) = signal
+                            .wake
+                            .wait_timeout(st, d)
+                            .unwrap_or_else(PoisonError::into_inner);
+                        timed_out = res.timed_out();
+                        st
+                    }
+                };
             }
-            if !st.pending {
+            if st.stop && !st.pending {
                 return;
             }
             st.pending = false;
-        }
+            timed_out
+        };
         for s in shards {
-            if !s.requested.swap(false, Ordering::AcqRel) {
+            let requested = s.requested.swap(false, Ordering::AcqRel);
+            let upto = s.written.load(Ordering::Acquire);
+            let unsynced = upto > s.synced.load(Ordering::Acquire);
+            if !(requested || timed_out && unsynced) {
                 continue;
             }
-            let upto = s.written.load(Ordering::Acquire);
             signal.park_point();
             // A failure is kept in `s`: waiters, the next append and
             // `sync_all` report it.
@@ -271,10 +293,10 @@ impl ShardLogs {
         }
         let syncs: Vec<Arc<ShardSync>> = wals.iter().map(|w| Arc::clone(w.marks())).collect();
         let thread = {
-            let (signal, syncs) = (Arc::clone(&signal), syncs.clone());
+            let (signal, syncs, fsync) = (Arc::clone(&signal), syncs.clone(), cfg.fsync);
             std::thread::Builder::new()
                 .name("threepath-wal-flusher".into())
-                .spawn(move || flusher(&signal, &syncs))
+                .spawn(move || flusher(&signal, &syncs, fsync))
                 .map_err(|e| io_err("spawn wal flusher", &cfg.dir, e))?
         };
         Ok(ShardLogs {
@@ -461,6 +483,36 @@ mod tests {
         drop(wal);
         assert_eq!(logs.synced_seq(0), 0, "shard 0 requested nothing");
         assert_eq!(logs.stats().syncs, 1);
+        drop(logs);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `Interval` syncs the tail after the last append: the flusher,
+    /// with no request for an interval, syncs every shard that has
+    /// records not yet synced.
+    #[test]
+    fn interval_syncs_the_tail_after_appends_stop() {
+        let interval = Duration::from_millis(50);
+        let (logs, dir) = open_logs(
+            "interval-tail",
+            FsyncPolicy::Interval(interval),
+            FailPoints::default(),
+        );
+        // Within one interval of the log's creation: no append requests
+        // a sync.
+        for k in 0..3 {
+            append(&logs, 0, k);
+        }
+        append(&logs, 1, 9);
+        std::thread::sleep(Duration::from_millis(500));
+        for shard in 0..2 {
+            assert_eq!(
+                logs.synced_seq(shard),
+                logs.written_seq(shard),
+                "shard {shard}: the tail is still unsynced 500 ms after the last append"
+            );
+        }
+        assert!(logs.written_seq(0) == 3 && logs.written_seq(1) == 1);
         drop(logs);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -89,11 +89,14 @@ pub enum FsyncPolicy {
     /// records, plus those appended while one sync is in flight.
     EveryN(u64),
     /// Request an `fdatasync` when at least this much time has passed
-    /// since the last request, checked after each append. No reply
-    /// waits for it: a machine crash loses the records appended since
-    /// the last request, plus those appended while one sync is in
-    /// flight. The clock is read only on append, so after the last
-    /// append that tail stays unsynced until an explicit sync.
+    /// since the last request, checked after each append; and, when a
+    /// map's flusher has had no request for this long, it syncs every
+    /// shard holding records not yet synced, so the tail after the last
+    /// append is synced within about one interval too. No reply waits
+    /// for a sync: a machine crash loses about the last interval's
+    /// records, plus those appended while one sync is in flight. (A
+    /// standalone [`ShardWal`] has no flusher; only its explicit syncs
+    /// flush.)
     Interval(Duration),
     /// Never sync from the append path; only explicit syncs
     /// ([`ShardWal::sync`], `ShardedMap::sync_persist`, server shutdown)

@@ -3,11 +3,13 @@
 # with --no-fail-fast so one red binary cannot hide the others; the first
 # red run prints its output and fails the script.
 #
-#   debug lane    the three concurrency binaries and the persistence tests
-#                 (the persist crate, the sharded map's persist module and
-#                 the facade's persist_recovery binary: the WAL flusher
-#                 thread races the writers and their waiters) as Tier-1
-#                 builds them;
+#   debug lane    the three concurrency binaries, the SCX-record
+#                 reclamation binary (two threads race the release of a
+#                 retired node's record against helpers) and the
+#                 persistence tests (the persist crate, the sharded map's
+#                 persist module and the facade's persist_recovery binary:
+#                 the WAL flusher thread races the writers and their
+#                 waiters) as Tier-1 builds them;
 #   release lane  the same, plus the simulated HTM's opacity tests, built
 #                 with --release: optimised timing exposes races the
 #                 debug build hides (a torn snapshot showed in 8 of 300
@@ -18,7 +20,7 @@ set -euo pipefail
 
 n="${1:?usage: scripts/stress.sh N}"
 cd "$(dirname "$0")/.."
-tests=(--test concurrent --test scan_concurrent --test sharded_concurrent --test persist_recovery)
+tests=(--test concurrent --test scan_concurrent --test sharded_concurrent --test record_reclaim --test persist_recovery)
 wal=(-p threepath-persist)
 wal_map=(-p threepath-sharded --lib persist)
 opacity=(-p threepath-htm --lib opacity)
