@@ -18,13 +18,13 @@
 //! # Example
 //!
 //! ```
-//! use threepath_abtree::{AbTree, AbTreeConfig};
-//! use threepath_core::Strategy;
+//! use threepath_abtree::AbTree;
+//! use threepath_core::{Strategy, TemplateConfig};
 //! use std::sync::Arc;
 //!
-//! let tree = Arc::new(AbTree::with_config(AbTreeConfig {
+//! let tree = Arc::new(AbTree::with_config(TemplateConfig {
 //!     strategy: Strategy::ThreePath,
-//!     ..AbTreeConfig::default()
+//!     ..TemplateConfig::default()
 //! }));
 //! let mut h = tree.handle();
 //! for k in 0..100 {
@@ -46,5 +46,5 @@ mod rq;
 mod scan;
 mod tree;
 
-pub use node::{B, MAX_KEY};
-pub use tree::{AbShape, AbTree, AbTreeConfig, AbTreeHandle};
+pub use node::{A, B, MAX_KEY};
+pub use tree::{AbShape, AbTree, AbTreeHandle};

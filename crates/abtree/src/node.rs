@@ -8,6 +8,11 @@ use threepath_llxscx::{ScxHeader, Snapshot};
 /// an internal node up to 16 children and 15 routing keys).
 pub const B: usize = 16;
 
+/// Minimum degree of a non-root node once rebalanced (the paper's
+/// `a = 6`; `b >= 2a - 1` lets a split and a merge always succeed).
+pub const A: usize = 6;
+const _: () = assert!(A >= 2 && B >= 2 * A - 1);
+
 /// Largest storable key.
 pub const MAX_KEY: u64 = u64::MAX - 1;
 

@@ -7,96 +7,18 @@ use std::sync::Arc;
 
 use threepath_core::scan::ScanState;
 use threepath_core::{
-    BatchApply, BatchOp, ExecCtx, LockedSection, PathKind, PathLimits, PathStats, Strategy,
+    drop_tree, BatchApply, BatchOp, ExecCtx, LockedSection, PathKind, PathStats, TemplateConfig,
     DEFAULT_READ_ATTEMPTS,
 };
-use threepath_htm::{HtmConfig, HtmRuntime};
 use threepath_llxscx::{ScxEngine, ScxThread};
-use threepath_reclaim::{Domain, PoolConfig, PoolStats, ReclaimMode};
+use threepath_reclaim::{Domain, PoolStats};
 
 use crate::fix;
-use crate::node::{AbNode, B, MAX_KEY};
+use crate::node::{AbNode, A, B, MAX_KEY};
 use crate::ops::{self, UpdResult};
 use crate::readpath;
 use crate::rq;
 use crate::scan;
-
-/// Configuration for an [`AbTree`].
-#[derive(Debug, Clone)]
-pub struct AbTreeConfig {
-    /// Execution-path strategy.
-    pub strategy: Strategy,
-    /// Simulated-HTM parameters.
-    pub htm: HtmConfig,
-    /// Attempt budgets; defaults to the paper's per-strategy values.
-    pub limits: Option<PathLimits>,
-    /// Memory-reclamation mode.
-    pub reclaim: ReclaimMode,
-    /// Minimum degree `a` (the paper fixes `a = 6`, `b = 16`; `b` is the
-    /// compile-time [`B`]). Must satisfy `2 <= a` and `b >= 2a - 1`.
-    pub a: usize,
-    /// Section 8: search phase outside the transaction.
-    pub search_outside_txn: bool,
-    /// Use a SNZI instead of the fetch-and-increment counter `F`
-    /// (Section 5's scalability alternative).
-    pub snzi: bool,
-    /// Allocate nodes from per-thread pools and recycle them on expiry
-    /// instead of going through the global allocator (see
-    /// [`threepath_reclaim::NodePool`]). On by default.
-    pub pool: bool,
-    /// Route `get`/`contains`/`first`/`last` through the uninstrumented
-    /// read path: an epoch-pinned direct traversal with zero transactions
-    /// or locks. Because (a,b)-tree leaves are mutated in place, each leaf
-    /// read is seqlock-validated against the node's version word and the
-    /// search retries on a lost race, escalating to the transactional
-    /// machinery only after
-    /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures. On by
-    /// default; off routes reads through the template's paths
-    /// ([`threepath_core::ExecCtx::run_query`]; the baseline the
-    /// read-heavy benchmarks compare against).
-    pub read_path: bool,
-    /// Route `range_query` through the uninstrumented scan path: an
-    /// epoch-pinned multi-leaf traversal that accumulates a validation
-    /// set (followed edges + per-leaf version words) and re-validates it
-    /// as a whole (see `crate::scan`). Lost races retry; after
-    /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures a partial
-    /// rescan re-reads only the invalidated subranges, and only if that
-    /// also fails does the scan escalate to the transactional machinery.
-    /// On by default; off routes scans through the template's paths (the
-    /// baseline the scan benchmarks compare against).
-    pub scan_path: bool,
-    /// HTM admission control on the fallback path: at most this many
-    /// threads may attempt hardware transactions while the fallback is
-    /// active (TLE lock held / `F != 0`); overflow threads park on a
-    /// ready lane and take the fallback directly — see
-    /// [`threepath_core::AdmissionGate`]. `None` (the default) admits
-    /// everyone.
-    pub admission: Option<u32>,
-    /// Enable the batch entry point ([`AbTreeHandle::run_batch`]):
-    /// coalesced operation plans commit in a single fast-path transaction
-    /// or one serialized section. Requires a TLE or 3-path strategy and
-    /// puts every transaction on the blended subscription discipline.
-    pub batched: bool,
-}
-
-impl Default for AbTreeConfig {
-    fn default() -> Self {
-        AbTreeConfig {
-            strategy: Strategy::ThreePath,
-            htm: HtmConfig::default(),
-            limits: None,
-            reclaim: ReclaimMode::Epoch,
-            a: 6,
-            search_outside_txn: false,
-            snzi: false,
-            pool: true,
-            read_path: true,
-            scan_path: true,
-            admission: None,
-            batched: false,
-        }
-    }
-}
 
 /// Shape summary from [`AbTree::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,21 +40,17 @@ pub struct AbShape {
 }
 
 /// A concurrent ordered map implemented as a relaxed (a,b)-tree
-/// accelerated per the configured [`Strategy`]. See the crate docs.
+/// accelerated per the configured [`Strategy`](threepath_core::Strategy).
+/// See the crate docs.
 pub struct AbTree {
     exec: ExecCtx,
     eng: ScxEngine,
     entry: *mut AbNode,
-    a: usize,
-    /// Whether nodes live in pool chunks (owned by the domain) rather
-    /// than individual `Box` allocations — decides how `Drop` frees the
-    /// node graph.
-    pooled: bool,
     /// Whether reads bypass the template's paths (see
-    /// [`AbTreeConfig::read_path`]).
+    /// [`TemplateConfig::read_path`]).
     read_path: bool,
     /// Whether scans bypass the template's paths (see
-    /// [`AbTreeConfig::scan_path`]).
+    /// [`TemplateConfig::scan_path`]).
     scan_path: bool,
 }
 
@@ -144,103 +62,40 @@ unsafe impl Sync for AbTree {}
 impl AbTree {
     /// A tree with the default configuration (3-path, a=6, b=16).
     pub fn new() -> Self {
-        Self::with_config(AbTreeConfig::default())
+        Self::with_config(TemplateConfig::default())
     }
 
     /// A tree with the given configuration.
     ///
     /// # Panics
     ///
-    /// Panics unless `2 <= a` and `B >= 2a - 1`.
-    pub fn with_config(cfg: AbTreeConfig) -> Self {
-        assert!(cfg.a >= 2 && B >= 2 * cfg.a - 1, "invalid (a, b) pair");
-        let rt = Arc::new(HtmRuntime::new(cfg.htm.clone()));
-        // Fat-node structure: register an exact-fit size class so nodes
-        // are guaranteed under one cache line of internal fragmentation
-        // regardless of how the node layout evolves (today the standard
-        // table's 320 B class already fits `AbNode` exactly; the
-        // registration pins that property rather than changing it —
-        // per-structure class tables, ROADMAP PR 4 follow-up).
-        let pool_cfg = if cfg.pool {
-            PoolConfig::default().with_class_of::<AbNode>()
-        } else {
-            PoolConfig::disabled()
-        };
-        let domain = Arc::new(Domain::with_pool(cfg.reclaim, pool_cfg));
-        let pooled = domain.class_of::<AbNode>().is_some();
-        let eng = ScxEngine::new(rt.clone(), domain.clone());
-        let mut exec = ExecCtx::new(rt, cfg.strategy);
-        if let Some(l) = cfg.limits {
-            exec = exec.with_limits(l);
-        }
-        if cfg.snzi {
-            exec = exec.with_snzi();
-        }
-        if let Some(cap) = cfg.admission {
-            exec = exec.with_admission(cap);
-        }
-        if cfg.batched {
-            exec = exec.with_batching();
-        }
-        if cfg.search_outside_txn {
-            exec = exec.with_search_outside_txn();
-        }
-        // Entry node (never deleted) with the initial empty root leaf,
-        // allocated through a short-lived context so they come from the
-        // pool too (uniform ownership for `Drop`).
-        let entry = {
-            let ctx = Domain::register(&domain);
+    /// Panics if [`TemplateConfig::validate`] rejects `cfg`.
+    pub fn with_config(cfg: TemplateConfig) -> Self {
+        // Entry node (never deleted) with the initial empty root leaf.
+        let (exec, eng, entry) = cfg.build(|ctx| {
             let root = ctx.alloc(AbNode::new_leaf(&[]));
             ctx.alloc(AbNode::new_internal(&[], &[root as u64], false))
-        };
+        });
         AbTree {
             exec,
             eng,
             entry,
-            a: cfg.a,
-            pooled,
             read_path: cfg.read_path,
             scan_path: cfg.scan_path,
         }
     }
 
-    /// The execution strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.exec.strategy()
-    }
-
-    /// The minimum degree `a`.
-    pub fn min_degree(&self) -> usize {
-        self.a
-    }
-
-    /// Whether the batch entry point ([`AbTreeHandle::run_batch`]) is
-    /// enabled (see [`AbTreeConfig::batched`]).
-    pub fn is_batched(&self) -> bool {
-        self.exec.is_batched()
-    }
-
-    /// Whether serialized work (the fallback path or a holder of the
-    /// fallback lock) is in progress on this tree right now — see
-    /// [`threepath_core::ExecCtx::serialized_active`].
-    pub fn serialized_active(&self) -> bool {
-        self.exec.serialized_active()
-    }
-
-    /// The underlying HTM runtime.
-    pub fn runtime(&self) -> &Arc<HtmRuntime> {
-        self.exec.runtime()
+    /// The execution context: the HTM runtime, and the strategy, budgets,
+    /// indicator, gate and flags the tree was built with; also whether
+    /// serialized work (the fallback path or a holder of the fallback
+    /// lock) is in progress ([`ExecCtx::serialized_active`]).
+    pub fn exec(&self) -> &ExecCtx {
+        &self.exec
     }
 
     /// The reclamation domain.
     pub fn domain(&self) -> &Arc<Domain> {
         self.eng.domain()
-    }
-
-    /// The attempt budgets in effect (a fixed override, or the paper
-    /// defaults).
-    pub fn limits(&self) -> PathLimits {
-        self.exec.limits()
     }
 
     /// Node-pool counters folded into the domain so far (contexts fold on
@@ -277,7 +132,7 @@ impl AbTree {
         }
         ops::Op {
             entry: self.entry,
-            a: self.a,
+            a: A,
             op,
         }
     }
@@ -290,26 +145,25 @@ impl AbTree {
     ///
     /// Panics if keys are not strictly ascending or exceed
     /// [`MAX_KEY`](crate::MAX_KEY).
-    pub fn bulk_load(items: &[(u64, u64)], cfg: AbTreeConfig) -> Self {
+    pub fn bulk_load(items: &[(u64, u64)], cfg: TemplateConfig) -> Self {
         for w in items.windows(2) {
             assert!(w[0].0 < w[1].0, "bulk_load requires strictly ascending keys");
         }
         if let Some(last) = items.last() {
             assert!(last.0 <= MAX_KEY, "key exceeds MAX_KEY");
         }
-        let a = cfg.a;
         let tree = Self::with_config(cfg);
         if items.is_empty() {
             return tree;
         }
         // Aim for comfortably-full nodes with slack for later updates.
-        let target = (a + B) / 2;
+        let target = (A + B) / 2;
         // Bulk nodes go through the tree's allocation seam too (pooled
         // when the domain pools).
         let ctx = Domain::register(tree.domain());
 
         // Leaf level: (subtree min key, node pointer).
-        let mut level: Vec<(u64, u64)> = chunk_sizes(items.len(), target, a)
+        let mut level: Vec<(u64, u64)> = chunk_sizes(items.len(), target, A)
             .into_iter()
             .scan(0usize, |off, sz| {
                 let chunk = &items[*off..*off + sz];
@@ -323,7 +177,7 @@ impl AbTree {
         while level.len() > 1 {
             let mut next = Vec::new();
             let mut off = 0usize;
-            for sz in chunk_sizes(level.len(), target, a) {
+            for sz in chunk_sizes(level.len(), target, A) {
                 let group = &level[off..off + sz];
                 off += sz;
                 let keys: Vec<u64> = group[1..].iter().map(|(k, _)| *k).collect();
@@ -390,19 +244,7 @@ impl AbTree {
         let root = unsafe { &*self.entry }.ptr_plain(0) as *mut AbNode;
         let mut leaf_wdepth: Option<usize> = None;
         // SAFETY: quiescent per contract.
-        unsafe {
-            validate_rec(
-                root,
-                None,
-                None,
-                0,
-                1,
-                true,
-                self.a,
-                &mut shape,
-                &mut leaf_wdepth,
-            )?
-        };
+        unsafe { validate_rec(root, None, None, 0, 1, true, &mut shape, &mut leaf_wdepth)? };
         Ok(shape)
     }
 }
@@ -416,8 +258,8 @@ impl Default for AbTree {
 impl std::fmt::Debug for AbTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AbTree")
-            .field("strategy", &self.strategy())
-            .field("a", &self.a)
+            .field("strategy", &self.exec.strategy())
+            .field("a", &A)
             .field("b", &B)
             .finish()
     }
@@ -425,37 +267,16 @@ impl std::fmt::Debug for AbTree {
 
 impl Drop for AbTree {
     fn drop(&mut self) {
-        // Nodes are plain data (no drop glue — asserted below), so a
-        // pooled tree walks its nodes only to release the SCX-records
-        // their `info` fields still hold, and only if the software path
-        // ever created one. The blocks' memory belongs to arena chunks
-        // the domain releases when it drops, after the limbo bags (where
-        // the released records then wait too).
-        const { assert!(!std::mem::needs_drop::<AbNode>()) };
-        let release = self.eng.ran_scx_orig();
-        if self.pooled && !release {
-            return;
-        }
-        let rt = self.eng.runtime();
-        let ctx = Domain::register(self.domain());
-        // The entry node is an internal node whose one child is the root.
-        let mut stack = vec![self.entry];
-        while let Some(n) = stack.pop() {
-            // SAFETY: exclusive access. Every reachable node is live and
-            // still holds its install reference; retired nodes released
-            // theirs when retired and sit in limbo bags, never reachable,
-            // so nothing is released or freed twice.
-            let node = unsafe { &*n };
-            if !node.leaf {
-                stack.extend((0..node.size_plain()).map(|i| node.ptr_plain(i) as *mut AbNode));
-            }
-            if release {
-                unsafe { node.hdr.release_install(rt, &ctx) };
-            }
-            if !self.pooled {
-                drop(unsafe { Box::from_raw(n) });
-            }
-        }
+        // SAFETY: exclusive access; every node was allocated through the
+        // engine's domain. The entry node is an internal node whose one
+        // child is the root.
+        unsafe {
+            drop_tree(&self.eng, self.entry, |node, stack| {
+                if !node.leaf {
+                    stack.extend((0..node.size_plain()).map(|i| node.ptr_plain(i) as *mut AbNode));
+                }
+            })
+        };
     }
 }
 
@@ -501,7 +322,6 @@ unsafe fn validate_rec(
     depth: usize,
     wdepth: usize,
     is_root: bool,
-    a: usize,
     shape: &mut AbShape,
     leaf_wdepth: &mut Option<usize>,
 ) -> Result<(), String> {
@@ -522,7 +342,7 @@ unsafe fn validate_rec(
             return Err("tagged leaf".into());
         }
     }
-    if !is_root && size < a {
+    if !is_root && size < A {
         shape.underfull += 1;
     }
     let in_range = |k: u64| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k < h);
@@ -589,7 +409,6 @@ unsafe fn validate_rec(
                     depth + 1,
                     wdepth + usize::from(!ctagged),
                     false,
-                    a,
                     shape,
                     leaf_wdepth,
                 )?
@@ -700,7 +519,7 @@ impl AbTreeHandle {
     /// fallback lock. Later operations in the plan observe the effects
     /// of earlier ones. Rebalancing (tag/underfull repair) runs after
     /// the batch commits, exactly as it does after single updates.
-    /// Requires a tree built with [`AbTreeConfig::batched`].
+    /// Requires a tree built with [`TemplateConfig::batched`].
     ///
     /// # Panics
     ///
@@ -871,7 +690,7 @@ impl AbTreeHandle {
         let tree = &self.tree;
         let op = fix::Fix {
             entry: tree.entry,
-            a: tree.a,
+            a: A,
             key,
             mark_removed: tree.exec.search_outside_txn(),
         };

@@ -5,16 +5,16 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
-use threepath_abtree::{AbTree, AbTreeConfig, B};
-use threepath_core::{BatchOp, PathKind, PathLimits, Strategy};
+use threepath_abtree::{AbTree, B};
+use threepath_core::{BatchOp, PathKind, PathLimits, Strategy, TemplateConfig};
 use threepath_htm::{HtmConfig, SplitMix64};
 
 fn tree_with(strategy: Strategy, htm: HtmConfig, sec8: bool) -> Arc<AbTree> {
-    Arc::new(AbTree::with_config(AbTreeConfig {
+    Arc::new(AbTree::with_config(TemplateConfig {
         strategy,
         htm,
         search_outside_txn: sec8,
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }))
 }
 
@@ -158,7 +158,7 @@ fn keysum_stress(strategy: Strategy, htm: HtmConfig, sec8: bool, threads: usize,
 
 /// [`keysum_stress`] on an already configured tree.
 fn keysum_stress_on(tree: Arc<AbTree>, threads: usize, ops: usize) {
-    let strategy = tree.strategy();
+    let strategy = tree.exec().strategy();
     let key_range = 2048u64;
     let delta = Arc::new(AtomicI64::new(0));
 
@@ -394,7 +394,7 @@ fn bulk_load_matches_incremental() {
     use threepath_abtree::AbTree;
     for n in [0usize, 1, 5, B, B + 1, 100, 5000] {
         let items: Vec<(u64, u64)> = (0..n as u64).map(|k| (k * 3, k)).collect();
-        let loaded = Arc::new(AbTree::bulk_load(&items, AbTreeConfig::default()));
+        let loaded = Arc::new(AbTree::bulk_load(&items, TemplateConfig::default()));
         let shape = assert_balanced(&loaded);
         assert_eq!(shape.keys, n, "n = {n}");
         assert_eq!(loaded.collect(), items, "n = {n}");
@@ -416,7 +416,7 @@ fn bulk_load_matches_incremental() {
 #[should_panic(expected = "strictly ascending")]
 fn bulk_load_rejects_unsorted() {
     use threepath_abtree::AbTree;
-    let _ = AbTree::bulk_load(&[(5, 0), (3, 0)], AbTreeConfig::default());
+    let _ = AbTree::bulk_load(&[(5, 0), (3, 0)], TemplateConfig::default());
 }
 
 // ----------------------------------------------------------------------
@@ -425,11 +425,11 @@ fn bulk_load_rejects_unsorted() {
 // ----------------------------------------------------------------------
 
 fn batched_tree(strategy: Strategy, htm: HtmConfig) -> Arc<AbTree> {
-    Arc::new(AbTree::with_config(AbTreeConfig {
+    Arc::new(AbTree::with_config(TemplateConfig {
         strategy,
         htm,
         batched: true,
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }))
 }
 
@@ -526,7 +526,7 @@ fn combine_hook_rebalances_combined_plans() {
 // construction; every setting must keep the tree exact and balanced.
 // ----------------------------------------------------------------------
 
-fn tree_from(cfg: AbTreeConfig) -> Arc<AbTree> {
+fn tree_from(cfg: TemplateConfig) -> Arc<AbTree> {
     Arc::new(AbTree::with_config(cfg))
 }
 
@@ -535,25 +535,25 @@ fn limit_override_reaches_the_tree() {
     for strategy in Strategy::ALL {
         let tree = tree_with(strategy, HtmConfig::default(), false);
         assert_eq!(
-            tree.limits(),
+            tree.exec().limits(),
             PathLimits::for_strategy(strategy),
             "{strategy}"
         );
         let limits = PathLimits { fast: 4, middle: 1 };
-        let tree = tree_from(AbTreeConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             limits: Some(limits),
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         });
-        assert_eq!(tree.limits(), limits, "{strategy}");
+        assert_eq!(tree.exec().limits(), limits, "{strategy}");
     }
 }
 
 #[test]
 fn zero_budgets_route_every_update_through_the_fallback() {
-    let tree = tree_from(AbTreeConfig {
+    let tree = tree_from(TemplateConfig {
         limits: Some(PathLimits { fast: 0, middle: 0 }),
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     });
     let mut h = tree.handle();
     let mut oracle = BTreeMap::new();
@@ -580,39 +580,39 @@ fn zero_budgets_route_every_update_through_the_fallback() {
 }
 
 #[test]
-fn oracle_with_admission_gate_under_aborts() {
+fn oracle_admission_gate_under_aborts() {
     for (i, strategy) in [Strategy::Tle, Strategy::ThreePath].into_iter().enumerate() {
-        let tree = tree_from(AbTreeConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5),
             admission: Some(1),
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree, 900 + i as u64, 1500);
     }
 }
 
 #[test]
-fn keysum_stress_with_admission_gate() {
+fn keysum_stress_admission_gate() {
     for strategy in [Strategy::Tle, Strategy::ThreePath] {
-        let tree = tree_from(AbTreeConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5),
             admission: Some(1),
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         });
         keysum_stress_on(tree, 4, 1000);
     }
 }
 
 #[test]
-fn oracle_with_snzi_all_strategies() {
+fn oracle_snzi_all_strategies() {
     for (i, strategy) in Strategy::ALL.into_iter().enumerate() {
-        let tree = tree_from(AbTreeConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5),
             snzi: true,
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree, 1000 + i as u64, 1200);
     }
@@ -621,11 +621,11 @@ fn oracle_with_snzi_all_strategies() {
 #[test]
 fn oracle_with_read_and_scan_paths_off() {
     for (i, strategy) in Strategy::ALL.into_iter().enumerate() {
-        let tree = tree_from(AbTreeConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             read_path: false,
             scan_path: false,
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree.clone(), 1100 + i as u64, 1500);
         let mut h = tree.handle();

@@ -9,7 +9,7 @@
 
 use threepath_bench::{describe, measure, print_panel, write_csv, BenchEnv, Cell};
 use threepath_core::Strategy;
-use threepath_hybridnorec::{HnBst, HnBstConfig};
+use threepath_hybridnorec::{HnBst, HnConfig};
 use threepath_htm::SplitMix64;
 use threepath_workload::Structure;
 
@@ -21,7 +21,7 @@ fn measure_hybrid(env: &BenchEnv, threads: usize) -> f64 {
     let key_range = ((Structure::Bst.paper_key_range() as f64 * env.scale) as u64).max(64);
     let mut tp = 0.0;
     for trial in 0..env.trials {
-        let tree = Arc::new(HnBst::with_config(HnBstConfig::default()));
+        let tree = Arc::new(HnBst::with_config(HnConfig::default()));
         // Prefill to half, tracking the key sum for verification.
         let mut prefill_sum: i128 = 0;
         {

@@ -42,8 +42,8 @@ use criterion::{Criterion};
 use threepath_bench::{
     bench_record, measure_server_spec, measure_spec, write_bench_json, BenchEnv, BenchRecord,
 };
-use threepath_bst::{Bst, BstConfig};
-use threepath_core::{PathKind, PathStats, Strategy};
+use threepath_bst::Bst;
+use threepath_core::{PathKind, PathStats, Strategy, TemplateConfig};
 use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
 use threepath_llxscx::{LlxResult, ScxArgs, ScxEngine, ScxHeader};
 use threepath_reclaim::{Domain, PoolStats, ReclaimMode};
@@ -147,9 +147,9 @@ fn bench_llx_scx(c: &mut Criterion) {
 fn bench_bst_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("bst_single_thread");
     for strategy in [Strategy::ThreePath, Strategy::Tle, Strategy::NonHtm] {
-        let tree = Arc::new(Bst::with_config(BstConfig {
+        let tree = Arc::new(Bst::with_config(TemplateConfig {
             strategy,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         }));
         let mut h = tree.handle();
         for k in 0..1024 {

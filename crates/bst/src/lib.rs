@@ -17,13 +17,13 @@
 //! # Example
 //!
 //! ```
-//! use threepath_bst::{Bst, BstConfig};
-//! use threepath_core::Strategy;
+//! use threepath_bst::Bst;
+//! use threepath_core::{Strategy, TemplateConfig};
 //! use std::sync::Arc;
 //!
-//! let tree = Arc::new(Bst::with_config(BstConfig {
+//! let tree = Arc::new(Bst::with_config(TemplateConfig {
 //!     strategy: Strategy::ThreePath,
-//!     ..BstConfig::default()
+//!     ..TemplateConfig::default()
 //! }));
 //! let mut h = tree.handle();
 //! assert_eq!(h.insert(5, 50), None);
@@ -45,4 +45,4 @@ mod scan;
 mod tree;
 
 pub use node::MAX_KEY;
-pub use tree::{Bst, BstConfig, BstHandle, TreeShape};
+pub use tree::{Bst, BstHandle, TreeShape};

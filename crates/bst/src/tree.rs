@@ -6,93 +6,15 @@ use std::sync::Arc;
 
 use threepath_core::scan::ScanState;
 use threepath_core::{
-    BatchApply, BatchOp, ExecCtx, LockedSection, PathKind, PathLimits, PathStats, Strategy,
+    drop_tree, BatchApply, BatchOp, ExecCtx, LockedSection, PathKind, PathStats, TemplateConfig,
 };
-use threepath_htm::{HtmConfig, HtmRuntime};
 use threepath_llxscx::{ScxEngine, ScxThread};
-use threepath_reclaim::{Domain, PoolConfig, PoolStats, ReclaimMode};
+use threepath_reclaim::{Domain, PoolStats};
 
 use crate::node::{BstNode, MAX_KEY, SENT1, SENT2};
 use crate::ops;
 use crate::rq;
 use crate::scan;
-
-/// Configuration for a [`Bst`].
-#[derive(Debug, Clone)]
-pub struct BstConfig {
-    /// Execution-path strategy.
-    pub strategy: Strategy,
-    /// Simulated-HTM parameters.
-    pub htm: HtmConfig,
-    /// Attempt budgets; defaults to the paper's per-strategy values.
-    pub limits: Option<PathLimits>,
-    /// Memory-reclamation mode.
-    pub reclaim: ReclaimMode,
-    /// Section 8: perform each operation's search phase *outside* the
-    /// transaction, validating links and marked bits inside it.
-    pub search_outside_txn: bool,
-    /// Use a SNZI instead of the fetch-and-increment counter `F`
-    /// (Section 5's scalability alternative).
-    pub snzi: bool,
-    /// Allocate nodes from per-thread pools and recycle them on expiry
-    /// instead of going through the global allocator (see
-    /// [`threepath_reclaim::NodePool`]). On by default — the steady-state
-    /// hot path then never touches `malloc`/`free`. Turn off for the
-    /// `Box`-based baseline in allocator A/B measurements.
-    pub pool: bool,
-    /// Route `get`/`contains`/`first`/`last` through the uninstrumented
-    /// wait-free read path ([`threepath_core::ExecCtx::run_read`]): an
-    /// epoch-pinned direct traversal with zero transactions, locks or `F`
-    /// subscription — linearizable because leaf keys are immutable and
-    /// child pointers only change via atomic SCX commits. On by default;
-    /// off routes reads through the template's paths like any update
-    /// ([`threepath_core::ExecCtx::run_query`]; the baseline the
-    /// read-heavy benchmarks compare against).
-    pub read_path: bool,
-    /// Route `range_query` through the uninstrumented scan path: an
-    /// epoch-pinned direct traversal (software reads, zero HTM
-    /// transactions) that accumulates a flat *version-ladder* validation
-    /// set — one entry per followed edge plus one leaf `ver` seqlock word
-    /// per copied value — and re-validates it as a whole (see
-    /// `crate::scan`). Lost races retry; after
-    /// [`threepath_core::DEFAULT_READ_ATTEMPTS`] failures a partial
-    /// rescan re-reads only the invalidated subranges, and if that loses
-    /// too the scan escalates to the template (fast, middle or fallback
-    /// path). On by default; off routes scans through the template's paths
-    /// (the baseline the scan benchmarks compare against).
-    pub scan_path: bool,
-    /// HTM admission control on the fallback path: at most this many
-    /// threads may attempt hardware transactions while the fallback is
-    /// active (TLE lock held / `F != 0`); overflow threads park on a
-    /// ready lane and take the fallback directly — see
-    /// [`threepath_core::AdmissionGate`]. `None` (the default) admits
-    /// everyone.
-    pub admission: Option<u32>,
-    /// Enable the batch entry point ([`BstHandle::run_batch`]): coalesced
-    /// operation plans commit in a single fast-path transaction or one
-    /// serialized section. Requires a TLE or 3-path strategy and puts
-    /// every transaction on the blended subscription discipline (one
-    /// extra transactional lock read per attempt).
-    pub batched: bool,
-}
-
-impl Default for BstConfig {
-    fn default() -> Self {
-        BstConfig {
-            strategy: Strategy::ThreePath,
-            htm: HtmConfig::default(),
-            limits: None,
-            reclaim: ReclaimMode::Epoch,
-            search_outside_txn: false,
-            snzi: false,
-            pool: true,
-            read_path: true,
-            scan_path: true,
-            admission: None,
-            batched: false,
-        }
-    }
-}
 
 /// Shape and content summary returned by [`Bst::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +32,7 @@ pub struct TreeShape {
 }
 
 /// A concurrent ordered map from `u64` keys to `u64` values, implemented as
-/// a lock-free external BST accelerated per the configured [`Strategy`].
+/// a lock-free external BST accelerated per the configured [`Strategy`](threepath_core::Strategy).
 ///
 /// Create handles with [`Bst::handle`] (one per thread); all operations go
 /// through handles. Keys must be `<= MAX_KEY`.
@@ -120,15 +42,11 @@ pub struct Bst {
     exec: ExecCtx,
     eng: ScxEngine,
     root: *mut BstNode,
-    /// Whether nodes live in pool chunks (owned by the domain) rather
-    /// than individual `Box` allocations — decides how `Drop` frees the
-    /// node graph.
-    pooled: bool,
     /// Whether reads bypass the template's paths (see
-    /// [`BstConfig::read_path`]).
+    /// [`TemplateConfig::read_path`]).
     read_path: bool,
     /// Whether scans bypass the template's paths (see
-    /// [`BstConfig::scan_path`]).
+    /// [`TemplateConfig::scan_path`]).
     scan_path: bool,
 }
 
@@ -140,87 +58,41 @@ unsafe impl Sync for Bst {}
 impl Bst {
     /// A tree with the default configuration (3-path strategy).
     pub fn new() -> Self {
-        Self::with_config(BstConfig::default())
+        Self::with_config(TemplateConfig::default())
     }
 
     /// A tree with the given configuration.
-    pub fn with_config(cfg: BstConfig) -> Self {
-        let rt = Arc::new(HtmRuntime::new(cfg.htm.clone()));
-        let pool_cfg = if cfg.pool {
-            PoolConfig::default()
-        } else {
-            PoolConfig::disabled()
-        };
-        let domain = Arc::new(Domain::with_pool(cfg.reclaim, pool_cfg));
-        let pooled = domain.class_of::<BstNode>().is_some();
-        let eng = ScxEngine::new(rt.clone(), domain.clone());
-        let mut exec = ExecCtx::new(rt, cfg.strategy);
-        if let Some(l) = cfg.limits {
-            exec = exec.with_limits(l);
-        }
-        if cfg.snzi {
-            exec = exec.with_snzi();
-        }
-        if let Some(cap) = cfg.admission {
-            exec = exec.with_admission(cap);
-        }
-        if cfg.batched {
-            exec = exec.with_batching();
-        }
-        if cfg.search_outside_txn {
-            exec = exec.with_search_outside_txn();
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`TemplateConfig::validate`] rejects `cfg`.
+    pub fn with_config(cfg: TemplateConfig) -> Self {
         // Initial tree (Ellen et al.): entry(∞₂) over leaf(∞₁), leaf(∞₂).
-        // Allocated through a short-lived context so sentinels come from
-        // the pool too (uniform ownership for `Drop`).
-        let root = {
-            let ctx = Domain::register(&domain);
+        let (exec, eng, root) = cfg.build(|ctx| {
             let l1 = ctx.alloc(BstNode::new_leaf(SENT1, 0));
             let l2 = ctx.alloc(BstNode::new_leaf(SENT2, 0));
             ctx.alloc(BstNode::new_internal(SENT2, l1, l2))
-        };
+        });
         Bst {
             exec,
             eng,
             root,
-            pooled,
             read_path: cfg.read_path,
             scan_path: cfg.scan_path,
         }
     }
 
-    /// The execution strategy.
-    pub fn strategy(&self) -> Strategy {
-        self.exec.strategy()
-    }
-
-    /// Whether the batch entry point ([`BstHandle::run_batch`]) is
-    /// enabled (see [`BstConfig::batched`]).
-    pub fn is_batched(&self) -> bool {
-        self.exec.is_batched()
-    }
-
-    /// Whether serialized work (the fallback path or a holder of the
-    /// fallback lock) is in progress on this tree right now — see
-    /// [`threepath_core::ExecCtx::serialized_active`].
-    pub fn serialized_active(&self) -> bool {
-        self.exec.serialized_active()
-    }
-
-    /// The underlying HTM runtime (for diagnostics and benchmarks).
-    pub fn runtime(&self) -> &Arc<HtmRuntime> {
-        self.exec.runtime()
+    /// The execution context: the HTM runtime, and the strategy, budgets,
+    /// indicator, gate and flags the tree was built with; also whether
+    /// serialized work (the fallback path or a holder of the fallback
+    /// lock) is in progress ([`ExecCtx::serialized_active`]).
+    pub fn exec(&self) -> &ExecCtx {
+        &self.exec
     }
 
     /// The reclamation domain (for diagnostics and benchmarks).
     pub fn domain(&self) -> &Arc<Domain> {
         self.eng.domain()
-    }
-
-    /// The attempt budgets in effect (a fixed override, or the paper
-    /// defaults).
-    pub fn limits(&self) -> PathLimits {
-        self.exec.limits()
     }
 
     /// Node-pool counters folded into the domain so far (contexts fold on
@@ -304,7 +176,7 @@ impl Default for Bst {
 impl std::fmt::Debug for Bst {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Bst")
-            .field("strategy", &self.strategy())
+            .field("strategy", &self.exec.strategy())
             .field("search_outside_txn", &self.exec.search_outside_txn())
             .finish()
     }
@@ -312,36 +184,15 @@ impl std::fmt::Debug for Bst {
 
 impl Drop for Bst {
     fn drop(&mut self) {
-        // Nodes are plain data (no drop glue — asserted below), so a
-        // pooled tree walks its nodes only to release the SCX-records
-        // their `info` fields still hold, and only if the software path
-        // ever created one. The blocks' memory belongs to arena chunks
-        // the domain releases when it drops, after the limbo bags (where
-        // the released records then wait too).
-        const { assert!(!std::mem::needs_drop::<BstNode>()) };
-        let release = self.eng.ran_scx_orig();
-        if self.pooled && !release {
-            return;
-        }
-        let rt = self.eng.runtime();
-        let ctx = Domain::register(self.domain());
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            // SAFETY: exclusive access. Every reachable node is live and
-            // still holds its install reference; retired nodes released
-            // theirs when retired and sit in limbo bags, never reachable,
-            // so nothing is released or freed twice.
-            let node = unsafe { &*n };
-            if !node.is_leaf {
-                stack.extend([node.child_plain(0), node.child_plain(1)]);
-            }
-            if release {
-                unsafe { node.hdr.release_install(rt, &ctx) };
-            }
-            if !self.pooled {
-                drop(unsafe { Box::from_raw(n) });
-            }
-        }
+        // SAFETY: exclusive access; every node was allocated through the
+        // engine's domain.
+        unsafe {
+            drop_tree(&self.eng, self.root, |node, stack| {
+                if !node.is_leaf {
+                    stack.extend([node.child_plain(0), node.child_plain(1)]);
+                }
+            })
+        };
     }
 }
 
@@ -491,7 +342,7 @@ impl BstHandle {
     /// fallback lock — `ceil(N / batch_cap)` transactions for N
     /// operations instead of N. Later operations in the plan observe the
     /// effects of earlier ones. Requires a tree built with
-    /// [`BstConfig::batched`].
+    /// [`TemplateConfig::batched`].
     ///
     /// # Panics
     ///

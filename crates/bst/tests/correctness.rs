@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 
-use threepath_bst::{Bst, BstConfig};
-use threepath_core::{BatchOp, PathKind, PathLimits, PathStats, Strategy};
+use threepath_bst::Bst;
+use threepath_core::{BatchOp, PathKind, PathLimits, PathStats, Strategy, TemplateConfig};
 use threepath_htm::{HtmConfig, SplitMix64};
 use threepath_reclaim::ReclaimMode;
 
@@ -16,11 +16,11 @@ fn all_strategies() -> [Strategy; 5] {
 }
 
 fn tree_with(strategy: Strategy, htm: HtmConfig, sec8: bool) -> Arc<Bst> {
-    Arc::new(Bst::with_config(BstConfig {
+    Arc::new(Bst::with_config(TemplateConfig {
         strategy,
         htm,
         search_outside_txn: sec8,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }))
 }
 
@@ -116,7 +116,7 @@ fn keysum_stress(strategy: Strategy, htm: HtmConfig, sec8: bool, threads: usize,
 
 /// [`keysum_stress`] on an already configured tree.
 fn keysum_stress_on(tree: Arc<Bst>, threads: usize, ops: usize) {
-    let strategy = tree.strategy();
+    let strategy = tree.exec().strategy();
     let key_range = 512u64;
     let delta = Arc::new(AtomicI64::new(0));
     let mut merged = PathStats::new();
@@ -308,10 +308,10 @@ fn paths_are_actually_used() {
 
 #[test]
 fn leak_reclaim_mode_works() {
-    let tree = Arc::new(Bst::with_config(BstConfig {
+    let tree = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
         reclaim: ReclaimMode::Leak,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
     let mut h = tree.handle();
     for i in 0..500 {
@@ -399,11 +399,11 @@ fn first_last_across_strategies() {
 // ----------------------------------------------------------------------
 
 fn batched_tree(strategy: Strategy, htm: HtmConfig) -> Arc<Bst> {
-    Arc::new(Bst::with_config(BstConfig {
+    Arc::new(Bst::with_config(TemplateConfig {
         strategy,
         htm,
         batched: true,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }))
 }
 
@@ -566,10 +566,10 @@ fn batch_replies_honor_out_of_range_keys() {
 #[test]
 #[should_panic(expected = "batched contexts require")]
 fn batching_rejects_non_batch_strategies() {
-    let _ = Bst::with_config(BstConfig {
+    let _ = Bst::with_config(TemplateConfig {
         strategy: Strategy::NonHtm,
         batched: true,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     });
 }
 
@@ -579,7 +579,7 @@ fn batching_rejects_non_batch_strategies() {
 // set once at construction; every setting must keep the tree exact.
 // ----------------------------------------------------------------------
 
-fn tree_from(cfg: BstConfig) -> Arc<Bst> {
+fn tree_from(cfg: TemplateConfig) -> Arc<Bst> {
     Arc::new(Bst::with_config(cfg))
 }
 
@@ -588,25 +588,25 @@ fn limit_override_reaches_the_tree() {
     for strategy in all_strategies() {
         let tree = tree_with(strategy, HtmConfig::default(), false);
         assert_eq!(
-            tree.limits(),
+            tree.exec().limits(),
             PathLimits::for_strategy(strategy),
             "{strategy}"
         );
         let limits = PathLimits { fast: 2, middle: 3 };
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             limits: Some(limits),
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
-        assert_eq!(tree.limits(), limits, "{strategy}");
+        assert_eq!(tree.exec().limits(), limits, "{strategy}");
     }
 }
 
 #[test]
 fn zero_budgets_route_every_update_through_the_fallback() {
-    let tree = tree_from(BstConfig {
+    let tree = tree_from(TemplateConfig {
         limits: Some(PathLimits { fast: 0, middle: 0 }),
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     });
     let mut h = tree.handle();
     let mut oracle = BTreeMap::new();
@@ -630,10 +630,10 @@ fn zero_budgets_route_every_update_through_the_fallback() {
 
 #[test]
 fn fast_only_budget_never_uses_the_middle_path() {
-    let tree = tree_from(BstConfig {
+    let tree = tree_from(TemplateConfig {
         htm: HtmConfig::default().with_spurious(0.7),
         limits: Some(PathLimits { fast: 2, middle: 0 }),
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     });
     let mut h = tree.handle();
     for i in 0..1000u64 {
@@ -656,52 +656,52 @@ fn fast_only_budget_never_uses_the_middle_path() {
 }
 
 #[test]
-fn oracle_with_admission_gate_under_aborts() {
+fn oracle_admission_gate_under_aborts() {
     for (i, strategy) in [Strategy::Tle, Strategy::ThreePath].into_iter().enumerate() {
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5),
             admission: Some(1),
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree, 500 + i as u64, 1500);
     }
 }
 
 #[test]
-fn keysum_stress_with_admission_gate() {
+fn keysum_stress_admission_gate() {
     for strategy in [Strategy::Tle, Strategy::ThreePath] {
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5),
             admission: Some(1),
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
         keysum_stress_on(tree, 4, 1200);
     }
 }
 
 #[test]
-fn oracle_with_snzi_all_strategies() {
+fn oracle_snzi_all_strategies() {
     for (i, strategy) in all_strategies().into_iter().enumerate() {
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5),
             snzi: true,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree, 600 + i as u64, 1200);
     }
 }
 
 #[test]
-fn keysum_stress_with_snzi() {
+fn keysum_stress_snzi() {
     for strategy in [Strategy::TwoPathNonCon, Strategy::ThreePath] {
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.4),
             snzi: true,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
         keysum_stress_on(tree, 4, 1200);
     }
@@ -710,10 +710,10 @@ fn keysum_stress_with_snzi() {
 #[test]
 fn oracle_with_pool_off() {
     for (i, strategy) in all_strategies().into_iter().enumerate() {
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             pool: false,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree.clone(), 700 + i as u64, 1500);
         assert_eq!(tree.pool_stats().alloc_total, 0, "{strategy}: pool off");
@@ -723,11 +723,11 @@ fn oracle_with_pool_off() {
 #[test]
 fn oracle_with_read_and_scan_paths_off() {
     for (i, strategy) in all_strategies().into_iter().enumerate() {
-        let tree = tree_from(BstConfig {
+        let tree = tree_from(TemplateConfig {
             strategy,
             read_path: false,
             scan_path: false,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         });
         oracle_run_on(tree.clone(), 800 + i as u64, 1500);
         let mut h = tree.handle();

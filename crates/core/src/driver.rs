@@ -10,6 +10,7 @@ use threepath_llxscx::{ScxEngine, ScxThread};
 
 use crate::access::{DirectMem, TxMem};
 use crate::batch::BatchOp;
+use crate::config::TemplateConfig;
 use crate::effects::Effects;
 use crate::op::{direct, finish_tx, run_direct, ReadOp, SeqOp, TemplateOp};
 use crate::stats::{PathKind, PathStats};
@@ -19,7 +20,7 @@ use crate::sync::{AdmissionGate, FallbackCount, Indicator, TleLock};
 use crate::template::{OpOutcome, OrigMode, TxMode};
 
 /// The strategies a batched context may run (see
-/// [`ExecCtx::with_batching`]): the blended subscription discipline only
+/// [`TemplateConfig::batched`]): the blended subscription discipline only
 /// covers TLE and 3-path.
 pub const BATCH_STRATEGIES: [Strategy; 2] = [Strategy::Tle, Strategy::ThreePath];
 
@@ -28,7 +29,7 @@ pub const BATCH_STRATEGIES: [Strategy; 2] = [Strategy::Tle, Strategy::ThreePath]
 ///
 /// # Batched contexts
 ///
-/// A context built [`with_batching`](Self::with_batching) runs a batch's
+/// A context built with [`TemplateConfig::batched`] runs a batch's
 /// serialized section under the TLE lock while single operations are in
 /// flight on other threads — on every path of the context's strategy.
 /// Safety does not rely on quiescing: a *blended* discipline keeps the
@@ -54,61 +55,45 @@ pub struct ExecCtx {
     rt: Arc<HtmRuntime>,
     strategy: Strategy,
     /// Batch entry point enabled: every transaction adopts the blended
-    /// subscription discipline (see [`Self::with_batching`]), so a batch's
+    /// subscription discipline (see the type-level docs), so a batch's
     /// serialized section excludes all concurrent transactional work.
     batched: bool,
     limits_override: Option<PathLimits>,
     admission: Option<AdmissionGate>,
     /// Section 8: updates search outside their transactions (see
-    /// [`Self::with_search_outside_txn`]).
+    /// [`Self::search_outside_txn`]).
     search_outside_txn: bool,
     f: Indicator,
     lock: TleLock,
 }
 
 impl ExecCtx {
-    /// Creates a context with the paper's attempt budgets for `strategy`.
-    pub fn new(rt: Arc<HtmRuntime>, strategy: Strategy) -> Self {
-        ExecCtx {
-            rt,
-            strategy,
-            batched: false,
-            limits_override: None,
-            admission: None,
-            search_outside_txn: false,
-            f: Indicator::Counter(FallbackCount::new()),
-            lock: TleLock::new(),
-        }
-    }
-
-    /// Replaces the fallback counter `F` with a SNZI (the scalable
-    /// alternative the paper mentions in Section 5).
-    pub fn with_snzi(mut self) -> Self {
-        self.f = Indicator::Snzi(Snzi::new());
-        self
-    }
-
-    /// Overrides the paper's attempt budgets with a fixed value.
-    pub fn with_limits(mut self, limits: PathLimits) -> Self {
-        self.limits_override = Some(limits);
-        self
-    }
-
-    /// Enables HTM admission control: while the serialized fallback is
-    /// busy (the TLE lock held, or `F` active under 3-path), at most
-    /// `cap` threads keep making HTM attempts against it; overflow
-    /// threads queue on the gate's ready lane and take the serialized
-    /// path directly (see [`AdmissionGate`]). Applies to the
-    /// [`Strategy::Tle`] and [`Strategy::ThreePath`] protocols, and to a
-    /// batched context's [`Self::run_batch`]; the other strategies never
-    /// gate.
+    /// Creates a context from the fields of `cfg` the driver reads. The
+    /// admission gate applies to the [`Strategy::Tle`] and
+    /// [`Strategy::ThreePath`] protocols and to a batched context's
+    /// [`Self::run_batch`]; the other strategies never gate.
     ///
     /// # Panics
     ///
-    /// Panics if `cap == 0`.
-    pub fn with_admission(mut self, cap: u32) -> Self {
-        self.admission = Some(AdmissionGate::new(cap));
-        self
+    /// Panics if [`TemplateConfig::validate`] rejects `cfg`.
+    pub fn new(rt: Arc<HtmRuntime>, cfg: &TemplateConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
+        ExecCtx {
+            rt,
+            strategy: cfg.strategy,
+            batched: cfg.batched,
+            limits_override: cfg.limits,
+            admission: cfg.admission.map(AdmissionGate::new),
+            search_outside_txn: cfg.search_outside_txn,
+            f: if cfg.snzi {
+                Indicator::Snzi(Snzi::new())
+            } else {
+                Indicator::Counter(FallbackCount::new())
+            },
+            lock: TleLock::new(),
+        }
     }
 
     /// The admission gate, when enabled.
@@ -116,39 +101,14 @@ impl ExecCtx {
         self.admission.as_ref()
     }
 
-    /// Section 8: [`Self::run_update`] runs each update's search *outside*
-    /// its fast-path and middle-path transactions, with direct loads under
+    /// Whether updates search outside their transactions (Section 8):
+    /// [`Self::run_update`] then runs each update's search *outside* its
+    /// fast-path and middle-path transactions, with direct loads under
     /// the epoch pin, and the sequential body validates the found links
     /// inside the transaction. Sequential bodies also mark the nodes they
     /// remove, so such a validation can tell them apart.
-    pub fn with_search_outside_txn(mut self) -> Self {
-        self.search_outside_txn = true;
-        self
-    }
-
-    /// Whether updates search outside their transactions (Section 8).
     pub fn search_outside_txn(&self) -> bool {
         self.search_outside_txn
-    }
-
-    /// Enables the batch entry point ([`Self::run_batch`]): coalesced
-    /// operation plans may commit in a single fast-path transaction or
-    /// one serialized critical section. Correctness of the serialized
-    /// section relies on the blended subscription discipline (see the
-    /// type-level docs): every transaction on a batched context
-    /// subscribes to both the TLE lock and `F`, and the lock holder
-    /// drains `F` before touching the tree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strategy is outside [`BATCH_STRATEGIES`].
-    pub fn with_batching(mut self) -> Self {
-        assert!(
-            BATCH_STRATEGIES.contains(&self.strategy),
-            "batched contexts require the TLE or 3-path strategy"
-        );
-        self.batched = true;
-        self
     }
 
     /// Whether this context accepts batched plans.
@@ -502,7 +462,7 @@ impl ExecCtx {
     ) -> (T, PathKind) {
         assert!(
             self.batched,
-            "run_batch requires a with_batching context on TLE or 3-path"
+            "run_batch requires a context built with TemplateConfig::batched"
         );
         let strategy = self.strategy;
         let limits = self.limits();
@@ -801,8 +761,8 @@ impl ExecCtx {
     /// results in plan order and the path the batch finished on. An empty
     /// plan returns at once.
     ///
-    /// Requires a context built [`with_batching`](Self::with_batching) on
-    /// TLE or 3-path: the blended subscription discipline is what makes
+    /// Requires a context built with [`TemplateConfig::batched`] (so on
+    /// TLE or 3-path): the blended subscription discipline is what makes
     /// the serialized section safe against concurrent single-operation
     /// traffic on every path. The admission gate (when configured)
     /// applies as for single operations, except a refused batch
@@ -902,10 +862,21 @@ mod tests {
     use threepath_reclaim::{Domain, ReclaimMode};
 
     fn setup(strategy: Strategy) -> (ExecCtx, ScxEngine) {
+        setup_with(cfg(strategy))
+    }
+
+    fn cfg(strategy: Strategy) -> TemplateConfig {
+        TemplateConfig {
+            strategy,
+            ..TemplateConfig::default()
+        }
+    }
+
+    fn setup_with(cfg: TemplateConfig) -> (ExecCtx, ScxEngine) {
         let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
         let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
         let eng = ScxEngine::new(rt.clone(), domain);
-        (ExecCtx::new(rt, strategy), eng)
+        (ExecCtx::new(rt, &cfg), eng)
     }
 
     #[test]
@@ -1045,8 +1016,10 @@ mod tests {
 
     #[test]
     fn batched_subscription_covers_lock_and_f() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
         let mut th = eng.register_thread();
         let rt = exec.runtime().clone();
         // F active: fast attempts abort on their F subscription.
@@ -1073,8 +1046,11 @@ mod tests {
         // A batch's serialized section must not run while a lock-free
         // fallback operation is still active: the lock holder waits for
         // F.
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = Arc::new(exec.with_batching());
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
+        let exec = Arc::new(exec);
         let rt = exec.runtime().clone();
         exec.fallback_indicator().arrive(&rt, 1);
         let f_seen_inside = Cell::new(true);
@@ -1112,8 +1088,11 @@ mod tests {
         // A lock-free fallback on a batched context must not run
         // concurrently with a batch's lock holder: it arrives on F only
         // once the lock is free.
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = Arc::new(exec.with_batching());
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
+        let exec = Arc::new(exec);
         let rt = exec.runtime().clone();
         exec.tle_lock().acquire(&rt);
         let lock_seen_inside = Cell::new(true);
@@ -1150,7 +1129,11 @@ mod tests {
     fn fixed_limit_override_replaces_paper_budgets() {
         let (exec, _eng) = setup(Strategy::ThreePath);
         assert_eq!(exec.limits(), PathLimits::for_strategy(Strategy::ThreePath));
-        let exec = exec.with_limits(PathLimits { fast: 3, middle: 4 });
+        let limits = Some(PathLimits { fast: 3, middle: 4 });
+        let (exec, _eng) = setup_with(TemplateConfig {
+            limits,
+            ..cfg(Strategy::ThreePath)
+        });
         assert_eq!(exec.limits(), PathLimits { fast: 3, middle: 4 });
     }
 
@@ -1169,8 +1152,10 @@ mod tests {
 
     #[test]
     fn batch_commits_in_one_fast_transaction() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
         assert!(exec.is_batched());
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -1185,8 +1170,10 @@ mod tests {
 
     #[test]
     fn batch_escalates_to_one_locked_section() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::Tle)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let rt = exec.runtime().clone();
@@ -1210,8 +1197,10 @@ mod tests {
 
     #[test]
     fn batched_threepath_abandons_fast_when_serialized_work_is_active() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
@@ -1230,7 +1219,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "with_batching")]
+    #[should_panic(expected = "TemplateConfig::batched")]
     fn run_batch_requires_batched_context() {
         let (exec, eng) = setup(Strategy::ThreePath);
         let mut th = eng.register_thread();
@@ -1241,8 +1230,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "TLE or 3-path")]
     fn batching_rejects_uncovered_strategies() {
-        let (exec, _eng) = setup(Strategy::TwoPathCon);
-        let _ = exec.with_batching();
+        let _ = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::TwoPathCon)
+        });
     }
 
     /// Holds the TLE lock while `body` runs; another thread releases it
@@ -1285,8 +1276,10 @@ mod tests {
 
     #[test]
     fn limit_override_caps_both_budgets() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_limits(PathLimits { fast: 3, middle: 2 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 3, middle: 2 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
@@ -1313,8 +1306,10 @@ mod tests {
 
     #[test]
     fn zero_fast_budget_starts_on_the_middle_path() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_limits(PathLimits { fast: 0, middle: 1 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 0, middle: 1 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let (v, path) = exec.run_op(
@@ -1333,8 +1328,10 @@ mod tests {
 
     #[test]
     fn zero_budgets_go_straight_to_the_fallback_under_f() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_limits(PathLimits { fast: 0, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 0, middle: 0 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -1437,8 +1434,10 @@ mod tests {
     fn unbatched_tle_spends_its_budget_on_f_nonzero_aborts() {
         // Only batched contexts subscribe TLE transactions to F, so only
         // they treat an F abort as a reason to take the lock early.
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec.with_limits(PathLimits { fast: 4, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 4, middle: 0 }),
+            ..cfg(Strategy::Tle)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
@@ -1459,8 +1458,10 @@ mod tests {
 
     #[test]
     fn batched_tle_takes_the_lock_on_f_nonzero() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::Tle)
+        });
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -1605,7 +1606,10 @@ mod tests {
     fn admission_is_off_by_default_and_sized_at_construction() {
         let (exec, _eng) = setup(Strategy::ThreePath);
         assert!(exec.admission().is_none());
-        let exec = exec.with_admission(3);
+        let (exec, _eng) = setup_with(TemplateConfig {
+            admission: Some(3),
+            ..cfg(Strategy::ThreePath)
+        });
         let gate = exec.admission().expect("gate installed");
         assert_eq!(gate.cap(), 3);
         assert_eq!(
@@ -1616,8 +1620,10 @@ mod tests {
 
     #[test]
     fn tle_admission_overflow_takes_the_lock_directly() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec.with_admission(1);
+        let (exec, eng) = setup_with(TemplateConfig {
+            admission: Some(1),
+            ..cfg(Strategy::Tle)
+        });
         let rt = exec.runtime().clone();
         let gate = exec.admission().unwrap();
         assert!(gate.try_enter(), "another thread occupies the window");
@@ -1653,8 +1659,10 @@ mod tests {
 
     #[test]
     fn tle_admitted_attempt_leaves_the_window_on_commit() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec.with_admission(2);
+        let (exec, eng) = setup_with(TemplateConfig {
+            admission: Some(2),
+            ..cfg(Strategy::Tle)
+        });
         let gate = exec.admission().unwrap();
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -1680,10 +1688,11 @@ mod tests {
 
     #[test]
     fn tle_admitted_thread_exits_the_window_before_taking_the_lock() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec
-            .with_admission(1)
-            .with_limits(PathLimits { fast: 2, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            admission: Some(1),
+            limits: Some(PathLimits { fast: 2, middle: 0 }),
+            ..cfg(Strategy::Tle)
+        });
         let gate = exec.admission().unwrap();
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -1709,8 +1718,10 @@ mod tests {
 
     #[test]
     fn three_path_admission_overflow_joins_the_fallback_directly() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_admission(1);
+        let (exec, eng) = setup_with(TemplateConfig {
+            admission: Some(1),
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let gate = exec.admission().unwrap();
         exec.fallback_indicator().arrive(&rt, 9);
@@ -1740,10 +1751,11 @@ mod tests {
 
     #[test]
     fn three_path_admitted_thread_leaves_the_window_before_parking_on_f() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec
-            .with_admission(1)
-            .with_limits(PathLimits { fast: 1, middle: 1 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            admission: Some(1),
+            limits: Some(PathLimits { fast: 1, middle: 1 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let gate = exec.admission().unwrap();
         exec.fallback_indicator().arrive(&rt, 9);
@@ -1773,8 +1785,10 @@ mod tests {
     fn idle_serialized_path_bypasses_the_gate() {
         // The gate is consulted only while the fallback is busy: a full
         // window does not turn away operations when F is quiet.
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_admission(1);
+        let (exec, eng) = setup_with(TemplateConfig {
+            admission: Some(1),
+            ..cfg(Strategy::ThreePath)
+        });
         let gate = exec.admission().unwrap();
         assert!(gate.try_enter());
         let mut th = eng.register_thread();
@@ -1797,8 +1811,10 @@ mod tests {
     #[test]
     fn non_gating_strategies_ignore_the_gate() {
         for strategy in [Strategy::NonHtm, Strategy::TwoPathCon] {
-            let (exec, eng) = setup(strategy);
-            let exec = exec.with_admission(1);
+            let (exec, eng) = setup_with(TemplateConfig {
+                admission: Some(1),
+                ..cfg(strategy)
+            });
             let rt = exec.runtime().clone();
             let gate = exec.admission().unwrap();
             exec.fallback_indicator().arrive(&rt, 9);
@@ -1823,8 +1839,10 @@ mod tests {
 
     #[test]
     fn batch_capacity_abort_escalates_at_once() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
@@ -1850,10 +1868,11 @@ mod tests {
 
     #[test]
     fn tle_batch_retries_conflicts_up_to_the_budget() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec
-            .with_batching()
-            .with_limits(PathLimits { fast: 5, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            limits: Some(PathLimits { fast: 5, middle: 0 }),
+            ..cfg(Strategy::Tle)
+        });
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let fast_calls = Cell::new(0u32);
@@ -1874,8 +1893,11 @@ mod tests {
 
     #[test]
     fn batch_admission_overflow_enqueues_on_the_serialized_lane() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec.with_batching().with_admission(1);
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            admission: Some(1),
+            ..cfg(Strategy::Tle)
+        });
         let rt = exec.runtime().clone();
         let gate = exec.admission().unwrap();
         assert!(gate.try_enter(), "another thread occupies the window");
@@ -1904,8 +1926,11 @@ mod tests {
 
     #[test]
     fn batch_admitted_to_the_window_exits_on_commit() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_batching().with_admission(2);
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            admission: Some(2),
+            ..cfg(Strategy::ThreePath)
+        });
         let gate = exec.admission().unwrap();
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -1945,8 +1970,10 @@ mod tests {
 
     #[test]
     fn snzi_context_subscribes_through_the_snzi_cell() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_snzi();
+        let (exec, eng) = setup_with(TemplateConfig {
+            snzi: true,
+            ..cfg(Strategy::ThreePath)
+        });
         assert!(matches!(exec.fallback_indicator(), Indicator::Snzi(_)));
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
@@ -1960,8 +1987,10 @@ mod tests {
 
     #[test]
     fn snzi_three_path_fallback_raises_the_indicator() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_snzi();
+        let (exec, eng) = setup_with(TemplateConfig {
+            snzi: true,
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
@@ -2034,14 +2063,20 @@ mod tests {
         for s in BATCH_STRATEGIES {
             let (exec, _eng) = setup(s);
             assert!(!exec.is_batched(), "{s}: batching is opt-in");
-            assert!(exec.with_batching().is_batched(), "{s}");
+            let (exec, _eng) = setup_with(TemplateConfig {
+                batched: true,
+                ..cfg(s)
+            });
+            assert!(exec.is_batched(), "{s}");
         }
     }
 
     #[test]
     fn debug_names_the_strategy_and_limits() {
-        let (exec, _eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_limits(PathLimits { fast: 2, middle: 5 });
+        let (exec, _eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 2, middle: 5 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let s = format!("{exec:?}");
         assert!(s.contains("ThreePath"), "{s}");
         assert!(s.contains("fast: 2") && s.contains("middle: 5"), "{s}");
@@ -2058,10 +2093,11 @@ mod tests {
     /// middle path, after a fresh search.
     #[test]
     fn sec8_fast_path_validates_its_outside_search() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec
-            .with_search_outside_txn()
-            .with_limits(PathLimits { fast: 1, middle: 1 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            search_outside_txn: true,
+            limits: Some(PathLimits { fast: 1, middle: 1 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let mut toy = Toy::new(&rt);
         toy.on_search = Box::new(|t, i| {
@@ -2099,8 +2135,10 @@ mod tests {
     /// transaction, and the op retries it within the middle budget.
     #[test]
     fn middle_path_retry_aborts_and_retries_within_the_budget() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_limits(PathLimits { fast: 0, middle: 3 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 0, middle: 3 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let toy = Toy::new(&rt);
         toy.retries.set(2);
@@ -2116,8 +2154,10 @@ mod tests {
     /// The fallback repeats its search and template body until `Done`.
     #[test]
     fn fallback_loops_on_retry_until_done() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_limits(PathLimits { fast: 0, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            limits: Some(PathLimits { fast: 0, middle: 0 }),
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let toy = Toy::new(&rt);
         toy.retries.set(3);
@@ -2136,10 +2176,11 @@ mod tests {
     /// `validate = false` even in Section 8 mode.
     #[test]
     fn tle_locked_path_runs_seq_directly_without_validation() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec
-            .with_search_outside_txn()
-            .with_limits(PathLimits { fast: 0, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            search_outside_txn: true,
+            limits: Some(PathLimits { fast: 0, middle: 0 }),
+            ..cfg(Strategy::Tle)
+        });
         let rt = exec.runtime().clone();
         let locked = Cell::new(false);
         let mut toy = Toy::new(&rt);
@@ -2189,8 +2230,10 @@ mod tests {
     /// context cannot move the epoch more than one step.
     #[test]
     fn outside_search_stays_pinned_until_the_attempt_ends() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_search_outside_txn();
+        let (exec, eng) = setup_with(TemplateConfig {
+            search_outside_txn: true,
+            ..cfg(Strategy::ThreePath)
+        });
         let rt = exec.runtime().clone();
         let other = eng.register_thread();
         let domain = eng.domain().clone();
@@ -2239,8 +2282,10 @@ mod tests {
     /// the ones before it, and the combining hook does not run.
     #[test]
     fn batch_plan_commits_in_one_transaction_in_order() {
-        let (exec, eng) = setup(Strategy::ThreePath);
-        let exec = exec.with_batching();
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            ..cfg(Strategy::ThreePath)
+        });
         let cell = TxCell::new(0);
         let plan = [BatchOp::Insert(1, 0), BatchOp::Insert(2, 0)];
         let mut th = eng.register_thread();
@@ -2262,10 +2307,11 @@ mod tests {
     /// section; the hook's operations count as combined.
     #[test]
     fn escalated_batch_runs_the_combining_hook_in_its_section() {
-        let (exec, eng) = setup(Strategy::Tle);
-        let exec = exec
-            .with_batching()
-            .with_limits(PathLimits { fast: 0, middle: 0 });
+        let (exec, eng) = setup_with(TemplateConfig {
+            batched: true,
+            limits: Some(PathLimits { fast: 0, middle: 0 }),
+            ..cfg(Strategy::Tle)
+        });
         let rt = exec.runtime().clone();
         let cell = TxCell::new(0);
         let step = |op: BatchOp| Add { cell: &cell, n: op.key() };

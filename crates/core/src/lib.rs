@@ -21,6 +21,11 @@
 //! hardware transactions flowing instead of waiting (avoiding both TLE's
 //! serialization and the lemming effect).
 //!
+//! A tree is built from one [`TemplateConfig`] (strategy, HTM, attempt
+//! budgets, reclamation, pooling, read and scan paths, admission,
+//! batching): [`TemplateConfig::build`] makes its runtime, domain,
+//! LLX/SCX engine and [`ExecCtx`], and [`drop_tree`] frees its nodes.
+//!
 //! A data structure supplies each operation once, as a search and the
 //! bodies that act on what it found ([`SeqOp`], [`TemplateOp`],
 //! [`ReadOp`]); [`ExecCtx::run_update`], [`ExecCtx::run_query`] and
@@ -46,6 +51,7 @@
 
 mod access;
 mod batch;
+mod config;
 mod driver;
 mod effects;
 mod op;
@@ -59,6 +65,7 @@ mod template;
 
 pub use access::{DirectMem, Mem, ScxNode, TxMem, TxRead};
 pub use batch::{BatchApply, BatchOp};
+pub use config::{drop_tree, TemplateConfig, TemplateConfigError};
 pub use driver::{ExecCtx, LockedSection, BATCH_STRATEGIES};
 pub use op::{run_direct, ReadOp, SeqOp, TemplateOp};
 pub use readpath::DEFAULT_READ_ATTEMPTS;

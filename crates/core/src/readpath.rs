@@ -109,8 +109,8 @@ impl ExecCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TemplateConfig;
     use crate::op::toy::{epoch_advance, ToyRead};
-    use crate::strategy::Strategy;
     use std::cell::Cell;
     use std::sync::Arc;
     use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
@@ -121,7 +121,7 @@ mod tests {
         let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
         let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
         let eng = ScxEngine::new(rt.clone(), domain);
-        (ExecCtx::new(rt, Strategy::ThreePath), eng)
+        (ExecCtx::new(rt, &TemplateConfig::default()), eng)
     }
 
     /// The walk runs once, under the pin: a second context of the

@@ -474,7 +474,7 @@ pub mod driver_tests {
     use threepath_reclaim::{Domain, ReclaimMode};
 
     use super::{ScanSource, ScanState, Torn};
-    use crate::{ExecCtx, PathKind, PathStats, Strategy, DEFAULT_READ_ATTEMPTS};
+    use crate::{ExecCtx, PathKind, PathStats, TemplateConfig, DEFAULT_READ_ATTEMPTS};
 
     /// The node type of a fixture's source.
     pub type Node<F> = <<F as ScanFixture>::Source as ScanSource>::Node;
@@ -568,7 +568,7 @@ pub mod driver_tests {
     fn context() -> (ExecCtx, ScxEngine) {
         let rt = Arc::new(runtime());
         let eng = ScxEngine::new(rt.clone(), Arc::new(Domain::new(ReclaimMode::Epoch)));
-        (ExecCtx::new(rt, Strategy::ThreePath), eng)
+        (ExecCtx::new(rt, &TemplateConfig::default()), eng)
     }
 
     /// `leaf`'s smallest key := `value`, inside the odd/even `ver` bracket

@@ -46,16 +46,16 @@ fn dir_of(key: u64, node_key: u64) -> usize {
 
 /// Configuration for [`HnBst`].
 #[derive(Debug, Clone)]
-pub struct HnBstConfig {
+pub struct HnConfig {
     /// Simulated-HTM parameters.
     pub htm: HtmConfig,
     /// Hardware attempts before the NOrec software path.
     pub hw_attempts: u32,
 }
 
-impl Default for HnBstConfig {
+impl Default for HnConfig {
     fn default() -> Self {
-        HnBstConfig {
+        HnConfig {
             htm: HtmConfig::default(),
             hw_attempts: 10,
         }
@@ -76,11 +76,11 @@ unsafe impl Sync for HnBst {}
 impl HnBst {
     /// A tree with default configuration.
     pub fn new() -> Self {
-        Self::with_config(HnBstConfig::default())
+        Self::with_config(HnConfig::default())
     }
 
     /// A tree with the given configuration.
-    pub fn with_config(cfg: HnBstConfig) -> Self {
+    pub fn with_config(cfg: HnConfig) -> Self {
         let rt = Arc::new(HtmRuntime::new(cfg.htm.clone()));
         let tm = NorecTm::new(rt, cfg.hw_attempts);
         let l1 = Box::into_raw(Box::new(Node::leaf(SENT1, 0)));
@@ -342,9 +342,9 @@ mod tests {
     #[test]
     fn oracle_software_only() {
         // hw_attempts = 0: pure NOrec.
-        let tree = Arc::new(HnBst::with_config(HnBstConfig {
+        let tree = Arc::new(HnBst::with_config(HnConfig {
             hw_attempts: 0,
-            ..HnBstConfig::default()
+            ..HnConfig::default()
         }));
         let mut h = tree.handle();
         let mut oracle = BTreeMap::new();

@@ -40,5 +40,5 @@
 mod bst;
 mod norec;
 
-pub use bst::{HnBst, HnBstConfig, HnBstHandle};
+pub use bst::{HnBst, HnBstHandle, HnConfig};
 pub use norec::{NorecTm, TmAccess};

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use threepath_core::{BatchApply, BatchOp, PathKind, PathStats, Strategy};
+use threepath_core::{BatchApply, BatchOp, PathKind, PathStats, Strategy, TemplateConfig};
 use threepath_htm::HtmConfig;
 use threepath_persist::{PersistConfig, PersistError, ShardLogs, ShardWal};
 use threepath_reclaim::ReclaimMode;
@@ -13,10 +13,11 @@ use crate::tree::{ShardBackend, ShardHandle, ShardTree};
 
 /// Configuration for a [`ShardedMap`].
 ///
-/// The per-tree knobs (`strategy`, `htm`, `reclaim`, `search_outside_txn`,
-/// `snzi`) apply to **every** shard; each shard still instantiates its own
-/// runtime and domain from them. `router` is the policy axis: how keys
-/// map to shards.
+/// The per-tree knobs (`strategy` through `batched`, the fields of
+/// [`TemplateConfig`] and documented there) apply to **every** shard;
+/// each shard still instantiates its own runtime and domain from them
+/// (see [`Self::template`]). `router` is the policy axis: how keys map
+/// to shards.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// Number of shards (`>= 1`).
@@ -29,50 +30,32 @@ pub struct ShardedConfig {
     pub key_space: u64,
     /// Shard-routing policy (see [`RouterKind`]).
     pub router: RouterKind,
-    /// Execution-path strategy for every shard.
+    /// Every shard's [`TemplateConfig::strategy`].
     pub strategy: Strategy,
-    /// Simulated-HTM parameters (each shard builds its own runtime).
+    /// Every shard's [`TemplateConfig::htm`].
     pub htm: HtmConfig,
-    /// Memory-reclamation mode (each shard builds its own domain).
+    /// Every shard's [`TemplateConfig::reclaim`].
     pub reclaim: ReclaimMode,
-    /// Section 8 variant (search outside transactions).
+    /// Every shard's [`TemplateConfig::search_outside_txn`].
     pub search_outside_txn: bool,
-    /// Use a SNZI in place of the fetch-and-increment counter `F`.
+    /// Every shard's [`TemplateConfig::snzi`].
     pub snzi: bool,
-    /// Fixed attempt budgets for every shard; `None` uses the paper's
-    /// per-strategy defaults.
+    /// Every shard's [`TemplateConfig::limits`].
     pub limits: Option<threepath_core::PathLimits>,
-    /// Per-thread node pools in every shard's reclamation domain (on by
-    /// default — see [`threepath_reclaim::NodePool`]). Off gives the
-    /// `Box`-based allocator baseline.
+    /// Every shard's [`TemplateConfig::pool`].
     pub pool: bool,
-    /// Route every shard's `get`/`contains`/`first`/`last` through the
-    /// uninstrumented wait-free read path (zero transactions and locks;
-    /// seqlock-validated on the (a,b)-tree backend). On by default; off
-    /// routes reads through the template's paths — the read-heavy
-    /// benchmarks' baseline.
+    /// Every shard's [`TemplateConfig::read_path`].
     pub read_path: bool,
-    /// Route every shard's `range_query` through the uninstrumented
-    /// optimistic scan path (epoch-pinned multi-leaf validation with a
-    /// partial-rescan escalation tier; zero transactions on the calm
-    /// path). Cross-shard range queries then feed per-shard optimistic
-    /// scans into the usual concat/sort-merge plan, so they are
-    /// transaction-free end-to-end when every shard's scan succeeds
-    /// optimistically. On by default; off routes scans through the
-    /// template's paths — the scan benchmarks' baseline.
+    /// Every shard's [`TemplateConfig::scan_path`]. Cross-shard range
+    /// queries then feed per-shard optimistic scans into the usual
+    /// concat/sort-merge plan, so they are transaction-free end-to-end
+    /// when every shard's scan succeeds optimistically.
     pub scan_path: bool,
-    /// HTM admission control on every shard's fallback path: at most
-    /// this many threads may attempt hardware transactions while the
-    /// shard's fallback is active; the overflow parks on a ready lane
-    /// and takes the fallback directly (see
-    /// [`threepath_core::AdmissionGate`]). `None` (the default) admits
-    /// everyone — the uncontrolled baseline.
+    /// Every shard's [`TemplateConfig::admission`].
     pub admission: Option<u32>,
-    /// Enable per-shard batch entry points
-    /// ([`ShardedHandle::shard_batch`]): coalesced same-shard plans
-    /// commit in a single fast-path transaction or one serialized
-    /// section, with a flat-combining hook for queue-draining servers.
-    /// Requires a TLE or 3-path strategy.
+    /// Every shard's [`TemplateConfig::batched`]: enables the per-shard
+    /// batch entry points ([`ShardedHandle::shard_batch`]), with a
+    /// flat-combining hook for queue-draining servers.
     pub batched: bool,
     /// Per-shard durability: `Some` gives every shard an append-only,
     /// checksummed write-ahead log (plus periodic snapshots) in
@@ -87,17 +70,29 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
+    /// The per-tree fields every shard is built from.
+    pub fn template(&self) -> TemplateConfig {
+        TemplateConfig {
+            strategy: self.strategy,
+            htm: self.htm.clone(),
+            limits: self.limits,
+            reclaim: self.reclaim,
+            search_outside_txn: self.search_outside_txn,
+            snzi: self.snzi,
+            pool: self.pool,
+            read_path: self.read_path,
+            scan_path: self.scan_path,
+            admission: self.admission,
+            batched: self.batched,
+        }
+    }
+
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
         crate::persist::validate_persist(self)?;
-        if self.admission == Some(0) {
-            return Err(ConfigError::ZeroAdmissionWindow);
-        }
-        if self.batched && !threepath_core::BATCH_STRATEGIES.contains(&self.strategy) {
-            return Err(ConfigError::BatchedStrategy(self.strategy));
-        }
+        self.template().validate()?;
         Ok(())
     }
 }
@@ -1057,6 +1052,79 @@ mod tests {
         assert!(!map.is_batched());
         assert!(map.is_empty());
         assert!(map.router().preserves_order(), "range routing by default");
+    }
+
+    /// Every per-tree field set off its default on the map shows on each
+    /// shard of either backend: shards are built from
+    /// [`ShardedConfig::template`], which must carry all of them.
+    #[test]
+    fn every_per_tree_field_reaches_each_shard() {
+        assert_eq!(
+            format!("{:?}", ShardedConfig::default().template()),
+            format!("{:?}", TemplateConfig::default())
+        );
+        let limits = threepath_core::PathLimits { fast: 3, middle: 2 };
+        for backend in [ShardBackend::Bst, ShardBackend::AbTree] {
+            let map = Arc::new(
+                ShardedMap::with_config(ShardedConfig {
+                    shards: 2,
+                    backend,
+                    key_space: 100,
+                    strategy: Strategy::Tle,
+                    htm: HtmConfig {
+                        seed: 7,
+                        ..HtmConfig::default()
+                    },
+                    reclaim: ReclaimMode::Leak,
+                    search_outside_txn: true,
+                    snzi: true,
+                    limits: Some(limits),
+                    pool: false,
+                    read_path: false,
+                    scan_path: false,
+                    admission: Some(2),
+                    batched: true,
+                    ..ShardedConfig::default()
+                })
+                .unwrap(),
+            );
+            {
+                let mut h = map.handle();
+                for k in 0..100 {
+                    h.insert(k, k);
+                }
+                assert_eq!(h.get(5), Some(5), "{backend}");
+                assert_eq!(
+                    h.stats().completed(PathKind::Read),
+                    0,
+                    "{backend}: read path off"
+                );
+                assert_eq!(h.range_query(0, 100).len(), 100, "{backend}");
+                assert_eq!(
+                    h.stats().completed(PathKind::Read),
+                    0,
+                    "{backend}: scan path off"
+                );
+            }
+            for t in &map.shards {
+                let exec = t.exec();
+                assert_eq!(exec.strategy(), Strategy::Tle, "{backend}");
+                assert_eq!(exec.limits(), limits, "{backend}");
+                assert!(t.is_batched(), "{backend}");
+                assert_eq!(exec.admission().map(|g| g.cap()), Some(2), "{backend}");
+                assert!(exec.search_outside_txn(), "{backend}");
+                assert!(
+                    matches!(
+                        exec.fallback_indicator(),
+                        threepath_core::Indicator::Snzi(_)
+                    ),
+                    "{backend}"
+                );
+                assert_eq!(exec.runtime().config().seed, 7, "{backend}");
+                assert_eq!(t.pool_stats().alloc_total, 0, "{backend}: pool off");
+                assert_eq!(t.domain().mode(), ReclaimMode::Leak, "{backend}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 use std::fmt;
 use std::str::FromStr;
 
+use threepath_core::TemplateConfigError;
+
 /// Error constructing a sharded-layer component from an invalid
 /// configuration. Returned (never panicked) by [`crate::ShardedMap`] and
 /// router constructors so callers can surface misconfiguration as data.
@@ -67,6 +69,15 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+impl From<TemplateConfigError> for ConfigError {
+    fn from(e: TemplateConfigError) -> Self {
+        match e {
+            TemplateConfigError::ZeroAdmissionWindow => ConfigError::ZeroAdmissionWindow,
+            TemplateConfigError::BatchedStrategy(s) => ConfigError::BatchedStrategy(s),
+        }
+    }
+}
 
 /// The shard-routing policy of a [`ShardedMap`](crate::ShardedMap).
 ///

@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
-use threepath_abtree::{AbTree, AbTreeConfig, AbTreeHandle};
-use threepath_bst::{Bst, BstConfig, BstHandle};
-use threepath_core::{BatchApply, BatchOp, PathKind, PathStats};
+use threepath_abtree::{AbTree, AbTreeHandle};
+use threepath_bst::{Bst, BstHandle};
+use threepath_core::{BatchApply, BatchOp, ExecCtx, PathKind, PathStats};
+use threepath_reclaim::Domain;
 
 use crate::map::ShardedConfig;
 
@@ -47,40 +48,14 @@ impl ShardTree {
         Self::build(cfg)
     }
 
-    /// Builds one tree from the per-tree fields of `cfg` (`backend`,
-    /// `strategy`, `htm`, `reclaim`, `search_outside_txn`, `snzi`, ...);
-    /// `shards`, `key_space` and `router` are partitioning concerns and
-    /// ignored.
+    /// Builds one tree of `cfg.backend` from the per-tree fields of `cfg`
+    /// ([`ShardedConfig::template`]); `shards`, `key_space` and `router`
+    /// are partitioning concerns and ignored.
     pub fn build(cfg: &ShardedConfig) -> ShardTree {
-        let htm = cfg.htm.clone();
+        let template = cfg.template();
         match cfg.backend {
-            ShardBackend::Bst => ShardTree::Bst(Arc::new(Bst::with_config(BstConfig {
-                strategy: cfg.strategy,
-                htm,
-                limits: cfg.limits,
-                reclaim: cfg.reclaim,
-                search_outside_txn: cfg.search_outside_txn,
-                snzi: cfg.snzi,
-                pool: cfg.pool,
-                read_path: cfg.read_path,
-                scan_path: cfg.scan_path,
-                admission: cfg.admission,
-                batched: cfg.batched,
-            }))),
-            ShardBackend::AbTree => ShardTree::AbTree(Arc::new(AbTree::with_config(AbTreeConfig {
-                strategy: cfg.strategy,
-                htm,
-                limits: cfg.limits,
-                reclaim: cfg.reclaim,
-                search_outside_txn: cfg.search_outside_txn,
-                snzi: cfg.snzi,
-                pool: cfg.pool,
-                read_path: cfg.read_path,
-                scan_path: cfg.scan_path,
-                admission: cfg.admission,
-                batched: cfg.batched,
-                ..AbTreeConfig::default()
-            }))),
+            ShardBackend::Bst => ShardTree::Bst(Arc::new(Bst::with_config(template))),
+            ShardBackend::AbTree => ShardTree::AbTree(Arc::new(AbTree::with_config(template))),
         }
     }
 
@@ -92,29 +67,36 @@ impl ShardTree {
         }
     }
 
+    /// The tree's execution context (see [`Bst::exec`]).
+    pub fn exec(&self) -> &ExecCtx {
+        match self {
+            ShardTree::Bst(t) => t.exec(),
+            ShardTree::AbTree(t) => t.exec(),
+        }
+    }
+
+    /// The tree's reclamation domain.
+    pub fn domain(&self) -> &Arc<Domain> {
+        match self {
+            ShardTree::Bst(t) => t.domain(),
+            ShardTree::AbTree(t) => t.domain(),
+        }
+    }
+
     /// Whether the tree was built with the batch entry point enabled.
     pub fn is_batched(&self) -> bool {
-        match self {
-            ShardTree::Bst(t) => t.is_batched(),
-            ShardTree::AbTree(t) => t.is_batched(),
-        }
+        self.exec().is_batched()
     }
 
     /// Whether serialized work (the fallback path or a holder of the
     /// fallback lock) is in progress on this tree right now.
     pub fn serialized_active(&self) -> bool {
-        match self {
-            ShardTree::Bst(t) => t.serialized_active(),
-            ShardTree::AbTree(t) => t.serialized_active(),
-        }
+        self.exec().serialized_active()
     }
 
     /// Node-pool counters folded into the tree's domain so far.
     pub fn pool_stats(&self) -> threepath_reclaim::PoolStats {
-        match self {
-            ShardTree::Bst(t) => t.pool_stats(),
-            ShardTree::AbTree(t) => t.pool_stats(),
-        }
+        self.domain().pool_stats()
     }
 
     /// Sum of all keys (quiescent).

@@ -341,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn server_trial_with_admission_verifies() {
+    fn server_trial_admission_gate_verifies() {
         let mut spec = quick(ShardBackend::Bst);
         spec.admission = Some(2);
         spec.htm = HtmConfig::default().with_spurious(0.6);

@@ -8,16 +8,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use threepath::abtree::{AbTree, AbTreeConfig};
-use threepath::core::{PathKind, Strategy};
+use threepath::abtree::AbTree;
+use threepath::core::{PathKind, Strategy, TemplateConfig};
 use threepath::htm::SplitMix64;
 
 const KEYSPACE: u64 = 100_000;
 
 fn main() {
-    let index = Arc::new(AbTree::with_config(AbTreeConfig {
+    let index = Arc::new(AbTree::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }));
 
     // Bulk load half the keyspace ("warm" index).

@@ -4,14 +4,14 @@
 
 use std::sync::Arc;
 
-use threepath::bst::{Bst, BstConfig};
-use threepath::core::{PathKind, Strategy};
+use threepath::bst::Bst;
+use threepath::core::{PathKind, Strategy, TemplateConfig};
 
 fn main() {
     // A 3-path tree: HTM fast path, HTM middle path, lock-free fallback.
-    let tree = Arc::new(Bst::with_config(BstConfig {
+    let tree = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
 
     // Handles are per-thread; operations go through them.

@@ -14,9 +14,9 @@ use std::sync::Arc;
 mod common;
 use common::StopOnDrop;
 
-use threepath::abtree::{AbTree, AbTreeConfig};
-use threepath::bst::{Bst, BstConfig};
-use threepath::core::Strategy;
+use threepath::abtree::AbTree;
+use threepath::bst::Bst;
+use threepath::core::{Strategy, TemplateConfig};
 use threepath::htm::{HtmConfig, SplitMix64};
 
 /// Two trees fed identical operation streams by concurrent threads (each
@@ -24,13 +24,13 @@ use threepath::htm::{HtmConfig, SplitMix64};
 /// linearization) must end with identical contents.
 #[test]
 fn mirrored_trees_converge() {
-    let bst = Arc::new(Bst::with_config(BstConfig {
+    let bst = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
-    let ab = Arc::new(AbTree::with_config(AbTreeConfig {
+    let ab = Arc::new(AbTree::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }));
 
     std::thread::scope(|s| {
@@ -73,9 +73,9 @@ fn range_queries_see_no_torn_couples() {
     // Couples: (2k, 2k+1). Updaters insert right endpoint first, then
     // left; removal removes left first, then right. Invariant for any
     // linearizable snapshot: left present => right present.
-    let tree = Arc::new(Bst::with_config(BstConfig {
+    let tree = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -132,10 +132,10 @@ fn range_queries_see_no_torn_couples() {
 #[test]
 fn chaos_all_strategies_keysum() {
     for strategy in Strategy::ALL {
-        let tree = Arc::new(AbTree::with_config(AbTreeConfig {
+        let tree = Arc::new(AbTree::with_config(TemplateConfig {
             strategy,
             htm: HtmConfig::default().with_spurious(0.5).with_seed(9),
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         }));
         let delta = Arc::new(AtomicI64::new(0));
         std::thread::scope(|s| {
@@ -175,11 +175,11 @@ fn chaos_all_strategies_keysum() {
 #[test]
 fn snzi_indicator_keysum_stress() {
     for snzi in [false, true] {
-        let tree = Arc::new(AbTree::with_config(AbTreeConfig {
+        let tree = Arc::new(AbTree::with_config(TemplateConfig {
             strategy: Strategy::ThreePath,
             htm: HtmConfig::default().with_spurious(0.6),
             snzi,
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         }));
         let delta = Arc::new(AtomicI64::new(0));
         std::thread::scope(|s| {

@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use threepath::abtree::{AbTree, AbTreeConfig};
-use threepath::bst::{Bst, BstConfig};
-use threepath::core::Strategy;
+use threepath::abtree::AbTree;
+use threepath::bst::Bst;
+use threepath::core::{Strategy, TemplateConfig};
 use threepath::htm::SplitMix64;
 use threepath::hybridnorec::HnBst;
 use threepath::kcas::KcasList;
@@ -15,13 +15,13 @@ use threepath::rcu::Citrus;
 #[test]
 fn every_strategy_works_on_both_template_trees() {
     for strategy in Strategy::ALL {
-        let bst = Arc::new(Bst::with_config(BstConfig {
+        let bst = Arc::new(Bst::with_config(TemplateConfig {
             strategy,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         }));
-        let ab = Arc::new(AbTree::with_config(AbTreeConfig {
+        let ab = Arc::new(AbTree::with_config(TemplateConfig {
             strategy,
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         }));
         let mut hb = bst.handle();
         let mut ha = ab.handle();

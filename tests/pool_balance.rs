@@ -27,9 +27,9 @@ use std::sync::Arc;
 mod common;
 use common::StopOnDrop;
 
-use threepath::abtree::{AbTree, AbTreeConfig};
-use threepath::bst::{Bst, BstConfig};
-use threepath::core::Strategy;
+use threepath::abtree::AbTree;
+use threepath::bst::Bst;
+use threepath::core::{Strategy, TemplateConfig};
 use threepath::htm::{HtmConfig, SplitMix64};
 use threepath::reclaim::{Domain, PoolStats};
 
@@ -124,10 +124,10 @@ impl Churn for threepath::abtree::AbTreeHandle {
 
 #[test]
 fn bst_pool_counters_reconcile_after_concurrent_churn() {
-    let tree = Arc::new(Bst::with_config(BstConfig {
+    let tree = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
         htm: HtmConfig::default().with_spurious(0.15),
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
     churn(4, 4000, || tree.handle());
     let shape = tree.validate().expect("valid tree");
@@ -143,10 +143,10 @@ fn bst_pool_counters_reconcile_after_concurrent_churn() {
 
 #[test]
 fn abtree_pool_counters_reconcile_after_concurrent_churn() {
-    let tree = Arc::new(AbTree::with_config(AbTreeConfig {
+    let tree = Arc::new(AbTree::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
         htm: HtmConfig::default().with_spurious(0.15),
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }));
     churn(4, 3000, || tree.handle());
     let shape = tree.validate().expect("valid tree");
@@ -161,9 +161,9 @@ fn abtree_pool_counters_reconcile_after_concurrent_churn() {
 /// counters still reconcile when traffic flows through that class.
 #[test]
 fn abtree_nodes_get_a_dedicated_exact_fit_class() {
-    let tree = Arc::new(AbTree::with_config(AbTreeConfig {
+    let tree = Arc::new(AbTree::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }));
     // `AbNode` is private; its blocks are what `alloc_total` counts, and
     // the domain exposes the serving block size through the tree's churn.
@@ -203,10 +203,10 @@ fn abtree_nodes_get_a_dedicated_exact_fit_class() {
 /// returns (and no leak: the balance still closes exactly).
 #[test]
 fn tx_abort_undo_returns_nodes_to_the_pool() {
-    let tree = Arc::new(Bst::with_config(BstConfig {
+    let tree = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
         htm: HtmConfig::default().with_spurious(0.5),
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
     {
         let mut h = tree.handle();
@@ -235,10 +235,10 @@ fn tx_abort_undo_returns_nodes_to_the_pool() {
 /// traffic, identical tree behaviour.
 #[test]
 fn pool_off_baseline_reports_zero_pool_traffic() {
-    let tree = Arc::new(Bst::with_config(BstConfig {
+    let tree = Arc::new(Bst::with_config(TemplateConfig {
         strategy: Strategy::ThreePath,
         pool: false,
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
     {
         let mut h = tree.handle();

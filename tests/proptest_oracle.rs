@@ -6,9 +6,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use threepath::abtree::{AbTree, AbTreeConfig};
-use threepath::bst::{Bst, BstConfig};
-use threepath::core::{merge_subranges, Strategy as ExecStrategy};
+use threepath::abtree::AbTree;
+use threepath::bst::Bst;
+use threepath::core::{merge_subranges, Strategy as ExecStrategy, TemplateConfig};
 use threepath::htm::HtmConfig;
 use threepath::kcas::KcasList;
 use threepath::sharded::{RouterKind, ShardBackend, ShardedConfig, ShardedMap};
@@ -47,10 +47,10 @@ proptest! {
     fn bst_matches_btreemap(ops in proptest::collection::vec(op_strategy(64), 1..400),
                             strat in exec_strategy(),
                             spurious in prop_oneof![Just(0.0), Just(0.5)]) {
-        let tree = Arc::new(Bst::with_config(BstConfig {
+        let tree = Arc::new(Bst::with_config(TemplateConfig {
             strategy: strat,
             htm: HtmConfig::default().with_spurious(spurious),
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         }));
         let mut h = tree.handle();
         let mut oracle = BTreeMap::new();
@@ -74,9 +74,9 @@ proptest! {
     #[test]
     fn abtree_matches_btreemap(ops in proptest::collection::vec(op_strategy(128), 1..400),
                                strat in exec_strategy()) {
-        let tree = Arc::new(AbTree::with_config(AbTreeConfig {
+        let tree = Arc::new(AbTree::with_config(TemplateConfig {
             strategy: strat,
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         }));
         let mut h = tree.handle();
         let mut oracle = BTreeMap::new();

@@ -27,9 +27,9 @@ use std::sync::Arc;
 mod common;
 use common::StopOnDrop;
 
-use threepath::abtree::{AbTree, AbTreeConfig};
-use threepath::bst::{Bst, BstConfig};
-use threepath::core::{PathKind, PathStats, Strategy};
+use threepath::abtree::AbTree;
+use threepath::bst::Bst;
+use threepath::core::{PathKind, PathStats, Strategy, TemplateConfig};
 use threepath::htm::{HtmConfig, SplitMix64};
 use threepath::sharded::{RouterKind, ShardBackend, ShardTree, ShardedConfig, ShardedMap};
 
@@ -152,13 +152,13 @@ fn readers_race_updaters_abtree_all_strategies() {
 /// pair must always be value-consistent.
 #[test]
 fn extremes_race_updaters_on_both_backends() {
-    let bst = Arc::new(Bst::with_config(BstConfig {
+    let bst = Arc::new(Bst::with_config(TemplateConfig {
         htm: HtmConfig::default().with_spurious(0.3),
-        ..BstConfig::default()
+        ..TemplateConfig::default()
     }));
-    let ab = Arc::new(AbTree::with_config(AbTreeConfig {
+    let ab = Arc::new(AbTree::with_config(TemplateConfig {
         htm: HtmConfig::default().with_spurious(0.3),
-        ..AbTreeConfig::default()
+        ..TemplateConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {

@@ -29,9 +29,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use threepath::abtree::{AbTree, AbTreeConfig, AbTreeHandle};
-use threepath::bst::{Bst, BstConfig, BstHandle};
-use threepath::core::{PathKind, PathLimits, Strategy};
+use threepath::abtree::{AbTree, AbTreeHandle};
+use threepath::bst::{Bst, BstHandle};
+use threepath::core::{PathKind, PathLimits, Strategy, TemplateConfig};
 use threepath::htm::{HtmConfig, SplitMix64};
 use threepath::llxscx::ScxRecord;
 
@@ -116,11 +116,11 @@ trait Tree: Send + Sync + Sized + 'static {
 impl Tree for Bst {
     type Handle = BstHandle;
     fn build(case: &Case) -> Self {
-        Bst::with_config(BstConfig {
+        Bst::with_config(TemplateConfig {
             strategy: case.strategy,
             htm: case.htm(),
             limits: case.limits,
-            ..BstConfig::default()
+            ..TemplateConfig::default()
         })
     }
     fn handle(tree: &Arc<Self>) -> BstHandle {
@@ -144,11 +144,11 @@ impl Tree for Bst {
 impl Tree for AbTree {
     type Handle = AbTreeHandle;
     fn build(case: &Case) -> Self {
-        AbTree::with_config(AbTreeConfig {
+        AbTree::with_config(TemplateConfig {
             strategy: case.strategy,
             htm: case.htm(),
             limits: case.limits,
-            ..AbTreeConfig::default()
+            ..TemplateConfig::default()
         })
     }
     fn handle(tree: &Arc<Self>) -> AbTreeHandle {
