@@ -26,7 +26,7 @@ use threepath_htm::Abort;
 use threepath_llxscx::ScxArgs;
 
 use crate::node::{AbNode, NodeView, B};
-use crate::ops::{llx_edge, route};
+use crate::ops::llx_edge;
 
 /// The first violation on a key's path.
 pub(crate) struct Violation {
@@ -54,25 +54,21 @@ pub(crate) fn find_violation<R: TxRead>(
     loop {
         // SAFETY: reachable under the operation's epoch pin.
         let un = unsafe { &*u };
-        let size = r.read(un.size_cell())? as usize;
-        if un.tagged {
+        // A leaf's size changes in place; an internal node's never does
+        // (see `AbNode::route`).
+        let size = if un.leaf {
+            r.read(un.size_cell())? as usize
+        } else {
+            un.size_plain()
+        };
+        if un.tagged || (size < a && p != entry) {
             return Ok(Some(Violation {
                 gp,
                 gp_idx,
                 p,
                 p_idx,
                 u,
-                tagged: true,
-            }));
-        }
-        if size < a && p != entry {
-            return Ok(Some(Violation {
-                gp,
-                gp_idx,
-                p,
-                p_idx,
-                u,
-                tagged: false,
+                tagged: un.tagged,
             }));
         }
         if un.leaf {
@@ -81,7 +77,7 @@ pub(crate) fn find_violation<R: TxRead>(
         gp = p;
         gp_idx = p_idx;
         p = u;
-        p_idx = route(r, un, size, key)?;
+        p_idx = un.route(key);
         u = r.read_ptr(un.ptr_cell(p_idx))?;
     }
 }

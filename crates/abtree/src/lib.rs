@@ -15,6 +15,11 @@
 //! lines; this is why the (a,b)-tree profits even more than the BST from
 //! the fast path's in-place updates (no node copies on the common path).
 //!
+//! Transactions track only cells that can change: child edges, leaf cells
+//! and `marked`. Every point descent routes on an internal node's
+//! immutable size and keys with plain loads, one tracked edge per level;
+//! range queries and extrema still read whole nodes through the mode.
+//!
 //! # Example
 //!
 //! ```

@@ -19,12 +19,12 @@ pub const MAX_KEY: u64 = u64::MAX - 1;
 /// An (a,b)-tree node.
 ///
 /// `leaf` and `tagged` are immutable (structure changes replace nodes).
-/// For internal nodes, `keys` and `size` are also immutable — only the
-/// child pointers in `ptrs` (the LLX mutable fields) ever change, and only
-/// through SCX. Leaves are updated **in place** by the HTM fast path
-/// (keys, values and size), which is safe because the fast path never runs
-/// concurrently with the software path and transactional conflict
-/// detection covers the middle path.
+/// For internal nodes, `keys` and `size` are also immutable (see
+/// [`AbNode::route`]) — only the child pointers in `ptrs` (the LLX mutable
+/// fields) ever change, one whole edge at a time. Leaves are updated **in
+/// place** by the HTM fast path (keys, values and size), which is safe
+/// because the fast path never runs concurrently with the software path
+/// and transactional conflict detection covers the middle path.
 #[repr(C)]
 pub(crate) struct AbNode {
     pub(crate) hdr: ScxHeader,
@@ -113,17 +113,39 @@ impl AbNode {
         &self.keys[i]
     }
 
-    /// The first `n` key cells.
-    pub(crate) fn key_cells(&self, n: usize) -> &[TxCell] {
-        &self.keys[..n]
-    }
-
     pub(crate) fn size_cell(&self) -> &TxCell {
         &self.size
     }
 
     pub(crate) fn ver_cell(&self) -> &TxCell {
         &self.ver
+    }
+
+    /// The routing step of every descent: the index of this internal
+    /// node's child covering `key`, each routing key read at most once.
+    ///
+    /// **Size and keys are plain loads on every path.** They are written
+    /// only while the node is private (`AbNode::new_*`: `ops` and `fix`
+    /// change a published internal node's child edges and header only),
+    /// and the node is published by a release store of a child edge (a
+    /// transaction's write-back, `store_direct` or SCX's `cas_direct`).
+    /// Every reader reaches it through an acquire read of such an edge
+    /// (`Txn::read` or `load_direct`; a node the reader's own transaction
+    /// made is read in program order), so a relaxed load returns the one
+    /// value the cell ever holds. Inside a transaction that edge is
+    /// tracked: either the child was live at the read version or
+    /// validation aborts (the optimistic reader re-validates it instead).
+    /// The epoch pin keeps a node live at that point from being recycled
+    /// under the descent. Only the chosen edge is read through the mode.
+    pub(crate) fn route(&self, key: u64) -> usize {
+        debug_assert!(!self.leaf, "leaves do not route");
+        let size = self.size_plain();
+        debug_assert!((1..=B).contains(&size));
+        let mut i = 0;
+        while i + 1 < size && key >= self.key_plain(i) {
+            i += 1;
+        }
+        i
     }
 
     /// Read-ahead hint for an optimistic reader about to visit `p`: all
@@ -134,7 +156,8 @@ impl AbNode {
         rt.prefetch(p.cast(), std::mem::size_of::<AbNode>());
     }
 
-    // Quiescent plain readers (validation / drop / collect).
+    // Plain readers: quiescent (validation / drop / collect), or of an
+    // internal node's immutable cells (see `route`).
     pub(crate) fn size_plain(&self) -> usize {
         self.size.load_plain() as usize
     }

@@ -12,7 +12,7 @@
 //! operation creates.
 
 use threepath_core::{BatchOp, Mem, OpOutcome, ReadOp, SeqOp, TemplateMode, TemplateOp, TxRead};
-use threepath_htm::{line_runs, Abort};
+use threepath_htm::Abort;
 use threepath_llxscx::{LlxHandle, ScxArgs};
 
 use crate::node::{AbNode, NodeView, B, MAX_KEY};
@@ -28,31 +28,9 @@ pub(crate) struct AbFound {
     pub l: *mut AbNode,
 }
 
-/// Routing step: index of the child of `n` (degree `size`) covering
-/// `key`. The routing keys are read one cache line at a time, stopping at
-/// the line that holds the first key above `key`: the lines read are
-/// exactly those a key-by-key scan reads, never one more.
-pub(crate) fn route<R: TxRead>(
-    r: &mut R,
-    n: &AbNode,
-    size: usize,
-    key: u64,
-) -> Result<usize, Abort> {
-    debug_assert!((1..=B).contains(&size));
-    let mut keys = [0u64; B];
-    let mut i = 0;
-    for run in line_runs(n.key_cells(size.saturating_sub(1))) {
-        let got = &mut keys[i..i + run.len()];
-        r.read_span(run, got)?;
-        if let Some(j) = got.iter().position(|&k| key < k) {
-            return Ok(i + j);
-        }
-        i += run.len();
-    }
-    Ok(i)
-}
-
-/// Descends from the entry node to the leaf covering `key`.
+/// Descends from the entry node to the leaf covering `key`. Only the
+/// followed edges are read through `r`; routing is plain (see
+/// [`AbNode::route`]).
 pub(crate) fn search_ab<R: TxRead>(
     r: &mut R,
     entry: *mut AbNode,
@@ -66,8 +44,7 @@ pub(crate) fn search_ab<R: TxRead>(
     while !unsafe { &*l }.leaf {
         p = l;
         let n = unsafe { &*p };
-        let size = r.read(n.size_cell())? as usize;
-        p_idx = route(r, n, size, key)?;
+        p_idx = n.route(key);
         l = r.read_ptr(n.ptr_cell(p_idx))?;
     }
     Ok(AbFound { p, p_idx, l })
@@ -513,26 +490,23 @@ mod tests {
     #[repr(C, align(64))]
     struct Lined(AbNode);
 
-    /// The cells the key-by-key descent read before spans: the root edge;
-    /// per internal node its size, the routing keys up to the first one
-    /// above `key`, and the chosen edge; then the leaf's size, keys and
-    /// values, and the `ver` an in-place insert reads.
-    fn per_cell_insert_reads(entry: &AbNode, key: u64) -> Vec<*const TxCell> {
+    /// The cells a fast-path insert reads: the entry edge; per internal
+    /// node only the chosen edge (its size and routing keys are immutable
+    /// and read plainly, see [`AbNode::route`]); then the leaf's size,
+    /// keys and values, and the `ver` an in-place insert reads. Also the
+    /// internal nodes on the path.
+    fn per_cell_insert_reads(entry: &AbNode, key: u64) -> (Vec<*const TxCell>, Vec<&AbNode>) {
         // SAFETY (both derefs): test-owned nodes, alive for the whole test.
         let mut cells: Vec<*const TxCell> = vec![entry.ptr_cell(0)];
+        let mut path = Vec::new();
         let mut n = unsafe { &*(entry.ptr_plain(0) as *const AbNode) };
         while !n.leaf {
-            cells.push(n.size_cell());
-            let size = n.size_plain();
-            let mut i = 0;
-            while i + 1 < size {
-                cells.push(n.key_cell(i));
-                if key < n.key_plain(i) {
-                    break;
-                }
-                i += 1;
-            }
+            // Child i covers [keys[i-1], keys[i]): skip the keys <= `key`.
+            let i = (0..n.size_plain() - 1)
+                .take_while(|&i| n.key_plain(i) <= key)
+                .count();
             cells.push(n.ptr_cell(i));
+            path.push(n);
             n = unsafe { &*(n.ptr_plain(i) as *const AbNode) };
         }
         cells.push(n.size_cell());
@@ -540,15 +514,16 @@ mod tests {
         cells.extend((0..size).map(|i| n.key_cell(i) as *const TxCell));
         cells.extend((0..size).map(|i| n.ptr_cell(i) as *const TxCell));
         cells.push(n.ver_cell());
-        cells
+        (cells, path)
     }
 
     /// A fast-path insert on a fixed 3-level tree records exactly the
-    /// lines of the cells the key-by-key descent read: reading by line
-    /// changes the cost of a read set, not its contents. A route decided
-    /// by a key on the root's first key line leaves the second unread.
+    /// lines of the cells [`per_cell_insert_reads`] lists, and no
+    /// routing-key line that holds no chosen edge: reading one after the
+    /// insert grows the read set by one line.
     #[test]
     fn fast_path_insert_reads_the_per_cell_lines() {
+        use std::collections::HashSet;
         use std::sync::Arc;
         use threepath_core::{Effects, TxMem};
         use threepath_reclaim::{Domain, ReclaimMode};
@@ -570,12 +545,7 @@ mod tests {
         let keys: Vec<u64> = (1..16).map(|i| 100 * i).collect();
         let root = node(AbNode::new_internal(&keys, &mids, false)) as *mut AbNode;
         let entry = node(AbNode::new_internal(&[], &[root as u64], false)) as *mut AbNode;
-        // The first routing key on the root's second key line.
-        let line = |c: &TxCell| c as *const TxCell as usize / threepath_htm::LINE_BYTES;
-        let r = unsafe { &*root };
-        let second = (0..15)
-            .find(|&i| line(r.key_cell(i)) != line(r.key_cell(0)))
-            .unwrap();
+        let line = |c: *const TxCell| c as usize / threepath_htm::LINE_BYTES;
 
         // A 2^20-entry line table: distinct lines of one node never share
         // a version word here.
@@ -588,34 +558,60 @@ mod tests {
         let _pin = ctx.pin();
         let mut th = rt.register_thread();
         let mut eff = Effects::new();
-        // Key 15 routes on keys[0]; key 1475 reads the root's keys up to
-        // keys[14], across every key line.
+        // Key 15 takes the root's first edge, key 1475 its second-last.
         for key in [15, 1475] {
-            let old = per_cell_insert_reads(unsafe { &*entry }, key);
+            let (cells, path) = per_cell_insert_reads(unsafe { &*entry }, key);
+            assert_eq!(path.len(), 2, "root and mid route");
+            // One key cell per routing-key line that holds no read cell,
+            // with the depth of its node.
+            let mut seen: HashSet<usize> = cells.iter().map(|&c| line(c)).collect();
+            let mut unread: Vec<(usize, &TxCell)> = Vec::new();
+            for (d, n) in path.iter().enumerate() {
+                for i in 0..n.size_plain() - 1 {
+                    if seen.insert(line(n.key_cell(i))) {
+                        unread.push((d, n.key_cell(i)));
+                    }
+                }
+            }
+            assert!(
+                unread.iter().any(|&(d, _)| d == 0),
+                "key {key}: the root has a key line without a chosen edge"
+            );
             let want = rt
                 .attempt(&mut th, |tx| {
-                    for &c in &old {
+                    for &c in &cells {
                         tx.read(unsafe { &*c })?;
                     }
-                    let lines = tx.footprint().0;
-                    tx.read(r.key_cell(second))?;
-                    Ok((lines, tx.footprint().0 - lines))
+                    Ok(tx.footprint().0)
                 })
                 .unwrap();
-            let got = rt
+            let (got, added) = rt
                 .attempt(&mut th, |tx| {
                     let mut m = TxMem::new(tx, &mut eff, &ctx);
                     let f = search_ab(&mut m, entry, key)?;
                     assert_eq!(insert_seq(&mut m, entry, &f, key, 9, false)?, (None, false));
                     let lines = m.txn().footprint().0;
-                    m.read(r.key_cell(second))?;
-                    Ok((lines, m.txn().footprint().0 - lines))
+                    let mut added = Vec::new();
+                    for &(_, c) in &unread {
+                        let before = m.txn().footprint().0;
+                        m.read(c)?;
+                        added.push(m.txn().footprint().0 - before);
+                    }
+                    Ok((lines, added))
                 })
                 .unwrap();
-            assert_eq!(got, want, "key {key}: (lines, added by keys[{second}])");
-            if key == 15 {
-                assert_eq!(got.1, 1, "the second key line was read");
-            }
+            assert_eq!(got, want, "key {key}: lines read");
+            let leaf_lines: HashSet<usize> =
+                cells[1 + path.len()..].iter().map(|&c| line(c)).collect();
+            assert_eq!(
+                got,
+                1 + path.len() + leaf_lines.len(),
+                "key {key}: one line per level"
+            );
+            assert!(
+                added.iter().all(|&a| a == 1),
+                "key {key}: a routing-key line without a chosen edge was read: {added:?}"
+            );
         }
     }
 }

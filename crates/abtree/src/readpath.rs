@@ -38,17 +38,9 @@
 //! either the reader's edge re-check fails, or the reader ran entirely
 //! before the swing. Internal nodes are never mutated in place at all.
 //!
-//! **Routing keys are plain loads.** An internal node's `size` and keys
-//! are written only while the node is still private (`AbNode::new_*`),
-//! and the node is published by a release store of a child edge (a
-//! transaction's write-back, `store_direct`, or SCX's `cas_direct`). The
-//! reader reaches it only through a `load_direct` of such an edge, which
-//! is an acquire load followed by an acquire fence, so the initialising
-//! stores happen-before every later load of those cells — a relaxed
-//! `load_plain` returns the one value they ever hold. The epoch pin keeps
-//! the node from being recycled (and so re-initialised) under the reader.
-//! A `load_direct` would add only its line-table seqlock probe (one more
-//! miss per line) and a fence per key. Each key is read once, as
+//! **Routing keys are plain loads**, here as on every other descent:
+//! [`AbNode::route`] states why an internal node's `size` and keys need
+//! neither tracking nor re-validation. Each key is read once, as
 //! [`leaf_view_optimistic`] already reads leaf contents.
 //!
 //! **Prefetch.** After loading a child edge the descent issues
@@ -111,17 +103,6 @@ impl Trace {
             unsafe { &*cell }.load_direct(rt) == value
         })
     }
-}
-
-/// Routing step over an internal node, each routing key read at most once
-/// with a plain load (see the module docs for why that suffices).
-fn route(n: &AbNode, key: u64) -> usize {
-    let size = n.size_cell().load_plain() as usize;
-    let mut i = 0;
-    while i + 1 < size && key >= n.key_cell(i).load_plain() {
-        i += 1;
-    }
-    i
 }
 
 /// One optimistic seqlock read of leaf `l`'s logical content, returning
@@ -189,7 +170,7 @@ pub(crate) fn get_optimistic(
     }
     while !unsafe { &*cur }.leaf {
         let n = unsafe { &*cur };
-        let cell = n.ptr_cell(route(n, key));
+        let cell = n.ptr_cell(n.route(key));
         let child = cell.load_direct(rt) as *mut AbNode;
         // Issue all of the child's misses at once instead of discovering
         // them one dependent load at a time.

@@ -10,7 +10,7 @@
 //!
 //! **Memory parallelism.** Expanding an internal node reads each routing
 //! key once with a plain load (immutable and published before the edge
-//! that reached the node; the ordering argument is in `crate::readpath`'s
+//! that reached the node; the ordering argument is in [`AbNode::route`]'s
 //! docs) and, for every child overlapping the scanned subrange, loads the
 //! edge and issues [`AbNode::prefetch`] — the child's cache lines and the
 //! line-table words its direct `ver`/edge loads will probe — before the
@@ -57,8 +57,8 @@ unsafe impl ScanSource for AbScan {
         follow: &mut impl FnMut(&TxCell, *mut AbNode, u64, u64),
     ) -> Result<(), Torn> {
         let n = unsafe { &*node };
-        // Internal keys and size are immutable (plain loads, see the
-        // module docs): the routing-key subranges below are stable
+        // Internal keys and size are immutable (plain loads, see
+        // `AbNode::route`): the routing-key subranges below are stable
         // properties of this node.
         let size = n.size_cell().load_plain() as usize;
         if size == 0 || size > B {

@@ -222,10 +222,41 @@ impl AbTree {
     /// All pairs in ascending key order. Quiescent only.
     pub fn collect(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        let root = unsafe { &*self.entry }.ptr_plain(0) as *mut AbNode;
-        // SAFETY: quiescent per contract.
-        unsafe { collect_rec(root, &mut out) };
+        self.visit(|n| {
+            if n.leaf {
+                out.extend((0..n.size_plain()).map(|i| (n.key_plain(i), n.ptr_plain(i))));
+            }
+        });
         out
+    }
+
+    /// Each reachable internal node's address and routing keys (one fewer
+    /// than its degree), in key order. Quiescent only. A published
+    /// internal node's keys never change, so an address keeps its keys for
+    /// as long as it stays reachable.
+    pub fn routing_keys(&self) -> Vec<(usize, Vec<u64>)> {
+        let mut out = Vec::new();
+        self.visit(|n| {
+            if !n.leaf {
+                let keys = (0..n.size_plain() - 1).map(|i| n.key_plain(i));
+                out.push((n as *const AbNode as usize, keys.collect()));
+            }
+        });
+        out
+    }
+
+    /// Visits the reachable nodes depth-first, children left to right.
+    /// Quiescent only.
+    fn visit(&self, mut f: impl FnMut(&AbNode)) {
+        let mut stack = vec![unsafe { &*self.entry }.ptr_plain(0)];
+        while let Some(p) = stack.pop() {
+            // SAFETY: quiescent per contract.
+            let n = unsafe { &*(p as *const AbNode) };
+            f(n);
+            if !n.leaf {
+                stack.extend((0..n.size_plain()).rev().map(|i| n.ptr_plain(i)));
+            }
+        }
     }
 
     /// Structural validation: ordering against routing keys, arity bounds,
@@ -299,19 +330,6 @@ fn chunk_sizes(n: usize, target: usize, min: usize) -> Vec<usize> {
     }
     debug_assert_eq!(sizes.iter().sum::<usize>(), n);
     sizes
-}
-
-unsafe fn collect_rec(n: *mut AbNode, out: &mut Vec<(u64, u64)>) {
-    let node = unsafe { &*n };
-    if node.leaf {
-        for i in 0..node.size_plain() {
-            out.push((node.key_plain(i), node.ptr_plain(i)));
-        }
-    } else {
-        for i in 0..node.size_plain() {
-            unsafe { collect_rec(node.ptr_plain(i) as *mut AbNode, out) };
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -153,7 +153,7 @@ pub(crate) fn load_line_direct<T>(rt: &HtmRuntime, addr: usize, mut load: impl F
 
 /// Splits `cells` into its maximal runs that lie on one 64-byte line, in
 /// order. A span reader validates each run with one line-version check.
-pub fn line_runs(cells: &[TxCell]) -> impl Iterator<Item = &[TxCell]> {
+pub(crate) fn line_runs(cells: &[TxCell]) -> impl Iterator<Item = &[TxCell]> {
     let mut rest = cells;
     std::iter::from_fn(move || {
         let first = rest.first()?;

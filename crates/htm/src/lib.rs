@@ -110,7 +110,7 @@ mod sets;
 mod txn;
 
 pub use abort::{codes, Abort, AbortCode};
-pub use cell::{line_runs, TxCell, TxPtr};
+pub use cell::{TxCell, TxPtr};
 pub use config::HtmConfig;
 pub use pad::CachePadded;
 pub use rng::{fib_scatter, Backoff, SplitMix64};

@@ -9,7 +9,10 @@
 #                 persistence tests (the persist crate, the sharded map's
 #                 persist module and the facade's persist_recovery binary:
 #                 the WAL flusher thread races the writers and their
-#                 waiters) as Tier-1 builds them;
+#                 waiters) and the (a,b)-tree's correctness binary (its
+#                 key-sum stress races updaters, rebalancing and scans
+#                 over plainly routed internal nodes) as Tier-1 builds
+#                 them;
 #   release lane  the same, plus the simulated HTM's opacity tests, built
 #                 with --release: optimised timing exposes races the
 #                 debug build hides (a torn snapshot showed in 8 of 300
@@ -23,9 +26,10 @@ cd "$(dirname "$0")/.."
 tests=(--test concurrent --test scan_concurrent --test sharded_concurrent --test record_reclaim --test persist_recovery)
 wal=(-p threepath-persist)
 wal_map=(-p threepath-sharded --lib persist)
+abtree=(-p threepath-abtree --test correctness)
 opacity=(-p threepath-htm --lib opacity)
 
-for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}"; do
+for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}" "${abtree[*]}"; do
   read -ra args <<< "$lane_args"
   cargo test -q --no-run "${args[@]}"
   cargo test -q --release --no-run "${args[@]}"
@@ -47,9 +51,11 @@ for i in $(seq 1 "$n"); do
   lane debug "$i" "${tests[@]}"
   lane debug "$i" "${wal[@]}"
   lane debug "$i" "${wal_map[@]}"
+  lane debug "$i" "${abtree[@]}"
   lane release "$i" --release "${tests[@]}"
   lane release "$i" --release "${wal[@]}"
   lane release "$i" --release "${wal_map[@]}"
+  lane release "$i" --release "${abtree[@]}"
   lane release "$i" --release "${opacity[@]}"
 done
 echo "stress: $n of $n runs green on both lanes"
