@@ -57,9 +57,9 @@ impl TxCell {
     /// store invalidates a hardware transaction's read set.
     pub fn store_direct(&self, rt: &HtmRuntime, v: u64) {
         let line = rt.line_for(self.addr());
-        let _orig = lock_line(line);
+        let orig = lock_line(line);
         self.raw.store(v, Ordering::Release);
-        line.store(rt.bump_clock(), Ordering::Release);
+        line.store(rt.write_version(orig), Ordering::Release);
     }
 
     /// Compare-and-swap outside any transaction.
@@ -72,7 +72,7 @@ impl TxCell {
         let cur = self.raw.load(Ordering::Acquire);
         if cur == expected {
             self.raw.store(new, Ordering::Release);
-            line.store(rt.bump_clock(), Ordering::Release);
+            line.store(rt.write_version(orig), Ordering::Release);
             Ok(expected)
         } else {
             // Nothing changed: restore the original version so concurrent
@@ -86,10 +86,10 @@ impl TxCell {
     /// fetch-and-increment object `F` that counts fallback-path operations.
     pub fn fetch_add_direct(&self, rt: &HtmRuntime, delta: u64) -> u64 {
         let line = rt.line_for(self.addr());
-        let _orig = lock_line(line);
+        let orig = lock_line(line);
         let cur = self.raw.load(Ordering::Acquire);
         self.raw.store(cur.wrapping_add(delta), Ordering::Release);
-        line.store(rt.bump_clock(), Ordering::Release);
+        line.store(rt.write_version(orig), Ordering::Release);
         cur
     }
 
@@ -165,13 +165,15 @@ pub(crate) fn line_runs(cells: &[TxCell]) -> impl Iterator<Item = &[TxCell]> {
 }
 
 /// Spin until the line's seqlock is acquired; returns the pre-lock version.
+/// The lock is `SeqCst`, so it comes before the writer's clock load in
+/// the one order a snapshot's clock operations also take part in.
 pub(crate) fn lock_line(line: &AtomicU64) -> u64 {
     let mut spins = 0u32;
     loop {
         let v = line.load(Ordering::Acquire);
         if v & 1 == 0
             && line
-                .compare_exchange_weak(v, v | 1, Ordering::AcqRel, Ordering::Relaxed)
+                .compare_exchange_weak(v, v | 1, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
         {
             return v;

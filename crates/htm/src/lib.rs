@@ -9,8 +9,9 @@
 //! * **Atomicity and opacity** — a transaction either commits and appears to
 //!   take effect instantaneously, or aborts with no effect on shared memory.
 //!   Transactional reads never observe state inconsistent with a single
-//!   atomic snapshot (TL2-style global version clock with read-set
-//!   extension), so transaction bodies can safely follow pointers.
+//!   atomic snapshot (TL2-style global version clock, read by commits and
+//!   raised only by read-set extension), so transaction bodies can safely
+//!   follow pointers.
 //! * **Best effort** — no transaction is ever guaranteed to commit. The
 //!   runtime produces *conflict* aborts at 64-byte cache-line granularity
 //!   (including false conflicts via a hashed line table, mimicking false
@@ -45,31 +46,46 @@
 //!
 //! Every line carries a version word: even when free, odd while a
 //! committer (or a direct store) holds it. A commit locks its written
-//! lines, *then* takes its version `wv` from the global clock, validates
-//! its read set, writes back, and publishes `wv` on each line as it
-//! unlocks it. Direct stores follow the same lock-then-clock order.
+//! lines, *then* loads the global clock and takes its version as
+//! `wv = max(clock, largest pre-lock version) + 2`, validates its read
+//! set, writes back, and publishes `wv` on each line as it unlocks it.
+//! Direct stores follow the same lock-then-load order. The commit never
+//! writes the clock (TL2's GV5), so a commit whose lines no one else
+//! touches moves no cache line between cores, as in real RTM.
+//!
+//! Per-line versions strictly increase: the `+ 2` over the pre-lock
+//! version keeps two commits that read one clock value from publishing
+//! the same version on a line, so a line never changes value without
+//! changing version, and validation by version never misses a write.
 //!
 //! A transaction's snapshot `rv` is a clock value such that every line it
 //! has read is unchanged since the instant the clock read `rv`. It starts
-//! as the clock at begin (the read set is empty). A read of a line at an
-//! even version `v <= rv` is consistent at `rv`: the value is the one
-//! published at `v`, and no later commit had published on that line
-//! while the clock was at `rv`. The read only adds a line to a set that
-//! is consistent at one instant.
+//! as the clock at begin (the read set is empty). A writer that loads the
+//! clock after that instant reads a value `>= rv` and publishes above
+//! `rv`; so a commit at a version `<= rv` loaded the clock before the
+//! instant, and had locked its lines before that load. A read of a line
+//! at an even version `v <= rv` is therefore consistent at `rv`: no commit
+//! had published on that line after the instant, and any commit the
+//! snapshot counts had its lines locked by then. The read only adds a
+//! line to a set that is consistent at one instant.
 //!
 //! A line newer than the snapshot (`v > rv`) is first recorded in the
-//! read set, then the snapshot is *extended*: sample the clock as
-//! `new_rv`, re-check that every recorded line still has its recorded
-//! version, and advance `rv` to `new_rv`. The sample comes before the
-//! check, so a commit at a version `<= new_rv` had locked its lines
-//! before the sample; if it wrote a line in the set, the check sees it
-//! locked or changed and the transaction aborts. A commit at a version
-//! `> new_rv` has not published yet, as far as this snapshot goes. The
-//! line just read is in the set during the check, so a commit that lands
-//! between its load and the extension is caught too. Had the line been
-//! recorded after the extension, that commit would pass unseen and a
-//! later read of another line it wrote, at a version `<= new_rv`, would
-//! look consistent: the torn pair opacity forbids.
+//! read set, then the snapshot is *extended*: raise the clock to at least
+//! `v` (a `fetch_max`, or a plain load when the clock already covers `v`)
+//! and call the result `new_rv`, re-check that every recorded line still
+//! has its recorded version, and advance `rv` to `new_rv`. The raise
+//! comes before the check, so a commit at a version `<= new_rv` had locked
+//! its lines before it; if it wrote a line in the set, the check sees it
+//! locked or changed and the transaction aborts. The raise, not just a
+//! sample, is what keeps every later commit above `new_rv`: with a clock
+//! that commits leave alone, a sample could lie below `v`, and a commit
+//! loading the clock after the extension could publish at a version the
+//! snapshot already counts as seen. The line just read is in the set
+//! during the check, so a commit that lands between its load and the
+//! extension is caught too. Had the line been recorded after the
+//! extension, that commit would pass unseen and a later read of another
+//! line it wrote, at a version `<= new_rv`, would look consistent: the
+//! torn pair opacity forbids.
 //!
 //! So every value a transaction body sees, aborted or not, belongs to one
 //! snapshot at `rv`, and a read-only transaction commits without further
@@ -79,6 +95,15 @@
 //! seqlock reads of one line: version, load, version again, retried
 //! until the two versions match and are even. Each sees one committed
 //! state of its line; consecutive direct loads are not a snapshot.
+//!
+//! The clock moves only when a reader meets a line newer than its
+//! snapshot: a commit charges no shared write, and an extension charges
+//! at most one clock read-modify-write. [`TxThread::extensions`] counts them.
+//!
+//! The lock CAS, the clock load, the raise and the version loads that
+//! validate are `SeqCst`, so all of them take part in one total order the
+//! argument above walks; on x86 they compile to the same instructions as
+//! weaker orders would.
 //!
 //! # Example
 //!

@@ -34,12 +34,21 @@ pub struct TxThread {
     write_set: WriteSet,
     locked_buf: Vec<(u32, u64)>,
     sorted_buf: Vec<u32>,
+    extensions: u64,
 }
 
 impl TxThread {
     /// This thread's id.
     pub fn id(&self) -> ThreadId {
         self.id
+    }
+
+    /// Snapshot extensions this thread's transactions have run so far,
+    /// aborted attempts included: each is one clock raise and one
+    /// re-validation of the read set, the price of a clock that commits
+    /// never advance.
+    pub fn extensions(&self) -> u64 {
+        self.extensions
     }
 
     /// Mutable access to the thread's PRNG (used by tests for determinism).
@@ -105,6 +114,7 @@ impl HtmRuntime {
             write_set: WriteSet::with_capacity(self.cfg.write_capacity_lines),
             locked_buf: Vec::with_capacity(16),
             sorted_buf: Vec::with_capacity(16),
+            extensions: 0,
         }
     }
 
@@ -140,6 +150,7 @@ impl HtmRuntime {
             doomed,
             read_set: &mut th.read_set,
             write_set: &mut th.write_set,
+            extensions: &mut th.extensions,
         };
         let val = f(&mut tx)?;
         tx.commit(&mut th.locked_buf, &mut th.sorted_buf)?;
@@ -215,15 +226,37 @@ impl HtmRuntime {
         let _ = (p, bytes);
     }
 
+    /// The global version clock: a begin's snapshot and every writer's
+    /// version start from this load.
     #[inline]
     pub(crate) fn clock_now(&self) -> u64 {
-        self.clock.load(Ordering::Acquire)
+        self.clock.load(Ordering::SeqCst)
     }
 
-    /// Advances the global version clock, returning a fresh even version.
+    /// The version a writer publishes on the lines it has locked, whose
+    /// largest pre-lock version is `pre`. It reads the clock and never
+    /// writes it (TL2's GV5), so a commit charges no shared write. Above
+    /// the clock, it lies past every snapshot taken before this load;
+    /// above `pre`, it keeps each line's versions strictly increasing
+    /// when commits share a clock value. Call it only after the lines
+    /// are locked.
     #[inline]
-    pub(crate) fn bump_clock(&self) -> u64 {
-        self.clock.fetch_add(2, Ordering::AcqRel) + 2
+    pub(crate) fn write_version(&self, pre: u64) -> u64 {
+        self.clock_now().max(pre) + 2
+    }
+
+    /// Raises the clock to at least `v` (a line version a snapshot
+    /// extension has just met) and returns the clock after the raise:
+    /// the extended snapshot. A later writer reads a clock `>= v` and so
+    /// publishes above the snapshot. A plain load suffices when the clock
+    /// already covers `v`; only a raise pays the read-modify-write.
+    #[inline]
+    pub(crate) fn raise_clock(&self, v: u64) -> u64 {
+        let now = self.clock_now();
+        if now >= v {
+            return now;
+        }
+        self.clock.fetch_max(v, Ordering::SeqCst).max(v)
     }
 
     /// Convenience: a fused "transactional fetch-add" on a cell, used by
@@ -532,7 +565,7 @@ mod tests {
         let span = &a.0[4..20];
         for per_cell in [false, true] {
             let line = rt.line_for(a.0[8].addr());
-            let _ = crate::cell::lock_line(line);
+            let v0 = crate::cell::lock_line(line);
             let got = std::thread::scope(|s| {
                 let reader = s.spawn(|| {
                     let mut out = vec![0; span.len()];
@@ -552,7 +585,7 @@ mod tests {
                 for c in &a.0[8..16] {
                     c.raw().store(c.load_plain() + 100, Ordering::Release);
                 }
-                line.store(rt.bump_clock(), Ordering::Release);
+                line.store(rt.write_version(v0), Ordering::Release);
                 reader.join().unwrap()
             });
             let want: Vec<u64> = span.iter().map(TxCell::load_plain).collect();

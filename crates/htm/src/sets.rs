@@ -239,8 +239,12 @@ impl WriteSet {
         true
     }
 
-    /// Read-own-writes lookup.
+    /// Read-own-writes lookup. Skips the probe while nothing is buffered,
+    /// as in every search read before a transaction's first write.
     pub(crate) fn get(&self, addr: usize) -> Option<u64> {
+        if self.entries.is_empty() {
+            return None;
+        }
         self.addr_index
             .probe(fib_hash(addr as u64), |i| self.entries[i].0 == addr)
             .ok()

@@ -3,11 +3,12 @@
 //! A transaction records `(line, version)` pairs for every line it reads and
 //! buffers its writes. Reads validate against a snapshot timestamp `rv`
 //! taken from the global version clock at begin; observing a newer line
-//! triggers *read-set extension* (re-validate everything, then advance
-//! `rv`), which preserves opacity — a transaction never computes on state
-//! inconsistent with one atomic snapshot. Commit locks the written lines in
-//! sorted order, re-validates the read set, applies the buffered writes and
-//! publishes a new version from the global clock.
+//! triggers *read-set extension* (raise the clock to the line's version,
+//! re-validate everything, then advance `rv`), which preserves opacity — a
+//! transaction never computes on state inconsistent with one atomic
+//! snapshot. Commit locks the written lines in sorted order, reads (never
+//! bumps) the clock for its version, re-validates the read set, applies the
+//! buffered writes and publishes that version.
 
 use std::sync::atomic::{fence, Ordering};
 
@@ -27,6 +28,7 @@ pub struct Txn<'a> {
     pub(crate) doomed: bool,
     pub(crate) read_set: &'a mut ReadSet,
     pub(crate) write_set: &'a mut WriteSet,
+    pub(crate) extensions: &'a mut u64,
 }
 
 impl<'a> Txn<'a> {
@@ -113,7 +115,7 @@ impl<'a> Txn<'a> {
         let line = self.rt.line(li);
         let mut spins = 0usize;
         loop {
-            let v1 = line.load(Ordering::Acquire);
+            let v1 = line.load(Ordering::SeqCst);
             if v1 & 1 == 0 {
                 load();
                 fence(Ordering::Acquire);
@@ -126,7 +128,7 @@ impl<'a> Txn<'a> {
                         ReadRecord::Capacity => return Err(Abort::new(AbortCode::Capacity)),
                     }
                     if v1 > self.rv {
-                        self.extend_snapshot()?;
+                        self.extend_snapshot(v1)?;
                     }
                     return Ok(());
                 }
@@ -179,16 +181,23 @@ impl<'a> Txn<'a> {
         (self.read_set.len(), self.write_set.line_count())
     }
 
-    /// Re-validates every recorded read and advances the snapshot timestamp.
+    /// Raises the clock to `v`, the version of the line just read,
+    /// re-validates every recorded read and advances the snapshot to the
+    /// raised clock.
     ///
-    /// The clock is sampled *before* the validation: a committer locks its
-    /// lines before it takes its commit version, so any commit at a version
-    /// `<= new_rv` either shows as a changed or locked line here, or wrote
-    /// no line this transaction has read.
-    fn extend_snapshot(&mut self) -> Result<(), Abort> {
-        let new_rv = self.rt.clock_now();
+    /// The raise comes *before* the validation. A commit at a version
+    /// `<= new_rv` read the clock before the raise (after it, the clock
+    /// reads `>= new_rv` and the commit's version is above that), and it
+    /// had locked its lines before that read; so it either shows as a
+    /// changed or locked line here, or wrote no line this transaction has
+    /// read. Raising, not just sampling, is what keeps later commits above
+    /// `new_rv`: they cannot publish at a version the snapshot already
+    /// counts as seen.
+    fn extend_snapshot(&mut self, v: u64) -> Result<(), Abort> {
+        *self.extensions += 1;
+        let new_rv = self.rt.raise_clock(v);
         for (li, ver) in self.read_set.iter() {
-            let cur = self.rt.line(li).load(Ordering::Acquire);
+            let cur = self.rt.line(li).load(Ordering::SeqCst);
             if cur != ver {
                 return Err(Abort::new(AbortCode::Conflict));
             }
@@ -215,6 +224,7 @@ impl<'a> Txn<'a> {
         // Phase 1: lock written lines in sorted order.
         locked_buf.clear();
         let mut lines_buf = std::mem::take(locked_buf);
+        let mut pre = 0;
         self.write_set.sorted_lines(sorted);
         for &li in sorted.iter() {
             let line = self.rt.line(li);
@@ -223,10 +233,11 @@ impl<'a> Txn<'a> {
                 let v = line.load(Ordering::Acquire);
                 if v & 1 == 0
                     && line
-                        .compare_exchange_weak(v, v | 1, Ordering::AcqRel, Ordering::Relaxed)
+                        .compare_exchange_weak(v, v | 1, Ordering::SeqCst, Ordering::Relaxed)
                         .is_ok()
                 {
                     lines_buf.push((li, v));
+                    pre = pre.max(v);
                     ok = true;
                     break;
                 }
@@ -239,15 +250,15 @@ impl<'a> Txn<'a> {
             }
         }
 
-        // Phase 2: acquire a commit timestamp.
-        let wv = self.rt.bump_clock();
+        // Phase 2: take the commit version from a load of the clock.
+        let wv = self.rt.write_version(pre);
 
         // Phase 3: validate the read set.
         for (li, ver) in self.read_set.iter() {
             let self_locked = lines_buf.binary_search_by_key(&li, |e| e.0);
             let cur = match self_locked {
                 Ok(idx) => lines_buf[idx].1, // version before we locked it
-                Err(_) => self.rt.line(li).load(Ordering::Acquire),
+                Err(_) => self.rt.line(li).load(Ordering::SeqCst),
             };
             if cur != ver {
                 self.release(&lines_buf, None);
@@ -319,6 +330,7 @@ mod tests {
     use super::*;
     use crate::cell::lock_line;
     use crate::{HtmConfig, SplitMix64, TxThread};
+    use std::sync::Arc;
 
     /// Twelve whole lines of cells, so line boundaries sit at known
     /// indices (every eighth cell).
@@ -498,6 +510,35 @@ mod tests {
         line.store(v0, Ordering::Release);
     }
 
+    /// Commits `writes` (arena index, value) from a fresh thread and waits
+    /// for it: a writer the transaction under test cannot see coming.
+    fn commit_elsewhere(rt: &Arc<HtmRuntime>, a: &Arc<Arena>, writes: &[(usize, u64)]) {
+        let (rt, a, writes) = (rt.clone(), a.clone(), writes.to_vec());
+        std::thread::spawn(move || {
+            let mut w = rt.register_thread();
+            rt.attempt(&mut w, |tx| {
+                writes.iter().try_for_each(|&(i, v)| tx.write(&a.0[i], v))
+            })
+            .expect("an uncontended writer commits");
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// The version on the line holding arena cell `i`.
+    fn version(rt: &HtmRuntime, a: &Arena, i: usize) -> u64 {
+        rt.line(rt.line_index(a.0[i].addr()))
+            .load(Ordering::Acquire)
+    }
+
+    /// Arena indices on pairwise distinct lines of the line table.
+    fn distinct_lines(rt: &HtmRuntime, a: &Arena, idx: &[usize]) {
+        let mut lines: Vec<u32> = idx.iter().map(|&i| rt.line_index(a.0[i].addr())).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(lines.len(), idx.len(), "cells share a line");
+    }
+
     /// A commit to both `x` and `y` lands between the validated load of
     /// `x` (newer than the snapshot, so the read must extend it) and the
     /// extension. The extension has to see `x`'s line change and abort:
@@ -505,27 +546,16 @@ mod tests {
     /// of `y` would pair the old `x` with the new `y`.
     #[test]
     fn opacity_commit_between_load_and_extension_aborts() {
-        let rt = std::sync::Arc::new(HtmRuntime::new(HtmConfig::default()));
-        let a: std::sync::Arc<Arena> = std::sync::Arc::from(arena());
+        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
+        let a: Arc<Arena> = Arc::from(arena());
         let (xi, yi) = (0, 40);
-        assert_ne!(rt.line_index(a.0[xi].addr()), rt.line_index(a.0[yi].addr()));
+        distinct_lines(&rt, &a, &[xi, yi]);
         let mut th = rt.register_thread();
         let r = rt.attempt(&mut th, |tx| {
             // Give x's line a version newer than the snapshot.
             a.0[xi].store_direct(&rt, 5);
             let (rt2, a2) = (rt.clone(), a.clone());
-            seam::arm(move || {
-                std::thread::spawn(move || {
-                    let mut w = rt2.register_thread();
-                    rt2.attempt(&mut w, |tx| {
-                        tx.write(&a2.0[xi], 1000)?;
-                        tx.write(&a2.0[yi], 1000)
-                    })
-                    .expect("an uncontended writer commits");
-                })
-                .join()
-                .unwrap();
-            });
+            seam::arm(move || commit_elsewhere(&rt2, &a2, &[(xi, 1000), (yi, 1000)]));
             let x = tx.read(&a.0[xi])?;
             let y = tx.read(&a.0[yi])?;
             Ok((x, y))
@@ -536,5 +566,92 @@ mod tests {
             "torn pair"
         );
         assert_eq!((a.0[xi].load_plain(), a.0[yi].load_plain()), (1000, 1000));
+    }
+
+    /// A commit publishes `z` at clock + 2 and leaves the clock where it
+    /// was. A reader that has read `x` meets `z`'s newer line and extends
+    /// its snapshot over it. A second commit then writes `x` and `y`.
+    /// Because the extension raised the clock to `z`'s version, that
+    /// commit publishes above the extended snapshot, so the reader's read
+    /// of `y` extends again, finds `x` changed and aborts. Had the
+    /// extension only sampled the clock, the second commit would publish
+    /// `y` at a version the snapshot already counts as seen, and the
+    /// reader would pair the old `x` with the new `y`.
+    #[test]
+    fn opacity_extension_raises_the_clock_over_later_commits() {
+        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
+        let a: Arc<Arena> = Arc::from(arena());
+        let (xi, yi, zi) = (0, 40, 80);
+        distinct_lines(&rt, &a, &[xi, yi, zi]);
+        let mut th = rt.register_thread();
+        let r = rt.attempt(&mut th, |tx| {
+            let rv = tx.rv;
+            // The first commit lands right after the validated load of x.
+            let (rt2, a2) = (rt.clone(), a.clone());
+            seam::arm(move || commit_elsewhere(&rt2, &a2, &[(zi, 7)]));
+            let x = tx.read(&a.0[xi])?;
+            assert_eq!(rt.clock_now(), rv, "a commit advanced the clock");
+            assert_eq!(version(&rt, &a, zi), rv + 2, "published at clock + 2");
+            assert_eq!(tx.read(&a.0[zi])?, 7);
+            assert_eq!(tx.rv, rv + 2, "the snapshot extended over z");
+            commit_elsewhere(&rt, &a, &[(xi, 1000), (yi, 1000)]);
+            let y = tx.read(&a.0[yi])?;
+            Ok((x, y))
+        });
+        match r {
+            Err(e) => assert_eq!(e.code(), AbortCode::Conflict),
+            Ok(pair) => assert_eq!(pair, (1000, 1000), "torn pair"),
+        }
+        assert_eq!((a.0[xi].load_plain(), a.0[yi].load_plain()), (1000, 1000));
+    }
+
+    /// Two commits at one clock value rewrite `x`; the second lands
+    /// between a reader's validated load of `x` (the first commit's value)
+    /// and its extension, which re-validates the line. The second commit
+    /// publishes at its line's pre-lock version + 2, above the clock + 2
+    /// both commits read, so the line's version moves and the reader,
+    /// which would write a value computed from the overwritten `x`, aborts.
+    /// Without that term both commits publish the same version, the
+    /// change goes unseen and the reader's commit loses the update.
+    #[test]
+    fn opacity_commits_at_one_clock_value_still_change_the_version() {
+        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
+        let a: Arc<Arena> = Arc::from(arena());
+        let (xi, yi) = (0, 40);
+        distinct_lines(&rt, &a, &[xi, yi]);
+        let clock = rt.clock_now();
+        commit_elsewhere(&rt, &a, &[(xi, 1)]);
+        assert_eq!(rt.clock_now(), clock, "a commit advanced the clock");
+        let mut th = rt.register_thread();
+        let r = rt.attempt(&mut th, |tx| {
+            let (rt2, a2) = (rt.clone(), a.clone());
+            seam::arm(move || {
+                commit_elsewhere(&rt2, &a2, &[(xi, 2)]);
+                assert_eq!(rt2.clock_now(), clock, "the commits share a clock value");
+            });
+            let x = tx.read(&a.0[xi])?;
+            tx.write(&a.0[yi], x + 100)?;
+            Ok(x)
+        });
+        assert_eq!(
+            r.map_err(|e| e.code()),
+            Err(AbortCode::Conflict),
+            "lost update"
+        );
+        assert_eq!((a.0[xi].load_plain(), a.0[yi].load_plain()), (2, yi as u64));
+    }
+
+    /// Extensions are counted per thread, aborted attempts included.
+    #[test]
+    fn extensions_are_counted() {
+        let rt = HtmRuntime::new(HtmConfig::default());
+        let a = arena();
+        let mut th = rt.register_thread();
+        assert_eq!(th.extensions(), 0);
+        a.0[0].store_direct(&rt, 9);
+        rt.attempt(&mut th, |tx| tx.read(&a.0[0])).unwrap();
+        assert_eq!(th.extensions(), 1, "a line newer than the snapshot");
+        rt.attempt(&mut th, |tx| tx.read(&a.0[0])).unwrap();
+        assert_eq!(th.extensions(), 1, "the raised clock covers the line");
     }
 }

@@ -76,13 +76,34 @@ const PIN_ADVANCE_PERIOD: u64 = 64;
 /// Also try to advance whenever a limbo bag grows beyond this.
 const BAG_ADVANCE_THRESHOLD: usize = 256;
 
-/// A reclamation domain. One per data structure instance.
+/// One context's slot: its epoch announcement and its reclamation
+/// counters, padded onto lines of their own. Only the context holding the
+/// slot writes it, so retiring and freeing move no line between cores;
+/// the counters outlive the context and keep counting for the next holder.
+#[derive(Default)]
+struct Slot {
+    /// `(epoch << 1) | active`.
+    announce: AtomicU64,
+    /// Objects retired by the contexts that held this slot.
+    retired: AtomicU64,
+    /// Objects those contexts freed.
+    freed: AtomicU64,
+}
+
+/// Adds `n` to a counter of the caller's own slot. A load and a store,
+/// not a read-modify-write: the slot has one writer, and a slot changes
+/// hands through the `free_slots` mutex, which orders the two holders.
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// A reclamation domain. One per data structure instance. No field is
+/// written per operation: each context writes only its own [`Slot`].
 pub struct Domain {
     mode: ReclaimMode,
     pool_cfg: PoolConfig,
     epoch: CachePadded<AtomicU64>,
-    /// Announcement per slot: `(epoch << 1) | active`.
-    slots: Box<[CachePadded<AtomicU64>]>,
+    slots: Box<[CachePadded<Slot>]>,
     /// High-water mark of allocated slots.
     slot_hwm: AtomicUsize,
     free_slots: Mutex<Vec<usize>>,
@@ -92,8 +113,6 @@ pub struct Domain {
     orphan_chains: Mutex<Vec<OrphanChain>>,
     /// Pool counters folded in by dropped contexts.
     pool_totals: Mutex<PoolStats>,
-    retired_total: AtomicU64,
-    freed_total: AtomicU64,
     /// Arena chunks from dropped contexts. Declared last: chunk memory
     /// must outlive the orphaned `Retired`s freed in `Drop::drop` and the
     /// orphan chains above.
@@ -129,7 +148,7 @@ impl Domain {
             "pool chunk_blocks must be positive"
         );
         let mut v = Vec::with_capacity(slots);
-        v.resize_with(slots, || CachePadded::new(AtomicU64::new(0)));
+        v.resize_with(slots, CachePadded::default);
         Domain {
             mode,
             pool_cfg: pool,
@@ -140,8 +159,6 @@ impl Domain {
             orphans: Mutex::new(Vec::new()),
             orphan_chains: Mutex::new(Vec::new()),
             pool_totals: Mutex::new(PoolStats::default()),
-            retired_total: AtomicU64::new(0),
-            freed_total: AtomicU64::new(0),
             chunks: Mutex::new(Vec::new()),
         }
     }
@@ -196,7 +213,7 @@ impl Domain {
             );
             s
         });
-        domain.slots[slot].store(0, Ordering::SeqCst);
+        domain.slots[slot].announce.store(0, Ordering::SeqCst);
         let chunk_blocks = domain.pool_cfg.chunk_blocks.max(1);
         ReclaimCtx {
             domain: Arc::clone(domain),
@@ -209,15 +226,26 @@ impl Domain {
         }
     }
 
-    /// Total objects retired so far.
+    /// Total objects retired so far: the sum of every slot's count, exact
+    /// once the contexts that retire are quiet.
     pub fn retired_total(&self) -> u64 {
-        self.retired_total.load(Ordering::Relaxed)
+        self.sum_slots(|s| &s.retired)
     }
 
     /// Total objects actually freed so far (excluding domain drop). For
-    /// pooled objects "freed" means dropped in place and recycled.
+    /// pooled objects "freed" means dropped in place and recycled. Summed
+    /// over the slots like [`Self::retired_total`].
     pub fn freed_total(&self) -> u64 {
-        self.freed_total.load(Ordering::Relaxed)
+        self.sum_slots(|s| &s.freed)
+    }
+
+    fn sum_slots(&self, counter: impl Fn(&Slot) -> &AtomicU64) -> u64 {
+        // A register that found the slots exhausted still bumped the mark.
+        let hwm = self.slot_hwm.load(Ordering::Acquire).min(self.slots.len());
+        self.slots[..hwm]
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Pool counters folded in by contexts that have already dropped.
@@ -250,7 +278,7 @@ impl Domain {
         let g = self.epoch.load(Ordering::SeqCst);
         let hwm = self.slot_hwm.load(Ordering::Acquire);
         for i in 0..hwm {
-            let a = self.slots[i].load(Ordering::SeqCst);
+            let a = self.slots[i].announce.load(Ordering::SeqCst);
             if a & 1 == 1 && (a >> 1) != g {
                 return false;
             }
@@ -303,6 +331,12 @@ impl ReclaimCtx {
         &self.domain
     }
 
+    /// This context's slot, written by no other context.
+    #[inline]
+    fn slot(&self) -> &Slot {
+        &self.domain.slots[self.slot]
+    }
+
     /// Pins the current epoch; reads of shared objects are safe until the
     /// guard drops. Pinning is reentrant (nested pins are cheap no-ops).
     pub fn pin(&self) -> Guard<'_> {
@@ -310,7 +344,7 @@ impl ReclaimCtx {
         self.depth.set(depth + 1);
         if depth == 0 && self.domain.mode == ReclaimMode::Epoch {
             let e = self.domain.epoch.load(Ordering::SeqCst);
-            self.domain.slots[self.slot].store((e << 1) | 1, Ordering::SeqCst);
+            self.slot().announce.store((e << 1) | 1, Ordering::SeqCst);
             let pins = self.pin_count.get() + 1;
             self.pin_count.set(pins);
             if self.local_epoch.get() != e {
@@ -416,7 +450,7 @@ impl ReclaimCtx {
     /// context of this domain (on pooled domains the block's class is
     /// derived from `T`, which must match the allocation).
     pub unsafe fn retire_node<T: Send>(&self, ptr: *mut T) {
-        self.domain.retired_total.fetch_add(1, Ordering::Relaxed);
+        bump(&self.slot().retired, 1);
         let retired = match self.domain.class_of::<T>() {
             // SAFETY: per caller contract.
             None => unsafe { Retired::new(ptr) },
@@ -451,7 +485,7 @@ impl ReclaimCtx {
     /// Same contract as [`Self::retire`]; additionally `dtor` must be sound
     /// to call exactly once with `ptr`.
     pub unsafe fn retire_raw(&self, ptr: *mut u8, dtor: unsafe fn(*mut u8)) {
-        self.domain.retired_total.fetch_add(1, Ordering::Relaxed);
+        bump(&self.slot().retired, 1);
         let retired = Retired::from_raw(ptr, dtor);
         self.stash(retired);
     }
@@ -468,7 +502,7 @@ impl ReclaimCtx {
     /// * It must be retired at most once and never accessed by the caller
     ///   afterwards.
     pub unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        self.domain.retired_total.fetch_add(1, Ordering::Relaxed);
+        bump(&self.slot().retired, 1);
         // SAFETY: per caller contract.
         let retired = unsafe { Retired::new(ptr) };
         self.stash(retired);
@@ -490,9 +524,7 @@ impl ReclaimCtx {
                 if bag.epoch != e {
                     // The bag's previous contents are >= 3 epochs old.
                     let n = bag.settle_all(pool);
-                    self.domain
-                        .freed_total
-                        .fetch_add(n as u64, Ordering::Relaxed);
+                    bump(&self.slot().freed, n as u64);
                     bag.epoch = e;
                 }
                 bag.items.push(retired);
@@ -516,9 +548,7 @@ impl ReclaimCtx {
             }
         }
         if freed > 0 {
-            self.domain
-                .freed_total
-                .fetch_add(freed as u64, Ordering::Relaxed);
+            bump(&self.slot().freed, freed as u64);
         }
     }
 
@@ -528,7 +558,11 @@ impl ReclaimCtx {
         self.depth.set(depth - 1);
         if depth == 1 && self.domain.mode == ReclaimMode::Epoch {
             let e = self.local_epoch.get();
-            self.domain.slots[self.slot].store(e << 1, Ordering::SeqCst);
+            // Leaving the critical section only needs every access made
+            // under the pin to come before the announcement that it is
+            // over, which a release store gives (as crossbeam-epoch's
+            // unpin); only the pin's store must be `SeqCst`.
+            self.slot().announce.store(e << 1, Ordering::Release);
         }
     }
 }
@@ -556,7 +590,7 @@ impl Drop for ReclaimCtx {
         if !chains.is_empty() {
             self.domain.orphan_chains.lock().unwrap().extend(chains);
         }
-        self.domain.slots[self.slot].store(0, Ordering::SeqCst);
+        self.slot().announce.store(0, Ordering::SeqCst);
         self.domain.free_slots.lock().unwrap().push(self.slot);
     }
 }
@@ -726,6 +760,54 @@ mod tests {
         assert_eq!(d.retired_total(), total);
         drop(d);
         assert_eq!(count.load(Ordering::Relaxed) as u64, total);
+    }
+
+    /// Two threads retire known counts and settle them, then drop their
+    /// contexts; a third context reuses one of their slots. The slot sums
+    /// are exact at every quiet point: while the contexts are live, after
+    /// they drop, and after the reused slot counts on.
+    #[test]
+    fn counters_are_exact_across_threads_and_slot_reuse() {
+        /// Retires `n` counted objects, then pins until all are freed.
+        fn retire_and_settle(ctx: &ReclaimCtx, n: usize) {
+            let count = Arc::new(AtomicUsize::new(0));
+            for _ in 0..n {
+                let _g = ctx.pin();
+                retire_counter(ctx, &count);
+            }
+            while count.load(Ordering::Relaxed) < n {
+                churn(ctx, PIN_ADVANCE_PERIOD);
+            }
+        }
+        let d = Arc::new(Domain::new(ReclaimMode::Epoch));
+        let counts = [700, 1300];
+        let settled = std::sync::Barrier::new(3);
+        let checked = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for n in counts {
+                let (d, settled, checked) = (&d, &settled, &checked);
+                s.spawn(move || {
+                    let ctx = Domain::register(d);
+                    retire_and_settle(&ctx, n);
+                    settled.wait();
+                    checked.wait();
+                });
+            }
+            settled.wait();
+            assert_eq!(d.retired_total(), 2000, "contexts live");
+            assert_eq!(d.freed_total(), 2000, "contexts live");
+            checked.wait();
+        });
+        assert_eq!(d.retired_total(), 2000, "contexts dropped");
+        assert_eq!(d.freed_total(), 2000, "contexts dropped");
+        let ctx = Domain::register(&d);
+        assert!(ctx.slot < 2, "a dropped context's slot is reused");
+        retire_and_settle(&ctx, 50);
+        assert_eq!(d.retired_total(), 2050);
+        assert_eq!(d.freed_total(), 2050);
+        drop(ctx);
+        assert_eq!(d.retired_total(), 2050);
+        assert_eq!(d.freed_total(), 2050);
     }
 
     #[test]

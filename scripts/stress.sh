@@ -11,8 +11,10 @@
 #                 the WAL flusher thread races the writers and their
 #                 waiters) and the (a,b)-tree's correctness binary (its
 #                 key-sum stress races updaters, rebalancing and scans
-#                 over plainly routed internal nodes) as Tier-1 builds
-#                 them;
+#                 over plainly routed internal nodes) and the reclamation
+#                 crate's unit tests (threads retire, settle and hand
+#                 their slots on; the per-slot counters must sum exactly)
+#                 as Tier-1 builds them;
 #   release lane  the same, plus the simulated HTM's opacity tests, built
 #                 with --release: optimised timing exposes races the
 #                 debug build hides (a torn snapshot showed in 8 of 300
@@ -27,9 +29,10 @@ tests=(--test concurrent --test scan_concurrent --test sharded_concurrent --test
 wal=(-p threepath-persist)
 wal_map=(-p threepath-sharded --lib persist)
 abtree=(-p threepath-abtree --test correctness)
+reclaim=(-p threepath-reclaim --lib)
 opacity=(-p threepath-htm --lib opacity)
 
-for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}" "${abtree[*]}"; do
+for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}" "${abtree[*]}" "${reclaim[*]}"; do
   read -ra args <<< "$lane_args"
   cargo test -q --no-run "${args[@]}"
   cargo test -q --release --no-run "${args[@]}"
@@ -52,10 +55,12 @@ for i in $(seq 1 "$n"); do
   lane debug "$i" "${wal[@]}"
   lane debug "$i" "${wal_map[@]}"
   lane debug "$i" "${abtree[@]}"
+  lane debug "$i" "${reclaim[@]}"
   lane release "$i" --release "${tests[@]}"
   lane release "$i" --release "${wal[@]}"
   lane release "$i" --release "${wal_map[@]}"
   lane release "$i" --release "${abtree[@]}"
+  lane release "$i" --release "${reclaim[@]}"
   lane release "$i" --release "${opacity[@]}"
 done
 echo "stress: $n of $n runs green on both lanes"
