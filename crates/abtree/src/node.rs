@@ -1,6 +1,6 @@
 //! (a,b)-tree nodes and consistent node views.
 
-use threepath_core::{ScxNode, TxRead};
+use threepath_core::TxRead;
 use threepath_htm::{Abort, HtmRuntime, TxCell};
 use threepath_llxscx::{ScxHeader, Snapshot};
 
@@ -47,12 +47,6 @@ pub(crate) struct AbNode {
     ver: TxCell,
     pub(crate) leaf: bool,
     pub(crate) tagged: bool,
-}
-
-impl ScxNode for AbNode {
-    fn scx_header(&self) -> &ScxHeader {
-        &self.hdr
-    }
 }
 
 impl AbNode {

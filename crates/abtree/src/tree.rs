@@ -568,7 +568,6 @@ impl AbTreeHandle {
         let mut fixes = Vec::new();
         let mut combined_fixes = Vec::new();
         let (out, path) = tree.exec.run_batch(
-            &tree.eng,
             &mut self.th,
             &mut self.stats,
             ops,

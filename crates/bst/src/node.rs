@@ -1,6 +1,5 @@
 //! BST nodes: Data-records with two child pointers as their mutable fields.
 
-use threepath_core::ScxNode;
 use threepath_htm::TxCell;
 use threepath_llxscx::ScxHeader;
 
@@ -36,12 +35,6 @@ pub(crate) struct BstNode {
     /// tracks the sequential value overwrite.
     pub(crate) ver: TxCell,
     pub(crate) is_leaf: bool,
-}
-
-impl ScxNode for BstNode {
-    fn scx_header(&self) -> &ScxHeader {
-        &self.hdr
-    }
 }
 
 impl BstNode {

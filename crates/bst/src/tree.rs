@@ -371,7 +371,6 @@ impl BstHandle {
         }
         let tree = &self.tree;
         tree.exec.run_batch(
-            &tree.eng,
             &mut self.th,
             &mut self.stats,
             ops,

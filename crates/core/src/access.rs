@@ -10,7 +10,6 @@
 //! and, as direct loads, a bare `&HtmRuntime`.
 
 use threepath_htm::{Abort, HtmRuntime, TxCell, Txn};
-use threepath_llxscx::ScxHeader;
 use threepath_reclaim::ReclaimCtx;
 
 use crate::effects::Effects;
@@ -60,50 +59,6 @@ impl TxRead for &HtmRuntime {
     }
 }
 
-/// A template node: a Data-record whose LLX/SCX bookkeeping is an
-/// [`ScxHeader`]. Every node a [`Mem`] or
-/// [`TemplateMode`](crate::TemplateMode) retires is one.
-pub trait ScxNode: Send {
-    /// The node's LLX/SCX header.
-    fn scx_header(&self) -> &ScxHeader;
-}
-
-/// Retires an unlinked template node: drops the install reference its
-/// `info` field holds (see [`ScxHeader::release_install`]), then hands
-/// the node to the epoch domain (pooled nodes recycle on expiry). Every
-/// path retires through here.
-///
-/// # Safety
-///
-/// Same contract as [`ReclaimCtx::retire_node`]; and no SCX can replace
-/// the node's `info` value any more, which holds on every path once the
-/// unlink is durable (the `threepath_llxscx` crate docs give the
-/// argument per path).
-pub(crate) unsafe fn retire_scx_node<T: ScxNode>(
-    rt: &HtmRuntime,
-    reclaim: &ReclaimCtx,
-    ptr: *mut T,
-) {
-    // SAFETY: per the contract; the node is still allocated until the
-    // retirement below expires.
-    unsafe {
-        (*ptr).scx_header().release_install(rt, reclaim);
-        reclaim.retire_node(ptr);
-    }
-}
-
-/// The smallest template node, for tests that retire one.
-#[cfg(test)]
-#[derive(Default)]
-pub(crate) struct HeaderNode(pub(crate) ScxHeader);
-
-#[cfg(test)]
-impl ScxNode for HeaderNode {
-    fn scx_header(&self) -> &ScxHeader {
-        &self.0
-    }
-}
-
 /// A way of reading and writing [`TxCell`]s and retiring unlinked nodes.
 ///
 /// Direct access never fails; transactional access can abort — generic code
@@ -113,16 +68,18 @@ pub trait Mem: TxRead {
     /// Writes a cell.
     fn write(&mut self, cell: &TxCell, v: u64) -> Result<(), Abort>;
 
-    /// Schedules an unlinked node for reclamation, releasing the
-    /// SCX-record its `info` field references: immediately in direct
-    /// mode, post-commit in transactional mode. Call only on success paths
-    /// (after the unlinking write is durable or inside the transaction that
-    /// performs it).
+    /// Schedules an unlinked node for reclamation through
+    /// [`ReclaimCtx::retire_node`] (pooled nodes recycle on expiry):
+    /// immediately in direct mode, post-commit in transactional mode. Call
+    /// only on success paths (after the unlinking write is durable or
+    /// inside the transaction that performs it). A node's `info` value
+    /// references nothing that needs releasing (see
+    /// [`ScxHeader::info`](threepath_llxscx::ScxHeader::info)).
     ///
     /// # Safety
     ///
     /// Same contract as [`ReclaimCtx::retire_node`].
-    unsafe fn retire<T: ScxNode>(&mut self, ptr: *mut T);
+    unsafe fn retire<T: Send>(&mut self, ptr: *mut T);
 
     /// Allocates a node on the heap. In transactional mode the allocation
     /// is tracked and freed automatically if the attempt aborts.
@@ -183,7 +140,7 @@ impl Mem for TxMem<'_, '_> {
     fn write(&mut self, cell: &TxCell, v: u64) -> Result<(), Abort> {
         self.tx.write(cell, v)
     }
-    unsafe fn retire<T: ScxNode>(&mut self, ptr: *mut T) {
+    unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract, applied post-commit.
         unsafe { self.effects.defer_retire(ptr) };
     }
@@ -228,9 +185,9 @@ impl Mem for DirectMem<'_> {
         cell.store_direct(self.rt, v);
         Ok(())
     }
-    unsafe fn retire<T: ScxNode>(&mut self, ptr: *mut T) {
+    unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract.
-        unsafe { retire_scx_node(self.rt, self.reclaim, ptr) };
+        unsafe { self.reclaim.retire_node(ptr) };
     }
     fn alloc<T: Send>(&mut self, val: T) -> *mut T {
         self.reclaim.alloc(val)
@@ -248,7 +205,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use threepath_htm::HtmConfig;
-    use threepath_llxscx::{ScxArgs, ScxEngine, ScxThread};
     use threepath_reclaim::{Domain, ReclaimMode};
 
     fn double<M: Mem>(m: &mut M, c: &TxCell) -> Result<u64, Abort> {
@@ -293,59 +249,6 @@ mod tests {
         ctx.exit();
     }
 
-    /// A node left holding a committed record by an SCX that did not
-    /// finalize it, as the sequential paths find it when they unlink it.
-    fn node_holding_a_record(eng: &ScxEngine, th: &ScxThread) -> *mut HeaderNode {
-        let n = Box::into_raw(Box::new(HeaderNode::default()));
-        let fld = TxCell::new(0);
-        let _pin = th.reclaim.pin();
-        // SAFETY: the test owns `n`.
-        let h = eng.llx(th, unsafe { &(*n).0 }, &[]).handle().unwrap();
-        let args = ScxArgs {
-            v: &[&h],
-            r_mask: 0,
-            fld: &fld,
-            old: 0,
-            new: 1,
-        };
-        assert!(eng.scx_orig(th, &args));
-        n
-    }
-
-    #[test]
-    fn sequential_retires_release_the_record_a_node_holds() {
-        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
-        let eng = ScxEngine::new(rt.clone(), Arc::new(Domain::new(ReclaimMode::Epoch)));
-        let mut th = eng.register_thread();
-        let domain = eng.domain().clone();
-
-        // Direct mode: at once.
-        let n = node_holding_a_record(&eng, &th);
-        let before = domain.retired_total();
-        th.reclaim.enter();
-        // SAFETY: never linked anywhere; no SCX can freeze it again.
-        unsafe { DirectMem::new(&rt, &th.reclaim).retire(n) };
-        th.reclaim.exit();
-        assert_eq!(domain.retired_total(), before + 2, "node and record");
-
-        // Transactional mode: on commit.
-        let n = node_holding_a_record(&eng, &th);
-        let before = domain.retired_total();
-        th.reclaim.enter();
-        let mut eff = Effects::new();
-        let ScxThread { htm, reclaim, .. } = &mut th;
-        rt.attempt(htm, |tx| {
-            // SAFETY: as above.
-            unsafe { TxMem::new(tx, &mut eff, reclaim).retire(n) };
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(domain.retired_total(), before, "nothing before commit");
-        eff.commit(&eng, &th);
-        th.reclaim.exit();
-        assert_eq!(domain.retired_total(), before + 2, "node and record");
-    }
-
     #[test]
     fn tx_retire_applies_only_on_commit() {
         let rt = HtmRuntime::new(HtmConfig::default());
@@ -353,7 +256,7 @@ mod tests {
         let ctx = Domain::register(&domain);
         let mut th = rt.register_thread();
         let mut eff = Effects::new();
-        let p = Box::into_raw(Box::new(HeaderNode::default()));
+        let p = Box::into_raw(Box::new(0u64));
         let _: Result<(), _> = rt.attempt(&mut th, |tx| {
             let mut m = TxMem::new(tx, &mut eff, &ctx);
             // SAFETY: test owns p.

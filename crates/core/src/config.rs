@@ -10,7 +10,6 @@ use threepath_htm::{HtmConfig, HtmRuntime};
 use threepath_llxscx::ScxEngine;
 use threepath_reclaim::{Domain, PoolConfig, ReclaimCtx, ReclaimMode};
 
-use crate::access::ScxNode;
 use crate::driver::{ExecCtx, BATCH_STRATEGIES};
 use crate::strategy::{PathLimits, Strategy};
 
@@ -156,47 +155,29 @@ impl TemplateConfig {
 /// Frees a dropped tree's node graph: the nodes reachable from `root`,
 /// where `children` pushes a node's children onto the stack it is given.
 ///
-/// Nodes are plain data (no drop glue — asserted below), so a pooled
-/// tree walks its nodes only to release the SCX-records their `info`
-/// fields still hold, and only if the software path ever created one.
-/// The blocks' memory belongs to arena chunks the domain releases when it
-/// drops, after the limbo bags (where the released records then wait
-/// too). An unpooled tree also frees each node's `Box`.
+/// Nodes are plain data (no drop glue — asserted below), and their `info`
+/// fields reference nothing that needs releasing, so a pooled tree has
+/// nothing to walk: its blocks belong to arena chunks the domain releases
+/// when it drops, after the limbo bags. An unpooled tree frees each
+/// node's `Box`.
 ///
 /// # Safety
 ///
 /// The caller has exclusive access to the tree, and every node reachable
 /// through `children` was allocated through `eng`'s domain and is still
-/// linked (holds its install reference). Retired nodes released theirs
-/// when retired and sit in limbo bags, never reachable, so nothing is
-/// released or freed twice.
-pub unsafe fn drop_tree<N: ScxNode>(
-    eng: &ScxEngine,
-    root: *mut N,
-    children: impl Fn(&N, &mut Vec<*mut N>),
-) {
+/// linked. Retired nodes sit in limbo bags, never reachable, so nothing is
+/// freed twice.
+pub unsafe fn drop_tree<N>(eng: &ScxEngine, root: *mut N, children: impl Fn(&N, &mut Vec<*mut N>)) {
     const { assert!(!std::mem::needs_drop::<N>()) };
-    let pooled = eng.domain().class_of::<N>().is_some();
-    let release = eng.ran_scx_orig();
-    if pooled && !release {
+    if eng.domain().class_of::<N>().is_some() {
         return;
     }
-    let rt = eng.runtime();
-    let ctx = Domain::register(eng.domain());
     let mut stack = vec![root];
     while let Some(n) = stack.pop() {
         // SAFETY: per the contract, `n` is a live node of the tree.
-        let node = unsafe { &*n };
-        children(node, &mut stack);
-        if release {
-            // SAFETY: the node is linked, so the reference is its own,
-            // and the caller has exclusive access.
-            unsafe { node.scx_header().release_install(rt, &ctx) };
-        }
-        if !pooled {
-            // SAFETY: an unpooled node is its own `Box`, freed once here.
-            drop(unsafe { Box::from_raw(n) });
-        }
+        children(unsafe { &*n }, &mut stack);
+        // SAFETY: an unpooled node is its own `Box`, freed once here.
+        drop(unsafe { Box::from_raw(n) });
     }
 }
 

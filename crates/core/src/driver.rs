@@ -188,7 +188,6 @@ impl ExecCtx {
     /// commit.
     pub(crate) fn attempt_seq<T>(
         &self,
-        eng: &ScxEngine,
         th: &mut ScxThread,
         body: impl FnOnce(&mut TxMem<'_, '_>) -> Result<T, Abort>,
     ) -> Result<T, Abort> {
@@ -201,7 +200,7 @@ impl ExecCtx {
                 body(&mut mem)
             });
             if res.is_ok() {
-                eff.commit(eng, th);
+                eff.commit(&th.reclaim);
             } else {
                 // Undo: tracked allocations return to the thread's pool
                 // (the aborted transaction published nothing).
@@ -235,7 +234,7 @@ impl ExecCtx {
                 body(&mut mode)
             });
             if res.is_ok() {
-                eff.commit(eng, th);
+                eff.commit(&th.reclaim);
             } else {
                 // Undo: tracked allocations return to the thread's pool
                 // (the aborted transaction published nothing).
@@ -686,10 +685,10 @@ impl ExecCtx {
                 if outside {
                     th.pinned(|th| {
                         let f = direct(op.search(&mut &*rt));
-                        self.attempt_seq(eng, th, |m| op.seq(m, &f, true))
+                        self.attempt_seq(th, |m| op.seq(m, &f, true))
                     })
                 } else {
-                    self.attempt_seq(eng, th, |m| {
+                    self.attempt_seq(th, |m| {
                         let f = op.search(m)?;
                         op.seq(m, &f, false)
                     })
@@ -739,7 +738,7 @@ impl ExecCtx {
         let (out, _path) = self.run_op(
             th,
             stats,
-            |th| self.attempt_seq(eng, th, |m| op.walk(m)),
+            |th| self.attempt_seq(th, |m| op.walk(m)),
             |th| self.attempt_template(eng, th, |m| op.walk(m)),
             |th| loop {
                 if let Some(v) = th.pinned(|th| op.validated(eng, th)) {
@@ -780,7 +779,6 @@ impl ExecCtx {
     /// Panics if the context was not built with batching.
     pub fn run_batch<S: SeqOp>(
         &self,
-        eng: &ScxEngine,
         th: &mut ScxThread,
         stats: &mut PathStats,
         plan: &[BatchOp],
@@ -797,7 +795,7 @@ impl ExecCtx {
             stats,
             plan.len() as u64,
             |th| {
-                self.attempt_seq(eng, th, |m| {
+                self.attempt_seq(th, |m| {
                     let mut out = Vec::with_capacity(plan.len());
                     for &op in plan {
                         let s = step(op);
@@ -1024,7 +1022,7 @@ mod tests {
         let rt = exec.runtime().clone();
         // F active: fast attempts abort on their F subscription.
         exec.fallback_indicator().arrive(&rt, 0);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert_eq!(r.unwrap_err().user_code(), Some(codes::F_NONZERO));
         exec.fallback_indicator().depart(&rt, 0);
         // Lock held: a plain 3-path context subscribes only to F, but a
@@ -1032,12 +1030,12 @@ mod tests {
         // middle-path template transactions abort, so none commits over
         // a batch's serialized section.
         exec.tle_lock().acquire(&rt);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert_eq!(r.unwrap_err().user_code(), Some(codes::LOCK_HELD));
         let r: Result<(), _> = exec.attempt_template(&eng, &mut th, |_| Ok(()));
         assert_eq!(r.unwrap_err().user_code(), Some(codes::LOCK_HELD));
         exec.tle_lock().release(&rt);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert!(r.is_ok());
     }
 
@@ -1143,10 +1141,10 @@ mod tests {
         let mut th = eng.register_thread();
         let rt = exec.runtime().clone();
         exec.fallback_indicator().arrive(&rt, 0);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert_eq!(r.unwrap_err().user_code(), Some(codes::F_NONZERO));
         exec.fallback_indicator().depart(&rt, 0);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert!(r.is_ok());
     }
 
@@ -1361,7 +1359,7 @@ mod tests {
         let (v, path) = exec.run_op(
             &mut th,
             &mut stats,
-            |th| exec.attempt_seq(&eng, th, |_| Ok(3)),
+            |th| exec.attempt_seq(th, |_| Ok(3)),
             |_| panic!("a committed fast attempt never reaches the middle path"),
             |_| panic!("nor the fallback"),
             |_| panic!("nor the lock"),
@@ -1387,7 +1385,7 @@ mod tests {
         let (v, path) = exec.run_op(
             &mut th,
             &mut stats,
-            |th| exec.attempt_seq(&eng, th, |_| Ok(1)),
+            |th| exec.attempt_seq(th, |_| Ok(1)),
             |th| exec.attempt_template(&eng, th, |_| Ok(2)),
             |_| panic!("the middle path commits beside the fallback"),
             |_| 0,
@@ -1978,10 +1976,10 @@ mod tests {
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
         exec.fallback_indicator().arrive(&rt, 3);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert_eq!(r.unwrap_err().user_code(), Some(codes::F_NONZERO));
         exec.fallback_indicator().depart(&rt, 3);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert!(r.is_ok());
     }
 
@@ -2016,7 +2014,7 @@ mod tests {
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
         exec.tle_lock().acquire(&rt);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert!(r.is_ok());
         let r: Result<(), _> = exec.attempt_template(&eng, &mut th, |_| Ok(()));
         assert!(r.is_ok());
@@ -2029,11 +2027,11 @@ mod tests {
         let rt = exec.runtime().clone();
         let mut th = eng.register_thread();
         exec.fallback_indicator().arrive(&rt, 0);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert!(r.is_ok(), "TLE ignores F");
         exec.fallback_indicator().depart(&rt, 0);
         exec.tle_lock().acquire(&rt);
-        let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+        let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
         assert_eq!(r.unwrap_err().user_code(), Some(codes::LOCK_HELD));
         exec.tle_lock().release(&rt);
     }
@@ -2048,7 +2046,7 @@ mod tests {
             let mut th = eng.register_thread();
             exec.fallback_indicator().arrive(&rt, 0);
             exec.tle_lock().acquire(&rt);
-            let r: Result<(), _> = exec.attempt_seq(&eng, &mut th, |_| Ok(()));
+            let r: Result<(), _> = exec.attempt_seq(&mut th, |_| Ok(()));
             assert!(r.is_ok(), "{strategy}");
             let r: Result<(), _> = exec.attempt_template(&eng, &mut th, |_| Ok(()));
             assert!(r.is_ok(), "{strategy}");
@@ -2291,7 +2289,6 @@ mod tests {
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let (out, path) = exec.run_batch(
-            &eng,
             &mut th,
             &mut stats,
             &plan,
@@ -2318,7 +2315,6 @@ mod tests {
         let mut th = eng.register_thread();
         let mut stats = PathStats::new();
         let (out, path) = exec.run_batch(
-            &eng,
             &mut th,
             &mut stats,
             &[BatchOp::Insert(1, 0), BatchOp::Insert(2, 0)],
@@ -2343,7 +2339,6 @@ mod tests {
         let mut stats = PathStats::new();
         let cell = TxCell::new(0);
         let (out, path) = exec.run_batch(
-            &eng,
             &mut th,
             &mut stats,
             &[],

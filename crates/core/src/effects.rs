@@ -1,30 +1,23 @@
 //! Deferred side effects of transactional attempts.
 //!
-//! Code running inside a transaction must not retire nodes or release
-//! SCX-record references — the attempt may abort, leaving the structure
-//! untouched. Instead it records the intents in an [`Effects`] buffer; the
-//! attempt wrapper applies them only after the transaction commits.
+//! Code running inside a transaction must not retire nodes — the attempt
+//! may abort, leaving the structure untouched. Instead it records the
+//! retirements in an [`Effects`] buffer; the attempt wrapper applies them
+//! only after the transaction commits.
 //! Conversely, nodes *allocated* inside a transaction are tracked so an
 //! abort can free them (an aborted transaction published nothing, so they
 //! are provably unreachable — which is also why the undo path may return
 //! them to the thread's node pool immediately, with no grace period).
 
-use threepath_htm::HtmRuntime;
-use threepath_llxscx::{ScxEngine, ScxThread};
 use threepath_reclaim::ReclaimCtx;
-
-use crate::access::{retire_scx_node, ScxNode};
 
 /// A type-erased action on a pointer that needs the thread's reclamation
 /// context (to reach its node pool).
 type CtxAction = unsafe fn(*mut u8, &ReclaimCtx);
 
-/// A type-erased retirement of a template node.
-type RetireAction = unsafe fn(*mut u8, &HtmRuntime, &ReclaimCtx);
-
-unsafe fn retire_node_erased<T: ScxNode>(p: *mut u8, rt: &HtmRuntime, ctx: &ReclaimCtx) {
+unsafe fn retire_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
     // SAFETY: forwarded from `defer_retire`'s contract.
-    unsafe { retire_scx_node(rt, ctx, p as *mut T) };
+    unsafe { ctx.retire_node(p as *mut T) };
 }
 
 unsafe fn return_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
@@ -37,8 +30,7 @@ unsafe fn return_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
 /// attempt.
 #[derive(Default)]
 pub struct Effects {
-    retire: Vec<(*mut u8, RetireAction)>,
-    release_infos: Vec<u64>,
+    retire: Vec<(*mut u8, CtxAction)>,
     allocs: Vec<(*mut u8, CtxAction)>,
 }
 
@@ -49,22 +41,15 @@ impl Effects {
     }
 
     /// Defers retiring `ptr` (a node that the transaction unlinks) until
-    /// the transaction commits; the retirement first releases the
-    /// install reference the node's `info` field holds, then goes through
+    /// the transaction commits; the retirement goes through
     /// [`ReclaimCtx::retire_node`], so pooled nodes recycle.
     ///
     /// # Safety
     ///
     /// Same contract as [`ReclaimCtx::retire_node`], holding at the time
     /// [`Effects::commit`] runs.
-    pub unsafe fn defer_retire<T: ScxNode>(&mut self, ptr: *mut T) {
+    pub unsafe fn defer_retire<T: Send>(&mut self, ptr: *mut T) {
         self.retire.push((ptr as *mut u8, retire_node_erased::<T>));
-    }
-
-    /// Defers releasing the install reference of a replaced `info` value
-    /// (see [`ScxEngine::release_replaced`]).
-    pub fn defer_release_info(&mut self, info: u64) {
-        self.release_infos.push(info);
     }
 
     /// Allocates a node through `ctx` (pooled when the domain pools) and
@@ -96,29 +81,27 @@ impl Effects {
 
     /// Whether nothing was deferred or tracked.
     pub fn is_empty(&self) -> bool {
-        self.retire.is_empty() && self.release_infos.is_empty() && self.allocs.is_empty()
+        self.retire.is_empty() && self.allocs.is_empty()
     }
 
-    /// Applies the deferred actions after a successful commit. Tracked
-    /// allocations are simply released from tracking (they are now owned by
-    /// the structure).
-    pub fn commit(self, eng: &ScxEngine, th: &ScxThread) {
+    /// Applies the deferred retirements through `ctx` after a successful
+    /// commit. Tracked allocations are simply released from tracking (they
+    /// are now owned by the structure).
+    pub fn commit(self, ctx: &ReclaimCtx) {
         for (ptr, retire) in &self.retire {
             // SAFETY: per defer_retire's contract; the transaction that
             // unlinked these nodes has committed.
-            unsafe { retire(*ptr, eng.runtime(), &th.reclaim) };
+            unsafe { retire(*ptr, ctx) };
         }
-        eng.release_replaced(th, &self.release_infos);
         // self.allocs dropped without freeing: nodes are published.
     }
 
     /// Cleans up after an abort: returns tracked allocations to the pool
     /// (the transaction had no effect, so they were never published and
-    /// need no grace period) and discards deferred retirements/releases
-    /// (the nodes are still linked).
+    /// need no grace period) and discards deferred retirements (the nodes
+    /// are still linked).
     pub fn abort_cleanup(&mut self, ctx: &ReclaimCtx) {
         self.retire.clear();
-        self.release_infos.clear();
         for (ptr, ret) in self.allocs.drain(..) {
             // SAFETY: allocated by `alloc` and unpublished (attempt aborted).
             unsafe { ret(ptr, ctx) };
@@ -130,7 +113,6 @@ impl std::fmt::Debug for Effects {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Effects")
             .field("retire", &self.retire.len())
-            .field("release_infos", &self.release_infos.len())
             .field("allocs", &self.allocs.len())
             .finish()
     }
@@ -160,9 +142,8 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         let mut e = Effects::new();
         let _a = e.alloc(&ctx, DropCounter(count.clone()));
-        let r = Box::into_raw(Box::new(crate::access::HeaderNode::default()));
+        let r = Box::into_raw(Box::new(0u64));
         unsafe { e.defer_retire(r) };
-        e.defer_release_info(0);
         e.abort_cleanup(&ctx);
         assert!(e.is_empty());
         assert_eq!(count.load(Ordering::Relaxed), 1, "alloc freed on abort");

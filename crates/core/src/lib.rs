@@ -63,7 +63,7 @@ mod strategy;
 mod sync;
 mod template;
 
-pub use access::{DirectMem, Mem, ScxNode, TxMem, TxRead};
+pub use access::{DirectMem, Mem, TxMem, TxRead};
 pub use batch::{BatchApply, BatchOp};
 pub use config::{drop_tree, TemplateConfig, TemplateConfigError};
 pub use driver::{ExecCtx, LockedSection, BATCH_STRATEGIES};

@@ -6,7 +6,7 @@ use threepath_htm::{codes, Abort, TxCell, Txn};
 use threepath_llxscx::{LlxHandle, LlxResult, ScxArgs, ScxEngine, ScxHeader, ScxThread};
 use threepath_reclaim::ReclaimCtx;
 
-use crate::access::{retire_scx_node, ScxNode, TxRead};
+use crate::access::TxRead;
 use crate::effects::Effects;
 
 /// Result of one template-operation attempt body.
@@ -48,15 +48,14 @@ pub trait TemplateMode: TxRead {
 
     /// Schedules `ptr` for reclamation once the operation's success is
     /// durable (immediately on the software path, post-commit on HTM paths).
-    /// Call only after [`Self::scx`] returned `Ok(true)`.
-    ///
-    /// Like [`Mem::retire`](crate::Mem::retire), the install reference
-    /// the node's `info` field holds is released with it.
+    /// Call only after [`Self::scx`] returned `Ok(true)`. Like
+    /// [`Mem::retire`](crate::Mem::retire), it goes straight to
+    /// [`ReclaimCtx::retire_node`].
     ///
     /// # Safety
     ///
-    /// Same contract as [`threepath_reclaim::ReclaimCtx::retire_node`].
-    unsafe fn retire<T: ScxNode>(&mut self, ptr: *mut T);
+    /// Same contract as [`ReclaimCtx::retire_node`].
+    unsafe fn retire<T: Send>(&mut self, ptr: *mut T);
 
     /// Allocates a node; in transactional mode the allocation is freed
     /// automatically if the attempt aborts.
@@ -111,9 +110,9 @@ impl TemplateMode for OrigMode<'_> {
         Ok(self.eng.scx_orig(self.th, args))
     }
 
-    unsafe fn retire<T: ScxNode>(&mut self, ptr: *mut T) {
+    unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract.
-        unsafe { retire_scx_node(self.eng.runtime(), &self.th.reclaim, ptr) };
+        unsafe { self.th.reclaim.retire_node(ptr) };
     }
     fn alloc<T: Send>(&mut self, val: T) -> *mut T {
         self.th.reclaim.alloc(val)
@@ -186,15 +185,10 @@ impl TemplateMode for TxMode<'_, '_> {
 
     fn scx(&mut self, args: &ScxArgs<'_>) -> Result<bool, Abort> {
         self.eng.scx_tx(self.tx, self.tseq, args)?;
-        // The committed transaction will have replaced each frozen node's
-        // info value; release the replaced records' references then.
-        for h in args.v {
-            self.effects.defer_release_info(h.info_observed());
-        }
         Ok(true)
     }
 
-    unsafe fn retire<T: ScxNode>(&mut self, ptr: *mut T) {
+    unsafe fn retire<T: Send>(&mut self, ptr: *mut T) {
         // SAFETY: forwarded contract, applied post-commit.
         unsafe { self.effects.defer_retire(ptr) };
     }
@@ -210,36 +204,6 @@ impl TemplateMode for TxMode<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::HeaderNode;
-    use std::sync::Arc;
-    use threepath_htm::{HtmConfig, HtmRuntime};
-    use threepath_reclaim::{Domain, ReclaimMode};
-
-    #[test]
-    fn orig_retire_releases_the_record_that_finalized_the_node() {
-        let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
-        let eng = ScxEngine::new(rt, Arc::new(Domain::new(ReclaimMode::Epoch)));
-        let th = eng.register_thread();
-        let n = Box::into_raw(Box::new(HeaderNode::default()));
-        let fld = TxCell::new(0);
-        let _pin = th.reclaim.pin();
-        // SAFETY: the test owns `n` until it retires it.
-        let h = eng.llx(&th, unsafe { &(*n).0 }, &[]).handle().unwrap();
-        let args = ScxArgs {
-            v: &[&h],
-            r_mask: 0b1,
-            fld: &fld,
-            old: 0,
-            new: 1,
-        };
-        assert!(eng.scx_orig(&th, &args));
-        // The creation reference is gone; only `n`'s install holds the
-        // record, so retiring `n` retires the record too.
-        let before = eng.domain().retired_total();
-        // SAFETY: finalized, never linked anywhere.
-        unsafe { OrigMode::new(&eng, &th).retire(n) };
-        assert_eq!(eng.domain().retired_total(), before + 2);
-    }
 
     #[test]
     fn op_outcome_unwrap() {

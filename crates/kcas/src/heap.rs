@@ -45,8 +45,8 @@ pub struct KcasEntry {
 
 struct KcasDesc {
     status: TxCell,
-    /// Install reference count; creation holds 1 (same discipline as the
-    /// LLX/SCX records: a condemned descriptor is never re-installed).
+    /// Install reference count; creation holds 1 (a condemned descriptor
+    /// is never re-installed).
     refs: AtomicU64,
     len: u8,
     entries: [KcasEntry; MAX_K],
@@ -57,7 +57,7 @@ unsafe impl Send for KcasDesc {}
 unsafe impl Sync for KcasDesc {}
 
 impl KcasDesc {
-    fn try_acquire(&self) -> bool {
+    fn acquire_unless_zero(&self) -> bool {
         let mut cur = self.refs.load(Ordering::Acquire);
         loop {
             if cur == 0 {
@@ -297,7 +297,7 @@ impl KcasHeap {
         let a2 = unsafe { &*rd.a2 };
         if undecided {
             let kd = unsafe { &*(untag(rd.n2) as *const KcasDesc) };
-            if kd.try_acquire() {
+            if kd.acquire_unless_zero() {
                 if a2.cas_direct(rt, tagged, rd.n2).is_err() {
                     // Someone else completed this RDCSS; drop our ref.
                     // (Cannot be the last: an installed or in-flight k-CAS

@@ -7,7 +7,7 @@
 //! * [`KcasHeap::kcas`] — the software k-CAS of Harris, Fraser and Pratt
 //!   (DISC 2002), built from single-word CAS via RDCSS descriptors, with
 //!   helping and epoch-based descriptor reclamation (descriptors are
-//!   install-reference-counted, like the LLX/SCX records);
+//!   install-reference-counted);
 //! * [`KcasHeap::kcas_tx`] — the HTM replacement: one transaction that
 //!   validates and writes every cell, with no descriptors at all (the
 //!   optimization of Timnat, Herlihy and Petrank the paper builds on);

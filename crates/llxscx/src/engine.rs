@@ -1,7 +1,7 @@
 //! The LLX/SCX engine: original CAS-based path, HTM fast path, and the
 //! in-transaction variants.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use threepath_htm::{codes, Abort, HtmRuntime, ThreadId, TxCell, TxThread, Txn};
@@ -9,7 +9,7 @@ use threepath_reclaim::{Domain, ReclaimCtx};
 
 use crate::handle::{LlxHandle, LlxResult, ScxHeader, Snapshot};
 use crate::info::{self, classify, InfoState};
-use crate::record::{self, state, ScxRecord};
+use crate::record::{state, Records, Scx, ScxRecord, Word};
 use crate::ScxArgs;
 
 /// Default number of hardware attempts before an SCX falls back to the
@@ -25,7 +25,7 @@ pub struct ScxThread {
     /// Epoch-reclamation context. Every LLX/SCX call sequence must run
     /// under a pin from this context.
     pub reclaim: ReclaimCtx,
-    tseq: u64,
+    tseq: Cell<u64>,
     attempts: u32,
 }
 
@@ -37,10 +37,12 @@ impl ScxThread {
 
     /// Advances and returns this thread's tagged sequence number
     /// (the paper's `tseqp := tseqp + 2^{⌈log n⌉}`). Every returned value is
-    /// globally fresh, preserving property P1.
-    pub fn next_tseq(&mut self) -> u64 {
-        self.tseq = info::next_tseq(self.tseq);
-        self.tseq
+    /// globally fresh, preserving property P1; the fallback path's SCXs
+    /// take their sequence numbers from here too.
+    pub fn next_tseq(&self) -> u64 {
+        let t = info::next_tseq(self.tseq.get());
+        self.tseq.set(t);
+        t
     }
 
     /// Runs `f` with an epoch pin held, while still allowing `f` mutable
@@ -77,9 +79,8 @@ pub struct ScxEngine {
     rt: Arc<HtmRuntime>,
     domain: Arc<Domain>,
     attempt_limit: u32,
-    /// Set by the first [`Self::scx_orig`]: whether any SCX-record was
-    /// ever created.
-    ran_orig: AtomicBool,
+    /// The reusable SCX-record of each process that ran [`Self::scx_orig`].
+    records: Records,
 }
 
 impl ScxEngine {
@@ -89,7 +90,7 @@ impl ScxEngine {
             rt,
             domain,
             attempt_limit: DEFAULT_SCX_ATTEMPT_LIMIT,
-            ran_orig: AtomicBool::new(false),
+            records: Records::new(),
         }
     }
 
@@ -110,13 +111,6 @@ impl ScxEngine {
         &self.domain
     }
 
-    /// Whether [`Self::scx_orig`] ever ran, i.e. whether an `info` field
-    /// of this engine's structure may hold an SCX-record. A structure
-    /// that never took the software path has none to release on drop.
-    pub fn ran_scx_orig(&self) -> bool {
-        self.ran_orig.load(Ordering::Relaxed)
-    }
-
     /// Registers the calling thread.
     pub fn register_thread(&self) -> ScxThread {
         let htm = self.rt.register_thread();
@@ -124,28 +118,30 @@ impl ScxEngine {
         ScxThread {
             htm,
             reclaim: Domain::register(&self.domain),
-            tseq,
+            tseq: Cell::new(tseq),
             attempts: 0,
         }
     }
 
-    /// Interprets an info value as an SCX-record state (`None`/`Tagged`
-    /// behave as committed records — paper Figure 8).
-    fn state_of(&self, rinfo: u64) -> u64 {
+    /// Interprets an info value read from `hdr` as an SCX-record state
+    /// (`None`/`Tagged` behave as committed records — paper Figure 8).
+    ///
+    /// A record reference whose record has moved on to a later SCX names
+    /// a finished SCX. It finalized `hdr` if it marked it; otherwise `hdr`
+    /// is unfrozen (the SCX aborted, or committed with `hdr` outside `R`),
+    /// which `ABORTED` stands for.
+    fn state_of(&self, hdr: &ScxHeader, rinfo: u64) -> u64 {
         match classify(rinfo) {
             InfoState::None | InfoState::Tagged => state::COMMITTED,
-            // SAFETY: a record pointer read from a node's info field under
-            // the caller's epoch pin. A record is retired only once its
-            // last install reference is dropped, and a node drops its
-            // reference only when its info is replaced or when the node
-            // is retired after its unlink. So at the read either the node
-            // still held its reference, or the node was unlinked while
-            // the caller was already pinned (it could not have reached it
-            // otherwise). Either way the retirement follows the start of
-            // the pin, which defers the free.
-            InfoState::Record => unsafe { &*(rinfo as *const ScxRecord) }
-                .state
-                .load_direct(&self.rt),
+            InfoState::Record => {
+                let (pid, seq) = info::unpack_tseq(rinfo);
+                let w = self.records.get(pid).word(&self.rt);
+                w.of(seq)
+                    .unwrap_or_else(|| match hdr.is_marked_direct(&self.rt) {
+                        true => state::COMMITTED,
+                        false => state::ABORTED,
+                    })
+            }
         }
     }
 
@@ -160,7 +156,7 @@ impl ScxEngine {
         let rt = &*self.rt;
         let marked1 = hdr.marked().load_direct(rt) != 0;
         let rinfo = hdr.info().load_direct(rt);
-        let st = self.state_of(rinfo);
+        let st = self.state_of(hdr, rinfo);
         let marked2 = hdr.marked().load_direct(rt) != 0;
         if st == state::ABORTED || (st == state::COMMITTED && !marked2) {
             // r was not frozen: snapshot the mutable fields.
@@ -172,21 +168,24 @@ impl ScxEngine {
             }
         }
         // r was frozen (or changed mid-snapshot): maybe help, then classify.
-        let st2 = self.state_of(rinfo);
-        let finished = st2 == state::COMMITTED
-            || (st2 == state::IN_PROGRESS && self.help(th, rinfo as *const ScxRecord));
+        let finished = match self.state_of(hdr, rinfo) {
+            state::COMMITTED => true,
+            state::IN_PROGRESS => self.help(hdr, rinfo),
+            _ => false,
+        };
         if finished && marked1 {
             return LlxResult::Finalized;
         }
         let rinfo2 = hdr.info().load_direct(rt);
-        if self.state_of(rinfo2) == state::IN_PROGRESS {
-            self.help(th, rinfo2 as *const ScxRecord);
+        if self.state_of(hdr, rinfo2) == state::IN_PROGRESS {
+            self.help(hdr, rinfo2);
         }
         LlxResult::Fail
     }
 
     /// `SCX(V, R, fld, new)` via the original lock-free algorithm
-    /// (paper Figure 2's `SCXO`): creates an SCX-record and helps it to
+    /// (paper Figure 2's `SCXO`): describes the SCX in this thread's
+    /// SCX-record under a fresh sequence number and helps it to
     /// completion. Returns whether the SCX succeeded.
     ///
     /// Preconditions (the tree-update template's contract):
@@ -196,86 +195,105 @@ impl ScxEngine {
     /// * `args.fld` belongs to a node in `args.v`.
     pub fn scx_orig(&self, th: &ScxThread, args: &ScxArgs<'_>) -> bool {
         debug_assert!(th.reclaim.is_pinned(), "SCX requires an epoch pin");
-        if !self.ran_orig.load(Ordering::Relaxed) {
-            self.ran_orig.store(true, Ordering::Relaxed);
-        }
-        let rec = Box::into_raw(Box::new(ScxRecord::new(
-            args.v, args.r_mask, args.fld, args.old, args.new,
-        )));
-        let ok = self.help(th, rec);
-        // Drop the creation reference.
-        self.release_record(th, rec);
-        ok
+        let scx = Scx::new(args);
+        let me = info::record_ref(th.next_tseq());
+        let (pid, seq) = info::unpack_tseq(me);
+        let rec = self.records.own(pid);
+        rec.publish(&self.rt, seq, &scx);
+        let committed = self
+            .run(rec, me, &scx)
+            .expect("only its creator moves a record on to a later SCX");
+        // The record is free for the next SCX only once this one is
+        // settled (see the crate docs).
+        debug_assert_ne!(rec.word(&self.rt).state(), state::IN_PROGRESS);
+        committed
     }
 
-    /// `Help(scxPtr)` — paper Figure 2 lines 23–43, extended with install
-    /// reference counting for record reclamation (see crate docs).
-    ///
-    /// Returns whether the SCX committed.
-    fn help(&self, th: &ScxThread, rec_ptr: *const ScxRecord) -> bool {
+    /// `Help(scxPtr)` for the SCX that `rinfo`, read from `hdr.info`,
+    /// names: copies the SCX's arguments out of its record, seqlock style,
+    /// and runs [`Self::run`] on the copy. Returns whether the SCX
+    /// committed. If the record has moved on to a later SCX, this one has
+    /// finished, and `hdr`'s marked bit tells whether it finalized `hdr`
+    /// (see [`Self::state_of`]).
+    fn help(&self, hdr: &ScxHeader, rinfo: u64) -> bool {
         let rt = &*self.rt;
-        // SAFETY: see `state_of`.
-        let rec = unsafe { &*rec_ptr };
-
-        for e in rec.entries() {
-            // Hold a provisional reference across the freezing CAS so a
-            // successful install is always backed by a reference and a
-            // condemned (refcount-zero) record is never re-installed.
-            if !rec.try_acquire() {
-                // The record's SCX finished long ago and every install was
-                // already replaced; its final state is immutable.
-                return rec.state.load_direct(rt) == state::COMMITTED;
-            }
-            // SAFETY: entry headers are nodes the creator LLXed under a pin;
-            // nodes are epoch-reclaimed.
-            let hdr = unsafe { &*e.hdr };
-            match hdr.info().cas_direct(rt, e.rinfo, rec_ptr as u64) {
-                Ok(_) => {
-                    // Freezing CAS succeeded: the provisional reference now
-                    // backs the install. Whatever value we replaced loses
-                    // its install reference.
-                    self.release_info(th, e.rinfo);
+        let (pid, seq) = info::unpack_tseq(rinfo);
+        let rec = self.records.get(pid);
+        let committed = |st: u64| st == state::COMMITTED;
+        let outcome = match rec.word(rt).of(seq) {
+            Some(state::IN_PROGRESS) => {
+                #[cfg(test)]
+                seam::before_fields();
+                let scx = rec.fields();
+                // The re-check: the copy is this SCX's only if the word
+                // still names it.
+                match rec.word(rt).of(seq) {
+                    Some(state::IN_PROGRESS) => self.run(rec, rinfo, &scx),
+                    st => st.map(committed),
                 }
-                Err(actual) => {
-                    if rec.release() {
-                        // Ours was the final reference, so the creator has
-                        // already returned from `help` and the record's
-                        // state is terminal. Retire and report it.
-                        let st = rec.state.load_direct(rt);
-                        // SAFETY: last reference holder retires.
-                        unsafe { th.reclaim.retire(rec_ptr as *mut ScxRecord) };
-                        return st == state::COMMITTED;
-                    }
-                    if actual != rec_ptr as u64 {
-                        // Frozen for another SCX.
-                        if rec.all_frozen.load_direct(rt) != 0 {
-                            // Frozen check step: SCX already succeeded.
-                            return true;
-                        }
-                        // Abort step: unfreeze everything frozen for us.
-                        rec.state.store_direct(rt, state::ABORTED);
-                        return false;
-                    }
-                    // else: another helper already froze this entry for
-                    // this record; continue with the next entry.
+            }
+            st => st.map(committed),
+        };
+        outcome.unwrap_or_else(|| hdr.is_marked_direct(rt))
+    }
+
+    /// The body of `Help(scxPtr)` — paper Figure 2 lines 23–43 — for the
+    /// SCX `me` (a record reference) that `rec` describes, working from a
+    /// validated copy `scx` of its arguments.
+    ///
+    /// Every write to `rec` is a CAS that names `me`'s sequence number, so
+    /// a helper whose SCX has finished writes nothing there once the
+    /// record has moved on. Its late node writes are the ones Figure 2
+    /// already tolerates: a freezing CAS expects an `info` value that P1
+    /// never lets recur, marks are idempotent, and `old` never returns to
+    /// `fld`.
+    ///
+    /// Returns whether the SCX committed, or `None` if the record moved on
+    /// before this helper could tell.
+    fn run(&self, rec: &ScxRecord, me: u64, scx: &Scx) -> Option<bool> {
+        let rt = &*self.rt;
+        let seq = info::unpack_tseq(me).1;
+        let in_progress = Word::new(seq, state::IN_PROGRESS, false);
+        let frozen = Word::new(seq, state::IN_PROGRESS, true);
+        for (hdr, rinfo) in scx.entries() {
+            // SAFETY: the crate docs argue why every node of `V` is still
+            // allocated ("Reusing SCX-records").
+            let hdr = unsafe { &*hdr };
+            match hdr.info().cas_direct(rt, rinfo, me) {
+                Ok(_) => {}
+                // Another helper already froze this entry for this SCX.
+                Err(actual) if actual == me => {}
+                Err(_) => {
+                    // Frozen for another SCX: the frozen check step (the
+                    // SCX already succeeded), else the abort step.
+                    let aborted = Word::new(seq, state::ABORTED, false);
+                    return match rec.cas(rt, in_progress, aborted) {
+                        Ok(()) => Some(false),
+                        Err(w) => w.of(seq).map(|_| w.all_frozen()),
+                    };
                 }
             }
         }
-        // Frozen step: all of V is frozen for this record.
-        rec.all_frozen.store_direct(rt, 1);
+        // Frozen step: all of V is frozen for this SCX.
+        if let Err(w) = rec.cas(rt, in_progress, frozen) {
+            if w.of(seq)? == state::ABORTED {
+                return Some(false);
+            }
+        }
         // Mark step: set the marked bit of each r in R.
-        for (i, e) in rec.entries().iter().enumerate() {
-            if rec.r_mask & (1 << i) != 0 {
+        for (i, (hdr, _)) in scx.entries().enumerate() {
+            if scx.r_mask() & (1 << i) != 0 {
                 // SAFETY: as above.
-                unsafe { &*e.hdr }.marked().store_direct(rt, 1);
+                unsafe { &*hdr }.marked().store_direct(rt, 1);
             }
         }
         // Update CAS: exactly one helper changes fld from old to new.
+        let (fld, old, new) = scx.update();
         // SAFETY: fld belongs to a node in V (template contract).
-        let _ = unsafe { &*rec.fld }.cas_direct(rt, rec.old, rec.new);
+        let _ = unsafe { &*fld }.cas_direct(rt, old, new);
         // Commit step: finalizes R and unfreezes V \ R atomically.
-        rec.state.store_direct(rt, state::COMMITTED);
-        true
+        let _ = rec.cas(rt, frozen, Word::new(seq, state::COMMITTED, true));
+        Some(true)
     }
 
     /// One hardware attempt of the fully-optimized HTM SCX
@@ -290,7 +308,7 @@ impl ScxEngine {
     /// or conflict/capacity/spurious).
     pub fn scx_htm_attempt(&self, th: &mut ScxThread, args: &ScxArgs<'_>) -> Result<(), Abort> {
         let tseq = th.next_tseq();
-        let res = self.rt.attempt(&mut th.htm, |tx| {
+        self.rt.attempt(&mut th.htm, |tx| {
             // Read phase first, write phase second: delaying writes reduces
             // the window in which this transaction can abort others.
             for h in args.v {
@@ -309,15 +327,7 @@ impl ScxEngine {
             }
             tx.write(args.fld, args.new)?;
             Ok(())
-        });
-        if res.is_ok() {
-            // The commit replaced each node's info value: release the
-            // replaced records' install references.
-            for h in args.v {
-                self.release_info(th, h.info_observed());
-            }
-        }
-        res
+        })
     }
 
     /// `SCX` — the paper Figure 6 wrapper: try [`Self::scx_htm_attempt`]
@@ -343,6 +353,8 @@ impl ScxEngine {
     /// no helping is performed inside a transaction (it would abort the
     /// helped transaction and ourselves); an in-progress record simply
     /// yields [`LlxResult::Fail`], and the caller is expected to abort.
+    /// The record's word is read transactionally, so a reuse of the record
+    /// (or any state change) before commit aborts the transaction.
     pub fn llx_tx(
         &self,
         tx: &mut Txn<'_>,
@@ -353,8 +365,16 @@ impl ScxEngine {
         let rinfo = tx.read(hdr.info())?;
         let st = match classify(rinfo) {
             InfoState::None | InfoState::Tagged => state::COMMITTED,
-            // SAFETY: see `state_of`; the enclosing operation holds a pin.
-            InfoState::Record => tx.read(&unsafe { &*(rinfo as *const ScxRecord) }.state)?,
+            InfoState::Record => {
+                let (pid, seq) = info::unpack_tseq(rinfo);
+                let w = Word(tx.read(self.records.get(pid).word_cell())?);
+                match w.of(seq) {
+                    Some(st) => st,
+                    // Finished: see `state_of`.
+                    None if tx.read(hdr.marked())? != 0 => state::COMMITTED,
+                    None => state::ABORTED,
+                }
+            }
         };
         let marked2 = tx.read(hdr.marked())? != 0;
         if st == state::ABORTED || (st == state::COMMITTED && !marked2) {
@@ -380,9 +400,6 @@ impl ScxEngine {
     /// the enclosing transaction's read set already covers every `info`
     /// field read by the linked [`Self::llx_tx`] calls, so any change aborts
     /// the transaction at commit.
-    ///
-    /// On *commit* of the enclosing transaction the caller must call
-    /// [`Self::release_replaced`] with the handles' observed info values.
     pub fn scx_tx(&self, tx: &mut Txn<'_>, tseq: u64, args: &ScxArgs<'_>) -> Result<(), Abort> {
         for h in args.v {
             tx.write(h.header().info(), tseq)?;
@@ -395,26 +412,6 @@ impl ScxEngine {
         tx.write(args.fld, args.new)?;
         Ok(())
     }
-
-    /// Releases the install references of record pointers that a committed
-    /// transaction replaced (its `llx_tx`-observed info values).
-    pub fn release_replaced(&self, th: &ScxThread, replaced_infos: &[u64]) {
-        for &i in replaced_infos {
-            self.release_info(th, i);
-        }
-    }
-
-    /// If `old` is a record pointer, drop the install reference it held.
-    fn release_info(&self, th: &ScxThread, old: u64) {
-        if info::is_record(old) {
-            self.release_record(th, old as *mut ScxRecord);
-        }
-    }
-
-    fn release_record(&self, th: &ScxThread, rec: *mut ScxRecord) {
-        // SAFETY: the caller owns the reference and holds a pin.
-        unsafe { record::release_ref(&th.reclaim, rec) };
-    }
 }
 
 impl std::fmt::Debug for ScxEngine {
@@ -425,9 +422,37 @@ impl std::fmt::Debug for ScxEngine {
     }
 }
 
+/// A hook into [`ScxEngine::help`], for tests that make a record move on
+/// at a chosen point of a helper's read.
+#[cfg(test)]
+pub(crate) mod seam {
+    use std::cell::RefCell;
+
+    type Hook = Box<dyn FnOnce()>;
+
+    thread_local! {
+        static BEFORE_FIELDS: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` once, in this thread's next help of an in-progress SCX:
+    /// after the helper has read the record's word and before it reads
+    /// the arguments and re-checks the word.
+    pub(crate) fn arm(f: impl FnOnce() + 'static) {
+        BEFORE_FIELDS.with(|h| *h.borrow_mut() = Some(Box::new(f)));
+    }
+
+    pub(super) fn before_fields() {
+        if let Some(f) = BEFORE_FIELDS.with(|h| h.borrow_mut().take()) {
+            f();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use threepath_htm::HtmConfig;
     use threepath_reclaim::ReclaimMode;
 
@@ -645,73 +670,354 @@ mod tests {
         th.reclaim.exit();
     }
 
+    /// Starts an SCX as `th` would on the fallback path and stops right
+    /// after its first freezing CAS, as if the creator stalled there.
+    /// Returns the record reference and the arguments.
+    fn start_scx(eng: &ScxEngine, th: &ScxThread, args: &ScxArgs<'_>) -> (u64, Scx) {
+        let (me, scx) = publish_scx(eng, th, args);
+        let (hdr, rinfo) = scx.entries().next().unwrap();
+        // SAFETY: the test's nodes outlive the test body.
+        let hdr = unsafe { &*hdr };
+        hdr.info().cas_direct(eng.runtime(), rinfo, me).unwrap();
+        (me, scx)
+    }
+
+    /// Publishes an SCX in `th`'s record without freezing anything.
+    fn publish_scx(eng: &ScxEngine, th: &ScxThread, args: &ScxArgs<'_>) -> (u64, Scx) {
+        let scx = Scx::new(args);
+        let me = info::record_ref(th.next_tseq());
+        let (pid, seq) = info::unpack_tseq(me);
+        eng.records.own(pid).publish(eng.runtime(), seq, &scx);
+        (me, scx)
+    }
+
+    /// Resumes a stalled creator: runs its help to the end.
+    fn finish_scx(eng: &ScxEngine, me: u64, scx: &Scx) -> bool {
+        let rec = eng.records.get(info::unpack_tseq(me).0);
+        eng.run(rec, me, scx)
+            .expect("the creator's record cannot move on")
+    }
+
+    fn word_of(eng: &ScxEngine, me: u64) -> Word {
+        eng.records.get(info::unpack_tseq(me).0).word(eng.runtime())
+    }
+
     #[test]
     fn llx_helps_in_progress_record_to_completion() {
-        // White-box: install an InProgress record in a node's info field,
-        // then let a fresh LLX help it commit (Figure 2's helping).
+        // White-box: a creator stalls after its first freezing CAS; a
+        // fresh LLX must help its SCX commit (Figure 2's helping).
         let eng = engine();
         let th = eng.register_thread();
         let n = RegNode::new(10);
         let _pin = th.reclaim.pin();
         let h = llx_snapshot(&eng, &th, &n);
-        let rec = Box::into_raw(Box::new(ScxRecord::new(
-            &[&h],
-            0,
-            &n.cells[0],
-            10,
-            11,
-        )));
-        // Manually freeze the node for the record (as if the initiating
-        // process stalled right after its freezing CAS).
-        // SAFETY: rec is alive; we hold its creation reference.
-        unsafe { &*rec }.try_acquire(); // the install's reference
-        n.hdr
-            .info()
-            .cas_direct(eng.runtime(), h.info_observed(), rec as u64)
-            .unwrap();
+        let args = ScxArgs {
+            v: &[&h],
+            r_mask: 0,
+            fld: &n.cells[0],
+            old: 10,
+            new: 11,
+        };
+        let (me, _) = start_scx(&eng, &th, &args);
 
-        // A concurrent LLX must help the SCX finish.
         let r = eng.llx(&th, &n.hdr, &n.cells);
         assert!(r.is_fail(), "LLX during helping returns Fail");
-        assert_eq!(n.cells[0].load_direct(eng.runtime()), 11, "helped to completion");
-        // SAFETY: still alive (install reference outstanding).
         assert_eq!(
-            unsafe { &*rec }.state.load_direct(eng.runtime()),
-            state::COMMITTED
+            n.cells[0].load_direct(eng.runtime()),
+            11,
+            "helped to completion"
+        );
+        assert_eq!(
+            word_of(&eng, me).of(info::unpack_tseq(me).1),
+            Some(state::COMMITTED)
         );
 
         // And the node is usable again.
         let h2 = llx_snapshot(&eng, &th, &n);
         assert_eq!(h2.snapshot().as_slice(), &[11]);
-        // Release the creation reference (normally done by scx_orig).
-        eng.release_record(&th, rec);
     }
 
-    #[test]
-    fn records_are_reclaimed() {
-        let eng = engine();
-        let th = eng.register_thread();
-        let n = RegNode::new(0);
-        // Force the fallback path so records are actually created.
-        for i in 0..100u64 {
-            let _pin = th.reclaim.pin();
-            let h = llx_snapshot(&eng, &th, &n);
-            assert!(eng.scx_orig(
-                &th,
+    /// The helper-race fixture: one engine, a creator and a helper thread
+    /// context (both on the test's thread), and four one-field nodes.
+    /// The seam's hooks are `'static`, so they share it through an `Rc`.
+    struct Race {
+        eng: ScxEngine,
+        creator: ScxThread,
+        helper: ScxThread,
+        n: [RegNode; 4],
+    }
+
+    impl Race {
+        fn new() -> Rc<Race> {
+            let eng = engine();
+            let creator = eng.register_thread();
+            let helper = eng.register_thread();
+            creator.reclaim.enter();
+            helper.reclaim.enter();
+            Rc::new(Race {
+                eng,
+                creator,
+                helper,
+                n: std::array::from_fn(|_| RegNode::new(0)),
+            })
+        }
+
+        fn llx(&self, th: &ScxThread, i: usize) -> LlxResult {
+            self.eng.llx(th, &self.n[i].hdr, &self.n[i].cells)
+        }
+
+        /// Every node's `(info, marked, field)`.
+        fn nodes(&self) -> Vec<(u64, u64, u64)> {
+            let rt = self.eng.runtime();
+            self.n
+                .iter()
+                .map(|n| {
+                    (
+                        n.hdr.info().load_direct(rt),
+                        n.hdr.marked().load_direct(rt),
+                        n.cells[0].load_direct(rt),
+                    )
+                })
+                .collect()
+        }
+
+        /// A whole SCX by the creator on node `i` alone: `fld` 0 → `new`.
+        fn scx_on(&self, i: usize, new: u64) -> bool {
+            let h = self.llx(&self.creator, i).handle().unwrap();
+            let old = h.snapshot().get(0);
+            self.eng.scx_orig(
+                &self.creator,
                 &ScxArgs {
                     v: &[&h],
                     r_mask: 0,
-                    fld: &n.cells[0],
-                    old: i,
-                    new: i + 1,
+                    fld: &self.n[i].cells[0],
+                    old,
+                    new,
                 },
-            ));
+            )
         }
-        assert!(
-            eng.domain().retired_total() >= 99,
-            "replaced records must be retired (got {})",
-            eng.domain().retired_total()
+    }
+
+    impl Drop for Race {
+        fn drop(&mut self) {
+            self.creator.reclaim.exit();
+            self.helper.reclaim.exit();
+        }
+    }
+
+    /// Starts the creator's SCX `V = [n0, n1]`, `fld = n0` (0 → 7), with
+    /// `R` = `r_mask`, stalled after freezing n0.
+    fn stalled_two_node_scx(race: &Race, r_mask: u32) -> (u64, Scx) {
+        let h0 = race.llx(&race.creator, 0).handle().unwrap();
+        let h1 = race.llx(&race.creator, 1).handle().unwrap();
+        start_scx(
+            &race.eng,
+            &race.creator,
+            &ScxArgs {
+                v: &[&h0, &h1],
+                r_mask,
+                fld: &race.n[0].cells[0],
+                old: 0,
+                new: 7,
+            },
+        )
+    }
+
+    #[test]
+    fn helper_whose_record_is_reused_before_its_recheck_writes_nothing() {
+        let race = Race::new();
+        let (me1, scx1) = stalled_two_node_scx(&race, 0);
+        // Another SCX changes n1, so s1 must abort when it resumes.
+        let other = race.eng.register_thread();
+        other.reclaim.enter();
+        let h1 = race.llx(&other, 1).handle().unwrap();
+        assert!(race.eng.scx_orig(
+            &other,
+            &ScxArgs {
+                v: &[&h1],
+                r_mask: 0,
+                fld: &race.n[1].cells[0],
+                old: 0,
+                new: 5,
+            },
+        ));
+        other.reclaim.exit();
+
+        // The helper sees s1 in progress in n0; before it reads the
+        // arguments, s1 aborts and the creator reuses its record for s2
+        // on n2, stalled before its first freezing CAS.
+        let s2 = Rc::new(Cell::new(None));
+        let after_hook = Rc::new(RefCell::new(Vec::new()));
+        {
+            let (race, s2, after_hook) = (race.clone(), s2.clone(), after_hook.clone());
+            seam::arm(move || {
+                assert!(!finish_scx(&race.eng, me1, &scx1), "s1 aborts on n1");
+                let h2 = race.llx(&race.creator, 2).handle().unwrap();
+                s2.set(Some(publish_scx(
+                    &race.eng,
+                    &race.creator,
+                    &ScxArgs {
+                        v: &[&h2],
+                        r_mask: 0,
+                        fld: &race.n[2].cells[0],
+                        old: 0,
+                        new: 200,
+                    },
+                )));
+                *after_hook.borrow_mut() = race.nodes();
+            });
+        }
+        assert!(race.llx(&race.helper, 0).is_fail(), "n0 was frozen for s1");
+        let (me2, scx2) = s2.take().expect("the hook ran");
+        assert_eq!(
+            race.nodes(),
+            *after_hook.borrow(),
+            "the helper wrote no node"
         );
+        let seq2 = info::unpack_tseq(me2).1;
+        assert_eq!(
+            word_of(&race.eng, me2),
+            Word::new(seq2, state::IN_PROGRESS, false),
+            "the helper wrote nothing to the reused record"
+        );
+
+        // s2 completes correctly.
+        assert!(finish_scx(&race.eng, me2, &scx2), "s2 commits");
+        assert_eq!(race.n[2].cells[0].load_plain(), 200);
+        assert_eq!(race.n[0].cells[0].load_plain(), 0, "s1 changed nothing");
+        // n0 still names the finished s1, and is unfrozen.
+        let h = race.llx(&race.helper, 0).handle().unwrap();
+        assert_eq!(h.info_observed(), me1);
+    }
+
+    #[test]
+    fn helper_of_an_scx_that_committed_meanwhile_writes_nothing() {
+        let race = Race::new();
+        let (me1, scx1) = stalled_two_node_scx(&race, 0b10);
+        let after_hook = Rc::new(RefCell::new(Vec::new()));
+        {
+            let (race, after_hook) = (race.clone(), after_hook.clone());
+            seam::arm(move || {
+                assert!(finish_scx(&race.eng, me1, &scx1), "s1 commits");
+                *after_hook.borrow_mut() = race.nodes();
+            });
+        }
+        assert!(race.llx(&race.helper, 0).is_fail(), "n0 was frozen for s1");
+        assert_eq!(
+            race.nodes(),
+            *after_hook.borrow(),
+            "the helper wrote no node"
+        );
+        let seq1 = info::unpack_tseq(me1).1;
+        assert_eq!(
+            word_of(&race.eng, me1),
+            Word::new(seq1, state::COMMITTED, true)
+        );
+        let h = race.llx(&race.helper, 0).handle().unwrap();
+        assert_eq!(h.snapshot().as_slice(), &[7]);
+        assert!(race.llx(&race.helper, 1).is_finalized());
+    }
+
+    /// After s1 (`V = [n0, n1]`, `R = {n1}`, n0's field 0 → 7) committed
+    /// and the creator's record moved on: n0 is unfrozen and still names
+    /// s1, n1 is finalized, for either thread's LLX and for `llx_tx`.
+    fn assert_s1_settled(race: &Race, me1: u64) {
+        let rt = race.eng.runtime().clone();
+        assert_ne!(word_of(&race.eng, me1).seq(), info::unpack_tseq(me1).1);
+        for th in [&race.helper, &race.creator] {
+            let h = race.llx(th, 0).handle().expect("n0 is unfrozen");
+            assert_eq!((h.info_observed(), h.snapshot().get(0)), (me1, 7));
+            assert!(race.llx(th, 1).is_finalized());
+        }
+        let mut htm = rt.register_thread();
+        let (r0, r1) = rt
+            .attempt(&mut htm, |tx| {
+                let r0 = race.eng.llx_tx(tx, &race.n[0].hdr, &race.n[0].cells)?;
+                let r1 = race.eng.llx_tx(tx, &race.n[1].hdr, &race.n[1].cells)?;
+                Ok((r0, r1))
+            })
+            .unwrap();
+        assert_eq!(r0.handle().unwrap().snapshot().as_slice(), &[7]);
+        assert!(r1.is_finalized());
+    }
+
+    /// Moves the creator's record on three more times, so that its latest
+    /// SCX is committed, then aborted, then in progress, and runs `check`
+    /// in each of those states.
+    fn reuse_thrice(race: &Race, check: impl Fn()) {
+        assert!(race.scx_on(2, 20));
+        check();
+        let stale = race.llx(&race.creator, 2).handle().unwrap();
+        assert!(race.scx_on(2, 21));
+        let args = ScxArgs {
+            v: &[&stale],
+            r_mask: 0,
+            fld: &race.n[2].cells[0],
+            old: 20,
+            new: 22,
+        };
+        assert!(!race.eng.scx_orig(&race.creator, &args));
+        check();
+        let h = race.llx(&race.creator, 3).handle().unwrap();
+        let args = ScxArgs {
+            v: &[&h],
+            r_mask: 0,
+            fld: &race.n[3].cells[0],
+            old: 0,
+            new: 23,
+        };
+        let (me, scx) = start_scx(&race.eng, &race.creator, &args);
+        check();
+        assert!(finish_scx(&race.eng, me, &scx));
+    }
+
+    #[test]
+    fn llx_of_a_node_whose_record_was_reused_snapshots_or_reports_finalized() {
+        let race = Race::new();
+        let (me1, scx1) = stalled_two_node_scx(&race, 0b10);
+        {
+            let race = race.clone();
+            seam::arm(move || {
+                assert!(finish_scx(&race.eng, me1, &scx1), "s1 commits");
+                assert!(race.scx_on(2, 9), "the record moves on to s2");
+            });
+        }
+        // The helper saw n0 frozen for s1, so this LLX fails; s1 has since
+        // finished and its record describes s2.
+        assert!(race.llx(&race.helper, 0).is_fail());
+        assert_s1_settled(&race, me1);
+        reuse_thrice(&race, || assert_s1_settled(&race, me1));
+    }
+
+    #[test]
+    fn finalized_node_stays_finalized_after_its_record_is_reused() {
+        let race = Race::new();
+        let (me1, scx1) = stalled_two_node_scx(&race, 0b10);
+        // Stall s1 later: every node frozen and n1 marked, not committed.
+        let rt = race.eng.runtime().clone();
+        let (pid, seq1) = info::unpack_tseq(me1);
+        let rec = race.eng.records.get(pid);
+        let (_, rinfo1) = scx1.entries().nth(1).unwrap();
+        race.n[1].hdr.info().cas_direct(&rt, rinfo1, me1).unwrap();
+        rec.cas(
+            &rt,
+            Word::new(seq1, state::IN_PROGRESS, false),
+            Word::new(seq1, state::IN_PROGRESS, true),
+        )
+        .unwrap();
+        race.n[1].hdr.marked().store_direct(&rt, 1);
+        {
+            let race = race.clone();
+            seam::arm(move || {
+                assert!(finish_scx(&race.eng, me1, &scx1), "s1 commits");
+                assert!(race.scx_on(2, 9), "the record moves on to s2");
+            });
+        }
+        // The helper read n1 marked and frozen for s1, in progress; s1
+        // commits and the record is reused before the re-check.
+        assert!(race.llx(&race.helper, 1).is_finalized());
+        assert_s1_settled(&race, me1);
+        reuse_thrice(&race, || assert_s1_settled(&race, me1));
     }
 
     #[test]
@@ -758,8 +1064,7 @@ mod tests {
         let n = RegNode::new(3);
         th.reclaim.enter();
         let tseq = th.next_tseq();
-        let replaced = eng
-            .runtime()
+        eng.runtime()
             .clone()
             .attempt(&mut th.htm, |tx| {
                 let r = eng.llx_tx(tx, &n.hdr, &n.cells)?;
@@ -778,11 +1083,9 @@ mod tests {
                         old,
                         new: old + 1,
                     },
-                )?;
-                Ok(h.info_observed())
+                )
             })
             .unwrap();
-        eng.release_replaced(&th, &[replaced]);
         assert_eq!(n.cells[0].load_direct(eng.runtime()), 4);
         assert_eq!(
             classify(n.hdr.info().load_direct(eng.runtime())),

@@ -1,10 +1,6 @@
 //! Data-record headers, LLX snapshots and handles.
 
 use threepath_htm::{HtmRuntime, TxCell};
-use threepath_reclaim::ReclaimCtx;
-
-use crate::info;
-use crate::record::{self, ScxRecord};
 
 /// Maximum number of mutable fields a Data-record may expose to LLX
 /// (the relaxed (a,b)-tree uses `b = 16` child pointers).
@@ -27,8 +23,11 @@ impl ScxHeader {
         }
     }
 
-    /// The `info` cell (holds `0`, a tagged sequence number, or a pointer to
-    /// an SCX-record — see [`crate::InfoState`]).
+    /// The `info` cell: `0`, a tagged sequence number, or a reference to
+    /// an SCX by its creator's pid and sequence number (see
+    /// [`crate::InfoState`]). No value is a pointer, and none is ever
+    /// stored twice (property P1), so a node needs nothing released when
+    /// it is retired.
     pub fn info(&self) -> &TxCell {
         &self.info
     }
@@ -42,29 +41,6 @@ impl ScxHeader {
     /// Direct (non-transactional) read of the marked bit.
     pub fn is_marked_direct(&self, rt: &HtmRuntime) -> bool {
         self.marked.load_direct(rt) != 0
-    }
-
-    /// Drops the install reference this header's `info` field holds, if
-    /// it holds an SCX-record, and retires the record through `reclaim`
-    /// when that was the last reference. Called once, when the node that
-    /// owns the header is retired: without it the record of the SCX that
-    /// last froze the node would never be freed (see the crate docs,
-    /// "Memory reclamation of SCX-records").
-    ///
-    /// # Safety
-    ///
-    /// No SCX may replace this `info` value afterwards (the crate docs
-    /// argue why none can once the node is retired), the caller must not
-    /// have called this on the same header before, and it holds an epoch
-    /// pin of `reclaim`'s domain or has exclusive access to the
-    /// structure.
-    pub unsafe fn release_install(&self, rt: &HtmRuntime, reclaim: &ReclaimCtx) {
-        let v = self.info.load_direct(rt);
-        if info::is_record(v) {
-            // SAFETY: the install reference is the node's, and the caller
-            // gives it up per the contract above.
-            unsafe { record::release_ref(reclaim, v as *mut ScxRecord) };
-        }
     }
 }
 

@@ -1,26 +1,29 @@
 //! Encoding of `info` field values.
 //!
-//! An `info` field holds one of:
+//! An `info` field holds `0` or one word `seq | pid | kind | tag`:
 //!
 //! * `0` (**none**) — the node has never been frozen; treated as a committed
 //!   SCX-record (the node is unfrozen);
-//! * a **tagged sequence number** (least-significant bit = 1) — written by
-//!   HTM-path SCXs; also treated as committed. The tag bit distinguishes it
-//!   from a pointer because pointers to SCX-records are word-aligned. Its
-//!   payload packs the writing process's id and a per-process sequence
-//!   number, so every freeze writes a value the field never previously
-//!   contained (property P1);
-//! * a pointer to an [`ScxRecord`](crate::ScxRecord) — written by the
-//!   freezing CAS of the original (fallback-path) SCX.
+//! * a **tagged sequence number** (`kind` = 0) — written by HTM-path SCXs;
+//!   also treated as committed, with no record read;
+//! * a **record reference** (`kind` = 1) — written by the freezing CAS of
+//!   the original (fallback-path) SCX. It names the SCX by the creating
+//!   process's id, whose one reusable [`ScxRecord`](crate::ScxRecord)
+//!   describes it, and the sequence number the creator gave it.
+//!
+//! The tag bit (bit 0) is set in every non-zero value. Both kinds draw their
+//! sequence numbers from the process's one counter
+//! ([`ScxThread::next_tseq`](crate::ScxThread::next_tseq)), so no two
+//! writes of either kind ever store the same value (property P1).
 
-/// Bits reserved for the process id inside a tagged sequence number (the
-/// paper suggests 1 tag bit + 15 pid bits + 48 sequence bits on a 64-bit
-/// word).
+/// Bits reserved for the process id (the paper suggests 1 tag bit + 15 pid
+/// bits + 48 sequence bits on a 64-bit word; the kind bit leaves 47).
 pub const TSEQ_PID_BITS: u32 = 15;
 
 const TAG: u64 = 1;
-const PID_SHIFT: u32 = 1;
-const SEQ_SHIFT: u32 = 1 + TSEQ_PID_BITS;
+const KIND_RECORD: u64 = 2;
+const PID_SHIFT: u32 = 2;
+const SEQ_SHIFT: u32 = PID_SHIFT + TSEQ_PID_BITS;
 
 /// Classification of an `info` value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +32,7 @@ pub enum InfoState {
     None,
     /// A tagged sequence number: behaves like a committed record.
     Tagged,
-    /// A pointer to an [`ScxRecord`](crate::ScxRecord).
+    /// A reference to an SCX of some process's [`ScxRecord`](crate::ScxRecord).
     Record,
 }
 
@@ -38,17 +41,11 @@ pub enum InfoState {
 pub fn classify(info: u64) -> InfoState {
     if info == 0 {
         InfoState::None
-    } else if info & TAG == TAG {
+    } else if info & KIND_RECORD == 0 {
         InfoState::Tagged
     } else {
         InfoState::Record
     }
-}
-
-/// Whether `info` points to an SCX-record.
-#[inline]
-pub fn is_record(info: u64) -> bool {
-    classify(info) == InfoState::Record
 }
 
 /// Packs a tagged sequence number from a process id and sequence number.
@@ -58,7 +55,7 @@ pub fn pack_tseq(pid: u16, seq: u64) -> u64 {
     (seq << SEQ_SHIFT) | ((pid as u64) << PID_SHIFT) | TAG
 }
 
-/// Extracts `(pid, seq)` from a tagged sequence number.
+/// Extracts `(pid, seq)` from a non-zero `info` value of either kind.
 #[inline]
 pub fn unpack_tseq(tseq: u64) -> (u16, u64) {
     debug_assert_eq!(tseq & TAG, TAG);
@@ -66,6 +63,13 @@ pub fn unpack_tseq(tseq: u64) -> (u16, u64) {
         ((tseq >> PID_SHIFT) & ((1 << TSEQ_PID_BITS) - 1)) as u16,
         tseq >> SEQ_SHIFT,
     )
+}
+
+/// The record reference that shares `tseq`'s process id and sequence
+/// number.
+#[inline]
+pub(crate) fn record_ref(tseq: u64) -> u64 {
+    tseq | KIND_RECORD
 }
 
 /// The paper's `tseq := tseq + 2^{⌈log n⌉}`: advance the sequence field,
@@ -83,10 +87,8 @@ mod tests {
     fn classify_values() {
         assert_eq!(classify(0), InfoState::None);
         assert_eq!(classify(pack_tseq(3, 9)), InfoState::Tagged);
-        assert_eq!(classify(0x1000), InfoState::Record);
-        assert!(is_record(0x7f00));
-        assert!(!is_record(1));
-        assert!(!is_record(0));
+        assert_eq!(classify(record_ref(pack_tseq(3, 9))), InfoState::Record);
+        assert_eq!(unpack_tseq(record_ref(pack_tseq(3, 9))), (3, 9));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! This crate provides:
 //!
 //! * [`ScxEngine::llx`] / [`ScxEngine::scx_orig`] — the original lock-free,
-//!   CAS-based algorithm (paper Figure 2), including helping via
-//!   [`ScxRecord`]s, freezing, marking and finalization;
+//!   CAS-based algorithm (paper Figure 2), including helping via one
+//!   reusable [`ScxRecord`] per process, freezing, marking and
+//!   finalization;
 //! * [`ScxEngine::scx_htm_attempt`] — the paper's fully transformed
 //!   HTM fast path (Figure 11): no SCX-record is created; nodes are
 //!   "frozen and immediately unfrozen" by writing a fresh **tagged sequence
@@ -29,53 +30,69 @@
 //!   begin/commit, no re-validation (the enclosing transaction's read set
 //!   subsumes it), and no helping inside transactions.
 //!
-//! # Memory reclamation of SCX-records
+//! # Reusing SCX-records
 //!
-//! SCX-records are reference-counted by *installs*: creating a record holds
-//! one reference; each successful freezing CAS adds one; whatever replaces a
-//! record pointer in an `info` field releases one. When the count reaches
-//! zero the record is retired through the epoch [`Domain`] (no live `info`
-//! field references it, and any thread still holding a raw pointer is
-//! pinned).
+//! Each process that runs [`ScxEngine::scx_orig`] owns one [`ScxRecord`]
+//! per engine and reuses it for every fallback-path SCX (Brown, *Reuse,
+//! Don't Recycle*, DISC 2017). A node's `info` field never holds a pointer:
+//! its freezing CAS installs a *record reference*, `(pid, seq)` in the
+//! layout of the HTM paths' tagged sequence numbers plus a kind bit, with
+//! `seq` drawn from the process's one counter, so every value an `info`
+//! field ever holds is fresh (P1). Records are allocated on a process's
+//! first fallback SCX and freed with the engine, so nothing is released
+//! when a node is retired or a tree is dropped.
 //!
-//! Replacement alone does not drain the count: two kinds of node keep their
-//! `info` value until they die. A node finalized by a committed `scx_orig`
-//! (the `R` set) is never frozen again, and a node in `V \ R` may later be
-//! unlinked by the uninstrumented fast path, which never writes `info`. So
-//! **retiring a node releases the install reference its `info` field
-//! holds** ([`ScxHeader::release_install`]; every template path retires
-//! through it, and a tree releases the references its live nodes hold when
-//! it drops). This is sound only because no SCX can replace a retired
-//! node's `info` value afterwards (a second release), which each retire
-//! site guarantees:
+//! The record's one mutable word packs the SCX's `seq`, its state and the
+//! all-frozen bit:
 //!
-//! * **Fallback path** (`scx_orig`, then retire): the retired nodes are the
-//!   `R` set of the committed record. They are marked before the record
-//!   commits, so no LLX of them returns a snapshot again (it reports
-//!   *finalized*), no SCX can be linked to them, and no freezing CAS can
-//!   expect their current `info` value. Helpers of the record itself find
-//!   it already installed.
-//! * **Middle path** (the HTM template, retire after commit): the
-//!   transaction wrote a fresh tagged sequence number into every node of
-//!   `V`, retired ones included, so their `info` is already tagged and the
-//!   release finds no record. The record it replaced was released through
-//!   [`ScxEngine::release_replaced`].
-//! * **Fast path** (sequential code, retire after commit; also TLE's and a
-//!   batch's locked section): the transaction subscribed to the fallback
-//!   indicator `F` and committed with `F = 0`, so no operation was on the
-//!   fallback path, and only fallback operations create or help records.
-//!   Any that arrives later searches from the root after the unlink and
-//!   cannot reach the node. A middle-path transaction that had read the
-//!   node conflicts with the unlink and aborts. TLE never creates a
-//!   record, and a batch's locked section drains `F` and excludes
-//!   transactions through the lock before it touches the tree.
+//! * The **creator** settles its previous SCX before it starts the next
+//!   one (its `Help` returns only once the word reads committed or
+//!   aborted: a node frozen for an SCX in progress does not change, so
+//!   its abort CAS can fail only on a settled word), then stores the new
+//!   `seq` in the word, then writes `V`, `R`, `fld`, `old` and `new`,
+//!   then runs the first freezing CAS.
+//! * A **helper** that read the reference `(pid, seq)` from a node reads
+//!   the word, then the arguments, then the word again, and works from
+//!   its copy only if the word still names `seq` in progress. The
+//!   reference got into the node by a freezing CAS of SCX `seq`, made
+//!   after the creator wrote that SCX's arguments, so the helper reads
+//!   those or a later SCX's; a later SCX bumped the word first, and the
+//!   re-check sees the bump. Every write it makes to the word is a CAS
+//!   that names `seq`, so once the record has moved on it writes nothing
+//!   there. The writes it may still make to nodes are the late helper
+//!   steps Figure 2 already tolerates: a freezing CAS expects an `info`
+//!   value that P1 never lets recur, marks are idempotent, and `old`
+//!   never returns to `fld`.
+//! * A reader that finds the word naming a later `seq` knows the SCX
+//!   finished. The node's `marked` bit says how: marked means the SCX
+//!   finalized it (only the SCX a node is frozen for marks it, and only
+//!   after every node of `V` is frozen, when it can no longer abort);
+//!   unmarked means the node is unfrozen, whether the SCX committed with it
+//!   outside `R` or aborted. `llx_tx` reads the word transactionally, so a
+//!   reuse aborts a middle-path transaction like any state change.
 //!
-//! A thread that reads a record pointer from a node under its pin stays
-//! safe: either the node still held its reference at the read, or the node
-//! was unlinked while the thread was already pinned, and in both cases the
-//! record's retirement follows the start of the pin.
+//! **Why the `V` nodes a helper touches are still allocated.** A helper
+//! acts only after it saw the SCX in progress under its own epoch pin, and
+//! the creator stays pinned from its first LLX of `V` until the SCX
+//! settles.
 //!
-//! [`Domain`]: threepath_reclaim::Domain
+//! * Nodes the SCX has frozen, and the nodes it marks or whose `fld` it
+//!   CASes (all frozen by then), cannot be unlinked before the SCX
+//!   settles. A fallback or middle-path operation sees them frozen and
+//!   fails or aborts. The uninstrumented fast path commits only while no
+//!   operation is on the fallback path (`F = 0`), and the creator's
+//!   operation is. So their retirement follows the helper's observation,
+//!   and the helper's pin defers their free.
+//! * Nodes the SCX has not frozen are the exception. Another update may
+//!   have unlinked and retired one after the creator's LLX and before the
+//!   helper pinned. Then only the creator's pin defers its free, and the
+//!   creator may settle the SCX (by aborting on that node), unpin, and let
+//!   the epoch advance before the helper's freezing CAS reaches the node.
+//!   On a pooled tree the block stays mapped, and a CAS that succeeds on a
+//!   recycled node (one that holds `info = 0` again) freezes it only for
+//!   an SCX that has already aborted, which every reader takes as
+//!   unfrozen; on an unpooled tree the CAS touches freed memory. The
+//!   original Figure 2 scheme has the same window, and it stays open.
 
 #![warn(missing_docs)]
 
@@ -86,7 +103,7 @@ mod record;
 
 pub use engine::{ScxEngine, ScxThread};
 pub use handle::{LlxHandle, LlxResult, ScxHeader, Snapshot, MAX_MUT};
-pub use info::{pack_tseq, unpack_tseq, InfoState, TSEQ_PID_BITS};
+pub use info::{classify, pack_tseq, unpack_tseq, InfoState, TSEQ_PID_BITS};
 pub use record::{ScxRecord, MAX_V};
 
 /// Arguments to an SCX: the frozen set `V`, the finalize subset `R` (as a

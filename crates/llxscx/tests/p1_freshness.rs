@@ -1,16 +1,18 @@
 //! Property P1 — the linchpin of LLX/SCX correctness: between any two
 //! changes to a Data-record, its `info` field receives a value it has
-//! never previously contained. The HTM path preserves it with tagged
-//! sequence numbers (thread id + per-thread counter); the software path
-//! with freshly allocated SCX-records protected by install reference
-//! counts. This test observes the info stream of a hot node across mixed
-//! paths and asserts global freshness.
+//! never previously contained. Both paths write `(pid, seq)` words drawn
+//! from the writing process's one counter: the HTM path a tagged sequence
+//! number, the software path a reference to an SCX of the process's one
+//! reusable SCX-record. So no value of either kind may ever recur in a
+//! node's `info` field, whichever path wrote it and however often the
+//! records are reused.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use threepath_htm::{HtmConfig, HtmRuntime, TxCell};
-use threepath_llxscx::{unpack_tseq, InfoState, LlxResult, ScxArgs, ScxEngine, ScxHeader};
+use threepath_llxscx::{classify, unpack_tseq, InfoState, ScxArgs, ScxEngine, ScxHeader};
 use threepath_reclaim::{Domain, ReclaimMode};
 
 struct RegNode {
@@ -19,11 +21,25 @@ struct RegNode {
 }
 unsafe impl Sync for RegNode {}
 
+/// Counts the values of each kind in `vals`.
+fn kinds(vals: &[u64]) -> (usize, usize) {
+    let tagged = vals
+        .iter()
+        .filter(|&&v| classify(v) == InfoState::Tagged)
+        .count();
+    let records = vals
+        .iter()
+        .filter(|&&v| classify(v) == InfoState::Record)
+        .count();
+    (tagged, records)
+}
+
 #[test]
 fn tagged_sequence_numbers_are_globally_fresh() {
-    // Mixed HTM/fallback traffic on one node: every *tagged* info value
-    // observed must be unique (record pointers may repeat in observations
-    // while an SCX is current, but each tagged value is written once).
+    // Four threads update one hot node over both paths (short attempt
+    // budget, 30% spurious aborts) while a fifth samples its `info` field.
+    // The sampler can miss values, but under P1 it can never see a value
+    // come back after the field moved on.
     let rt = Arc::new(HtmRuntime::new(HtmConfig::default().with_spurious(0.3)));
     let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
     let eng = Arc::new(ScxEngine::new(rt.clone(), domain).with_attempt_limit(3));
@@ -31,149 +47,110 @@ fn tagged_sequence_numbers_are_globally_fresh() {
         hdr: ScxHeader::new(),
         cells: [TxCell::new(0)],
     });
-    let observed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let done = AtomicBool::new(false);
 
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let eng = eng.clone();
-            let node = node.clone();
-            let observed = observed.clone();
-            s.spawn(move || {
-                let mut th = eng.register_thread();
-                let mut my_writes = Vec::new();
-                let mut done = 0;
-                while done < 200 {
-                    let committed = th.pinned(|th| {
-                        let h = match eng.llx(th, &node.hdr, &node.cells) {
-                            LlxResult::Snapshot(h) => h,
-                            _ => return false,
-                        };
-                        let old = h.snapshot().get(0);
-                        eng.scx(
-                            th,
-                            &ScxArgs {
-                                v: &[&h],
-                                r_mask: 0,
-                                fld: &node.cells[0],
-                                old,
-                                new: old + 8, // low bits clear
-                            },
-                        )
-                    });
-                    if committed {
-                        done += 1;
-                        // Record the info value now installed if tagged.
-                        let info = node.hdr.info().load_plain();
-                        if info & 1 == 1 {
-                            my_writes.push(info);
-                        }
-                    }
+    let sampled = std::thread::scope(|s| {
+        let sampler = s.spawn(|| {
+            let mut seen = vec![0u64];
+            while !done.load(Ordering::Relaxed) {
+                let v = node.hdr.info().load_direct(&rt);
+                if v != *seen.last().unwrap() {
+                    seen.push(v);
                 }
-                observed.lock().unwrap().append(&mut my_writes);
-            });
+            }
+            seen
+        });
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut th = eng.register_thread();
+                    let mut committed = 0;
+                    while committed < 400 {
+                        let ok = th.pinned(|th| {
+                            let Some(h) = eng.llx(th, &node.hdr, &node.cells).handle() else {
+                                return false;
+                            };
+                            let old = h.snapshot().get(0);
+                            eng.scx(
+                                th,
+                                &ScxArgs {
+                                    v: &[&h],
+                                    r_mask: 0,
+                                    fld: &node.cells[0],
+                                    old,
+                                    new: old + 8,
+                                },
+                            )
+                        });
+                        committed += ok as u32;
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
         }
+        done.store(true, Ordering::Relaxed);
+        sampler.join().unwrap()
     });
 
-    // Tagged values observed after our own commits may occasionally belong
-    // to a concurrent later SCX, but every *distinct* tagged value must be
-    // fresh: assert no two observations with the same (pid, seq) disagree,
-    // and that per-pid sequence numbers are strictly increasing overall.
-    let obs = observed.lock().unwrap();
-    let mut per_pid: std::collections::HashMap<u16, HashSet<u64>> = Default::default();
-    for &v in obs.iter() {
-        let (pid, seq) = unpack_tseq(v);
-        per_pid.entry(pid).or_default().insert(seq);
+    let mut distinct = HashSet::new();
+    for &v in &sampled {
+        assert!(distinct.insert(v), "info value {v:#x} recurred");
     }
-    for (pid, seqs) in &per_pid {
-        // Each thread's sequence values are unique by construction; the
-        // observation set must reflect that (no duplicates collapse since
-        // it's a set — instead check count vs max spread sanity).
-        assert!(
-            !seqs.is_empty(),
-            "thread {pid} observed no tagged writes despite commits"
-        );
-    }
-
-    // The final value must equal 8 * total successful SCXs.
-    assert_eq!(node.cells[0].load_plain(), 4 * 200 * 8);
+    let (tagged, records) = kinds(&sampled);
+    println!("sampled {tagged} tagged and {records} record values");
+    assert_eq!(node.cells[0].load_plain(), 4 * 400 * 8);
 }
 
 #[test]
-fn info_stream_is_fresh_where_it_matters() {
-    // Deterministic single-thread check: run many SCXs alternating HTM and
-    // software paths, recording every info value the node ever holds.
-    //
-    // What P1 requires operationally: *within one pinned operation* the
-    // expected info value from a linked LLX cannot be re-created by a
-    // different SCX (that is what makes the freezing CAS's success imply
-    // "unchanged"). Tagged sequence numbers are globally fresh forever.
-    // Record *addresses*, however, may legally recycle across operations:
-    // the install reference count keeps a record alive while any info
-    // field contains it, and the epoch pin keeps it alive for the
-    // observing operation — so reuse is only ever visible across pins,
-    // where it is harmless. This test asserts exactly that split: tagged
-    // values never repeat; record-pointer values change on every
-    // transition (A -> A never happens back-to-back) even when addresses
-    // recycle across operations.
+fn every_info_value_a_node_holds_is_fresh() {
+    // One thread alternates the HTM and software paths and records every
+    // value the node's `info` field ever holds: all must be distinct, of
+    // both kinds, although every software SCX reuses the same record.
     let rt = Arc::new(HtmRuntime::new(HtmConfig::default()));
     let domain = Arc::new(Domain::new(ReclaimMode::Epoch));
     let eng = ScxEngine::new(rt.clone(), domain).with_attempt_limit(1);
     let mut th = eng.register_thread();
+    let pid = th.id().0;
     let node = RegNode {
         hdr: ScxHeader::new(),
         cells: [TxCell::new(0)],
     };
-    let mut tagged_seen = HashSet::new();
-    let mut prev_info = 0u64;
-    let mut records = 0;
-    let mut tagged = 0;
+    let mut held = vec![node.hdr.info().load_plain()];
     for i in 0..200u64 {
         th.pinned(|th| {
             let h = eng.llx(th, &node.hdr, &node.cells).handle().unwrap();
             let old = h.snapshot().get(0);
+            let args = ScxArgs {
+                v: &[&h],
+                r_mask: 0,
+                fld: &node.cells[0],
+                old,
+                new: old + 8,
+            };
+            // HTM path (attempt budget 1, fresh after each success), or
+            // the software path.
             let ok = if i % 2 == 0 {
-                // HTM path (attempt budget 1, fresh after each success).
-                eng.scx(
-                    th,
-                    &ScxArgs {
-                        v: &[&h],
-                        r_mask: 0,
-                        fld: &node.cells[0],
-                        old,
-                        new: old + 8,
-                    },
-                )
+                eng.scx(th, &args)
             } else {
-                eng.scx_orig(
-                    th,
-                    &ScxArgs {
-                        v: &[&h],
-                        r_mask: 0,
-                        fld: &node.cells[0],
-                        old,
-                        new: old + 8,
-                    },
-                )
+                eng.scx_orig(th, &args)
             };
             assert!(ok);
         });
-        let info = node.hdr.info().load_plain();
-        assert_ne!(info, 0, "info must change after a successful SCX");
-        assert_ne!(
-            info, prev_info,
-            "info must take a new value on every successful SCX (iteration {i})"
-        );
-        prev_info = info;
-        if info & 1 == 1 {
-            tagged += 1;
-            assert!(
-                tagged_seen.insert(info),
-                "tagged sequence number {info:#x} repeated at iteration {i}"
-            );
-        } else {
-            records += 1;
+        held.push(node.hdr.info().load_plain());
+    }
+    let mut distinct = HashSet::new();
+    let mut last_seq = 0;
+    for (i, &v) in held.iter().enumerate() {
+        assert!(distinct.insert(v), "info value {v:#x} recurred at step {i}");
+        if v != 0 {
+            let (p, seq) = unpack_tseq(v);
+            assert_eq!(p, pid, "the writer's pid");
+            assert!(seq > last_seq, "one counter feeds both kinds");
+            last_seq = seq;
         }
     }
-    assert!(tagged > 0 && records > 0, "both paths must have run");
-    let _ = InfoState::Tagged;
+    assert_eq!(kinds(&held), (100, 100), "both paths ran");
+    assert_eq!(classify(held[0]), InfoState::None);
 }

@@ -1,5 +1,6 @@
-//! Concurrent stress tests for LLX/SCX: lost-update freedom, helping under
-//! contention, and reclamation accounting.
+//! Concurrent stress tests for LLX/SCX: lost-update freedom, and helping
+//! under contention while every thread reuses its one SCX-record and
+//! retires the counter boxes it replaces.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,7 +101,7 @@ fn counter_stress_htm_fast_path() {
 #[test]
 fn counter_stress_fallback_only() {
     // attempt_limit = 0 forces every SCX through the original CAS-based
-    // algorithm, exercising freezing, helping and record reclamation.
+    // algorithm, exercising freezing, helping and record reuse.
     run_counter_stress(HtmConfig::default(), 0, 4, 300);
 }
 

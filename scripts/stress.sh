@@ -14,6 +14,9 @@
 #                 over plainly routed internal nodes) and the reclamation
 #                 crate's unit tests (threads retire, settle and hand
 #                 their slots on; the per-slot counters must sum exactly)
+#                 and the LLX/SCX crate's tests (threads help SCXs whose
+#                 records their creators reuse; a helper's re-check of
+#                 the record's sequence number races the reuse)
 #                 as Tier-1 builds them;
 #   release lane  the same, plus the simulated HTM's opacity tests, built
 #                 with --release: optimised timing exposes races the
@@ -30,9 +33,10 @@ wal=(-p threepath-persist)
 wal_map=(-p threepath-sharded --lib persist)
 abtree=(-p threepath-abtree --test correctness)
 reclaim=(-p threepath-reclaim --lib)
+llxscx=(-p threepath-llxscx --tests)
 opacity=(-p threepath-htm --lib opacity)
 
-for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}" "${abtree[*]}" "${reclaim[*]}"; do
+for lane_args in "${tests[*]}" "${wal[*]}" "${wal_map[*]}" "${abtree[*]}" "${reclaim[*]}" "${llxscx[*]}"; do
   read -ra args <<< "$lane_args"
   cargo test -q --no-run "${args[@]}"
   cargo test -q --release --no-run "${args[@]}"
@@ -56,11 +60,13 @@ for i in $(seq 1 "$n"); do
   lane debug "$i" "${wal_map[@]}"
   lane debug "$i" "${abtree[@]}"
   lane debug "$i" "${reclaim[@]}"
+  lane debug "$i" "${llxscx[@]}"
   lane release "$i" --release "${tests[@]}"
   lane release "$i" --release "${wal[@]}"
   lane release "$i" --release "${wal_map[@]}"
   lane release "$i" --release "${abtree[@]}"
   lane release "$i" --release "${reclaim[@]}"
+  lane release "$i" --release "${llxscx[@]}"
   lane release "$i" --release "${opacity[@]}"
 done
 echo "stress: $n of $n runs green on both lanes"
