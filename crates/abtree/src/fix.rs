@@ -86,13 +86,78 @@ pub(crate) fn find_violation<R: TxRead>(
 // Pure content planners.
 // ---------------------------------------------------------------------
 
+/// A run of at most `2·B` words on the stack — the most a planner ever
+/// holds is the contents of two nodes (`p ∪ u`, or two siblings) — so
+/// planning a rebalancing step allocates no buffer.
+#[derive(Clone)]
+pub(crate) struct Run {
+    buf: [u64; 2 * B],
+    len: usize,
+}
+
+impl Run {
+    fn new() -> Self {
+        Run {
+            buf: [0; 2 * B],
+            len: 0,
+        }
+    }
+
+    fn from_slice(words: &[u64]) -> Self {
+        let mut r = Run::new();
+        r.extend_from_slice(words);
+        r
+    }
+
+    fn push(&mut self, w: u64) {
+        self.extend_from_slice(&[w]);
+    }
+
+    fn extend_from_slice(&mut self, words: &[u64]) {
+        self.buf[self.len..self.len + words.len()].copy_from_slice(words);
+        self.len += words.len();
+    }
+
+    fn remove(&mut self, i: usize) {
+        assert!(i < self.len, "remove index {i} out of {}", self.len);
+        self.buf.copy_within(i + 1..self.len, i);
+        self.len -= 1;
+    }
+}
+
+impl std::ops::Deref for Run {
+    type Target = [u64];
+    fn deref(&self) -> &[u64] {
+        &self.buf[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for Run {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.buf[..self.len]
+    }
+}
+
+impl std::fmt::Debug for Run {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+#[cfg(test)]
+impl PartialEq<Vec<u64>> for Run {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        **self == **other
+    }
+}
+
 /// Blueprint for a node to construct.
 #[derive(Debug, Clone)]
 pub(crate) struct Spec {
     pub leaf: bool,
     pub tagged: bool,
-    pub keys: Vec<u64>,
-    pub ptrs: Vec<u64>,
+    pub keys: Run,
+    pub ptrs: Run,
 }
 
 impl Spec {
@@ -100,13 +165,11 @@ impl Spec {
         debug_assert!(self.ptrs.len() <= B);
         if self.leaf {
             debug_assert_eq!(self.keys.len(), self.ptrs.len());
-            let items: Vec<(u64, u64)> = self
-                .keys
-                .iter()
-                .copied()
-                .zip(self.ptrs.iter().copied())
-                .collect();
-            AbNode::new_leaf(&items)
+            let mut items = [(0, 0); B];
+            for (item, pair) in items.iter_mut().zip(self.keys.iter().zip(self.ptrs.iter())) {
+                *item = (*pair.0, *pair.1);
+            }
+            AbNode::new_leaf(&items[..self.keys.len()])
         } else {
             AbNode::new_internal(&self.keys, &self.ptrs, self.tagged)
         }
@@ -119,16 +182,16 @@ pub(crate) fn copy_spec(v: &NodeView, leaf: bool, tagged: bool) -> Spec {
     Spec {
         leaf,
         tagged,
-        keys: v.keys[..nkeys].to_vec(),
-        ptrs: v.ptrs[..v.size].to_vec(),
+        keys: Run::from_slice(&v.keys[..nkeys]),
+        ptrs: Run::from_slice(&v.ptrs[..v.size]),
     }
 }
 
 /// `p ∪ u` flattened: `u`'s children spliced in place of `u`, `u`'s keys
 /// spliced at the same position (both nodes internal).
-fn flatten(pv: &NodeView, uv: &NodeView, u_idx: usize) -> (Vec<u64>, Vec<u64>) {
-    let mut keys = Vec::with_capacity(pv.size + uv.size);
-    let mut ptrs = Vec::with_capacity(pv.size + uv.size);
+fn flatten(pv: &NodeView, uv: &NodeView, u_idx: usize) -> (Run, Run) {
+    let mut keys = Run::new();
+    let mut ptrs = Run::new();
     keys.extend_from_slice(&pv.keys[..u_idx]);
     keys.extend_from_slice(&uv.keys[..uv.size - 1]);
     keys.extend_from_slice(&pv.keys[u_idx..pv.size - 1]);
@@ -160,23 +223,23 @@ pub(crate) fn split_tag_specs(pv: &NodeView, uv: &NodeView, u_idx: usize) -> (Sp
     let left = Spec {
         leaf: false,
         tagged: false,
-        keys: keys[..ls - 1].to_vec(),
-        ptrs: ptrs[..ls].to_vec(),
+        keys: Run::from_slice(&keys[..ls - 1]),
+        ptrs: Run::from_slice(&ptrs[..ls]),
     };
     let right = Spec {
         leaf: false,
         tagged: false,
-        keys: keys[ls..].to_vec(),
-        ptrs: ptrs[ls..].to_vec(),
+        keys: Run::from_slice(&keys[ls..]),
+        ptrs: Run::from_slice(&ptrs[ls..]),
     };
     (left, right, keys[ls - 1])
 }
 
 /// Concatenation of two adjacent siblings (leaf: pairs; internal: children
 /// with the parent's separator pulled down).
-fn concat(lv: &NodeView, rv: &NodeView, leaf: bool, pulldown: u64) -> (Vec<u64>, Vec<u64>) {
-    let mut keys = Vec::with_capacity(lv.size + rv.size);
-    let mut ptrs = Vec::with_capacity(lv.size + rv.size);
+fn concat(lv: &NodeView, rv: &NodeView, leaf: bool, pulldown: u64) -> (Run, Run) {
+    let mut keys = Run::new();
+    let mut ptrs = Run::new();
     if leaf {
         keys.extend_from_slice(&lv.keys[..lv.size]);
         keys.extend_from_slice(&rv.keys[..rv.size]);
@@ -206,9 +269,9 @@ pub(crate) fn merge_spec(lv: &NodeView, rv: &NodeView, leaf: bool, pulldown: u64
 /// `ptrs[li]`, patched by the executor), child `li + 1` and separator
 /// `keys[li]` removed.
 pub(crate) fn parent_after_merge(pv: &NodeView, li: usize) -> Spec {
-    let mut keys = pv.keys[..pv.size - 1].to_vec();
+    let mut keys = Run::from_slice(&pv.keys[..pv.size - 1]);
     keys.remove(li);
-    let mut ptrs = pv.ptrs[..pv.size].to_vec();
+    let mut ptrs = Run::from_slice(&pv.ptrs[..pv.size]);
     ptrs.remove(li + 1);
     ptrs[li] = 0; // patched with w
     Spec {
@@ -235,14 +298,14 @@ pub(crate) fn redistribute_specs(
         let left = Spec {
             leaf: true,
             tagged: false,
-            keys: keys[..ls].to_vec(),
-            ptrs: ptrs[..ls].to_vec(),
+            keys: Run::from_slice(&keys[..ls]),
+            ptrs: Run::from_slice(&ptrs[..ls]),
         };
         let right = Spec {
             leaf: true,
             tagged: false,
-            keys: keys[ls..].to_vec(),
-            ptrs: ptrs[ls..].to_vec(),
+            keys: Run::from_slice(&keys[ls..]),
+            ptrs: Run::from_slice(&ptrs[ls..]),
         };
         let pivot = keys[ls];
         (left, right, pivot)
@@ -250,14 +313,14 @@ pub(crate) fn redistribute_specs(
         let left = Spec {
             leaf: false,
             tagged: false,
-            keys: keys[..ls - 1].to_vec(),
-            ptrs: ptrs[..ls].to_vec(),
+            keys: Run::from_slice(&keys[..ls - 1]),
+            ptrs: Run::from_slice(&ptrs[..ls]),
         };
         let right = Spec {
             leaf: false,
             tagged: false,
-            keys: keys[ls..].to_vec(),
-            ptrs: ptrs[ls..].to_vec(),
+            keys: Run::from_slice(&keys[ls..]),
+            ptrs: Run::from_slice(&ptrs[ls..]),
         };
         (left, right, keys[ls - 1])
     }
@@ -266,9 +329,9 @@ pub(crate) fn redistribute_specs(
 /// New parent after a redistribute: children `li`, `li + 1` become the two
 /// placeholders; separator `keys[li]` becomes `pivot`.
 pub(crate) fn parent_after_redistribute(pv: &NodeView, li: usize, pivot: u64) -> Spec {
-    let mut keys = pv.keys[..pv.size - 1].to_vec();
+    let mut keys = Run::from_slice(&pv.keys[..pv.size - 1]);
     keys[li] = pivot;
-    let mut ptrs = pv.ptrs[..pv.size].to_vec();
+    let mut ptrs = Run::from_slice(&pv.ptrs[..pv.size]);
     ptrs[li] = 0; // patched with new left
     ptrs[li + 1] = 0; // patched with new right
     Spec {

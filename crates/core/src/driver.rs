@@ -2,11 +2,13 @@
 //! strategy, handling attempt budgets, waiting policies, path transitions
 //! and statistics (paper Section 5).
 
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use threepath_htm::{codes, Abort, Backoff, HtmRuntime, Txn};
 use threepath_llxscx::{ScxEngine, ScxThread};
+use threepath_reclaim::ReclaimCtx;
 
 use crate::access::{DirectMem, TxMem};
 use crate::batch::BatchOp;
@@ -23,6 +25,34 @@ use crate::template::{OpOutcome, OrigMode, TxMode};
 /// [`TemplateConfig::batched`]): the blended subscription discipline only
 /// covers TLE and 3-path.
 pub const BATCH_STRATEGIES: [Strategy; 2] = [Strategy::Tle, Strategy::ThreePath];
+
+thread_local! {
+    /// The calling thread's [`Effects`] buffer between attempts. Each
+    /// attempt takes it and puts it back empty, so once its vectors have
+    /// grown to the thread's largest attempt, attempts stop allocating.
+    static EFFECTS: Cell<Effects> = const { Cell::new(Effects::new()) };
+}
+
+/// Runs one transactional attempt on the thread's [`Effects`] buffer,
+/// then settles the buffer: deferred retirements apply on commit; on an
+/// abort, tracked allocations return to the thread's pool (the aborted
+/// transaction published nothing).
+fn with_effects<T>(
+    reclaim: &ReclaimCtx,
+    attempt: impl FnOnce(&mut Effects) -> Result<T, Abort>,
+) -> Result<T, Abort> {
+    // `try_with`: a thread whose slot is already gone (an attempt run
+    // from another thread-local's destructor) falls back to a fresh one.
+    let mut eff = EFFECTS.try_with(Cell::take).unwrap_or_default();
+    let res = attempt(&mut eff);
+    if res.is_ok() {
+        eff.commit(reclaim);
+    } else {
+        eff.abort_cleanup(reclaim);
+    }
+    let _ = EFFECTS.try_with(|slot| slot.set(eff));
+    res
+}
 
 /// Per-structure execution context: the strategy, attempt budgets, the
 /// fallback counter `F` and the TLE lock.
@@ -192,21 +222,14 @@ impl ExecCtx {
         body: impl FnOnce(&mut TxMem<'_, '_>) -> Result<T, Abort>,
     ) -> Result<T, Abort> {
         th.pinned(|th| {
-            let mut eff = Effects::new();
-            let reclaim = &th.reclaim;
-            let res = self.rt.attempt(&mut th.htm, |tx| {
-                self.subscribe(tx)?;
-                let mut mem = TxMem::new(tx, &mut eff, reclaim);
-                body(&mut mem)
-            });
-            if res.is_ok() {
-                eff.commit(&th.reclaim);
-            } else {
-                // Undo: tracked allocations return to the thread's pool
-                // (the aborted transaction published nothing).
-                eff.abort_cleanup(&th.reclaim);
-            }
-            res
+            let (htm, reclaim) = (&mut th.htm, &th.reclaim);
+            with_effects(reclaim, |eff| {
+                self.rt.attempt(htm, |tx| {
+                    self.subscribe(tx)?;
+                    let mut mem = TxMem::new(tx, eff, reclaim);
+                    body(&mut mem)
+                })
+            })
         })
     }
 
@@ -224,23 +247,16 @@ impl ExecCtx {
     ) -> Result<T, Abort> {
         th.pinned(|th| {
             let tseq = th.next_tseq();
-            let mut eff = Effects::new();
-            let reclaim = &th.reclaim;
-            let res = self.rt.attempt(&mut th.htm, |tx| {
-                if self.blended() && tx.read(self.lock.cell())? != 0 {
-                    return Err(tx.abort(codes::LOCK_HELD));
-                }
-                let mut mode = TxMode::new(eng, tx, tseq, &mut eff, reclaim);
-                body(&mut mode)
-            });
-            if res.is_ok() {
-                eff.commit(&th.reclaim);
-            } else {
-                // Undo: tracked allocations return to the thread's pool
-                // (the aborted transaction published nothing).
-                eff.abort_cleanup(&th.reclaim);
-            }
-            res
+            let (htm, reclaim) = (&mut th.htm, &th.reclaim);
+            with_effects(reclaim, |eff| {
+                self.rt.attempt(htm, |tx| {
+                    if self.blended() && tx.read(self.lock.cell())? != 0 {
+                        return Err(tx.abort(codes::LOCK_HELD));
+                    }
+                    let mut mode = TxMode::new(eng, tx, tseq, eff, reclaim);
+                    body(&mut mode)
+                })
+            })
         })
     }
 
@@ -649,7 +665,9 @@ impl LockedSection<'_> {
         step: impl Fn(BatchOp) -> S,
     ) -> Vec<S::Out> {
         self.applied += plan.len() as u64;
-        self.exec.apply_direct(self.th, plan, &step)
+        let mut out = Vec::with_capacity(plan.len());
+        self.exec.apply_direct(self.th, plan, &step, &mut out);
+        out
     }
 }
 
@@ -790,23 +808,27 @@ impl ExecCtx {
         }
         let mut combine = Some(combine);
         let mut combined = 0;
-        let r = self.run_plan(
+        // One result buffer for every attempt: an aborted attempt's
+        // partial results are cleared, not reallocated.
+        let out = RefCell::new(Vec::with_capacity(plan.len()));
+        let ((), path) = self.run_plan(
             th,
             stats,
             plan.len() as u64,
             |th| {
                 self.attempt_seq(th, |m| {
-                    let mut out = Vec::with_capacity(plan.len());
+                    let mut out = out.borrow_mut();
+                    out.clear();
                     for &op in plan {
                         let s = step(op);
                         let f = s.search(m)?;
                         out.push(s.seq(m, &f, false)?);
                     }
-                    Ok(out)
+                    Ok(())
                 })
             },
             |th| {
-                let out = self.apply_direct(th, plan, &step);
+                self.apply_direct(th, plan, &step, &mut out.borrow_mut());
                 if let Some(c) = combine.take() {
                     let mut section = LockedSection {
                         exec: self,
@@ -816,27 +838,29 @@ impl ExecCtx {
                     c(&mut section);
                     combined = section.applied;
                 }
-                out
             },
         );
         stats.add_combined_ops(combined);
-        r
+        (out.into_inner(), path)
     }
 
-    /// A plan's steps over direct memory, under one pin; the caller holds
-    /// the TLE lock.
+    /// A plan's steps over direct memory, under one pin, their results
+    /// replacing `out`'s contents; the caller holds the TLE lock.
     fn apply_direct<S: SeqOp>(
         &self,
         th: &mut ScxThread,
         plan: &[BatchOp],
         step: &impl Fn(BatchOp) -> S,
-    ) -> Vec<S::Out> {
+        out: &mut Vec<S::Out>,
+    ) {
         let rt = &**self.runtime();
+        out.clear();
         th.pinned(|th| {
-            plan.iter()
-                .map(|&op| run_direct(rt, &th.reclaim, &step(op)))
-                .collect()
-        })
+            out.extend(
+                plan.iter()
+                    .map(|&op| run_direct(rt, &th.reclaim, &step(op))),
+            );
+        });
     }
 }
 

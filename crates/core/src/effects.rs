@@ -26,8 +26,24 @@ unsafe fn return_node_erased<T: Send>(p: *mut u8, ctx: &ReclaimCtx) {
     unsafe { ctx.dealloc_unpublished(p as *mut T) };
 }
 
+/// The room a buffer of [`Effects`] makes on its first push: a batch plan
+/// of 8 updates (the server's default cap) allocates or retires at most
+/// two nodes per update, so it never grows a buffer past this.
+const INITIAL_CAPACITY: usize = 16;
+
+/// Pushes onto one of an [`Effects`]' buffers, sizing an empty one to
+/// [`INITIAL_CAPACITY`] instead of growing it step by step.
+fn push(v: &mut Vec<(*mut u8, CtxAction)>, entry: (*mut u8, CtxAction)) {
+    if v.capacity() == 0 {
+        v.reserve_exact(INITIAL_CAPACITY);
+    }
+    v.push(entry);
+}
+
 /// Buffered post-commit (and post-abort) actions for one transactional
-/// attempt.
+/// attempt. [`Self::commit`] and [`Self::abort_cleanup`] leave the buffer
+/// empty with its capacity kept, so one buffer serves attempt after
+/// attempt without going back to the allocator.
 #[derive(Default)]
 pub struct Effects {
     retire: Vec<(*mut u8, CtxAction)>,
@@ -36,8 +52,11 @@ pub struct Effects {
 
 impl Effects {
     /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Effects {
+            retire: Vec::new(),
+            allocs: Vec::new(),
+        }
     }
 
     /// Defers retiring `ptr` (a node that the transaction unlinks) until
@@ -49,7 +68,7 @@ impl Effects {
     /// Same contract as [`ReclaimCtx::retire_node`], holding at the time
     /// [`Effects::commit`] runs.
     pub unsafe fn defer_retire<T: Send>(&mut self, ptr: *mut T) {
-        self.retire.push((ptr as *mut u8, retire_node_erased::<T>));
+        push(&mut self.retire, (ptr as *mut u8, retire_node_erased::<T>));
     }
 
     /// Allocates a node through `ctx` (pooled when the domain pools) and
@@ -58,7 +77,7 @@ impl Effects {
     /// linked into the structure and is kept.
     pub fn alloc<T: Send>(&mut self, ctx: &ReclaimCtx, val: T) -> *mut T {
         let p = ctx.alloc(val);
-        self.allocs.push((p as *mut u8, return_node_erased::<T>));
+        push(&mut self.allocs, (p as *mut u8, return_node_erased::<T>));
         p
     }
 
@@ -87,13 +106,14 @@ impl Effects {
     /// Applies the deferred retirements through `ctx` after a successful
     /// commit. Tracked allocations are simply released from tracking (they
     /// are now owned by the structure).
-    pub fn commit(self, ctx: &ReclaimCtx) {
-        for (ptr, retire) in &self.retire {
+    pub fn commit(&mut self, ctx: &ReclaimCtx) {
+        for (ptr, retire) in self.retire.drain(..) {
             // SAFETY: per defer_retire's contract; the transaction that
             // unlinked these nodes has committed.
-            unsafe { retire(*ptr, ctx) };
+            unsafe { retire(ptr, ctx) };
         }
-        // self.allocs dropped without freeing: nodes are published.
+        // Cleared without freeing: the nodes are published.
+        self.allocs.clear();
     }
 
     /// Cleans up after an abort: returns tracked allocations to the pool

@@ -218,35 +218,43 @@ fn encode_header(shard: u32, base_seq: u64) -> Vec<u8> {
     buf
 }
 
-/// Encodes one record frame, or `None` when the plan contains no
-/// updates (reads are never logged).
-pub(crate) fn encode_record(seq: u64, ops: &[BatchOp]) -> Option<Vec<u8>> {
-    let updates: Vec<&BatchOp> = ops.iter().filter(|o| o.is_update()).collect();
-    if updates.is_empty() {
-        return None;
+/// Encodes one record frame into `frame` (replacing its contents), or
+/// returns `false` when the plan contains no updates (reads are never
+/// logged). The frame is encoded in place, its length and checksum
+/// filled in last; a buffer too small for it is replaced, never grown,
+/// so a reused buffer reaches its steady size without a reallocation.
+pub(crate) fn encode_record(seq: u64, ops: &[BatchOp], frame: &mut Vec<u8>) -> bool {
+    let updates = ops.iter().filter(|o| o.is_update()).count();
+    if updates == 0 {
+        return false;
     }
-    let mut payload = Vec::with_capacity(12 + updates.len() * 17);
-    payload.extend_from_slice(&seq.to_le_bytes());
-    payload.extend_from_slice(&(updates.len() as u32).to_le_bytes());
-    for op in updates {
+    let max_len = 8 + 12 + updates * 17;
+    frame.clear();
+    if frame.capacity() < max_len {
+        *frame = Vec::with_capacity(max_len);
+    }
+    frame.extend_from_slice(&[0; 8]); // payload length and CRC, below
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(&(updates as u32).to_le_bytes());
+    for op in ops {
         match *op {
             BatchOp::Insert(k, v) => {
-                payload.push(0);
-                payload.extend_from_slice(&k.to_le_bytes());
-                payload.extend_from_slice(&v.to_le_bytes());
+                frame.push(0);
+                frame.extend_from_slice(&k.to_le_bytes());
+                frame.extend_from_slice(&v.to_le_bytes());
             }
             BatchOp::Remove(k) => {
-                payload.push(1);
-                payload.extend_from_slice(&k.to_le_bytes());
+                frame.push(1);
+                frame.extend_from_slice(&k.to_le_bytes());
             }
-            BatchOp::Get(_) => unreachable!("filtered above"),
+            BatchOp::Get(_) => {}
         }
     }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32c(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    Some(frame)
+    let payload_len = (frame.len() - 8) as u32;
+    let crc = crc32c(&frame[8..]);
+    frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    true
 }
 
 /// Decodes a checksum-validated payload into `(seq, updates)`. Any
@@ -314,6 +322,9 @@ pub struct ShardWal {
     snapshot_every: Option<u64>,
     failpoints: FailPoints,
     stats: WalStats,
+    /// The record being appended, encoded in place; reused record after
+    /// record.
+    frame: Vec<u8>,
 }
 
 impl ShardWal {
@@ -376,6 +387,7 @@ impl ShardWal {
             snapshot_every: cfg.snapshot_every,
             failpoints: cfg.failpoints,
             stats: WalStats::default(),
+            frame: Vec::new(),
         })
     }
 
@@ -410,9 +422,10 @@ impl ShardWal {
     /// run. Fails with the shard's sticky error once a sync has failed.
     pub fn append(&mut self, ops: &[BatchOp]) -> Result<bool, PersistError> {
         self.marks.check()?;
-        let Some(mut frame) = encode_record(self.next_seq, ops) else {
+        if !encode_record(self.next_seq, ops, &mut self.frame) {
             return Ok(false);
-        };
+        }
+        let frame = &mut self.frame;
         let index = self.appends;
         self.appends += 1;
         if self.failpoints.flip_crc == Some(index) {
@@ -428,7 +441,7 @@ impl ShardWal {
             }
         }
         self.file
-            .write_all(&frame)
+            .write_all(frame)
             .map_err(|e| io_err("append", &self.path, e))?;
         self.marks.set_written(self.next_seq);
         self.next_seq += 1;
@@ -780,6 +793,39 @@ mod tests {
         }
     }
 
+    /// One record's frame in a buffer of its own.
+    fn frame(seq: u64, ops: &[BatchOp]) -> Vec<u8> {
+        let mut f = Vec::new();
+        assert!(encode_record(seq, ops, &mut f), "the plan has updates");
+        f
+    }
+
+    /// A reused frame buffer encodes each record exactly as a fresh one
+    /// does, skips reads, and keeps the capacity it grew to.
+    #[test]
+    fn encode_record_reuses_its_buffer() {
+        let big: Vec<BatchOp> = (0..8).map(|k| BatchOp::Insert(k, k + 100)).collect();
+        let mixed = [BatchOp::Get(1), BatchOp::Remove(2), BatchOp::Get(3)];
+        let mut buf = Vec::new();
+        assert!(encode_record(7, &big, &mut buf));
+        assert_eq!(buf, frame(7, &big));
+        let cap = buf.capacity();
+        assert!(encode_record(8, &mixed, &mut buf));
+        assert_eq!(buf, frame(8, &[BatchOp::Remove(2)]));
+        assert_eq!(buf.capacity(), cap, "a smaller record reuses the buffer");
+        let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+        assert_eq!(len, buf.len() - 8);
+        assert_eq!(
+            u32::from_le_bytes(buf[4..8].try_into().unwrap()),
+            crc32c(&buf[8..])
+        );
+        assert_eq!(decode_payload(&buf[8..]), Ok((8, vec![BatchOp::Remove(2)])));
+        assert!(
+            !encode_record(9, &[BatchOp::Get(1)], &mut buf),
+            "reads log nothing"
+        );
+    }
+
     fn plan(ops: &[(u64, Option<u64>)]) -> Vec<BatchOp> {
         ops.iter()
             .map(|&(k, v)| match v {
@@ -896,7 +942,7 @@ mod tests {
     fn torn_append_failpoint_truncates_on_recovery() {
         let dir = test_dir("torn");
         let good = plan(&[(1, Some(10))]);
-        let frame_len = encode_record(1, &good).unwrap().len();
+        let frame_len = frame(1, &good).len();
         for keep in 0..frame_len {
             let mut c = cfg(&dir);
             c.dir = dir.join(format!("keep-{keep}"));
@@ -1062,9 +1108,9 @@ mod tests {
         drop(wal);
         let path = wal_path(&dir, 0);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&encode_record(1, &plan(&[(1, Some(1))])).unwrap()).unwrap();
+        f.write_all(&frame(1, &plan(&[(1, Some(1))]))).unwrap();
         // Record 3 with record 2 missing: valid CRC, impossible order.
-        f.write_all(&encode_record(3, &plan(&[(3, Some(3))])).unwrap()).unwrap();
+        f.write_all(&frame(3, &plan(&[(3, Some(3))]))).unwrap();
         drop(f);
         assert!(matches!(
             recover_shard(&c, 0),

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use threepath_htm::CachePadded;
 
 use crate::bag::{Bag, Retired};
-use crate::pool::{Chunk, ClassTable, NodePool, OrphanChain, PoolStats};
+use crate::pool::{Chunks, ClassTable, NodePool, OrphanChain, PoolStats};
 use crate::GRACE_EPOCHS;
 
 /// How a domain reclaims retired objects.
@@ -98,7 +98,7 @@ fn bump(counter: &AtomicU64, n: u64) {
 }
 
 /// A reclamation domain. One per data structure instance. No field is
-/// written per operation: each context writes only its own [`Slot`].
+/// written per operation: each context writes only its own slot.
 pub struct Domain {
     mode: ReclaimMode,
     pool_cfg: PoolConfig,
@@ -116,7 +116,7 @@ pub struct Domain {
     /// Arena chunks from dropped contexts. Declared last: chunk memory
     /// must outlive the orphaned `Retired`s freed in `Drop::drop` and the
     /// orphan chains above.
-    chunks: Mutex<Vec<Chunk>>,
+    chunks: Mutex<Chunks>,
 }
 
 impl Domain {
@@ -159,7 +159,7 @@ impl Domain {
             orphans: Mutex::new(Vec::new()),
             orphan_chains: Mutex::new(Vec::new()),
             pool_totals: Mutex::new(PoolStats::default()),
-            chunks: Mutex::new(Vec::new()),
+            chunks: Mutex::new(Chunks::new()),
         }
     }
 
@@ -527,6 +527,12 @@ impl ReclaimCtx {
                     bump(&self.slot().freed, n as u64);
                     bag.epoch = e;
                 }
+                if bag.items.capacity() == 0 {
+                    // First use: room for all that one epoch retires
+                    // before the bag's length asks for an advance, so a
+                    // bag whose epoch moves on in time never reallocates.
+                    bag.items.reserve_exact(BAG_ADVANCE_THRESHOLD);
+                }
                 bag.items.push(retired);
                 if bag.items.len() >= BAG_ADVANCE_THRESHOLD {
                     self.domain.try_advance();
@@ -585,7 +591,7 @@ impl Drop for ReclaimCtx {
         self.domain.pool_totals.lock().unwrap().merge(pool.stats());
         let (chunks, chains) = pool.take_orphans();
         if !chunks.is_empty() {
-            self.domain.chunks.lock().unwrap().extend(chunks);
+            self.domain.chunks.lock().unwrap().append(chunks);
         }
         if !chains.is_empty() {
             self.domain.orphan_chains.lock().unwrap().extend(chains);

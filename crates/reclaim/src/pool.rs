@@ -158,23 +158,104 @@ pub(crate) fn class_for(layout: Layout) -> Option<u8> {
     ClassTable::standard().class_for(layout)
 }
 
-/// One arena chunk: a single allocation carved into `CLASS_SIZES[class]`
-/// blocks. Owns the memory; dropping a chunk deallocates it, so a chunk
-/// must outlive every block carved from it (pools hand their chunks to the
-/// domain on thread exit; the domain drops them last).
-pub(crate) struct Chunk {
-    ptr: *mut u8,
+/// The first [`BLOCK_ALIGN`] bytes of every arena chunk: its link in the
+/// list that owns it, and its layout. Keeping the list inside the chunks
+/// means a carve allocates the chunk and nothing else — no registry that
+/// reallocates as the pool grows.
+struct ChunkHead {
+    next: *mut ChunkHead,
     layout: Layout,
 }
 
-// SAFETY: a chunk is a passive memory region; the pool/domain protocols
-// serialize all access to it.
-unsafe impl Send for Chunk {}
+const _: () = assert!(size_of::<ChunkHead>() <= BLOCK_ALIGN);
 
-impl Drop for Chunk {
+/// A list of arena chunks, each a single allocation carved into blocks
+/// of one class, linked through their heads. Owns the memory: dropping
+/// the list deallocates every chunk, so the list must outlive every
+/// block carved from it (pools hand their chunks to the domain on thread
+/// exit; the domain drops them last).
+pub(crate) struct Chunks {
+    head: *mut ChunkHead,
+    len: usize,
+}
+
+// SAFETY: chunks are passive memory regions; the pool/domain protocols
+// serialize all access to them.
+unsafe impl Send for Chunks {}
+
+impl Chunks {
+    pub(crate) const fn new() -> Self {
+        Chunks {
+            head: ptr::null_mut(),
+            len: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Allocates a chunk with `bytes` of block space, links it in, and
+    /// returns the start of that space (aligned to [`BLOCK_ALIGN`]).
+    fn carve(&mut self, bytes: usize) -> *mut u8 {
+        let layout = BLOCK_ALIGN
+            .checked_add(bytes)
+            .and_then(|size| Layout::from_size_align(size, BLOCK_ALIGN).ok())
+            .expect("chunk layout overflow");
+        // SAFETY: layout has non-zero size.
+        let chunk = unsafe { alloc(layout) };
+        if chunk.is_null() {
+            handle_alloc_error(layout);
+        }
+        let head = chunk.cast::<ChunkHead>();
+        // SAFETY: the chunk starts with BLOCK_ALIGN >= size_of::<ChunkHead>()
+        // bytes, aligned to BLOCK_ALIGN >= align_of::<ChunkHead>().
+        unsafe {
+            head.write(ChunkHead {
+                next: self.head,
+                layout,
+            })
+        };
+        self.head = head;
+        self.len += 1;
+        // SAFETY: BLOCK_ALIGN <= layout.size(); the block space keeps the
+        // chunk's provenance.
+        unsafe { chunk.add(BLOCK_ALIGN) }
+    }
+
+    /// Moves every chunk of `other` into this list.
+    pub(crate) fn append(&mut self, mut other: Chunks) {
+        if other.head.is_null() {
+            return;
+        }
+        let mut tail = other.head;
+        // SAFETY: every head in a list is a live chunk's, written by
+        // `carve`; the list owns them exclusively.
+        unsafe {
+            while !(*tail).next.is_null() {
+                tail = (*tail).next;
+            }
+            (*tail).next = self.head;
+        }
+        self.head = std::mem::replace(&mut other.head, ptr::null_mut());
+        self.len += std::mem::take(&mut other.len);
+    }
+}
+
+impl Drop for Chunks {
     fn drop(&mut self) {
-        // SAFETY: allocated with exactly this layout in `carve`.
-        unsafe { dealloc(self.ptr, self.layout) };
+        let mut head = self.head;
+        while !head.is_null() {
+            // SAFETY: a live chunk's head (see `append`); read before the
+            // chunk is freed with the layout it was allocated with.
+            let ChunkHead { next, layout } = unsafe { head.read() };
+            unsafe { dealloc(head.cast(), layout) };
+            head = next;
+        }
     }
 }
 
@@ -251,7 +332,7 @@ pub struct NodePool {
     free_len: [u64; MAX_CLASSES],
     table: ClassTable,
     chunk_blocks: usize,
-    chunks: Vec<Chunk>,
+    chunks: Chunks,
     stats: PoolStats,
 }
 
@@ -285,7 +366,7 @@ impl NodePool {
             free_len: [0; MAX_CLASSES],
             table,
             chunk_blocks,
-            chunks: Vec::new(),
+            chunks: Chunks::new(),
             stats: PoolStats::default(),
         }
     }
@@ -336,19 +417,15 @@ impl NodePool {
     /// Carves one fresh chunk for `class` and parks its blocks.
     fn carve(&mut self, class: u8) {
         let size = self.table.block_size(class);
-        let layout = Layout::from_size_align(size * self.chunk_blocks, BLOCK_ALIGN)
+        let bytes = size
+            .checked_mul(self.chunk_blocks)
             .expect("chunk layout overflow");
-        // SAFETY: layout has non-zero size.
-        let chunk = unsafe { alloc(layout) };
-        if chunk.is_null() {
-            handle_alloc_error(layout);
-        }
+        let blocks = self.chunks.carve(bytes);
         for i in 0..self.chunk_blocks {
-            // SAFETY: i*size stays inside the chunk allocation; blocks
+            // SAFETY: i*size stays inside the chunk's block space; blocks
             // retain the chunk's provenance.
-            self.push(class, unsafe { chunk.add(i * size) });
+            self.push(class, unsafe { blocks.add(i * size) });
         }
-        self.chunks.push(Chunk { ptr: chunk, layout });
         self.stats.chunks += 1;
         self.stats.carved_blocks += self.chunk_blocks as u64;
     }
@@ -421,7 +498,7 @@ impl NodePool {
     /// Dismantles the pool on thread exit: the chunks (whose blocks may
     /// still be live in the structure or other pools) and the parked free
     /// chains, both destined for the domain.
-    pub(crate) fn take_orphans(&mut self) -> (Vec<Chunk>, Vec<OrphanChain>) {
+    pub(crate) fn take_orphans(&mut self) -> (Chunks, Vec<OrphanChain>) {
         let mut chains = Vec::new();
         for c in 0..self.table.len() {
             if !self.heads[c].is_null() {
@@ -434,7 +511,7 @@ impl NodePool {
                 self.free_len[c] = 0;
             }
         }
-        (std::mem::take(&mut self.chunks), chains)
+        (std::mem::replace(&mut self.chunks, Chunks::new()), chains)
     }
 }
 

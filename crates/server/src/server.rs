@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, Weak};
 use threepath_core::{BatchApply, BatchOp, PathStats};
 use threepath_sharded::{merge_sorted_slices, PersistError, ShardedHandle, ShardedMap};
 
-use crate::queue::{Pending, Reply, Request, ShardQueue};
+use crate::queue::{reset, Pending, Request, ShardQueue};
 
 /// A client's "a submission of mine is executing" flag, alone on its
 /// cache lines: its owner writes it twice per submission and nobody else
@@ -143,10 +143,11 @@ impl KvServer {
         // queue is observed empty *while we hold its claim* (so nothing
         // can be mid-drain behind our back — pushes are already closed).
         let mut h = self.map.handle();
+        let (mut run, mut hook) = (RunBufs::new(&self.cfg), RunBufs::new(&self.cfg));
         for shard in 0..self.queues.len() {
             loop {
                 if self.queues[shard].try_claim() {
-                    combine_shard(self, &mut h, &mut PathStats::new(), shard);
+                    combine_shard(self, &mut h, &mut PathStats::new(), shard, &mut run, &mut hook);
                     let empty = self.queues[shard].is_empty();
                     self.queues[shard].release();
                     if empty {
@@ -208,11 +209,18 @@ impl KvServer {
         flags.retain(|f| f.strong_count() > 0);
         flags.push(Arc::downgrade(&in_flight));
         drop(flags);
+        let shards = self.queues.len();
         ServerClient {
             h: self.map.handle(),
             srv: Arc::clone(self),
             local: PathStats::new(),
             in_flight,
+            groups: (0..shards).map(|_| Group::default()).collect(),
+            touched: Vec::with_capacity(shards),
+            pends: Vec::with_capacity(shards),
+            spare: Vec::new(),
+            run: RunBufs::new(&self.cfg),
+            hook: RunBufs::new(&self.cfg),
             #[cfg(test)]
             stall: None,
         }
@@ -242,6 +250,22 @@ pub struct ServerClient {
     /// Raised for the length of every submission; registered with the
     /// server so [`KvServer::shutdown`] can wait it out.
     in_flight: Arc<InFlight>,
+    // Reused buffers: once warm, a submission allocates only its reply
+    // vector and the batch result of each plan it runs.
+    /// One group per shard, indexed by shard; only those in `touched`
+    /// belong to the submission being compiled.
+    groups: Vec<Group>,
+    /// The shards the current submission touches, in first-touch order.
+    touched: Vec<usize>,
+    /// The current submission's queued groups.
+    pends: Vec<(usize, Arc<Pending>)>,
+    /// The `Pending`s of earlier submissions' queued groups, reused by
+    /// later groups once no combiner holds them (see [`recycle`]).
+    spare: Vec<Arc<Pending>>,
+    /// The run and plan this client combines, and those its
+    /// flat-combining hook drains into the same section.
+    run: RunBufs,
+    hook: RunBufs,
     /// Test seam: runs on the direct lane, between the lane decision and
     /// the group.
     #[cfg(test)]
@@ -292,30 +316,18 @@ impl ServerClient {
             self.in_flight.0.store(false, Ordering::Release);
             return Err(SubmitError::ShuttingDown);
         }
-        // Compile the batch: one group per shard, remembering each op's
-        // position so replies reassemble in submission order.
-        let mut groups: Vec<(usize, Vec<usize>, Vec<BatchOp>)> = Vec::new();
-        for (i, op) in ops.into_iter().enumerate() {
-            let shard = self.srv.map.shard_of(op.key());
-            match groups.iter_mut().find(|(s, _, _)| *s == shard) {
-                Some((_, at, plan)) => {
-                    at.push(i);
-                    plan.push(op);
-                }
-                None => groups.push((shard, vec![i], vec![op])),
-            }
-        }
+        self.compile(&ops);
         // A WAL-backed shard serializes updaters on its log mutex anyway,
         // and groups that queue together share one log record; measured,
         // running them directly only loses that (README), so persistent
         // maps keep the queue as their front door.
         let direct = !self.srv.map.is_persistent();
         let mut out = vec![None; n];
-        let mut pends = Vec::new();
-        let mut positions = Vec::new();
+        let mut pends = std::mem::take(&mut self.pends);
         let mut rejected = false;
-        for (shard, at, plan) in groups {
-            let srv = &*self.srv;
+        let srv = &*self.srv;
+        for &shard in &self.touched {
+            let group = &self.groups[shard];
             let q = &srv.queues[shard];
             // The lane rule (crate docs). A *free* shard — nobody queued,
             // no combiner at work, no serialized section in progress —
@@ -327,42 +339,68 @@ impl ServerClient {
                 if let Some(stall) = &mut self.stall {
                     stall();
                 }
-                let lane = &mut self.local;
-                let (replies, _path) = self
-                    .h
-                    .shard_batch_with(shard, &plan, |apply| drain_rounds(srv, shard, apply, lane));
-                for (&i, r) in at.iter().zip(replies) {
+                let (lane, hook) = (&mut self.local, &mut self.hook);
+                let (replies, _path) = self.h.shard_batch_with(shard, &group.plan, |apply| {
+                    drain_rounds(srv, shard, apply, lane, hook)
+                });
+                for (&i, r) in group.at.iter().zip(replies) {
                     out[i] = r;
                 }
                 continue;
             }
-            let p = Pending::new(Request::Ops(plan));
+            let p = recycle(&mut self.spare, &group.plan);
             if !q.push(Arc::clone(&p)) {
                 // Shutdown closed this queue after our entry check.
                 // Groups already run, or enqueued and awaited below, stay
                 // applied; their replies are discarded with the error —
                 // applied-but-unacknowledged, like a crash right after
                 // the log append.
+                self.spare.push(p);
                 rejected = true;
                 break;
             }
             pends.push((shard, p));
-            positions.push(at);
         }
         self.drive(&pends);
         self.in_flight.0.store(false, Ordering::Release);
-        if rejected {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if pends.is_empty() {
-            self.local.record_batch_bypass(); // never touched a queue
-        }
-        for (at, (_, p)) in positions.iter().zip(&pends) {
-            for (&i, &r) in at.iter().zip(p.replies()) {
-                out[i] = r;
+        let result = if rejected {
+            Err(SubmitError::ShuttingDown)
+        } else {
+            if pends.is_empty() {
+                self.local.record_batch_bypass(); // never touched a queue
             }
+            for (shard, p) in &pends {
+                for (&i, &r) in self.groups[*shard].at.iter().zip(p.replies()) {
+                    out[i] = r;
+                }
+            }
+            Ok(out)
+        };
+        self.spare.extend(pends.drain(..).map(|(_, p)| p));
+        self.pends = pends;
+        result
+    }
+
+    /// Compiles a submission into one group per shard, remembering each
+    /// operation's position so replies reassemble in submission order.
+    /// Each group's buffers are sized for the whole submission when its
+    /// shard is first touched, so compiling never reallocates.
+    fn compile(&mut self, ops: &[BatchOp]) {
+        for &shard in &self.touched {
+            self.groups[shard].at.clear();
         }
-        Ok(out)
+        self.touched.clear();
+        for (i, &op) in ops.iter().enumerate() {
+            let shard = self.srv.map.shard_of(op.key());
+            let group = &mut self.groups[shard];
+            if group.at.is_empty() {
+                self.touched.push(shard);
+                reset(&mut group.at, ops.len());
+                reset(&mut group.plan, ops.len());
+            }
+            group.at.push(i);
+            group.plan.push(op);
+        }
     }
 
     /// Inserts or updates `key` as a one-operation submission, returning
@@ -446,7 +484,14 @@ impl ServerClient {
                     continue;
                 }
                 if self.srv.queues[*shard].try_claim() {
-                    combine_shard(&self.srv, &mut self.h, &mut self.local, *shard);
+                    combine_shard(
+                        &self.srv,
+                        &mut self.h,
+                        &mut self.local,
+                        *shard,
+                        &mut self.run,
+                        &mut self.hook,
+                    );
                     self.srv.queues[*shard].release();
                     progressed = true;
                 }
@@ -461,25 +506,75 @@ impl ServerClient {
     }
 }
 
+/// One shard's group of the submission being compiled: its operations
+/// and their positions in the submission.
+#[derive(Default)]
+struct Group {
+    at: Vec<usize>,
+    plan: Vec<BatchOp>,
+}
+
+/// A run of queued requests popped for one plan, and that plan. Reused
+/// from plan to plan; the run is emptied as soon as its replies are out,
+/// so a combiner holds no submitter's `Pending` any longer than that.
+struct RunBufs {
+    run: Vec<Arc<Pending>>,
+    plan: Vec<BatchOp>,
+}
+
+impl RunBufs {
+    /// Sized for the longest run `cfg` lets a combiner pop.
+    fn new(cfg: &ServerConfig) -> Self {
+        RunBufs {
+            run: Vec::with_capacity(cfg.batch_cap),
+            plan: Vec::new(),
+        }
+    }
+}
+
+/// A `Pending` for a queued group of `plan`: one of `spare` refilled, if
+/// any is exclusively ours — no combiner still holds its clone — or else
+/// a fresh one. A shared one stays in `spare` for a later group, so a
+/// combiner never drops the last clone of a live client's `Pending`:
+/// the client that allocated it frees it.
+fn recycle(spare: &mut Vec<Arc<Pending>>, plan: &[BatchOp]) -> Arc<Pending> {
+    for i in 0..spare.len() {
+        if let Some(p) = Arc::get_mut(&mut spare[i]) {
+            p.refill(plan);
+            return spare.swap_remove(i);
+        }
+    }
+    Pending::new(Request::Ops(plan.to_vec()))
+}
+
 /// Drains `shard`'s queue as its combiner: each run of queued point
 /// operations becomes one coalesced plan committed through the batch
-/// entry point (with the flat-combining hook draining further runs if
-/// the plan escalates to the serialized section); a queued sub-scan runs
-/// on the shard's optimistic scan path. Shared by client `drive` loops
-/// and the [`KvServer::shutdown`] drain (callers hold the shard's
-/// combiner claim); `lane` is the caller's front-end counters.
-fn combine_shard(srv: &KvServer, h: &mut ShardedHandle, lane: &mut PathStats, shard: usize) {
-    while let Some(run) = srv.queues[shard].pop_run(srv.cfg.batch_cap) {
-        if let [p] = run.as_slice() {
-            if let Request::Range(lo, hi) = &p.req {
-                p.publish(Reply::Range(h.shard_range_query(shard, *lo, *hi)));
+/// entry point (with the flat-combining hook draining further runs into
+/// `hook` if the plan escalates to the serialized section); a queued
+/// sub-scan runs on the shard's optimistic scan path. Shared by client
+/// `drive` loops and the [`KvServer::shutdown`] drain (callers hold the
+/// shard's combiner claim); `lane` is the caller's front-end counters.
+fn combine_shard(
+    srv: &KvServer,
+    h: &mut ShardedHandle,
+    lane: &mut PathStats,
+    shard: usize,
+    bufs: &mut RunBufs,
+    hook: &mut RunBufs,
+) {
+    while srv.queues[shard].pop_run(srv.cfg.batch_cap, &mut bufs.run) {
+        if let [p] = bufs.run.as_slice() {
+            if let Request::Range(lo, hi) = p.req {
+                p.publish_range(h.shard_range_query(shard, lo, hi));
+                bufs.run.clear();
                 continue;
             }
         }
-        let (replies, _path) = h.shard_batch_with(shard, &plan_of(&run), |apply| {
-            drain_rounds(srv, shard, apply, lane)
+        plan_of(&bufs.run, &mut bufs.plan);
+        let (replies, _path) = h.shard_batch_with(shard, &bufs.plan, |apply| {
+            drain_rounds(srv, shard, apply, lane, hook)
         });
-        publish_replies(&run, replies);
+        publish_replies(&mut bufs.run, &replies);
     }
 }
 
@@ -491,14 +586,21 @@ fn combine_shard(srv: &KvServer, h: &mut ShardedHandle, lane: &mut PathStats, sh
 /// on `lane`'s batch lane that cost no transaction of its own (the tree
 /// counts its operations as `combined_ops` only), so every operation the
 /// server executes is in `batch_ops`.
-fn drain_rounds(srv: &KvServer, shard: usize, apply: &mut dyn BatchApply, lane: &mut PathStats) {
+fn drain_rounds(
+    srv: &KvServer,
+    shard: usize,
+    apply: &mut dyn BatchApply,
+    lane: &mut PathStats,
+    bufs: &mut RunBufs,
+) {
     for _ in 0..srv.cfg.combine_rounds {
-        let Some(more) = srv.queues[shard].pop_op_run(srv.cfg.batch_cap) else {
+        if !srv.queues[shard].pop_op_run(srv.cfg.batch_cap, &mut bufs.run) {
             break;
-        };
-        let replies = apply.apply(&plan_of(&more));
+        }
+        plan_of(&bufs.run, &mut bufs.plan);
+        let replies = apply.apply(&bufs.plan);
         lane.record_batch(replies.len() as u64, 0);
-        publish_replies(&more, replies);
+        publish_replies(&mut bufs.run, &replies);
     }
 }
 
@@ -508,25 +610,29 @@ impl fmt::Debug for ServerClient {
     }
 }
 
-/// The coalesced [`BatchOp`] plan of a run of queued operation groups.
-fn plan_of(run: &[Arc<Pending>]) -> Vec<BatchOp> {
-    run.iter()
-        .flat_map(|p| match &p.req {
-            Request::Ops(ops) => ops.iter().copied(),
+/// Writes the coalesced [`BatchOp`] plan of a run of queued operation
+/// groups into `plan`.
+fn plan_of(run: &[Arc<Pending>], plan: &mut Vec<BatchOp>) {
+    reset(plan, run.iter().map(|p| p.op_count()).sum());
+    for p in run {
+        match &p.req {
+            Request::Ops(ops) => plan.extend_from_slice(ops),
             Request::Range(..) => unreachable!("sub-scans never join a batch plan"),
-        })
-        .collect()
+        }
+    }
 }
 
-/// Splits a coalesced plan's replies back into per-group slices and
-/// publishes each.
-fn publish_replies(run: &[Arc<Pending>], replies: Vec<Option<u64>>) {
-    let mut it = replies.into_iter();
-    for p in run {
-        let n = p.op_count();
-        p.publish(Reply::Ops(it.by_ref().take(n).collect()));
+/// Splits a coalesced plan's replies back into per-group slices,
+/// publishes each, and empties the run.
+fn publish_replies(run: &mut Vec<Arc<Pending>>, replies: &[Option<u64>]) {
+    let mut rest = replies;
+    for p in run.iter() {
+        let (mine, more) = rest.split_at(p.op_count());
+        p.publish_ops(mine);
+        rest = more;
     }
-    debug_assert!(it.next().is_none(), "reply count mismatch");
+    debug_assert!(rest.is_empty(), "reply count mismatch");
+    run.clear();
 }
 
 #[cfg(test)]
@@ -671,8 +777,9 @@ mod tests {
             let combiner = s.spawn(|| {
                 let mut h = srv.map().handle();
                 let mut lane = PathStats::new();
+                let mut bufs = RunBufs::new(srv.config());
                 h.shard_batch_with(0, &[BatchOp::Insert(1, 10)], |apply| {
-                    drain_rounds(&srv, 0, apply, &mut lane)
+                    drain_rounds(&srv, 0, apply, &mut lane, &mut bufs)
                 });
                 lane.batch_ops()
             });
@@ -692,6 +799,88 @@ mod tests {
         srv.queues[0].release();
         drop(srv);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A queued group's `Pending` is reused for a later group only once
+    /// no combiner holds it, and no submit returns an earlier one's
+    /// replies. The test holds shard 0's combiner claim, so every group
+    /// queues, and combines by hand: it pops each run and answers it, but
+    /// keeps the run's clones a while — a combiner that has published
+    /// and not yet dropped them. Observations are asserted only after the
+    /// client is done, so a failure cannot leave it waiting on a reply.
+    #[test]
+    fn a_pending_a_combiner_still_holds_is_not_reused() {
+        let cfg = ShardedConfig {
+            shards: 1,
+            key_space: 64,
+            batched: true,
+            ..ShardedConfig::default()
+        };
+        let map = Arc::new(ShardedMap::with_config(cfg).expect("valid config"));
+        let srv = Arc::new(KvServer::new(map, ServerConfig::default()).expect("batched map"));
+        assert!(srv.queues[0].try_claim());
+        let pop = || {
+            let mut run = Vec::new();
+            while !srv.queues[0].pop_run(srv.cfg.batch_cap, &mut run) {
+                std::thread::yield_now();
+            }
+            run
+        };
+        let answer = |h: &mut ShardedHandle, run: &[Arc<Pending>]| {
+            let mut plan = Vec::new();
+            plan_of(run, &mut plan);
+            let (replies, _path) = h.shard_batch(0, &plan);
+            publish_replies(&mut run.to_vec(), &replies);
+        };
+        let mut h = srv.map().handle();
+        let (replies, reused_held, held_reply, recycled, second_reply) = std::thread::scope(|s| {
+            let client = s.spawn(|| {
+                let mut c = srv.client();
+                (1..=3)
+                    .map(|v| c.submit(vec![BatchOp::Insert(1, v), BatchOp::Insert(2, v)]))
+                    .collect::<Vec<_>>()
+            });
+            let first = pop();
+            answer(&mut h, &first);
+            // The client's second group queues while `first` is held.
+            let second = pop();
+            let reused_held = Arc::ptr_eq(&first[0], &second[0]);
+            let held_reply = first[0].is_done().then(|| first[0].replies().to_vec());
+            let first_ptr = Arc::as_ptr(&first[0]);
+            drop(first);
+            answer(&mut h, &second);
+            // Now the first group's `Pending` is the client's alone; the
+            // second's is still held here.
+            let third = pop();
+            let recycled = Arc::as_ptr(&third[0]) == first_ptr;
+            let second_reply = second[0].is_done().then(|| second[0].replies().to_vec());
+            answer(&mut h, &third);
+            (
+                client.join().unwrap(),
+                reused_held,
+                held_reply,
+                recycled,
+                second_reply,
+            )
+        });
+        srv.queues[0].release();
+        assert_eq!(
+            replies,
+            [[None, None], [Some(1), Some(1)], [Some(2), Some(2)]],
+            "each submit gets its own replies"
+        );
+        assert!(!reused_held, "a Pending a combiner still held was reused");
+        assert_eq!(
+            held_reply,
+            Some(vec![None, None]),
+            "a held reply was overwritten"
+        );
+        assert_eq!(
+            second_reply,
+            Some(vec![Some(1), Some(1)]),
+            "a held reply was overwritten"
+        );
+        assert!(recycled, "a Pending nobody else held was not reused");
     }
 
     /// A failed flusher fsync reaches `shutdown` as the typed error.

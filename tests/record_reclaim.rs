@@ -1,14 +1,17 @@
-//! Live-heap regression test for SCX-record reclamation.
+//! Live-heap regression test for SCX-record reuse.
 //!
 //! A counting global allocator tracks the bytes the process holds, in
-//! all and in allocations of an [`ScxRecord`]'s size. Each case builds a
-//! tree, warms it up with updates on 64 keys, then runs 20 000 more
-//! updates and requires the record bytes to stay flat: every SCX-record
-//! the software path creates must be freed once no node references it,
-//! including the records that finalized a retired node and those a
-//! fast-path unlink left behind in a removed node's `info`. Dropping the
-//! tree must then return the whole heap to its level before the tree was
-//! built: records still installed in live nodes are released on drop.
+//! all and in allocations of an [`ScxRecord`]'s size. Each thread that
+//! runs the software LLX/SCX path owns one reusable SCX-record per engine,
+//! allocated at its first fallback SCX; a node's `info` names the record
+//! by a tagged `(pid, seq)` word, never by a pointer, so no record is
+//! ever released while the engine lives. Each case builds a tree, warms
+//! it up with updates on 64 keys, then runs 20 000 more updates and
+//! requires the record bytes to stay flat: a fallback SCX that allocated
+//! a record of its own, instead of reusing its thread's, grows them by
+//! about 200 bytes a time. Dropping the tree must then return the whole
+//! heap to its level before the tree was built: the engine frees every
+//! thread's record when it drops.
 //!
 //! One-thread cases must also keep the whole heap flat. The two-thread
 //! cases check record bytes only, because there two other things move
@@ -20,8 +23,8 @@
 //! check still sees all of it.
 //!
 //! The cases share one allocator, so they run one after another inside a
-//! single `#[test]`. The 3-path cases run two threads, racing the
-//! release-on-retire against helpers, so the file rides in the
+//! single `#[test]`. The 3-path cases run two threads, whose helpers
+//! race the reuse of each other's records, so the file rides in the
 //! `stress-tests` lane like `tests/concurrent.rs`.
 #![cfg(feature = "stress-tests")]
 
